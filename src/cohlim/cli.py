@@ -4,6 +4,9 @@ Every experiment is named, seeded and reproducible: deterministic paths give
 bit-identical result digests on rerun, Monte Carlo paths reproduce within
 their stated tolerances.  JSON carries the machine-readable summary
 (schema "1"), CSV carries time series and draws for downstream plotting.
+
+Each handler `run_<name>(run)` holds only its physics and returns the record's
+`values`; the `Run` supplies its inputs and collects its assertions and outputs.
 """
 
 from __future__ import annotations
@@ -12,25 +15,21 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
 from cohlim import config as cfgmod
-from cohlim.circle_measure import (
-    InadmissibleMeasureError,
-    PhaseMeasure,
-    admissible,
-    fourier_moment,
-)
+from cohlim.circle_measure import InadmissibleMeasureError, admissible, fourier_moment
 from cohlim.config import ConfigError
-from cohlim.dynamics import Dispersion, sigma_t, uniformization_metric
+from cohlim.dynamics import sigma_t, uniformization_metric
 from cohlim.functionals import (
     CoherentModeSet,
+    bessel_j0,
     divergence_diagnostic,
     fock_functional,
     n_mode_functional,
@@ -39,32 +38,19 @@ from cohlim.functionals import (
     rarefied_functional,
     sigma_mu_sq,
 )
-from cohlim.gns_reps import (
-    rep_expectation_averaged,
-    rep_expectation_n_mode,
-    rep_expectation_random,
-)
-from cohlim.ito_sampler import (
-    build_coefficients,
-    clt_sample,
-    draw_brownian,
-    random_functional,
-    sample_chi,
-)
-from cohlim.moments import build_q, mc_oracle, wick_moment
-from cohlim.open_system import SystemSpec, averaged_offdiagonal, gamma
+from cohlim.gns_reps import rep_expectation_averaged, rep_expectation_n_mode
+from cohlim.ito_sampler import build_coefficients, clt_sample, sample_chi
+from cohlim.mode_space import inner
+from cohlim.moments import MIN_ORACLE_SAMPLES, build_q, mc_oracle, wick_moment
+from cohlim.open_system import SystemSpec, gamma
 
 SCHEMA_VERSION = "1"
 
 
 def _json_default(o):
     """Coerce numpy scalars (and complex) for json.dump."""
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
+    if isinstance(o, (np.bool_, np.integer, np.floating)):
+        return o.item()
     if isinstance(o, complex):
         return {"re": o.real, "im": o.imag}
     if isinstance(o, np.ndarray):
@@ -72,86 +58,132 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def _mu2_from_config(cfg):
-    if "mu2" in cfg:
-        re, im = cfg["mu2"] if isinstance(cfg["mu2"], (list, tuple)) else (cfg["mu2"], 0.0)
-        return complex(re, im)
-    if "measure" in cfg:
-        return fourier_moment(cfgmod.build_measure(cfg["measure"]), 2)
-    return 0.0 + 0.0j
-
-
-def _battery(cfg, grid):
-    fns = cfg.get("functions", [])
-    if not fns:
-        raise ConfigError("/functions", "at least one test function is required")
-    return [
-        cfgmod.build_test_function(obj, grid, f"/functions/{i}")
-        for i, obj in enumerate(fns)
-    ]
-
-
-def _modes(cfg):
-    modes = cfg.get("modes", [])
-    return CoherentModeSet(
-        tuple(
-            (np.atleast_1d(m["k"]), float(m["rho"]), float(m.get("theta", 0.0)))
-            for m in modes
-        )
-    )
-
-
-def _record(cfg, values, assertions, started, out_paths):
-    record = {
-        "schema": SCHEMA_VERSION,
-        "experiment": cfg["experiment"],
-        "inputs_digest": cfgmod.config_digest(cfg),
-        "seed": cfg.get("seed"),
-        "values": values,
-        "tolerances": cfg.get("tolerances", {}),
-        "assertions": assertions,
-        "pass": all(a["pass"] for a in assertions) if assertions else True,
-        "runtime_s": round(time.perf_counter() - started, 3),
-        "outputs": [str(p) for p in out_paths],
-    }
-    return record
-
-
 def _cnum(z):
     z = complex(z)
     return {"re": z.real, "im": z.imag}
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+class Run:
+    """One experiment invocation: the config, its inputs built on first use,
+    the assertions recorded so far and the output files written so far."""
+
+    def __init__(self, cfg: dict, out_dir):
+        self.cfg = cfg
+        self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.assertions = []
+        self.outputs = []
+
+    def need(self, key):
+        if key not in self.cfg:
+            raise ConfigError(f"/{key}", f"required by the {self.cfg['experiment']} experiment")
+        return self.cfg[key]
+
+    def tol(self, name, default):
+        return float(self.cfg.get("tolerances", {}).get(name, default))
+
+    def samples(self, default, minimum=2):
+        """The sample count; the default minimum is the two draws var(ddof=1) needs."""
+        m = int(self.cfg.get("samples", default))
+        if m < minimum:
+            raise ConfigError("/samples", f"need at least {minimum} samples, got {m}")
+        return m
+
+    def closed_form(self, key):
+        return cfgmod._closed_form(self.need(key), f"/{key}")
+
+    @cached_property
+    def rng(self):
+        return np.random.default_rng(self.cfg["seed"])
+
+    @cached_property
+    def grid(self):
+        return cfgmod.build_grid(self.need("grid"))
+
+    @cached_property
+    def density(self):
+        return cfgmod.build_density(self.need("density"), self.grid)
+
+    @cached_property
+    def measure(self):
+        return cfgmod.build_measure(self.need("measure"))
+
+    @cached_property
+    def mu2(self):
+        if "mu2" in self.cfg:
+            mu2 = self.cfg["mu2"]
+            re, im = mu2 if isinstance(mu2, (list, tuple)) else (mu2, 0.0)
+            return complex(re, im)
+        if "measure" in self.cfg:
+            return fourier_moment(self.measure, 2)
+        return 0.0 + 0.0j
+
+    @cached_property
+    def battery(self):
+        fns = self.cfg.get("functions", [])
+        if not fns:
+            raise ConfigError("/functions", "at least one test function is required")
+        return [
+            cfgmod.build_test_function(obj, self.grid, f"/functions/{i}")
+            for i, obj in enumerate(fns)
+        ]
+
+    @cached_property
+    def dispersion(self):
+        return cfgmod.build_dispersion(self.cfg.get("dispersion", {"form": "photon"}), self.grid)
+
+    @cached_property
+    def modes(self):
+        return CoherentModeSet(
+            tuple(
+                (np.atleast_1d(m["k"]), float(m["rho"]), float(m.get("theta", 0.0)))
+                for m in self.cfg.get("modes", [])
+            )
+        )
+
+    @cached_property
+    def rarefied(self):
+        """(alpha, sigma, a, b) of the zero-density limit."""
+        return (
+            self.closed_form("alpha"),
+            float(self.need("sigma")),
+            float(self.need("a")),
+            float(self.need("b")),
+        )
+
+    def check(self, name, value, tol, passed):
+        self.assertions.append({"name": name, "value": value, "tol": tol, "pass": passed})
+
+    def write_csv(self, name, header, rows):
+        path = self.out_dir / name
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        self.outputs.append(path)
+
+    def write_json(self, name, obj):
+        path = self.out_dir / name
+        with open(path, "w") as fh:
+            json.dump(obj, fh, indent=2, default=_json_default)
+        self.outputs.append(path)
 
 
 # -- experiment handlers -----------------------------------------------------
 
 
-def run_functional(cfg, out_dir):
-    started = time.perf_counter()
-    kind = cfg.get("kind", "fock")
-    grid = cfgmod.build_grid(cfg["grid"])
-    battery = _battery(cfg, grid)
+def run_functional(run):
+    kind = run.cfg.get("kind", "fock")
     rows, values = [], {}
-    for f in battery:
+    for f in run.battery:
         if kind == "fock":
             fv = fock_functional(f)
         elif kind == "nmode":
-            fv = n_mode_functional(f, _modes(cfg))
+            fv = n_mode_functional(f, run.modes)
         elif kind == "averaged":
-            rho = cfgmod.build_density(cfg["density"], grid)
-            mu = cfgmod.build_measure(cfg["measure"])
-            fv = phase_averaged_functional(f, rho, mu)
+            fv = phase_averaged_functional(f, run.density, run.measure)
         elif kind == "rarefied":
-            alpha = cfgmod._closed_form(cfg["alpha"], "/alpha")
-            fv = rarefied_functional(
-                f, alpha, float(cfg["sigma"]), float(cfg["a"]), float(cfg["b"])
-            )
+            fv = rarefied_functional(f, *run.rarefied)
         else:
             raise ConfigError("/kind", f"unknown functional kind {kind!r}")
         rows.append(
@@ -166,89 +198,78 @@ def run_functional(cfg, out_dir):
             ]
         )
         values[f.label or f"f{len(values)}"] = _cnum(fv.value)
-    out_csv = out_dir / "functional.csv"
-    _write_csv(
-        out_csv,
+    run.write_csv(
+        "functional.csv",
         ["label", "re", "im", "modulus", "fock_exponent", "sigma_sq", "phase"],
         rows,
     )
-    return _record(cfg, values, [], started, [out_csv])
+    return values
 
 
-def run_clt(cfg, out_dir):
-    started = time.perf_counter()
-    grid = cfgmod.build_grid(cfg["grid"])
-    mu = cfgmod.build_measure(cfg["measure"])
+def run_clt(run):
+    mu = run.measure
     if not admissible(mu):
         raise ConfigError(
             "/measure", f"mu_hat_1 nonzero ({fourier_moment(mu, 1):.3g}): limit diverges"
         )
-    rho = cfgmod.build_density(cfg["density"], grid)
-    f = _battery(cfg, grid)[0]
-    m = int(cfg.get("samples", 2000))
-    rng = np.random.default_rng(cfg["seed"])
-    draws = clt_sample(f, grid, rho, mu, m, rng)
-    sigma = math.sqrt(sigma_mu_sq(f, rho, fourier_moment(mu, 2)))
+    f = run.battery[0]
+    m = run.samples(2000)
+    draws = clt_sample(f, run.grid, run.density, mu, m, run.rng)
+    sigma = math.sqrt(sigma_mu_sq(f, run.density, fourier_moment(mu, 2)))
     ks = float(stats.kstest(draws, "norm", args=(0.0, sigma)).statistic)
-    tol = float(cfg.get("tolerances", {}).get("ks", 1.95 / math.sqrt(m)))
-    out_csv = out_dir / "clt_draws.csv"
-    _write_csv(out_csv, ["draw"], [[x] for x in draws])
-    values = {"ks_distance": ks, "sigma": sigma, "samples": m}
-    assertions = [{"name": "ks_distance", "value": ks, "tol": tol, "pass": ks < tol}]
-    return _record(cfg, values, assertions, started, [out_csv])
+    tol = run.tol("ks", 1.95 / math.sqrt(m))
+    run.write_csv("clt_draws.csv", ["draw"], [[x] for x in draws])
+    run.check("ks_distance", ks, tol, ks < tol)
+    return {"ks_distance": ks, "sigma": sigma, "samples": m}
 
 
-def run_chi(cfg, out_dir):
-    started = time.perf_counter()
-    grid = cfgmod.build_grid(cfg["grid"])
-    rho = cfgmod.build_density(cfg["density"], grid)
-    mu2 = _mu2_from_config(cfg)
-    coeffs = build_coefficients(rho, mu2)
-    battery = _battery(cfg, grid)
-    m = int(cfg.get("samples", 1000))
-    rng = np.random.default_rng(cfg["seed"])
-    chis = sample_chi(battery, coeffs, m, rng)
+def run_chi(run):
+    """Re chi(f) ~ N(0, sigma_mu(f)^2): the sample mean and variance of each
+    function's draws are checked against that law at z standard errors."""
+    battery = run.battery
+    m = run.samples(1000)
+    chis = sample_chi(battery, build_coefficients(run.density, run.mu2), m, run.rng)
+    fock = [fock_functional(f).value for f in battery]
     rows = []
     for i in range(m):
         for j, f in enumerate(battery):
-            fv = fock_functional(f)
-            val = fv.value * np.exp(1j * chis[i, j].real)
+            val = fock[j] * np.exp(1j * chis[i, j].real)
             rows.append([i, f.label, chis[i, j].real, chis[i, j].imag, val.real, val.imag])
-    out_csv = out_dir / "chi_samples.csv"
-    _write_csv(
-        out_csv,
+    run.write_csv(
+        "chi_samples.csv",
         ["sample", "label", "chi_re", "chi_im", "functional_re", "functional_im"],
         rows,
     )
-    values = {
-        f.label
-        or f"f{j}": {
-            "mean_re_chi": float(np.mean(chis[:, j].real)),
-            "var_re_chi": float(np.var(chis[:, j].real, ddof=1)),
-            "sigma_sq": sigma_mu_sq(f, rho, mu2),
-        }
-        for j, f in enumerate(battery)
-    }
-    return _record(cfg, values, [], started, [out_csv])
+    z = run.tol("z", 5.0)
+    values = {}
+    for j, f in enumerate(battery):
+        label = f.label or f"f{j}"
+        mean = float(np.mean(chis[:, j].real))
+        var = float(np.var(chis[:, j].real, ddof=1))
+        sig2 = sigma_mu_sq(f, run.density, run.mu2)
+        values[label] = {"mean_re_chi": mean, "var_re_chi": var, "sigma_sq": sig2}
+        tol = z * math.sqrt(sig2 / m)
+        run.check(f"mean_re_chi[{label}]", abs(mean), tol, abs(mean) <= tol)
+        tol = z * sig2 * math.sqrt(2.0 / (m - 1))
+        run.check(f"var_re_chi[{label}]", abs(var - sig2), tol, abs(var - sig2) <= tol)
+    return values
 
 
-def run_moments(cfg, out_dir, pq=None):
-    started = time.perf_counter()
-    grid = cfgmod.build_grid(cfg["grid"])
-    rho = cfgmod.build_density(cfg["density"], grid)
-    mu2 = _mu2_from_config(cfg)
-    battery = _battery(cfg, grid)
-    if pq is None:
-        pq = cfg.get("pq", "1,1")
-    p, q = (int(x) for x in str(pq).split(","))
+def run_moments(run):
+    pq = run.cfg.get("pq", "1,1")
+    try:
+        p, q = (int(x) for x in str(pq).split(","))
+        if p < 0 or q < 0:
+            raise ValueError
+    except ValueError as exc:
+        raise ConfigError("/pq", f"expected orders p,q >= 0, got {pq!r}") from exc
+    battery = run.battery
     if p + q > len(battery):
         raise ConfigError("/functions", f"need at least p+q={p+q} functions")
+    m = run.samples(10_000, MIN_ORACLE_SAMPLES)
     fs, gs = battery[:p], battery[p : p + q]
-    closed = wick_moment(build_q(fs, gs, rho, mu2))
-    coeffs = build_coefficients(rho, mu2)
-    m = int(cfg.get("samples", 10_000))
-    rng = np.random.default_rng(cfg["seed"])
-    est = mc_oracle(fs, gs, coeffs, m, rng)
+    closed = wick_moment(build_q(fs, gs, run.density, run.mu2))
+    est = mc_oracle(fs, gs, build_coefficients(run.density, run.mu2), m, run.rng)
     z = est.z_score(closed)
     values = {
         "p": p,
@@ -258,25 +279,19 @@ def run_moments(cfg, out_dir, pq=None):
         "mc_stderr": est.stderr,
         "z_score": z,
     }
-    tol = float(cfg.get("tolerances", {}).get("z", 5.0))
-    assertions = [{"name": "z_score", "value": z, "tol": tol, "pass": z < tol}]
-    out_json = out_dir / "moments.json"
-    with open(out_json, "w") as fh:
-        json.dump(values, fh, indent=2, default=_json_default)
-    return _record(cfg, values, assertions, started, [out_json])
+    tol = run.tol("z", 5.0)
+    run.check("z_score", z, tol, z < tol)
+    run.write_json("moments.json", values)
+    return values
 
 
-def run_gns_check(cfg, out_dir, rep=None):
-    started = time.perf_counter()
-    rep = rep or cfg.get("rep", "averaged")
-    grid = cfgmod.build_grid(cfg["grid"])
-    battery = _battery(cfg, grid)
+def run_gns_check(run):
+    rep = run.cfg.get("rep", "averaged")
     checks = []
     if rep == "averaged":
-        rho = cfgmod.build_density(cfg["density"], grid)
-        mu2 = _mu2_from_config(cfg)
-        mu = cfgmod.build_measure(cfg.get("measure", {"kind": "uniform"}))
-        for f in battery:
+        rho, mu2 = run.density, run.mu2
+        mu = run.measure if "measure" in run.cfg else cfgmod.build_measure({"kind": "uniform"})
+        for f in run.battery:
             lhs = rep_expectation_averaged(f, rho, mu2).value
             rhs = (
                 fock_functional(f).value
@@ -286,125 +301,80 @@ def run_gns_check(cfg, out_dir, rep=None):
             )
             checks.append((f.label, lhs, rhs))
     elif rep == "nmode":
-        from cohlim.functionals import bessel_j0
-
-        modes = _modes(cfg)
-        for f in battery:
+        modes = run.modes
+        for f in run.battery:
             lhs = rep_expectation_n_mode(f, modes).value
             fhat = f.evaluate_at(modes.momenta())
-            prod = np.prod(
-                [
-                    bessel_j0(math.sqrt(2.0 * r) * abs(v))
-                    for r, v in zip(modes.rhos(), fhat)
-                ]
-            )
-            rhs = fock_functional(f).value * prod
-            checks.append((f.label, lhs, rhs))
-    elif rep == "random":
-        grid_rho = cfgmod.build_density(cfg["density"], grid)
-        mu2 = _mu2_from_config(cfg)
-        coeffs = build_coefficients(grid_rho, mu2)
-        sample = draw_brownian(grid, int(cfg.get("seed", 0)))
-        for f in battery:
-            lhs = rep_expectation_random(f, coeffs, sample).value
-            rhs = random_functional(f, coeffs, sample).value
+            j0s = [bessel_j0(math.sqrt(2.0 * r) * abs(v)) for r, v in zip(modes.rhos(), fhat)]
+            rhs = fock_functional(f).value * np.prod(j0s)
             checks.append((f.label, lhs, rhs))
     else:
-        raise ConfigError("/rep", f"unknown representation {rep!r}")
-    tol = float(cfg.get("tolerances", {}).get("residual", 1e-9))
+        raise ConfigError("/rep", f"unknown representation {rep!r}; use nmode or averaged")
+    tol = run.tol("residual", 1e-9)
     values = {"rep": rep, "checks": []}
-    assertions = []
     for label, lhs, rhs in checks:
         residual = abs(lhs - rhs)
         values["checks"].append(
             {"label": label, "lhs": _cnum(lhs), "rhs": _cnum(rhs), "residual": residual}
         )
-        assertions.append(
-            {"name": f"residual[{label}]", "value": residual, "tol": tol, "pass": residual < tol}
-        )
-    out_json = out_dir / "gns_check.json"
-    with open(out_json, "w") as fh:
-        json.dump(values, fh, indent=2, default=_json_default)
-    return _record(cfg, values, assertions, started, [out_json])
+        run.check(f"residual[{label}]", residual, tol, residual < tol)
+    run.write_json("gns_check.json", values)
+    return values
 
 
-def run_dynamics(cfg, out_dir, t_grid=None):
-    started = time.perf_counter()
-    grid = cfgmod.build_grid(cfg["grid"])
-    rho = cfgmod.build_density(cfg["density"], grid)
-    mu2 = _mu2_from_config(cfg)
-    eps = cfgmod.build_dispersion(cfg.get("dispersion", {"form": "photon"}), grid)
-    battery = _battery(cfg, grid)
-    ts = cfgmod.parse_t_grid(t_grid or cfg.get("t_grid", "0:100:1"))
+def run_dynamics(run):
+    battery, rho, mu2, eps = run.battery, run.density, run.mu2, run.dispersion
+    ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:100:1"))
     rows = []
     for t in ts:
         s = sigma_t(battery[0], rho, mu2, eps, float(t))
         metric = uniformization_metric(battery, rho, mu2, eps, float(t))
         rows.append([t, s, metric])
-    out_csv = out_dir / "dynamics.csv"
-    _write_csv(out_csv, ["t", "sigma_t", "metric"], rows)
-    values = {"final_t": float(ts[-1]), "final_metric": rows[-1][2]}
-    assertions = []
-    if "metric_final" in cfg.get("tolerances", {}):
-        tol = float(cfg["tolerances"]["metric_final"])
-        assertions.append(
-            {
-                "name": "final_metric",
-                "value": rows[-1][2],
-                "tol": tol,
-                "pass": rows[-1][2] < tol,
-            }
-        )
-    return _record(cfg, values, assertions, started, [out_csv])
+    run.write_csv("dynamics.csv", ["t", "sigma_t", "metric"], rows)
+    if "metric_final" in run.cfg.get("tolerances", {}):
+        tol = run.tol("metric_final", 0.0)
+        run.check("final_metric", rows[-1][2], tol, rows[-1][2] < tol)
+    return {"final_t": float(ts[-1]), "final_metric": rows[-1][2]}
 
 
-def run_decohere(cfg, out_dir, t_grid=None):
-    started = time.perf_counter()
-    grid = cfgmod.build_grid(cfg["grid"])
-    g = cfgmod.build_test_function(cfg["form_factor"], grid, "/form_factor")
-    eps = cfgmod.build_dispersion(cfg.get("dispersion", {"form": "photon"}), grid)
-    reservoir = cfgmod.build_density(cfg["density"], grid)
-    system = SystemSpec(
-        np.asarray(cfg["energies"], dtype=float),
-        np.asarray(cfg["couplings"], dtype=float),
-        g,
-        eps,
-    )
-    k, l = cfg.get("element", [0, 1])
+def run_decohere(run):
+    """Exact dephasing of one density-matrix element.  The Monte Carlo mean
+    over chi draws must match the Gaussian envelope within z standard
+    errors at every t > 0."""
+    g = cfgmod.build_test_function(run.need("form_factor"), run.grid, "/form_factor")
+    system = SystemSpec(run.need("energies"), run.need("couplings"), g, run.dispersion)
+    k, l = run.cfg.get("element", [0, 1])
     dg = system.couplings[k] - system.couplings[l]
-    coeffs = build_coefficients(reservoir, 0.0)
-    m = int(cfg.get("samples", 10_000))
-    rng = np.random.default_rng(cfg["seed"])
-    re_chi = sample_chi([g], coeffs, m, rng)[:, 0].real
-    ts = cfgmod.parse_t_grid(t_grid or cfg.get("t_grid", "0:2:0.1"))
+    m = run.samples(10_000)
+    re_chi = sample_chi([g], build_coefficients(run.density, 0.0), m, run.rng)[:, 0].real
+    rate = inner(g, g, run.density).real
     rows = []
-    from cohlim.mode_space import inner as _inner
-
-    rate = _inner(g, g, reservoir).real
-    for t in ts:
+    worst = 0.0
+    for t in cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:2:0.1")):
         t = float(t)
         gaussian_env = math.exp(-0.5 * t * t * dg * dg * rate)
-        gamma_env = math.exp(-0.5 * dg * dg * gamma(t, g, eps))
+        gamma_env = math.exp(-0.5 * dg * dg * gamma(t, g, run.dispersion))
         mc_vals = np.exp(-1j * t * dg * re_chi)
         mc_mean = complex(np.mean(mc_vals))
         mc_se = float(np.std(mc_vals.real, ddof=1) / math.sqrt(m))
         rows.append([t, gaussian_env, gamma_env, mc_mean.real, mc_mean.imag, mc_se])
-    out_csv = out_dir / "decohere.csv"
-    _write_csv(
-        out_csv,
+        if t > 0 and mc_se > 0:  # equal draws (dg = 0) give the envelope exactly
+            worst = max(worst, abs(mc_mean.real - gaussian_env) / mc_se)
+    run.write_csv(
+        "decohere.csv",
         ["t", "envelope_gaussian", "envelope_gamma", "mc_mean_re", "mc_mean_im", "mc_stderr"],
         rows,
     )
-    values = {"element": [int(k), int(l)], "gaussian_rate": rate, "rows": len(rows)}
-    return _record(cfg, values, [], started, [out_csv])
+    tol = run.tol("z", 5.0)
+    run.check("envelope_z", worst, tol, worst < tol)
+    return {"element": [int(k), int(l)], "gaussian_rate": rate, "rows": len(rows)}
 
 
-def run_diverge(cfg, out_dir):
-    started = time.perf_counter()
-    d = int(cfg.get("d", 1))
-    R = float(cfg.get("R", 4.0))
-    f_form = cfgmod._closed_form(cfg["function"], "/function")
-    rho_form = cfgmod._closed_form(cfg["density"], "/density")
+def run_diverge(run):
+    d = int(run.cfg.get("d", 1))
+    R = float(run.cfg.get("R", 4.0))
+    f_form = run.closed_form("function")
+    rho_form = run.closed_form("density")
 
     def f_profile(pts):
         pts = np.asarray(pts)
@@ -418,7 +388,7 @@ def run_diverge(cfg, out_dir):
 
     fit = divergence_diagnostic(
         f_profile, rho_profile, lambda k: np.zeros(np.shape(k)[0] if d > 1 else np.shape(k)),
-        cfg.get("n_list", [64, 128, 256, 512, 1024]), R, d
+        run.cfg.get("n_list", [64, 128, 256, 512, 1024]), R, d
     )
     values = {
         "slope": fit.slope,
@@ -426,34 +396,22 @@ def run_diverge(cfg, out_dir):
         "conclusive": fit.conclusive,
         "magnitudes": list(map(float, fit.magnitudes)),
     }
-    assertions = []
-    if fit.conclusive and "slope" in cfg.get("tolerances", {}):
-        tol = float(cfg["tolerances"]["slope"])
-        err = abs(fit.slope - d / 2.0)
-        assertions.append({"name": "slope", "value": fit.slope, "tol": tol, "pass": err <= tol})
-    out_json = out_dir / "diverge.json"
-    with open(out_json, "w") as fh:
-        json.dump(values, fh, indent=2, default=_json_default)
-    return _record(cfg, values, assertions, started, [out_json])
+    if fit.conclusive and "slope" in run.cfg.get("tolerances", {}):
+        tol = run.tol("slope", 0.0)
+        run.check("slope", fit.slope, tol, abs(fit.slope - d / 2.0) <= tol)
+    run.write_json("diverge.json", values)
+    return values
 
 
-def run_rarefied(cfg, out_dir):
-    started = time.perf_counter()
-    grid = cfgmod.build_grid(cfg["grid"])
-    gfun = _battery(cfg, grid)[0]
-    alpha = cfgmod._closed_form(cfg["alpha"], "/alpha")
-    sigma = float(cfg["sigma"])
-    a, b = float(cfg["a"]), float(cfg["b"])
-    limit = rarefied_functional(gfun, alpha, sigma, a, b)
-    l_values = cfg.get("L_values", [100.0, 1000.0, 10000.0])
+def run_rarefied(run):
+    gfun = run.battery[0]
+    limit = rarefied_functional(gfun, *run.rarefied)
     rows = []
-    for L in l_values:
-        phase = rarefied_finite_volume_phase(gfun, alpha, sigma, a, b, float(L))
+    for L in run.cfg.get("L_values", [100.0, 1000.0, 10000.0]):
+        phase = rarefied_finite_volume_phase(gfun, *run.rarefied, float(L))
         rows.append([L, phase, abs(phase - limit.phase)])
-    out_csv = out_dir / "rarefied.csv"
-    _write_csv(out_csv, ["L", "phase", "abs_error"], rows)
-    values = {"limit_phase": limit.phase, "limit_value": _cnum(limit.value)}
-    return _record(cfg, values, [], started, [out_csv])
+    run.write_csv("rarefied.csv", ["L", "phase", "abs_error"], rows)
+    return {"limit_phase": limit.phase, "limit_value": _cnum(limit.value)}
 
 
 HANDLERS = {
@@ -469,13 +427,36 @@ HANDLERS = {
 }
 
 
-def run_experiment(cfg: dict, out_dir, **kwargs) -> dict:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    record = HANDLERS[cfg["experiment"]](cfg, out_dir, **kwargs)
-    with open(out_dir / "result.json", "w") as fh:
-        json.dump(record, fh, indent=2, default=_json_default)
+def run_experiment(cfg: dict, out_dir) -> dict:
+    """Run the config's experiment into `out_dir` and write its result.json."""
+    started = time.perf_counter()
+    run = Run(cfg, out_dir)
+    values = HANDLERS[cfg["experiment"]](run)
+    record = {
+        "schema": SCHEMA_VERSION,
+        "experiment": cfg["experiment"],
+        "inputs_digest": cfgmod.config_digest(cfg),
+        "seed": cfg.get("seed"),
+        "values": values,
+        "tolerances": cfg.get("tolerances", {}),
+        "assertions": run.assertions,
+        "pass": all(a["pass"] for a in run.assertions),
+        "runtime_s": round(time.perf_counter() - started, 3),
+        "outputs": [str(p) for p in run.outputs],
+    }
+    run.write_json("result.json", record)
     return record
+
+
+# Flags that override the config key of the same name ("--t-grid" sets
+# "t_grid"), and the experiments that take each (None: all of them).
+OVERRIDES = (
+    ("--seed", int, "override the config seed", None),
+    ("--samples", int, "override the sample count", None),
+    ("--pq", str, "p,q orders, e.g. 2,2", {"moments"}),
+    ("--rep", str, "nmode | averaged", {"gns-check"}),
+    ("--t-grid", str, "start:stop:step", {"dynamics", "decohere"}),
+)
 
 
 def main(argv=None) -> int:
@@ -484,26 +465,13 @@ def main(argv=None) -> int:
         description="Seeded, reproducible experiments on infinite-volume coherent states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    extra = {
-        "moments": [("--pq", "p,q orders, e.g. 2,2")],
-        "gns-check": [("--rep", "nmode | averaged | random")],
-        "dynamics": [("--t-grid", "start:stop:step")],
-        "decohere": [("--t-grid", "start:stop:step")],
-    }
     for name in sorted(HANDLERS):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=int(os.environ.get("COHLIM_THREADS", "1")),
-            help="upper bound on internal parallelism",
-        )
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--samples", type=int, default=None, help="override the sample count")
-        for flag, help_text in extra.get(name, []):
-            p.add_argument(flag, default=None, help=help_text)
+        for flag, kind, help_text, commands in OVERRIDES:
+            if commands is None or name in commands:
+                p.add_argument(flag, type=kind, default=None, help=help_text)
     args = parser.parse_args(argv)
 
     try:
@@ -512,18 +480,11 @@ def main(argv=None) -> int:
             raise ConfigError(
                 "/experiment", f"config is for {cfg['experiment']!r}, invoked as {args.command!r}"
             )
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.samples is not None:
-            cfg["samples"] = args.samples
-        kwargs = {}
-        if args.command == "moments" and getattr(args, "pq", None):
-            kwargs["pq"] = args.pq
-        if args.command == "gns-check" and getattr(args, "rep", None):
-            kwargs["rep"] = args.rep
-        if args.command in ("dynamics", "decohere") and getattr(args, "t_grid", None):
-            kwargs["t_grid"] = args.t_grid
-        record = run_experiment(cfg, args.out, **kwargs)
+        for flag, *_ in OVERRIDES:
+            key = flag[2:].replace("-", "_")
+            if getattr(args, key, None) is not None:
+                cfg[key] = getattr(args, key)
+        record = run_experiment(cfg, args.out)
     except (ConfigError, InadmissibleMeasureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -166,12 +166,14 @@ def build_dispersion(obj: dict, grid: MomentumGrid, pointer: str = "/dispersion"
 
 
 def parse_t_grid(spec: str, pointer: str = "/t_grid") -> np.ndarray:
-    """'start:stop:step' -> inclusive time grid."""
+    """'start:stop:step' -> time grid from start in steps of step, ending at
+    stop when stop lies on the grid and never past it."""
     try:
         start, stop, step = (float(x) for x in str(spec).split(":"))
     except ValueError as exc:
         raise ConfigError(pointer, f"expected start:stop:step, got {spec!r}") from exc
     if step <= 0 or stop < start:
         raise ConfigError(pointer, "need step > 0 and stop >= start")
-    n = int(round((stop - start) / step))
+    # the slack keeps a stop that lies on the grid despite rounding in the ratio
+    n = int(np.floor((stop - start) / step + 1e-9))
     return start + step * np.arange(n + 1)

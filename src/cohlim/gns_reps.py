@@ -8,7 +8,9 @@ functionals.  For the doubled (phase-averaged) representation the vacuum
 value of the pair (Rf, Tf) is evaluated with the plain momentum norm, under
 which |Rf|^2 + |Tf|^2 = |fhat|^2 + 2 sigma^2 holds pointwise exactly; the
 result is then rescaled to the repo Fock convention once, through the
-mu_hat(2) = 0 closed-form identity.  See the README convention note.
+mu_hat(2) = 0 closed-form identity.  See the README convention note.  The
+random representation's cyclic-vector value is the sampled functional
+`ito_sampler.random_functional` itself, so it has no separate realization here.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from cohlim.functionals import (
     _circle_average,
     fock_functional,
 )
-from cohlim.ito_sampler import BrownianSample, CoefficientPair, random_functional
 from cohlim.mode_space import (
     GridMismatchError,
     ModeDensity,
@@ -136,11 +137,3 @@ def rep_expectation_averaged(
     return FunctionalValue(
         fock.value * math.exp(-sigma_sq / 2.0), fock.fock_exponent, sigma_sq=sigma_sq
     )
-
-
-def rep_expectation_random(
-    f: TestFunction, coeffs: CoefficientPair, sample: BrownianSample
-) -> FunctionalValue:
-    """Cyclic-vector value of the random representation; identical by
-    construction to the sampled random functional."""
-    return random_functional(f, coeffs, sample)

@@ -25,6 +25,7 @@ from cohlim.mode_space import (
 )
 
 MAX_PAIRING_ORDER = 16  # (15)!! terms already; anything larger is refused
+MIN_ORACLE_SAMPLES = 1000  # fewest draws mc_oracle accepts for its error bar
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,10 @@ def mc_oracle(
     """MC mean of 2^{-(p+q)/2} chi(f_1)..chi(f_p) conj(chi(g_1))..conj(chi(g_q))
     with a jackknife standard error.  Arbitrates every closed-form
     normalization in this module."""
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples for a stable error bar")
+    if n_samples < MIN_ORACLE_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_ORACLE_SAMPLES} samples for a stable error bar"
+        )
     p, q = len(fs), len(gs)
     if p + q == 0:
         return MomentEstimate(1.0 + 0.0j, 0.0, n_samples)

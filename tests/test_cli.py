@@ -23,6 +23,91 @@ GRID = {"d": 1, "R": 4.0, "N": 512}
 DENSITY = {"name": "gaussian", "center": 1.0, "width": 0.70710678}
 GAUSS_F = {"name": "gaussian", "label": "f", "modulation": 1.0}
 
+# One valid config per experiment; the runs below start from these.
+CONFIGS = {
+    "functional": {
+        "experiment": "functional",
+        "kind": "fock",
+        "grid": GRID,
+        "functions": [GAUSS_F],
+    },
+    "clt": {
+        "experiment": "clt",
+        "seed": 11,
+        "samples": 500,
+        "grid": GRID,
+        "measure": {"kind": "uniform"},
+        "density": DENSITY,
+        "functions": [GAUSS_F],
+    },
+    "chi": {
+        "experiment": "chi",
+        "seed": 5,
+        "samples": 200,
+        "grid": GRID,
+        "mu2": [0.0, 0.0],
+        "density": DENSITY,
+        "functions": [GAUSS_F],
+    },
+    "moments": {
+        "experiment": "moments",
+        "seed": 3,
+        "samples": 2000,
+        "pq": "1,1",
+        "grid": GRID,
+        "mu2": [0.3, 0.2],
+        "density": DENSITY,
+        "functions": [GAUSS_F, {"name": "gaussian", "label": "g", "center": 0.5}],
+    },
+    "gns-check": {
+        "experiment": "gns-check",
+        "rep": "averaged",
+        "grid": GRID,
+        "mu2": [-1.0, 0.0],
+        "density": DENSITY,
+        "functions": [GAUSS_F],
+    },
+    "dynamics": {
+        "experiment": "dynamics",
+        "grid": GRID,
+        "mu2": [-1.0, 0.0],
+        "density": DENSITY,
+        "dispersion": {"form": "photon"},
+        "functions": [{"name": "gaussian", "label": "f", "center": 2.0}],
+        "t_grid": "0:10:2",
+    },
+    "decohere": {
+        "experiment": "decohere",
+        "seed": 7,
+        "samples": 2000,
+        "grid": GRID,
+        "density": DENSITY,
+        "dispersion": {"form": "photon"},
+        "form_factor": {"name": "gaussian", "label": "g"},
+        "energies": [0.0, 1.0],
+        "couplings": [0.0, 1.0],
+        "t_grid": "0:1:0.5",
+    },
+    "diverge": {
+        "experiment": "diverge",
+        "d": 1,
+        "R": 4.0,
+        "function": {"name": "gaussian"},
+        "density": {"name": "gaussian"},
+        "tolerances": {"slope": 0.05},
+    },
+    "rarefied": {
+        "experiment": "rarefied",
+        "grid": {"d": 1, "R": 4.0, "N": 1024},
+        "functions": [{"name": "gaussian", "label": "g", "center": 1.0}],
+        "alpha": {"name": "gaussian", "center": 1.0},
+        "sigma": 0.7,
+        "a": 0.2,
+        "b": 1.8,
+        "L_values": [1000.0, 100000.0],
+    },
+}
+
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
@@ -60,6 +145,10 @@ class TestConfigValidation:
 
     def test_parse_t_grid(self):
         np.testing.assert_allclose(parse_t_grid("0:1:0.25"), [0, 0.25, 0.5, 0.75, 1.0])
+        # a step that does not divide the span stops short of stop
+        np.testing.assert_allclose(parse_t_grid("0:1:0.35"), [0, 0.35, 0.7])
+        ts = parse_t_grid("0:100:0.1")
+        assert len(ts) == 1001 and ts[-1] == pytest.approx(100.0)
 
     def test_parse_t_grid_rejects_garbage(self):
         with pytest.raises(ConfigError):
@@ -109,15 +198,7 @@ class TestBuilders:
 
 class TestCliRuns:
     def test_functional_fock(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path,
-            {
-                "experiment": "functional",
-                "kind": "fock",
-                "grid": GRID,
-                "functions": [GAUSS_F],
-            },
-        )
+        cfg = write_cfg(tmp_path, CONFIGS["functional"])
         out = tmp_path / "out"
         rc = cli.main(["functional", "--config", cfg, "--out", str(out)])
         assert rc == 0
@@ -129,16 +210,7 @@ class TestCliRuns:
         assert 0.0 < float(rows[0]["modulus"]) <= 1.0
 
     def test_clt_pass_and_reproducible(self, tmp_path):
-        body = {
-            "experiment": "clt",
-            "seed": 11,
-            "samples": 500,
-            "grid": GRID,
-            "measure": {"kind": "uniform"},
-            "density": DENSITY,
-            "functions": [GAUSS_F],
-        }
-        cfg = write_cfg(tmp_path, body)
+        cfg = write_cfg(tmp_path, CONFIGS["clt"])
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert cli.main(["clt", "--config", cfg, "--out", str(out1)]) == 0
         assert cli.main(["clt", "--config", cfg, "--out", str(out2)]) == 0
@@ -147,70 +219,33 @@ class TestCliRuns:
         assert r1["inputs_digest"] == r2["inputs_digest"]
 
     def test_clt_rejects_inadmissible_measure(self, tmp_path, capsys):
-        body = {
-            "experiment": "clt",
-            "seed": 1,
-            "grid": GRID,
-            "measure": {"kind": "atoms", "atoms": [[0.0, 1.0]]},
-            "density": DENSITY,
-            "functions": [GAUSS_F],
-        }
+        body = {**CONFIGS["clt"], "seed": 1, "measure": {"kind": "atoms", "atoms": [[0.0, 1.0]]}}
         cfg = write_cfg(tmp_path, body)
         rc = cli.main(["clt", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "mu_hat_1 nonzero" in capsys.readouterr().err
 
     def test_wrong_subcommand_for_config(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path,
-            {"experiment": "functional", "grid": GRID, "functions": [GAUSS_F]},
-        )
+        cfg = write_cfg(tmp_path, CONFIGS["functional"])
         rc = cli.main(["dynamics", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
 
     def test_moments_subcommand(self, tmp_path):
-        body = {
-            "experiment": "moments",
-            "seed": 3,
-            "samples": 2000,
-            "pq": "1,1",
-            "grid": GRID,
-            "mu2": [0.3, 0.2],
-            "density": DENSITY,
-            "functions": [GAUSS_F, {"name": "gaussian", "label": "g", "center": 0.5}],
-        }
-        cfg = write_cfg(tmp_path, body)
+        cfg = write_cfg(tmp_path, CONFIGS["moments"])
         out = tmp_path / "o"
         assert cli.main(["moments", "--config", cfg, "--out", str(out)]) == 0
         record = read_result(out)
         assert record["values"]["z_score"] < 5.0
 
     def test_gns_check_averaged(self, tmp_path):
-        body = {
-            "experiment": "gns-check",
-            "rep": "averaged",
-            "grid": GRID,
-            "mu2": [-1.0, 0.0],
-            "density": DENSITY,
-            "functions": [GAUSS_F],
-        }
-        cfg = write_cfg(tmp_path, body)
+        cfg = write_cfg(tmp_path, CONFIGS["gns-check"])
         out = tmp_path / "o"
         assert cli.main(["gns-check", "--config", cfg, "--out", str(out)]) == 0
         record = read_result(out)
         assert record["assertions"][0]["value"] < 1e-9
 
     def test_dynamics_time_series(self, tmp_path):
-        body = {
-            "experiment": "dynamics",
-            "grid": GRID,
-            "mu2": [-1.0, 0.0],
-            "density": DENSITY,
-            "dispersion": {"form": "photon"},
-            "functions": [{"name": "gaussian", "label": "f", "center": 2.0}],
-            "t_grid": "0:10:2",
-        }
-        cfg = write_cfg(tmp_path, body)
+        cfg = write_cfg(tmp_path, CONFIGS["dynamics"])
         out = tmp_path / "o"
         assert cli.main(["dynamics", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "dynamics.csv") as fh:
@@ -219,53 +254,26 @@ class TestCliRuns:
         assert float(rows[-1]["metric"]) < float(rows[0]["metric"])
 
     def test_decohere_time_series(self, tmp_path):
-        body = {
-            "experiment": "decohere",
-            "seed": 7,
-            "samples": 2000,
-            "grid": GRID,
-            "density": DENSITY,
-            "dispersion": {"form": "photon"},
-            "form_factor": {"name": "gaussian", "label": "g"},
-            "energies": [0.0, 1.0],
-            "couplings": [0.0, 1.0],
-            "t_grid": "0:1:0.5",
-        }
-        cfg = write_cfg(tmp_path, body)
+        cfg = write_cfg(tmp_path, CONFIGS["decohere"])
         out = tmp_path / "o"
         assert cli.main(["decohere", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "decohere.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["envelope_gaussian"]) == 1.0
         assert float(rows[-1]["envelope_gaussian"]) < 1.0
+        record = read_result(out)
+        assert [a["name"] for a in record["assertions"]] == ["envelope_z"]
+        assert record["pass"] and record["assertions"][0]["pass"]
 
     def test_diverge_slope(self, tmp_path):
-        body = {
-            "experiment": "diverge",
-            "d": 1,
-            "R": 4.0,
-            "function": {"name": "gaussian"},
-            "density": {"name": "gaussian"},
-            "tolerances": {"slope": 0.05},
-        }
-        cfg = write_cfg(tmp_path, body)
+        cfg = write_cfg(tmp_path, CONFIGS["diverge"])
         out = tmp_path / "o"
         assert cli.main(["diverge", "--config", cfg, "--out", str(out)]) == 0
         record = read_result(out)
         assert abs(record["values"]["slope"] - 0.5) < 0.05
 
     def test_rarefied_convergence_table(self, tmp_path):
-        body = {
-            "experiment": "rarefied",
-            "grid": {"d": 1, "R": 4.0, "N": 1024},
-            "functions": [{"name": "gaussian", "label": "g", "center": 1.0}],
-            "alpha": {"name": "gaussian", "center": 1.0},
-            "sigma": 0.7,
-            "a": 0.2,
-            "b": 1.8,
-            "L_values": [1000.0, 100000.0],
-        }
-        cfg = write_cfg(tmp_path, body)
+        cfg = write_cfg(tmp_path, CONFIGS["rarefied"])
         out = tmp_path / "o"
         assert cli.main(["rarefied", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "rarefied.csv") as fh:
@@ -273,18 +281,68 @@ class TestCliRuns:
         assert float(rows[-1]["abs_error"]) < 0.01
 
     def test_chi_sample_table(self, tmp_path):
-        body = {
-            "experiment": "chi",
-            "seed": 5,
-            "samples": 200,
-            "grid": GRID,
-            "mu2": [0.0, 0.0],
-            "density": DENSITY,
-            "functions": [GAUSS_F],
-        }
-        cfg = write_cfg(tmp_path, body)
+        cfg = write_cfg(tmp_path, CONFIGS["chi"])
         out = tmp_path / "o"
         assert cli.main(["chi", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "chi_samples.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 200
+        record = read_result(out)
+        assert [a["name"] for a in record["assertions"]] == ["mean_re_chi[f]", "var_re_chi[f]"]
+        assert record["pass"] and all(a["pass"] for a in record["assertions"])
+
+
+class TestCliContract:
+    """Bad inputs exit 2 with a JSON pointer; override flags set config keys."""
+
+    def run_cli(self, tmp_path, cfg, *flags):
+        path = write_cfg(tmp_path, cfg)
+        return cli.main([cfg["experiment"], "--config", path, "--out", str(tmp_path / "o"), *flags])
+
+    @pytest.mark.parametrize(
+        "experiment, key",
+        [
+            ("functional", "grid"),
+            ("clt", "measure"),
+            ("chi", "density"),
+            ("moments", "density"),
+            ("gns-check", "density"),
+            ("dynamics", "density"),
+            ("decohere", "energies"),
+            ("decohere", "form_factor"),
+            ("diverge", "function"),
+            ("rarefied", "alpha"),
+        ],
+    )
+    def test_missing_key_exits_2(self, tmp_path, capsys, experiment, key):
+        cfg = {k: v for k, v in CONFIGS[experiment].items() if k != key}
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert f"/{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, samples",
+        [("moments", 999), ("chi", 1), ("clt", 1), ("decohere", 1)],
+    )
+    def test_too_few_samples_exits_2(self, tmp_path, capsys, experiment, samples):
+        assert self.run_cli(tmp_path, CONFIGS[experiment], "--samples", str(samples)) == 2
+        assert "/samples:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pq", ["2,x", "-1,2", "3"])
+    def test_bad_pq_exits_2(self, tmp_path, capsys, pq):
+        assert self.run_cli(tmp_path, CONFIGS["moments"], f"--pq={pq}") == 2
+        assert "/pq:" in capsys.readouterr().err
+
+    def test_gns_check_random_rep_rejected(self, tmp_path, capsys):
+        assert self.run_cli(tmp_path, CONFIGS["gns-check"], "--rep", "random") == 2
+        assert "/rep:" in capsys.readouterr().err
+
+    def test_override_flag_enters_digest(self, tmp_path):
+        fns = CONFIGS["moments"]["functions"] * 2
+        digests = []
+        for pq, flags in (("2,2", ()), ("1,1", ("--pq", "2,2"))):
+            run_dir = tmp_path / pq
+            run_dir.mkdir()
+            cfg = {**CONFIGS["moments"], "pq": pq, "functions": fns}
+            assert self.run_cli(run_dir, cfg, *flags) == 0
+            digests.append(read_result(run_dir / "o")["inputs_digest"])
+        assert digests[0] == digests[1]

@@ -18,9 +18,7 @@ from cohlim.gns_reps import (
     build_alpha_beta,
     rep_expectation_averaged,
     rep_expectation_n_mode,
-    rep_expectation_random,
 )
-from cohlim.ito_sampler import build_coefficients, draw_brownian, random_functional
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, norm_sq_momentum
 
 from conftest import make_battery
@@ -117,10 +115,3 @@ class TestRepExpectations:
         lhs = rep_expectation_averaged(gauss, rho, fourier_moment(mu, 2)).value
         rhs = phase_averaged_functional(gauss, rho, mu).value
         assert abs(lhs - rhs) < 1e-9
-
-    def test_random_rep_is_sampled_functional(self, grid, rho, gauss):
-        coeffs = build_coefficients(rho, 0.3)
-        s = draw_brownian(grid, seed=77)
-        assert rep_expectation_random(gauss, coeffs, s).value == pytest.approx(
-            random_functional(gauss, coeffs, s).value
-        )
