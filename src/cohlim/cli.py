@@ -26,7 +26,7 @@ from scipy import stats
 from cohlim import config as cfgmod
 from cohlim.circle_measure import InadmissibleMeasureError, admissible, fourier_moment
 from cohlim.config import ConfigError
-from cohlim.dynamics import sigma_t, uniformization_metric
+from cohlim.dynamics import sigma_t, uniformization_curve
 from cohlim.functionals import (
     CoherentModeSet,
     bessel_j0,
@@ -58,6 +58,14 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _cnum(z):
     z = complex(z)
     return {"re": z.real, "im": z.imag}
@@ -84,7 +92,9 @@ class Run:
 
     def samples(self, default, minimum=2):
         """The sample count; the default minimum is the two draws var(ddof=1) needs."""
-        m = int(self.cfg.get("samples", default))
+        m = self.cfg.get("samples", default)
+        if not _is_int(m):
+            raise ConfigError("/samples", f"expected an integer, got {m!r}")
         if m < minimum:
             raise ConfigError("/samples", f"need at least {minimum} samples, got {m}")
         return m
@@ -112,8 +122,13 @@ class Run:
     def mu2(self):
         if "mu2" in self.cfg:
             mu2 = self.cfg["mu2"]
-            re, im = mu2 if isinstance(mu2, (list, tuple)) else (mu2, 0.0)
-            return complex(re, im)
+            parts = mu2 if isinstance(mu2, (list, tuple)) else [mu2, 0.0]
+            if len(parts) != 2 or not all(map(_is_real, parts)):
+                raise ConfigError("/mu2", f"expected a number or [re, im], got {mu2!r}")
+            z = complex(*parts)
+            if not abs(z) <= 1.0 + 1e-12:  # also rejects nan
+                raise ConfigError("/mu2", f"|mu_hat(2)| must be <= 1, got {abs(z)}")
+            return z
         if "measure" in self.cfg:
             return fourier_moment(self.measure, 2)
         return 0.0 + 0.0j
@@ -197,7 +212,11 @@ def run_functional(run):
                 "" if fv.phase is None else fv.phase,
             ]
         )
-        values[f.label or f"f{len(values)}"] = _cnum(fv.value)
+        label = f.label or f"f{len(values)}"
+        values[label] = _cnum(fv.value)
+        # a state's value on a Weyl unitary has modulus at most 1
+        tol = 1.0 + 1e-12
+        run.check(f"modulus[{label}]", fv.modulus, tol, fv.modulus <= tol)
     run.write_csv(
         "functional.csv",
         ["label", "re", "im", "modulus", "fock_exponent", "sigma_sq", "phase"],
@@ -325,11 +344,9 @@ def run_gns_check(run):
 def run_dynamics(run):
     battery, rho, mu2, eps = run.battery, run.density, run.mu2, run.dispersion
     ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:100:1"))
-    rows = []
-    for t in ts:
-        s = sigma_t(battery[0], rho, mu2, eps, float(t))
-        metric = uniformization_metric(battery, rho, mu2, eps, float(t))
-        rows.append([t, s, metric])
+    sig = sigma_t(battery, rho, mu2, eps, ts)
+    metric = uniformization_curve(battery, rho, sig)
+    rows = [[t, s, m] for t, s, m in zip(ts, sig[:, 0].tolist(), metric.tolist())]
     run.write_csv("dynamics.csv", ["t", "sigma_t", "metric"], rows)
     if "metric_final" in run.cfg.get("tolerances", {}):
         tol = run.tol("metric_final", 0.0)
@@ -342,8 +359,21 @@ def run_decohere(run):
     over chi draws must match the Gaussian envelope within z standard
     errors at every t > 0."""
     g = cfgmod.build_test_function(run.need("form_factor"), run.grid, "/form_factor")
-    system = SystemSpec(run.need("energies"), run.need("couplings"), g, run.dispersion)
-    k, l = run.cfg.get("element", [0, 1])
+    spec_args = (run.need("energies"), run.need("couplings"), g, run.dispersion)
+    try:
+        system = SystemSpec(*spec_args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("/couplings", str(exc)) from exc
+    element = run.cfg.get("element", [0, 1])
+    n = system.n_levels
+    if not (
+        isinstance(element, (list, tuple))
+        and len(element) == 2
+        and all(_is_int(i) and 0 <= i < n for i in element)
+        and element[0] != element[1]
+    ):
+        raise ConfigError("/element", f"expected two distinct levels in 0..{n - 1}, got {element!r}")
+    k, l = element
     dg = system.couplings[k] - system.couplings[l]
     m = run.samples(10_000)
     re_chi = sample_chi([g], build_coefficients(run.density, 0.0), m, run.rng)[:, 0].real

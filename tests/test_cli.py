@@ -17,6 +17,7 @@ from cohlim.config import (
     read_value_file,
     validate_config,
 )
+from cohlim.dynamics import sigma_t, uniformization_metric
 from cohlim.mode_space import MomentumGrid
 
 GRID = {"d": 1, "R": 4.0, "N": 512}
@@ -208,6 +209,8 @@ class TestCliRuns:
             rows = list(csv.DictReader(fh))
         assert rows[0]["label"] == "f"
         assert 0.0 < float(rows[0]["modulus"]) <= 1.0
+        assert [a["name"] for a in record["assertions"]] == ["modulus[f]"]
+        assert record["assertions"][0]["pass"]
 
     def test_clt_pass_and_reproducible(self, tmp_path):
         cfg = write_cfg(tmp_path, CONFIGS["clt"])
@@ -252,6 +255,24 @@ class TestCliRuns:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
         assert float(rows[-1]["metric"]) < float(rows[0]["metric"])
+
+    def test_dynamics_matches_per_t_loop(self, tmp_path):
+        """The one-pass table equals scalar sigma_t/uniformization_metric per t."""
+        cfg = CONFIGS["dynamics"]
+        out = tmp_path / "o"
+        assert cli.main(["dynamics", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        with open(out / "dynamics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        run = cli.Run(cfg, tmp_path / "inputs")
+        battery, rho, mu2, eps = run.battery, run.density, run.mu2, run.dispersion
+        ts = parse_t_grid(cfg["t_grid"])
+        assert len(rows) == len(ts)
+        for t, row in zip(ts, rows):
+            assert float(row["t"]) == t
+            s = sigma_t(battery[0], rho, mu2, eps, float(t))
+            metric = uniformization_metric(battery, rho, mu2, eps, float(t))
+            assert float(row["sigma_t"]) == pytest.approx(s, rel=1e-12, abs=1e-15)
+            assert float(row["metric"]) == pytest.approx(metric, rel=1e-12, abs=1e-15)
 
     def test_decohere_time_series(self, tmp_path):
         cfg = write_cfg(tmp_path, CONFIGS["decohere"])
@@ -331,6 +352,40 @@ class TestCliContract:
     def test_bad_pq_exits_2(self, tmp_path, capsys, pq):
         assert self.run_cli(tmp_path, CONFIGS["moments"], f"--pq={pq}") == 2
         assert "/pq:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, mu2",
+        [
+            ("dynamics", "x"),
+            ("chi", 2.0),
+            ("dynamics", [3.0, 0.0]),
+            ("moments", [0.8, 0.8]),
+            ("gns-check", [0.5]),
+            ("dynamics", [0.5, "y"]),
+        ],
+    )
+    def test_bad_mu2_exits_2(self, tmp_path, capsys, experiment, mu2):
+        assert self.run_cli(tmp_path, {**CONFIGS[experiment], "mu2": mu2}) == 2
+        assert "/mu2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, samples", [("chi", "abc"), ("chi", 2.5), ("decohere", 500.5)])
+    def test_non_integer_samples_exits_2(self, tmp_path, capsys, experiment, samples):
+        assert self.run_cli(tmp_path, {**CONFIGS[experiment], "samples": samples}) == 2
+        assert "/samples:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "energies, couplings",
+        [([0.0, 1.0], [0.0, 1.0, 2.0]), ([0.0], [1.0]), ([0.0, 1.0, 2.0], [0.0, 1.0])],
+    )
+    def test_bad_levels_exit_2(self, tmp_path, capsys, energies, couplings):
+        cfg = {**CONFIGS["decohere"], "energies": energies, "couplings": couplings}
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert "/couplings:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("element", [[0, 5], [1, 1], [-1, 0], [0], [0, 1, 1], "01", [0, 1.0]])
+    def test_bad_element_exits_2(self, tmp_path, capsys, element):
+        assert self.run_cli(tmp_path, {**CONFIGS["decohere"], "element": element}) == 2
+        assert "/element:" in capsys.readouterr().err
 
     def test_gns_check_random_rep_rejected(self, tmp_path, capsys):
         assert self.run_cli(tmp_path, CONFIGS["gns-check"], "--rep", "random") == 2
