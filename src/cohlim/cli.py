@@ -39,7 +39,7 @@ from cohlim.functionals import (
     sigma_mu_sq,
 )
 from cohlim.gns_reps import rep_expectation_averaged, rep_expectation_n_mode
-from cohlim.ito_sampler import build_coefficients, clt_sample, sample_chi
+from cohlim.ito_sampler import build_coefficients, clt_sample, sample_chi_gram
 from cohlim.mode_space import inner
 from cohlim.moments import MIN_ORACLE_SAMPLES, build_q, mc_oracle, wick_moment
 from cohlim.open_system import SystemSpec, gamma
@@ -81,6 +81,8 @@ class Run:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.assertions = []
         self.outputs = []
+        self._rng = None
+        self.rng_provenance = None
 
     def need(self, key):
         if key not in self.cfg:
@@ -102,9 +104,18 @@ class Run:
     def closed_form(self, key):
         return cfgmod._closed_form(self.need(key), f"/{key}")
 
-    @cached_property
-    def rng(self):
-        return np.random.default_rng(self.cfg["seed"])
+    def rng(self, sampler):
+        """The run's seeded generator; `sampler` names what draws from it
+        ("gram": chi from its exact Gram law, "phases": i.i.d. mode phases)
+        and enters result.json with the seed and bit generator."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.cfg["seed"])
+            self.rng_provenance = {
+                "seed": self.cfg["seed"],
+                "bit_generator": type(self._rng.bit_generator).__name__,
+                "sampler": sampler,
+            }
+        return self._rng
 
     @cached_property
     def grid(self):
@@ -233,7 +244,7 @@ def run_clt(run):
         )
     f = run.battery[0]
     m = run.samples(2000)
-    draws = clt_sample(f, run.grid, run.density, mu, m, run.rng)
+    draws = clt_sample(f, run.grid, run.density, mu, m, run.rng("phases"))
     sigma = math.sqrt(sigma_mu_sq(f, run.density, fourier_moment(mu, 2)))
     ks = float(stats.kstest(draws, "norm", args=(0.0, sigma)).statistic)
     tol = run.tol("ks", 1.95 / math.sqrt(m))
@@ -247,17 +258,20 @@ def run_chi(run):
     function's draws are checked against that law at z standard errors."""
     battery = run.battery
     m = run.samples(1000)
-    chis = sample_chi(battery, build_coefficients(run.density, run.mu2), m, run.rng)
-    fock = [fock_functional(f).value for f in battery]
-    rows = []
-    for i in range(m):
-        for j, f in enumerate(battery):
-            val = fock[j] * np.exp(1j * chis[i, j].real)
-            rows.append([i, f.label, chis[i, j].real, chis[i, j].imag, val.real, val.imag])
+    coeffs = build_coefficients(run.density, run.mu2)
+    chis = sample_chi_gram(battery, coeffs, m, run.rng("gram"))
+    fock = np.array([fock_functional(f).value for f in battery])
+    vals = fock * np.exp(1j * chis.real)
+    # one row per (sample, function), sample-major
+    columns = [
+        np.repeat(np.arange(m), len(battery)).tolist(),
+        [f.label for f in battery] * m,
+        *(a.ravel().tolist() for a in (chis.real, chis.imag, vals.real, vals.imag)),
+    ]
     run.write_csv(
         "chi_samples.csv",
         ["sample", "label", "chi_re", "chi_im", "functional_re", "functional_im"],
-        rows,
+        zip(*columns),
     )
     z = run.tol("z", 5.0)
     values = {}
@@ -288,7 +302,7 @@ def run_moments(run):
     m = run.samples(10_000, MIN_ORACLE_SAMPLES)
     fs, gs = battery[:p], battery[p : p + q]
     closed = wick_moment(build_q(fs, gs, run.density, run.mu2))
-    est = mc_oracle(fs, gs, build_coefficients(run.density, run.mu2), m, run.rng)
+    est = mc_oracle(fs, gs, build_coefficients(run.density, run.mu2), m, run.rng("gram"))
     z = est.z_score(closed)
     values = {
         "p": p,
@@ -359,9 +373,11 @@ def run_decohere(run):
     over chi draws must match the Gaussian envelope within z standard
     errors at every t > 0."""
     g = cfgmod.build_test_function(run.need("form_factor"), run.grid, "/form_factor")
-    spec_args = (run.need("energies"), run.need("couplings"), g, run.dispersion)
+    energies = run.need("energies")
+    if not (isinstance(energies, list) and all(map(_is_real, energies))):
+        raise ConfigError("/energies", f"expected a list of numbers, got {energies!r}")
     try:
-        system = SystemSpec(*spec_args)
+        system = SystemSpec(energies, run.need("couplings"), g, run.dispersion)
     except (TypeError, ValueError) as exc:
         raise ConfigError("/couplings", str(exc)) from exc
     element = run.cfg.get("element", [0, 1])
@@ -376,7 +392,8 @@ def run_decohere(run):
     k, l = element
     dg = system.couplings[k] - system.couplings[l]
     m = run.samples(10_000)
-    re_chi = sample_chi([g], build_coefficients(run.density, 0.0), m, run.rng)[:, 0].real
+    coeffs = build_coefficients(run.density, 0.0)
+    re_chi = sample_chi_gram([g], coeffs, m, run.rng("gram"))[:, 0].real
     rate = inner(g, g, run.density).real
     rows = []
     worst = 0.0
@@ -474,6 +491,8 @@ def run_experiment(cfg: dict, out_dir) -> dict:
         "runtime_s": round(time.perf_counter() - started, 3),
         "outputs": [str(p) for p in run.outputs],
     }
+    if run.rng_provenance is not None:
+        record["rng"] = run.rng_provenance
     run.write_json("result.json", record)
     return record
 

@@ -92,24 +92,37 @@ def build_measure(obj: dict, pointer: str = "/measure") -> PhaseMeasure:
         raise ConfigError(pointer, str(exc)) from exc
 
 
+def _require_object(obj, pointer: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(pointer, f"expected an object, got {obj!r}")
+
+
 def _closed_form(obj: dict, pointer: str) -> Callable[[np.ndarray], np.ndarray]:
+    _require_object(obj, pointer)
+
+    def num(key, default, kind=float):
+        try:
+            return kind(obj.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(pointer, f"{key} must be a number, got {obj[key]!r}") from exc
+
     name = obj.get("name")
-    amp = complex(obj.get("amplitude", 1.0))
+    amp = num("amplitude", 1.0, complex)
     if name == "gaussian":
-        center = float(obj.get("center", 0.0))
-        width = float(obj.get("width", 1.0))
-        mod = float(obj.get("modulation", 0.0))
+        center = num("center", 0.0)
+        width = num("width", 1.0)
+        mod = num("modulation", 0.0)
         return lambda k: amp * np.exp(
             -((np.asarray(k) - center) ** 2) / (2.0 * width ** 2)
         ) * np.exp(1j * mod * np.asarray(k))
     if name == "box":
-        lo = float(obj.get("lo", -1.0))
-        hi = float(obj.get("hi", 1.0))
+        lo = num("lo", -1.0)
+        hi = num("hi", 1.0)
         return lambda k: amp * ((np.asarray(k) >= lo) & (np.asarray(k) <= hi)).astype(complex)
     if name == "plane_wave":
-        x0 = float(obj.get("x0", 0.0))
-        lo = float(obj.get("lo", -1.0))
-        hi = float(obj.get("hi", 1.0))
+        x0 = num("x0", 0.0)
+        lo = num("lo", -1.0)
+        hi = num("hi", 1.0)
         return lambda k: (
             amp
             * np.exp(1j * x0 * np.asarray(k))
@@ -127,6 +140,7 @@ def read_value_file(path, pointer: str = "/functions") -> np.ndarray:
 
 
 def build_test_function(obj: dict, grid: MomentumGrid, pointer: str = "/functions") -> TestFunction:
+    _require_object(obj, pointer)
     label = obj.get("label", obj.get("name", ""))
     if "values_file" in obj:
         vals = read_value_file(obj["values_file"], pointer)
@@ -142,6 +156,7 @@ def build_test_function(obj: dict, grid: MomentumGrid, pointer: str = "/function
 
 
 def build_density(obj: dict, grid: MomentumGrid, pointer: str = "/density") -> ModeDensity:
+    _require_object(obj, pointer)
     if "values_file" in obj:
         vals = read_value_file(obj["values_file"], pointer).real
         return ModeDensity(grid, vals)
@@ -161,7 +176,10 @@ def build_dispersion(obj: dict, grid: MomentumGrid, pointer: str = "/dispersion"
     if form == "quadratic":
         return Dispersion.quadratic(grid)
     if form == "samples":
-        return Dispersion(grid, np.asarray(obj["values"], dtype=float))
+        try:
+            return Dispersion(grid, np.asarray(obj["values"], dtype=float))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(pointer, f"values must hold one number per cell ({grid.n_cells}): {exc}") from exc
     raise ConfigError(pointer, f"unknown dispersion form {form!r}")
 
 

@@ -156,6 +156,51 @@ def sample_chi(
     return out
 
 
+def chi_gram_factor(fs: Sequence[TestFunction], coeffs: CoefficientPair) -> np.ndarray:
+    """Upper-triangular R with R^T R the covariance of (Re chi | Im chi)
+    over the battery, shape (min(2N, 2K), 2K) for N cells and K functions.
+
+    The cell sum of `sample_chi` is z W for z ~ N(0, I_2N) and the real
+    2N x 2K matrix W = sqrt(dk) [[Re S1f | Im S1f], [-Im S2f | Re S2f]], so
+    its covariance is W^T W = R^T R with R from the QR factorization of W.
+    Unlike a Cholesky or eigen factorization of W^T W, this needs no
+    clipping when W is rank deficient (|mu_hat(2)| = 1 with real f,
+    collinear batteries).
+    """
+    grid = coeffs.grid
+    for f in fs:
+        if f.grid != grid:
+            raise GridMismatchError("all battery functions must share the grid")
+    n, k = grid.n_cells, len(fs)
+    w = np.empty((2 * n, 2 * k))
+    for j, f in enumerate(fs):
+        phi1 = coeffs.S1 * f.values
+        phi2 = coeffs.S2 * f.values
+        w[:n, j], w[:n, k + j] = phi1.real, phi1.imag
+        w[n:, j], w[n:, k + j] = -phi2.imag, phi2.real
+    w *= math.sqrt(grid.cell_volume)
+    return np.linalg.qr(w, mode="r")
+
+
+def sample_chi_gram(
+    fs: Sequence[TestFunction],
+    coeffs: CoefficientPair,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draws of chi over a battery with exactly the law of `sample_chi`.
+
+    On a fixed grid (Re chi, Im chi) is a 2K-dimensional Gaussian, so each
+    draw is one standard normal 2K-vector times `chi_gram_factor`: O(N K^2)
+    once, then O(n K^2), instead of 2 n N cell increments.  Returns shape
+    (n_samples, len(fs)), complex; the RNG stream differs from `sample_chi`.
+    """
+    r = chi_gram_factor(fs, coeffs)
+    x = rng.standard_normal((n_samples, r.shape[0])) @ r
+    k = len(fs)
+    return x[:, :k] + 1j * x[:, k:]
+
+
 def sample_ito_second_moment(
     fs: Sequence[TestFunction],
     n_samples: int,

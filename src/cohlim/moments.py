@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from cohlim.ito_sampler import CoefficientPair, sample_chi
+from cohlim.ito_sampler import CoefficientPair, sample_chi_gram
 from cohlim.mode_space import (
     GridMismatchError,
     ModeDensity,
@@ -172,24 +172,17 @@ class MomentEstimate:
         return abs(self.value - target) / self.stderr
 
 
-def mc_oracle(
-    fs: Sequence[TestFunction],
-    gs: Sequence[TestFunction],
-    coeffs: CoefficientPair,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> MomentEstimate:
-    """MC mean of 2^{-(p+q)/2} chi(f_1)..chi(f_p) conj(chi(g_1))..conj(chi(g_q))
-    with a jackknife standard error.  Arbitrates every closed-form
-    normalization in this module."""
+def product_moment(chis: np.ndarray, p: int, q: int) -> MomentEstimate:
+    """MC mean of 2^{-(p+q)/2} chi_1..chi_p conj(chi_{p+1})..conj(chi_{p+q})
+    over the rows of `chis` (draws x battery, at least p+q columns), with a
+    delete-one jackknife standard error."""
+    n_samples = chis.shape[0]
     if n_samples < MIN_ORACLE_SAMPLES:
         raise ValueError(
             f"need at least {MIN_ORACLE_SAMPLES} samples for a stable error bar"
         )
-    p, q = len(fs), len(gs)
     if p + q == 0:
         return MomentEstimate(1.0 + 0.0j, 0.0, n_samples)
-    chis = sample_chi(list(fs) + list(gs), coeffs, n_samples, rng)
     prod = np.ones(n_samples, dtype=complex)
     for i in range(p):
         prod *= chis[:, i]
@@ -197,13 +190,25 @@ def mc_oracle(
         prod *= np.conj(chis[:, p + j])
     prod *= 2.0 ** (-(p + q) / 2.0)
     mean = complex(np.mean(prod))
-    # delete-one jackknife of the mean
     loo = (np.sum(prod) - prod) / (n_samples - 1)
     dev = loo - mean
     var_jack = (n_samples - 1) / n_samples * np.sum(
         dev.real ** 2 + dev.imag ** 2
     )
     return MomentEstimate(mean, math.sqrt(var_jack), n_samples)
+
+
+def mc_oracle(
+    fs: Sequence[TestFunction],
+    gs: Sequence[TestFunction],
+    coeffs: CoefficientPair,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> MomentEstimate:
+    """`product_moment` of chi drawn from its exact Gram law over fs + gs.
+    Arbitrates every closed-form normalization in this module."""
+    chis = sample_chi_gram(list(fs) + list(gs), coeffs, n_samples, rng)
+    return product_moment(chis, len(fs), len(gs))
 
 
 def anti_normal_two_point(

@@ -32,7 +32,7 @@ from cohlim.ito_sampler import (
     sample_ito_second_moment,
 )
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, inner
-from cohlim.moments import build_q, mc_oracle, permanent_moment, wick_moment
+from cohlim.moments import build_q, permanent_moment, product_moment, wick_moment
 from cohlim.open_system import gamma, gamma_radial
 
 from conftest import make_battery
@@ -117,13 +117,13 @@ def test_criterion_5_quasifree_moments():
     for seed, (p, q) in ((51, (1, 1)), (52, (2, 0)), (53, (0, 2)), (54, (2, 2)), (55, (3, 1))):
         fs, gs = battery[:p], battery[p : p + q]
         closed = wick_moment(build_q(fs, gs, rho, mu2))
-        est = mc_oracle(fs, gs, coeffs, m, np.random.default_rng(seed))
+        est = product_moment(sample_chi(fs + gs, coeffs, m, np.random.default_rng(seed)), p, q)
         ok = ok and est.z_score(closed) < 5.0
     # odd orders vanish: closed form exactly, MC within noise
     for seed, (p, q) in ((56, (1, 0)), (57, (2, 1))):
         fs, gs = battery[:p], battery[p : p + q]
         assert wick_moment(build_q(fs, gs, rho, mu2)) == 0.0
-        est = mc_oracle(fs, gs, coeffs, m, np.random.default_rng(seed))
+        est = product_moment(sample_chi(fs + gs, coeffs, m, np.random.default_rng(seed)), p, q)
         ok = ok and est.z_score(0.0) < 5.0
     # permanent route at mu_hat(2) = 0
     coeffs0_q = build_q(battery[:2], battery[2:4], rho, 0.0)

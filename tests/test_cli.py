@@ -220,6 +220,7 @@ class TestCliRuns:
         r1, r2 = read_result(out1), read_result(out2)
         assert r1["values"]["ks_distance"] == r2["values"]["ks_distance"]
         assert r1["inputs_digest"] == r2["inputs_digest"]
+        assert r1["rng"] == {"seed": 11, "bit_generator": "PCG64", "sampler": "phases"}
 
     def test_clt_rejects_inadmissible_measure(self, tmp_path, capsys):
         body = {**CONFIGS["clt"], "seed": 1, "measure": {"kind": "atoms", "atoms": [[0.0, 1.0]]}}
@@ -239,6 +240,7 @@ class TestCliRuns:
         assert cli.main(["moments", "--config", cfg, "--out", str(out)]) == 0
         record = read_result(out)
         assert record["values"]["z_score"] < 5.0
+        assert record["rng"] == {"seed": 3, "bit_generator": "PCG64", "sampler": "gram"}
 
     def test_gns_check_averaged(self, tmp_path):
         cfg = write_cfg(tmp_path, CONFIGS["gns-check"])
@@ -311,6 +313,35 @@ class TestCliRuns:
         record = read_result(out)
         assert [a["name"] for a in record["assertions"]] == ["mean_re_chi[f]", "var_re_chi[f]"]
         assert record["pass"] and all(a["pass"] for a in record["assertions"])
+        assert record["rng"] == {"seed": 5, "bit_generator": "PCG64", "sampler": "gram"}
+
+    def test_chi_csv_matches_per_row_loop(self, tmp_path, monkeypatch):
+        """The column-built chi_samples.csv equals the per-row loop's bytes
+        for the same chi draws."""
+        drawn = []
+
+        def recording_sampler(*args):
+            drawn.append(real_sampler(*args))
+            return drawn[-1]
+
+        real_sampler = cli.sample_chi_gram
+        monkeypatch.setattr(cli, "sample_chi_gram", recording_sampler)
+        g = {"name": "gaussian", "label": "g", "center": 0.5, "modulation": -1.0}
+        cfg = {**CONFIGS["chi"], "mu2": [0.3, 0.2], "functions": [GAUSS_F, g]}
+        out = tmp_path / "o"
+        assert cli.main(["chi", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        (chis,) = drawn
+        run = cli.Run(cfg, tmp_path / "inputs")
+        fock = [cli.fock_functional(f).value for f in run.battery]
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["sample", "label", "chi_re", "chi_im", "functional_re", "functional_im"])
+            for i in range(chis.shape[0]):
+                for j, f in enumerate(run.battery):
+                    val = fock[j] * np.exp(1j * chis[i, j].real)
+                    writer.writerow([i, f.label, chis[i, j].real, chis[i, j].imag, val.real, val.imag])
+        assert (out / "chi_samples.csv").read_bytes() == expected.read_bytes()
 
 
 class TestCliContract:
@@ -386,6 +417,28 @@ class TestCliContract:
     def test_bad_element_exits_2(self, tmp_path, capsys, element):
         assert self.run_cli(tmp_path, {**CONFIGS["decohere"], "element": element}) == 2
         assert "/element:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dispersion", [{"form": "samples", "values": [1.0, 2.0]}, {"form": "samples"}])
+    def test_bad_sampled_dispersion_exits_2(self, tmp_path, capsys, dispersion):
+        assert self.run_cli(tmp_path, {**CONFIGS["dynamics"], "dispersion": dispersion}) == 2
+        assert "/dispersion:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, key, value, pointer",
+        [
+            ("chi", "functions", [3], "/functions/0"),
+            ("chi", "functions", [GAUSS_F, {"name": "gaussian", "center": "x"}], "/functions/1"),
+            ("chi", "density", "gaussian", "/density"),
+            ("dynamics", "density", {"name": "gaussian", "width": [1.0]}, "/density"),
+            ("decohere", "form_factor", {"name": "box", "amplitude": "big"}, "/form_factor"),
+            ("diverge", "function", 3, "/function"),
+            ("decohere", "energies", [0.0, "one"], "/energies"),
+            ("decohere", "energies", "0 1", "/energies"),
+        ],
+    )
+    def test_malformed_descriptor_exits_2(self, tmp_path, capsys, experiment, key, value, pointer):
+        assert self.run_cli(tmp_path, {**CONFIGS[experiment], key: value}) == 2
+        assert f"{pointer}:" in capsys.readouterr().err
 
     def test_gns_check_random_rep_rejected(self, tmp_path, capsys):
         assert self.run_cli(tmp_path, CONFIGS["gns-check"], "--rep", "random") == 2

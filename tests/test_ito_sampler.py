@@ -9,6 +9,7 @@ from cohlim.functionals import fock_functional, sigma_mu_sq
 from cohlim.ito_sampler import (
     DegenerateVarianceError,
     build_coefficients,
+    chi_gram_factor,
     chi_omega,
     clt_sample,
     draw_brownian,
@@ -16,6 +17,7 @@ from cohlim.ito_sampler import (
     lyapounov_ratio,
     random_functional,
     sample_chi,
+    sample_chi_gram,
     sample_ito_second_moment,
 )
 from cohlim.mode_space import (
@@ -132,6 +134,103 @@ class TestChi:
             z2[0] * coeffs.S2 * gauss.values
         )
         assert batch[0, 0] == pytest.approx(first)
+
+
+GRAM_MU2 = [0.0, 0.4 + 0.3j, -1.0, 0.5j]
+
+
+def _grid2_battery():
+    g = MomentumGrid(d=2, R=4.0, N=24)
+    rho = ModeDensity.from_profile(g, lambda k: np.exp(-np.sum((k - 0.5) ** 2, axis=-1)))
+    fs = [
+        TestFunction.from_profile(
+            g, lambda k, c=c: np.exp(-np.sum((k - c) ** 2, axis=-1) / 2.0) * np.exp(1j * c * k[:, 0])
+        )
+        for c in (-0.5, 0.3, 1.0)
+    ]
+    return fs, rho
+
+
+def _collinear_battery(grid):
+    f1, f2 = make_battery(grid, 2)
+    # rank deficient: chi is complex-linear, so chi(2 f1 - i f2) is fixed by chi(f1), chi(f2)
+    return [f1, f2, f1.with_values(2.0 * f1.values - 1j * f2.values)]
+
+
+class TestGramSampler:
+    """The Gram-law fast path against the cell-level Ito reference."""
+
+    @pytest.fixture(params=["d1", "d2", "collinear"])
+    def battery(self, request, grid, rho):
+        if request.param == "d1":
+            return make_battery(grid, 3), rho
+        if request.param == "d2":
+            return _grid2_battery()
+        return _collinear_battery(grid), rho
+
+    @pytest.mark.parametrize("mu2", GRAM_MU2)
+    def test_factor_reproduces_cell_gram(self, battery, mu2):
+        fs, rho = battery
+        coeffs = build_coefficients(rho, mu2)
+        phi1 = np.stack([coeffs.S1 * f.values for f in fs], axis=1)
+        phi2 = np.stack([coeffs.S2 * f.values for f in fs], axis=1)
+        w = np.block([[phi1.real, phi1.imag], [-phi2.imag, phi2.real]])
+        gram = rho.grid.cell_volume * (w.T @ w)
+        r = chi_gram_factor(fs, coeffs)
+        np.testing.assert_allclose(r.T @ r, gram, rtol=0, atol=1e-12 * np.max(np.abs(gram)))
+
+    @pytest.mark.parametrize("mu2", GRAM_MU2)
+    def test_polarization_of_sigma_mu(self, battery, mu2):
+        # Cov(Re chi_i, Re chi_j) = (sigma^2(f_i + f_j) - sigma^2(f_i) - sigma^2(f_j)) / 2
+        fs, rho = battery
+        r = chi_gram_factor(fs, build_coefficients(rho, mu2))
+        cov = (r.T @ r)[: len(fs), : len(fs)]
+        sig = [sigma_mu_sq(f, rho, mu2) for f in fs]
+        expect = np.array(
+            [
+                [
+                    (sigma_mu_sq(fi.with_values(fi.values + fj.values), rho, mu2) - si - sj) / 2.0
+                    for fj, sj in zip(fs, sig)
+                ]
+                for fi, si in zip(fs, sig)
+            ]
+        )
+        np.testing.assert_allclose(cov, expect, rtol=0, atol=1e-12 * max(sig))
+
+    @pytest.mark.parametrize("mu2", [0.4 + 0.3j, -1.0])
+    def test_two_sample_covariance_agrees_with_cells(self, grid, rho, mu2):
+        fs = make_battery(grid, 3)
+        coeffs = build_coefficients(rho, mu2)
+        m = 20_000
+        samples = [
+            sample(fs, coeffs, m, np.random.default_rng(seed))
+            for sample, seed in ((sample_chi, 61), (sample_chi_gram, 62))
+        ]
+        x_cells, x_gram = (np.hstack([c.real, c.imag]) for c in samples)
+        c_cells, c_gram = np.cov(x_cells.T), np.cov(x_gram.T)
+        # se of the difference of two independent empirical covariance
+        # entries of a Gaussian: sqrt(2 (S_ii S_jj + S_ij^2) / m)
+        r = chi_gram_factor(fs, coeffs)
+        s = r.T @ r
+        d = np.diag(s)
+        se = np.sqrt(2.0 * (np.outer(d, d) + s ** 2) / m)
+        z = np.abs(c_cells - c_gram) / np.where(se > 0, se, 1.0)
+        assert np.max(z) < 5.0
+        np.testing.assert_allclose(x_gram.mean(axis=0), 0.0, atol=5.0 * math.sqrt(np.max(d) / m))
+
+    @pytest.mark.parametrize("n_fns", [1, 3])
+    def test_output_matches_reference_shape(self, grid, rho, n_fns):
+        fs = make_battery(grid, n_fns)
+        coeffs = build_coefficients(rho, 0.2)
+        fast = sample_chi_gram(fs, coeffs, 7, np.random.default_rng(0))
+        ref = sample_chi(fs, coeffs, 7, np.random.default_rng(0))
+        assert fast.shape == ref.shape == (7, n_fns)
+        assert fast.dtype == ref.dtype
+
+    def test_grid_mismatch_raises(self, rho, gauss):
+        other = TestFunction.from_profile(MomentumGrid(d=1, R=4.0, N=128), lambda k: np.exp(-k ** 2))
+        with pytest.raises(GridMismatchError):
+            sample_chi_gram([gauss, other], build_coefficients(rho, 0.0), 5, np.random.default_rng(0))
 
 
 class TestRandomFunctional:
