@@ -24,7 +24,7 @@ import numpy as np
 from scipy import stats
 
 from cohlim import config as cfgmod
-from cohlim.circle_measure import InadmissibleMeasureError, admissible, fourier_moment
+from cohlim.circle_measure import admissible, fourier_moment
 from cohlim.config import ConfigError
 from cohlim.dynamics import sigma_t, uniformization_curve
 from cohlim.functionals import (
@@ -58,14 +58,6 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_real(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _cnum(z):
     z = complex(z)
     return {"re": z.real, "im": z.imag}
@@ -89,14 +81,22 @@ class Run:
             raise ConfigError(f"/{key}", f"required by the {self.cfg['experiment']} experiment")
         return self.cfg[key]
 
-    def tol(self, name, default):
-        return float(self.cfg.get("tolerances", {}).get(name, default))
+    def read(self, key, kind=float, default=None, each=False):
+        """cfg[key], or `default` when absent (required when None), read
+        strictly as a `kind` number, or as a list of them if `each`."""
+        value = self.need(key) if default is None else self.cfg.get(key, default)
+        with cfgmod.reading(f"/{key}"):
+            return (cfgmod.numbers if each else cfgmod.number)(value, kind)
+
+    def tol(self, name, default=None):
+        """tolerances[name], or `default` when it is absent."""
+        tols = self.cfg.get("tolerances", {})
+        with cfgmod.reading(f"/tolerances/{name}"):
+            return cfgmod.number(tols[name]) if name in tols else default
 
     def samples(self, default, minimum=2):
         """The sample count; the default minimum is the two draws var(ddof=1) needs."""
-        m = self.cfg.get("samples", default)
-        if not _is_int(m):
-            raise ConfigError("/samples", f"expected an integer, got {m!r}")
+        m = self.read("samples", int, default)
         if m < minimum:
             raise ConfigError("/samples", f"need at least {minimum} samples, got {m}")
         return m
@@ -109,7 +109,8 @@ class Run:
         ("gram": chi from its exact Gram law, "phases": i.i.d. mode phases)
         and enters result.json with the seed and bit generator."""
         if self._rng is None:
-            self._rng = np.random.default_rng(self.cfg["seed"])
+            with cfgmod.reading("/seed"):
+                self._rng = np.random.default_rng(self.read("seed", int))
             self.rng_provenance = {
                 "seed": self.cfg["seed"],
                 "bit_generator": type(self._rng.bit_generator).__name__,
@@ -129,15 +130,20 @@ class Run:
     def measure(self):
         return cfgmod.build_measure(self.need("measure"))
 
+    def admissible_measure(self):
+        """The measure; refused unless mu_hat(1) = 0, else the mode limit diverges."""
+        mu = self.measure
+        if not admissible(mu):
+            raise ConfigError(
+                "/measure", f"mu_hat_1 nonzero ({fourier_moment(mu, 1):.3g}): limit diverges"
+            )
+        return mu
+
     @cached_property
     def mu2(self):
         if "mu2" in self.cfg:
-            mu2 = self.cfg["mu2"]
-            parts = mu2 if isinstance(mu2, (list, tuple)) else [mu2, 0.0]
-            if len(parts) != 2 or not all(map(_is_real, parts)):
-                raise ConfigError("/mu2", f"expected a number or [re, im], got {mu2!r}")
-            z = complex(*parts)
-            if not abs(z) <= 1.0 + 1e-12:  # also rejects nan
+            z = self.read("mu2", complex)
+            if abs(z) > 1.0 + 1e-12:
                 raise ConfigError("/mu2", f"|mu_hat(2)| must be <= 1, got {abs(z)}")
             return z
         if "measure" in self.cfg:
@@ -147,8 +153,8 @@ class Run:
     @cached_property
     def battery(self):
         fns = self.cfg.get("functions", [])
-        if not fns:
-            raise ConfigError("/functions", "at least one test function is required")
+        if not (isinstance(fns, list) and fns):
+            raise ConfigError("/functions", f"expected a non-empty list, got {fns!r}")
         return [
             cfgmod.build_test_function(obj, self.grid, f"/functions/{i}")
             for i, obj in enumerate(fns)
@@ -160,22 +166,24 @@ class Run:
 
     @cached_property
     def modes(self):
-        return CoherentModeSet(
-            tuple(
-                (np.atleast_1d(m["k"]), float(m["rho"]), float(m.get("theta", 0.0)))
-                for m in self.cfg.get("modes", [])
+        with cfgmod.reading("/modes"):
+            return CoherentModeSet(
+                [
+                    (m["k"], cfgmod.number(m["rho"]), cfgmod.number(m.get("theta", 0.0)))
+                    for m in self.cfg.get("modes", [])
+                ]
             )
-        )
 
     @cached_property
     def rarefied(self):
         """(alpha, sigma, a, b) of the zero-density limit."""
-        return (
-            self.closed_form("alpha"),
-            float(self.need("sigma")),
-            float(self.need("a")),
-            float(self.need("b")),
-        )
+        alpha = self.closed_form("alpha")
+        sigma, a, b = (self.read(key) for key in ("sigma", "a", "b"))
+        if sigma <= 0:
+            raise ConfigError("/sigma", f"must be positive, got {sigma}")
+        if not a < b:
+            raise ConfigError("/b", f"must exceed a = {a}, got {b}")
+        return alpha, sigma, a, b
 
     def check(self, name, value, tol, passed):
         self.assertions.append({"name": name, "value": value, "tol": tol, "pass": passed})
@@ -207,7 +215,7 @@ def run_functional(run):
         elif kind == "nmode":
             fv = n_mode_functional(f, run.modes)
         elif kind == "averaged":
-            fv = phase_averaged_functional(f, run.density, run.measure)
+            fv = phase_averaged_functional(f, run.density, run.admissible_measure())
         elif kind == "rarefied":
             fv = rarefied_functional(f, *run.rarefied)
         else:
@@ -237,11 +245,7 @@ def run_functional(run):
 
 
 def run_clt(run):
-    mu = run.measure
-    if not admissible(mu):
-        raise ConfigError(
-            "/measure", f"mu_hat_1 nonzero ({fourier_moment(mu, 1):.3g}): limit diverges"
-        )
+    mu = run.admissible_measure()
     f = run.battery[0]
     m = run.samples(2000)
     draws = clt_sample(f, run.grid, run.density, mu, m, run.rng("phases"))
@@ -289,13 +293,7 @@ def run_chi(run):
 
 
 def run_moments(run):
-    pq = run.cfg.get("pq", "1,1")
-    try:
-        p, q = (int(x) for x in str(pq).split(","))
-        if p < 0 or q < 0:
-            raise ValueError
-    except ValueError as exc:
-        raise ConfigError("/pq", f"expected orders p,q >= 0, got {pq!r}") from exc
+    p, q = cfgmod.parse_orders(run.cfg.get("pq", "1,1"))
     battery = run.battery
     if p + q > len(battery):
         raise ConfigError("/functions", f"need at least p+q={p+q} functions")
@@ -323,15 +321,11 @@ def run_gns_check(run):
     checks = []
     if rep == "averaged":
         rho, mu2 = run.density, run.mu2
-        mu = run.measure if "measure" in run.cfg else cfgmod.build_measure({"kind": "uniform"})
+        if "measure" in run.cfg:
+            run.admissible_measure()
         for f in run.battery:
             lhs = rep_expectation_averaged(f, rho, mu2).value
-            rhs = (
-                fock_functional(f).value
-                * math.exp(-sigma_mu_sq(f, rho, mu2) / 2.0)
-                if abs(fourier_moment(mu, 2) - mu2) > 1e-12
-                else phase_averaged_functional(f, rho, mu).value
-            )
+            rhs = fock_functional(f).value * math.exp(-sigma_mu_sq(f, rho, mu2) / 2.0)
             checks.append((f.label, lhs, rhs))
     elif rep == "nmode":
         modes = run.modes
@@ -362,8 +356,8 @@ def run_dynamics(run):
     metric = uniformization_curve(battery, rho, sig)
     rows = [[t, s, m] for t, s, m in zip(ts, sig[:, 0].tolist(), metric.tolist())]
     run.write_csv("dynamics.csv", ["t", "sigma_t", "metric"], rows)
-    if "metric_final" in run.cfg.get("tolerances", {}):
-        tol = run.tol("metric_final", 0.0)
+    tol = run.tol("metric_final")
+    if tol is not None:
         run.check("final_metric", rows[-1][2], tol, rows[-1][2] < tol)
     return {"final_t": float(ts[-1]), "final_metric": rows[-1][2]}
 
@@ -373,22 +367,13 @@ def run_decohere(run):
     over chi draws must match the Gaussian envelope within z standard
     errors at every t > 0."""
     g = cfgmod.build_test_function(run.need("form_factor"), run.grid, "/form_factor")
-    energies = run.need("energies")
-    if not (isinstance(energies, list) and all(map(_is_real, energies))):
-        raise ConfigError("/energies", f"expected a list of numbers, got {energies!r}")
-    try:
-        system = SystemSpec(energies, run.need("couplings"), g, run.dispersion)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("/couplings", str(exc)) from exc
-    element = run.cfg.get("element", [0, 1])
+    energies, couplings = run.read("energies", each=True), run.read("couplings", each=True)
+    with cfgmod.reading("/couplings"):
+        system = SystemSpec(energies, couplings, g, run.dispersion)
+    element = run.read("element", int, [0, 1], each=True)
     n = system.n_levels
-    if not (
-        isinstance(element, (list, tuple))
-        and len(element) == 2
-        and all(_is_int(i) and 0 <= i < n for i in element)
-        and element[0] != element[1]
-    ):
-        raise ConfigError("/element", f"expected two distinct levels in 0..{n - 1}, got {element!r}")
+    if not (len(element) == 2 and all(0 <= i < n for i in element) and element[0] != element[1]):
+        raise ConfigError("/element", f"expected two distinct levels in 0..{n - 1}, got {element}")
     k, l = element
     dg = system.couplings[k] - system.couplings[l]
     m = run.samples(10_000)
@@ -397,8 +382,7 @@ def run_decohere(run):
     rate = inner(g, g, run.density).real
     rows = []
     worst = 0.0
-    for t in cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:2:0.1")):
-        t = float(t)
+    for t in cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:2:0.1")).tolist():
         gaussian_env = math.exp(-0.5 * t * t * dg * dg * rate)
         gamma_env = math.exp(-0.5 * dg * dg * gamma(t, g, run.dispersion))
         mc_vals = np.exp(-1j * t * dg * re_chi)
@@ -414,28 +398,30 @@ def run_decohere(run):
     )
     tol = run.tol("z", 5.0)
     run.check("envelope_z", worst, tol, worst < tol)
-    return {"element": [int(k), int(l)], "gaussian_rate": rate, "rows": len(rows)}
+    return {"element": [k, l], "gaussian_rate": rate, "rows": len(rows)}
 
 
 def run_diverge(run):
-    d = int(run.cfg.get("d", 1))
-    R = float(run.cfg.get("R", 4.0))
+    d, R = run.read("d", int, 1), run.read("R", float, 4.0)
+    n_list = run.read("n_list", int, [64, 128, 256, 512, 1024], each=True)
+    if d not in (1, 2, 3):
+        raise ConfigError("/d", f"dimension must be 1, 2 or 3, got {d}")
+    if R <= 0:
+        raise ConfigError("/R", f"half-width must be positive, got {R}")
+    if len(n_list) < 4 or min(n_list) < 2:
+        raise ConfigError("/n_list", f"need at least 4 grid sizes, each >= 2, got {n_list}")
     f_form = run.closed_form("function")
     rho_form = run.closed_form("density")
 
-    def f_profile(pts):
+    def radius(pts):
         pts = np.asarray(pts)
-        r = pts if d == 1 else np.linalg.norm(pts, axis=-1)
-        return f_form(r)
-
-    def rho_profile(pts):
-        pts = np.asarray(pts)
-        r = pts if d == 1 else np.linalg.norm(pts, axis=-1)
-        return np.abs(rho_form(r))
+        return pts if d == 1 else np.linalg.norm(pts, axis=-1)
 
     fit = divergence_diagnostic(
-        f_profile, rho_profile, lambda k: np.zeros(np.shape(k)[0] if d > 1 else np.shape(k)),
-        run.cfg.get("n_list", [64, 128, 256, 512, 1024]), R, d
+        lambda pts: f_form(radius(pts)),
+        lambda pts: np.abs(rho_form(radius(pts))),
+        lambda k: np.zeros(np.shape(k)[0] if d > 1 else np.shape(k)),
+        n_list, R, d,
     )
     values = {
         "slope": fit.slope,
@@ -443,8 +429,8 @@ def run_diverge(run):
         "conclusive": fit.conclusive,
         "magnitudes": list(map(float, fit.magnitudes)),
     }
-    if fit.conclusive and "slope" in run.cfg.get("tolerances", {}):
-        tol = run.tol("slope", 0.0)
+    tol = run.tol("slope")
+    if fit.conclusive and tol is not None:
         run.check("slope", fit.slope, tol, abs(fit.slope - d / 2.0) <= tol)
     run.write_json("diverge.json", values)
     return values
@@ -452,10 +438,13 @@ def run_diverge(run):
 
 def run_rarefied(run):
     gfun = run.battery[0]
+    L_values = run.read("L_values", float, [100.0, 1000.0, 10000.0], each=True)
+    if any(L <= 0 for L in L_values):
+        raise ConfigError("/L_values", f"box sizes must be positive, got {L_values}")
     limit = rarefied_functional(gfun, *run.rarefied)
     rows = []
-    for L in run.cfg.get("L_values", [100.0, 1000.0, 10000.0]):
-        phase = rarefied_finite_volume_phase(gfun, *run.rarefied, float(L))
+    for L in L_values:
+        phase = rarefied_finite_volume_phase(gfun, *run.rarefied, L)
         rows.append([L, phase, abs(phase - limit.phase)])
     run.write_csv("rarefied.csv", ["L", "phase", "abs_error"], rows)
     return {"limit_phase": limit.phase, "limit_value": _cnum(limit.value)}
@@ -534,7 +523,7 @@ def main(argv=None) -> int:
             if getattr(args, key, None) is not None:
                 cfg[key] = getattr(args, key)
         record = run_experiment(cfg, args.out)
-    except (ConfigError, InadmissibleMeasureError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     status = "PASS" if record["pass"] else "FAIL"

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
@@ -28,27 +30,50 @@ class ConfigError(ValueError):
         super().__init__(f"{pointer}: {message}")
 
 
-STOCHASTIC_EXPERIMENTS = {"clt", "chi", "moments", "decohere"}
+@contextmanager
+def reading(pointer: str, expected: str = ""):
+    """The one place a malformed config value becomes ConfigError(pointer):
+    around converting an entry and constructing a value object from it (the
+    value objects validate their own input), never around a physics call."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(pointer, f"{expected}: {detail}" if expected else detail) from exc
 
-EXPERIMENTS = {
-    "functional",
-    "clt",
-    "chi",
-    "moments",
-    "gns-check",
-    "dynamics",
-    "decohere",
-    "diverge",
-    "rarefied",
-}
+
+_KIND_NAMES = {int: "an integer", float: "a number", complex: "a number or [re, im]"}
+
+
+def number(value, kind=float):
+    """`value` read strictly as a finite int, float or complex: a bool is no
+    number, an int refuses 2.5, and a complex is a real or [re, im]."""
+    if kind is complex and isinstance(value, list) and len(value) == 2:
+        return complex(number(value[0]), number(value[1]))
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise TypeError(f"expected {_KIND_NAMES[kind]}, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return kind(value)
+
+
+def numbers(values, kind=float) -> list:
+    """A JSON list of numbers, each read by `number`."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list of numbers, got {values!r}")
+    return [number(v, kind) for v in values]
+
+
+STOCHASTIC_EXPERIMENTS = ("clt", "chi", "moments", "decohere")
+EXPERIMENTS = STOCHASTIC_EXPERIMENTS + ("functional", "gns-check", "dynamics", "diverge", "rarefied")
 
 
 def load_config(path) -> dict:
-    try:
+    with reading("/", "not a readable JSON file"):
         with open(path) as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("/", f"not valid JSON: {exc}") from exc
     validate_config(cfg)
     return cfg
 
@@ -59,14 +84,10 @@ def validate_config(cfg: dict) -> None:
     exp = cfg.get("experiment")
     if exp not in EXPERIMENTS:
         raise ConfigError("/experiment", f"must be one of {sorted(EXPERIMENTS)}, got {exp!r}")
-    if exp in STOCHASTIC_EXPERIMENTS:
-        if "seed" not in cfg:
-            raise ConfigError("/seed", f"a seed is mandatory for the {exp} experiment")
-        if not isinstance(cfg["seed"], int):
-            raise ConfigError("/seed", "seed must be an integer")
-    for key in ("grid",):
-        if key in cfg and not isinstance(cfg[key], dict):
-            raise ConfigError(f"/{key}", "must be an object")
+    if exp in STOCHASTIC_EXPERIMENTS and "seed" not in cfg:
+        raise ConfigError("/seed", f"a seed is mandatory for the {exp} experiment")
+    if not isinstance(cfg.get("tolerances", {}), dict):
+        raise ConfigError("/tolerances", f"expected an object, got {cfg['tolerances']!r}")
 
 
 def config_digest(cfg: dict) -> str:
@@ -79,17 +100,15 @@ def config_digest(cfg: dict) -> str:
 
 
 def build_grid(obj: dict, pointer: str = "/grid") -> MomentumGrid:
-    try:
-        return MomentumGrid.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(pointer, str(exc)) from exc
+    _require_object(obj, pointer)
+    with reading(pointer):
+        return MomentumGrid(number(obj["d"], int), number(obj["R"]), number(obj["N"], int))
 
 
 def build_measure(obj: dict, pointer: str = "/measure") -> PhaseMeasure:
-    try:
+    _require_object(obj, pointer)
+    with reading(pointer):
         return PhaseMeasure.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(pointer, str(exc)) from exc
 
 
 def _require_object(obj, pointer: str) -> None:
@@ -97,38 +116,36 @@ def _require_object(obj, pointer: str) -> None:
         raise ConfigError(pointer, f"expected an object, got {obj!r}")
 
 
-def _closed_form(obj: dict, pointer: str) -> Callable[[np.ndarray], np.ndarray]:
+# Named closed forms and the defaults of their real parameters; each also
+# takes a complex `amplitude` (default 1).
+CLOSED_FORMS = {
+    "gaussian": {"center": 0.0, "width": 1.0, "modulation": 0.0},
+    "box": {"lo": -1.0, "hi": 1.0},
+    "plane_wave": {"x0": 0.0, "lo": -1.0, "hi": 1.0},
+}
+
+
+def _closed_form(obj: dict, pointer: str, d: int = 1) -> Callable[[np.ndarray], np.ndarray]:
     _require_object(obj, pointer)
-
-    def num(key, default, kind=float):
-        try:
-            return kind(obj.get(key, default))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(pointer, f"{key} must be a number, got {obj[key]!r}") from exc
-
+    if d != 1:
+        raise ConfigError(pointer, "named closed forms are one-dimensional")
     name = obj.get("name")
-    amp = num("amplitude", 1.0, complex)
+    if not isinstance(name, str) or name not in CLOSED_FORMS:
+        raise ConfigError(pointer, f"unknown closed form {name!r}")
+    with reading(pointer):
+        amp = number(obj.get("amplitude", 1.0), complex)
+        par = {key: number(obj.get(key, default)) for key, default in CLOSED_FORMS[name].items()}
     if name == "gaussian":
-        center = num("center", 0.0)
-        width = num("width", 1.0)
-        mod = num("modulation", 0.0)
         return lambda k: amp * np.exp(
-            -((np.asarray(k) - center) ** 2) / (2.0 * width ** 2)
-        ) * np.exp(1j * mod * np.asarray(k))
+            -((np.asarray(k) - par["center"]) ** 2) / (2.0 * par["width"] ** 2)
+        ) * np.exp(1j * par["modulation"] * np.asarray(k))
+
+    def in_band(k):
+        return (np.asarray(k) >= par["lo"]) & (np.asarray(k) <= par["hi"])
+
     if name == "box":
-        lo = num("lo", -1.0)
-        hi = num("hi", 1.0)
-        return lambda k: amp * ((np.asarray(k) >= lo) & (np.asarray(k) <= hi)).astype(complex)
-    if name == "plane_wave":
-        x0 = num("x0", 0.0)
-        lo = num("lo", -1.0)
-        hi = num("hi", 1.0)
-        return lambda k: (
-            amp
-            * np.exp(1j * x0 * np.asarray(k))
-            * ((np.asarray(k) >= lo) & (np.asarray(k) <= hi))
-        )
-    raise ConfigError(pointer, f"unknown closed form {name!r}")
+        return lambda k: amp * in_band(k).astype(complex)
+    return lambda k: amp * np.exp(1j * par["x0"] * np.asarray(k)) * in_band(k)
 
 
 def read_value_file(path, pointer: str = "/functions") -> np.ndarray:
@@ -142,56 +159,48 @@ def read_value_file(path, pointer: str = "/functions") -> np.ndarray:
 def build_test_function(obj: dict, grid: MomentumGrid, pointer: str = "/functions") -> TestFunction:
     _require_object(obj, pointer)
     label = obj.get("label", obj.get("name", ""))
-    if "values_file" in obj:
-        vals = read_value_file(obj["values_file"], pointer)
-        if vals.shape != (grid.n_cells,):
-            raise ConfigError(
-                pointer, f"value file holds {vals.shape[0]} cells, grid has {grid.n_cells}"
-            )
-        return TestFunction(grid, vals, label=label)
-    if grid.d != 1:
-        raise ConfigError(pointer, "named closed forms are one-dimensional")
-    form = _closed_form(obj, pointer)
-    return TestFunction.from_profile(grid, form, label=label)
+    with reading(pointer):
+        if "values_file" in obj:
+            return TestFunction(grid, read_value_file(obj["values_file"], pointer), label=label)
+        return TestFunction.from_profile(grid, _closed_form(obj, pointer, grid.d), label=label)
 
 
 def build_density(obj: dict, grid: MomentumGrid, pointer: str = "/density") -> ModeDensity:
     _require_object(obj, pointer)
-    if "values_file" in obj:
-        vals = read_value_file(obj["values_file"], pointer).real
-        return ModeDensity(grid, vals)
-    if grid.d != 1:
-        raise ConfigError(pointer, "named closed forms are one-dimensional")
-    form = _closed_form(obj, pointer)
-    try:
-        return ModeDensity(grid, np.asarray(form(grid.axis)).real)
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc)) from exc
+    with reading(pointer):
+        if "values_file" in obj:
+            return ModeDensity(grid, read_value_file(obj["values_file"], pointer).real)
+        return ModeDensity(grid, np.asarray(_closed_form(obj, pointer, grid.d)(grid.axis)).real)
 
 
 def build_dispersion(obj: dict, grid: MomentumGrid, pointer: str = "/dispersion") -> Dispersion:
-    form = obj.get("form", "photon") if isinstance(obj, dict) else str(obj)
+    form = obj.get("form", "photon") if isinstance(obj, dict) else obj
     if form == "photon":
         return Dispersion.photon(grid)
     if form == "quadratic":
         return Dispersion.quadratic(grid)
     if form == "samples":
-        try:
-            return Dispersion(grid, np.asarray(obj["values"], dtype=float))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(pointer, f"values must hold one number per cell ({grid.n_cells}): {exc}") from exc
+        with reading(pointer, f"values must hold one number per cell ({grid.n_cells})"):
+            return Dispersion(grid, numbers(obj["values"]))
     raise ConfigError(pointer, f"unknown dispersion form {form!r}")
 
 
 def parse_t_grid(spec: str, pointer: str = "/t_grid") -> np.ndarray:
     """'start:stop:step' -> time grid from start in steps of step, ending at
     stop when stop lies on the grid and never past it."""
-    try:
+    with reading(pointer, f"expected start:stop:step, got {spec!r}"):
         start, stop, step = (float(x) for x in str(spec).split(":"))
-    except ValueError as exc:
-        raise ConfigError(pointer, f"expected start:stop:step, got {spec!r}") from exc
-    if step <= 0 or stop < start:
-        raise ConfigError(pointer, "need step > 0 and stop >= start")
-    # the slack keeps a stop that lies on the grid despite rounding in the ratio
-    n = int(np.floor((stop - start) / step + 1e-9))
-    return start + step * np.arange(n + 1)
+        if not (0 < step < math.inf and start <= stop and math.isfinite(stop - start)):
+            raise ValueError("need a finite step > 0 and finite start <= stop")
+        # the slack keeps a stop that lies on the grid despite rounding in the ratio
+        n = int(np.floor((stop - start) / step + 1e-9))
+        return start + step * np.arange(n + 1)
+
+
+def parse_orders(spec: str, pointer: str = "/pq") -> tuple:
+    """'p,q' -> the moment orders (p, q), both >= 0."""
+    with reading(pointer, f"expected orders p,q >= 0, got {spec!r}"):
+        p, q = (int(x) for x in str(spec).split(","))
+        if p < 0 or q < 0:
+            raise ValueError("orders must be >= 0")
+        return p, q

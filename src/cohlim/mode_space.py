@@ -108,7 +108,7 @@ class TestFunction:
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != (self.grid.n_cells,):
             raise ValueError(
-                f"values must have shape ({self.grid.n_cells},), got {vals.shape}"
+                f"need one value for each of the {self.grid.n_cells} grid cells, got shape {vals.shape}"
             )
         if not np.all(np.isfinite(vals.view(float))):
             raise ValueError("test function samples must be finite")
@@ -146,7 +146,7 @@ class ModeDensity:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.n_cells,):
             raise ValueError(
-                f"values must have shape ({self.grid.n_cells},), got {vals.shape}"
+                f"need one value for each of the {self.grid.n_cells} grid cells, got shape {vals.shape}"
             )
         if np.any(vals < 0) or not np.all(np.isfinite(vals)):
             raise ValueError("mode density must be finite and nonnegative")

@@ -65,29 +65,13 @@ def build_q(
     for h in list(fs) + list(gs):
         if h.grid != rho.grid:
             raise GridMismatchError("all functions must live on the density grid")
-    dk = rho.grid.cell_volume
-    w = rho.values
-
-    def quad(a_vals, b_vals):
-        return complex(dk * np.sum(a_vals * w * b_vals))
-
-    A = np.array(
-        [[mu2 * quad(fi.values, fj.values) for fj in fs] for fi in fs], dtype=complex
-    ).reshape(p, p)
-    B = np.array(
-        [
-            [np.conj(mu2) * quad(np.conj(gi.values), np.conj(gj.values)) for gj in gs]
-            for gi in gs
-        ],
-        dtype=complex,
-    ).reshape(q, q)
-    C = np.array(
-        [[quad(np.conj(gi.values), fj.values) for fj in fs] for gi in gs],
-        dtype=complex,
-    ).reshape(q, p)
-    top = np.hstack([A, C.T])
-    bottom = np.hstack([C, B])
-    Q = np.vstack([top, bottom]) if p + q else np.zeros((0, 0), dtype=complex)
+    # rows f_1..f_p, conj g_1..conj g_q: H diag(rho dk) H^T is every block of Q
+    # before the mu_hat(2), 1 and conj mu_hat(2) scales
+    rows = [f.values for f in fs] + [np.conj(g.values) for g in gs]
+    H = np.array(rows, dtype=complex).reshape(p + q, rho.grid.n_cells)
+    Q = (H * (rho.grid.cell_volume * rho.values)) @ H.T
+    Q[:p, :p] *= mu2
+    Q[p:, p:] *= np.conj(mu2)
     # enforce exact symmetry against quadrature round-off
     Q = 0.5 * (Q + Q.T)
     return QMatrix(p, q, Q)

@@ -110,6 +110,11 @@ CONFIGS = {
 }
 
 
+# Malformed or out-of-range values tried in place of every key of every
+# CONFIGS entry: each run must return, and exit 2 only with a JSON pointer.
+MALFORMED = ["x", True, None, -1, 0, 2.5, [], {}, [0], "0:1"]
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -439,6 +444,46 @@ class TestCliContract:
     def test_malformed_descriptor_exits_2(self, tmp_path, capsys, experiment, key, value, pointer):
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], key: value}) == 2
         assert f"{pointer}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [(exp, key, value) for exp, cfg in CONFIGS.items() for key in cfg for value in MALFORMED],
+    )
+    def test_malformed_value_never_raises(self, tmp_path, capsys, experiment, key, value):
+        path = write_cfg(tmp_path, {**CONFIGS[experiment], key: value})
+        rc = cli.main([experiment, "--config", path, "--out", str(tmp_path / "o")])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert capsys.readouterr().err.startswith("error: /")
+
+    @pytest.mark.parametrize(
+        "experiment, changes, pointer",
+        [
+            ("functional", {"kind": "nmode", "modes": [{"k": 1.0}]}, "/modes"),
+            ("chi", {"seed": True}, "/seed"),
+            ("diverge", {"tolerances": "x"}, "/tolerances"),
+            ("diverge", {"n_list": [64, 128]}, "/n_list"),
+            ("rarefied", {"sigma": -1}, "/sigma"),
+            ("rarefied", {"L_values": [0]}, "/L_values"),
+        ],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, experiment, changes, pointer):
+        assert self.run_cli(tmp_path, {**CONFIGS[experiment], **changes}) == 2
+        assert f"{pointer}:" in capsys.readouterr().err
+
+    def test_missing_values_file_exits_2(self, tmp_path, capsys):
+        fns = [{"values_file": str(tmp_path / "missing.bin")}]
+        assert self.run_cli(tmp_path, {**CONFIGS["functional"], "functions": fns}) == 2
+        assert "/functions/0:" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        assert self.run_cli(tmp_path, CONFIGS["chi"], "--seed=-1") == 2
+        assert "/seed:" in capsys.readouterr().err
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["chi", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: /")
 
     def test_gns_check_random_rep_rejected(self, tmp_path, capsys):
         assert self.run_cli(tmp_path, CONFIGS["gns-check"], "--rep", "random") == 2

@@ -37,6 +37,24 @@ class TestQMatrix:
         assert Q.matrix[2, 0] == pytest.approx(c00)
         assert Q.matrix[0, 2] == pytest.approx(c00)
 
+        # every entry of the one-product Q against the per-entry inner products
+        def conj(h):
+            return h.with_values(np.conj(h.values))
+
+        p = len(fs)
+        for mu2 in (0.0, 0.3 + 0.2j, -1.0):
+            Q = build_q(fs, gs, rho, mu2).matrix
+            expect = np.zeros_like(Q)
+            for i, fi in enumerate(fs):
+                for j, fj in enumerate(fs):
+                    expect[i, j] = mu2 * inner(conj(fi), fj, rho)
+                for j, gj in enumerate(gs):
+                    expect[i, p + j] = expect[p + j, i] = inner(gj, fi, rho)
+            for i, gi in enumerate(gs):
+                for j, gj in enumerate(gs):
+                    expect[p + i, p + j] = np.conj(mu2) * inner(gi, conj(gj), rho)
+            np.testing.assert_allclose(Q, expect, rtol=1e-12, atol=1e-15)
+
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError, match="symmetric"):
             QMatrix(1, 1, np.array([[0.0, 1.0], [2.0, 0.0]]))
