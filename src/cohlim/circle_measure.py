@@ -86,26 +86,6 @@ class PhaseMeasure:
         """(delta_{pi/2} + delta_{-pi/2}) / 2; mu_hat(1) = 0, mu_hat(2) = -1."""
         return PhaseMeasure.from_atoms([(np.pi / 2, 0.5), (3 * np.pi / 2, 0.5)])
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        if self.kind == "uniform":
-            return {"kind": "uniform"}
-        if self.kind == "atoms":
-            return {"kind": "atoms", "atoms": [[a, w] for a, w in self.atoms]}
-        return {"kind": "density", "values": list(map(float, self.density))}
-
-    @staticmethod
-    def from_json(obj: dict) -> "PhaseMeasure":
-        kind = obj["kind"]
-        if kind == "uniform":
-            return PhaseMeasure.uniform()
-        if kind == "atoms":
-            return PhaseMeasure.from_atoms(obj["atoms"])
-        if kind == "density":
-            return PhaseMeasure.from_density(obj["values"])
-        raise ValueError(f"unknown measure kind {kind!r}")
-
     def grid_angles(self) -> np.ndarray:
         assert self.kind == "density"
         return TWO_PI * np.arange(len(self.density)) / len(self.density)
@@ -124,6 +104,13 @@ def fourier_moment(mu: PhaseMeasure, n: int) -> complex:
     theta = mu.grid_angles()
     dtheta = TWO_PI / len(theta)
     return complex(dtheta * np.sum(mu.density * np.exp(-1j * n * theta)))
+
+
+def check_mu2(mu2: complex) -> None:
+    """Refuse a second moment no probability measure has: |mu_hat(2)| <= 1
+    (to 1e-12) is the bound every mu2 argument must satisfy."""
+    if abs(mu2) > 1 + 1e-12:
+        raise ValueError(f"|mu_hat(2)| must be <= 1, got {abs(mu2)}")
 
 
 def admissible(mu: PhaseMeasure, tol: float = 1e-9) -> bool:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import stats
 
 from cohlim import config as cfgmod
-from cohlim.circle_measure import admissible, fourier_moment
+from cohlim.circle_measure import admissible, check_mu2, fourier_moment
 from cohlim.config import ConfigError
 from cohlim.dynamics import sigma_t, uniformization_curve
 from cohlim.functionals import (
@@ -40,9 +40,8 @@ from cohlim.functionals import (
 )
 from cohlim.gns_reps import rep_expectation_averaged, rep_expectation_n_mode
 from cohlim.ito_sampler import build_coefficients, clt_sample, sample_chi_gram
-from cohlim.mode_space import inner
 from cohlim.moments import MIN_ORACLE_SAMPLES, build_q, mc_oracle, wick_moment
-from cohlim.open_system import SystemSpec, gamma
+from cohlim.open_system import SystemSpec, envelopes, gaussian_rate
 
 SCHEMA_VERSION = "1"
 
@@ -143,8 +142,8 @@ class Run:
     def mu2(self):
         if "mu2" in self.cfg:
             z = self.read("mu2", complex)
-            if abs(z) > 1.0 + 1e-12:
-                raise ConfigError("/mu2", f"|mu_hat(2)| must be <= 1, got {abs(z)}")
+            with cfgmod.reading("/mu2"):
+                check_mu2(z)
             return z
         if "measure" in self.cfg:
             return fourier_moment(self.measure, 2)
@@ -379,12 +378,12 @@ def run_decohere(run):
     m = run.samples(10_000)
     coeffs = build_coefficients(run.density, 0.0)
     re_chi = sample_chi_gram([g], coeffs, m, run.rng("gram"))[:, 0].real
-    rate = inner(g, g, run.density).real
+    rate = gaussian_rate(system, run.density)
+    ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:2:0.1"))
+    gaussian, decay = envelopes(system, k, l, ts, rate)
     rows = []
     worst = 0.0
-    for t in cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:2:0.1")).tolist():
-        gaussian_env = math.exp(-0.5 * t * t * dg * dg * rate)
-        gamma_env = math.exp(-0.5 * dg * dg * gamma(t, g, run.dispersion))
+    for t, gaussian_env, gamma_env in zip(ts.tolist(), gaussian.tolist(), decay.tolist()):
         mc_vals = np.exp(-1j * t * dg * re_chi)
         mc_mean = complex(np.mean(mc_vals))
         mc_se = float(np.std(mc_vals.real, ddof=1) / math.sqrt(m))
@@ -410,6 +409,8 @@ def run_diverge(run):
         raise ConfigError("/R", f"half-width must be positive, got {R}")
     if len(n_list) < 4 or min(n_list) < 2:
         raise ConfigError("/n_list", f"need at least 4 grid sizes, each >= 2, got {n_list}")
+    with cfgmod.reading("/n_list"):
+        cfgmod.check_cells(max(n_list) ** d)
     f_form = run.closed_form("function")
     rho_form = run.closed_form("density")
 

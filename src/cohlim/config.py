@@ -66,6 +66,11 @@ def numbers(values, kind=float) -> list:
     return [number(v, kind) for v in values]
 
 
+# Size caps, checked before anything is allocated: grid cells (2^24 float64
+# values are 128 MiB per array) and t-grid points.
+MAX_CELLS = 2 ** 24
+MAX_T_POINTS = 10 ** 6
+
 STOCHASTIC_EXPERIMENTS = ("clt", "chi", "moments", "decohere")
 EXPERIMENTS = STOCHASTIC_EXPERIMENTS + ("functional", "gns-check", "dynamics", "diverge", "rarefied")
 
@@ -102,13 +107,26 @@ def config_digest(cfg: dict) -> str:
 def build_grid(obj: dict, pointer: str = "/grid") -> MomentumGrid:
     _require_object(obj, pointer)
     with reading(pointer):
-        return MomentumGrid(number(obj["d"], int), number(obj["R"]), number(obj["N"], int))
+        grid = MomentumGrid(number(obj["d"], int), number(obj["R"]), number(obj["N"], int))
+        check_cells(grid.n_cells)
+        return grid
+
+
+def check_cells(n_cells: int) -> None:
+    """Refuse a grid of more than MAX_CELLS cells before anything is allocated."""
+    if n_cells > MAX_CELLS:
+        raise ValueError(f"{n_cells} grid cells exceed the cap of {MAX_CELLS}")
 
 
 def build_measure(obj: dict, pointer: str = "/measure") -> PhaseMeasure:
     _require_object(obj, pointer)
     with reading(pointer):
-        return PhaseMeasure.from_json(obj)
+        kind = obj["kind"]
+        if kind == "atoms":
+            return PhaseMeasure.from_atoms([numbers(pair) for pair in obj["atoms"]])
+        if kind == "density":
+            return PhaseMeasure.from_density(numbers(obj["values"]))
+        return PhaseMeasure(kind)  # "uniform"; any other kind is refused
 
 
 def _require_object(obj, pointer: str) -> None:
@@ -135,6 +153,8 @@ def _closed_form(obj: dict, pointer: str, d: int = 1) -> Callable[[np.ndarray], 
     with reading(pointer):
         amp = number(obj.get("amplitude", 1.0), complex)
         par = {key: number(obj.get(key, default)) for key, default in CLOSED_FORMS[name].items()}
+        if par.get("width", 1.0) <= 0:
+            raise ValueError(f"width must be positive, got {par['width']}")
     if name == "gaussian":
         return lambda k: amp * np.exp(
             -((np.asarray(k) - par["center"]) ** 2) / (2.0 * par["width"] ** 2)
@@ -160,6 +180,8 @@ def build_test_function(obj: dict, grid: MomentumGrid, pointer: str = "/function
     _require_object(obj, pointer)
     label = obj.get("label", obj.get("name", ""))
     with reading(pointer):
+        if not isinstance(label, str):
+            raise TypeError(f"label must be a string, got {label!r}")
         if "values_file" in obj:
             return TestFunction(grid, read_value_file(obj["values_file"], pointer), label=label)
         return TestFunction.from_profile(grid, _closed_form(obj, pointer, grid.d), label=label)
@@ -193,8 +215,10 @@ def parse_t_grid(spec: str, pointer: str = "/t_grid") -> np.ndarray:
         if not (0 < step < math.inf and start <= stop and math.isfinite(stop - start)):
             raise ValueError("need a finite step > 0 and finite start <= stop")
         # the slack keeps a stop that lies on the grid despite rounding in the ratio
-        n = int(np.floor((stop - start) / step + 1e-9))
-        return start + step * np.arange(n + 1)
+        n = np.floor((stop - start) / step + 1e-9)
+        if n + 1 > MAX_T_POINTS:
+            raise ValueError(f"{n + 1:.3g} time points exceed the cap of {MAX_T_POINTS}")
+        return start + step * np.arange(int(n) + 1)
 
 
 def parse_orders(spec: str, pointer: str = "/pq") -> tuple:

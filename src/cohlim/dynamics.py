@@ -8,6 +8,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from cohlim.circle_measure import check_mu2
 from cohlim.functionals import (
     CoherentModeSet,
     FunctionalValue,
@@ -132,8 +133,7 @@ def sigma_t(
     one function at one time a float.  Cells of equal dispersion are summed
     before the phase is applied, which is exact, so e^{2 i t eps} is
     evaluated once per (t, distinct eps value) for the whole battery."""
-    if abs(mu2) > 1 + 1e-12:
-        raise ValueError(f"|mu_hat(2)| must be <= 1, got {abs(mu2)}")
+    check_mu2(mu2)
     battery = [f] if isinstance(f, TestFunction) else list(f)
     if any(g.grid != rho.grid or g.grid != eps.grid for g in battery):
         raise GridMismatchError("inputs must share one grid")

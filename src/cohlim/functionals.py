@@ -10,7 +10,7 @@ exp(-sigma^2/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -20,14 +20,15 @@ from cohlim.circle_measure import (
     InadmissibleMeasureError,
     PhaseMeasure,
     admissible,
+    check_mu2,
     fourier_moment,
 )
 from cohlim.mode_space import (
+    GridMismatchError,
     ModeDensity,
     MomentumGrid,
     TestFunction,
     finite_volume_coefficients,
-    inner,
     norm_sq_momentum,
 )
 
@@ -149,11 +150,8 @@ def finite_volume_functional(
 
 def sigma_mu_sq(f: TestFunction, rho: ModeDensity, mu2: complex) -> float:
     """Variance integral int rho (|fhat|^2 + Re{mu_hat(2) fhat^2}) dk >= 0."""
-    if abs(mu2) > 1 + 1e-12:
-        raise ValueError(f"|mu_hat(2)| must be <= 1, got {abs(mu2)}")
+    check_mu2(mu2)
     if f.grid != rho.grid:
-        from cohlim.mode_space import GridMismatchError
-
         raise GridMismatchError("test function and density on different grids")
     integrand = rho.values * (
         np.abs(f.values) ** 2 + np.real(mu2 * f.values ** 2)
@@ -260,8 +258,6 @@ def discrete_phase_average_functional(
     each factor equals J0(|z_j|).
     """
     if f.grid != grid or rho.grid != grid:
-        from cohlim.mode_space import GridMismatchError
-
         raise GridMismatchError("inputs must share the supplied grid")
     fock = fock_functional(f)
     z = np.sqrt(2.0 * rho.values * grid.cell_volume) * f.values

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cohlim.circle_measure import PhaseMeasure
+from cohlim.circle_measure import PhaseMeasure, check_mu2
 from cohlim.functionals import (
     CoherentModeSet,
     FunctionalValue,
@@ -53,8 +53,7 @@ def build_alpha_beta(rho: ModeDensity, mu2: complex) -> SqueezeCoefficients:
     beta = conj(mu2)/(2|mu2|) * (sqrt(1+x) - sqrt(1-x)),
     with x = |mu2| sqrt(rho/(1+rho)); beta = 0 at mu2 = 0 (removable)."""
     mu2 = complex(mu2)
-    if abs(mu2) > 1 + 1e-12:
-        raise ValueError(f"|mu_hat(2)| must be <= 1, got {abs(mu2)}")
+    check_mu2(mu2)
     x = abs(mu2) * np.sqrt(rho.values / (1.0 + rho.values))
     sp = np.sqrt(1.0 + x)
     sm = np.sqrt(np.maximum(0.0, 1.0 - x))

@@ -20,7 +20,7 @@ from cohlim.circle_measure import (
     InadmissibleMeasureError,
     PhaseMeasure,
     admissible,
-    fourier_moment,
+    check_mu2,
     sample_phase,
 )
 from cohlim.functionals import FunctionalValue, _circle_average, fock_functional
@@ -77,8 +77,7 @@ def build_coefficients(rho: ModeDensity, mu2: complex) -> CoefficientPair:
     sqrt(1-|mu2|^2); at Re mu2 = -1 (which forces mu2 = -1) the alternate
     branch S1 = i sqrt(rho), S2 = sqrt(rho)."""
     mu2 = complex(mu2)
-    if abs(mu2) > 1 + 1e-12:
-        raise ValueError(f"|mu_hat(2)| must be <= 1, got {abs(mu2)}")
+    check_mu2(mu2)
     sqrho = np.sqrt(rho.values)
     if 1.0 + mu2.real <= BRANCH_MARGIN:
         return CoefficientPair(rho.grid, 1j * sqrho, sqrho.astype(complex), mu2)
@@ -199,28 +198,6 @@ def sample_chi_gram(
     x = rng.standard_normal((n_samples, r.shape[0])) @ r
     k = len(fs)
     return x[:, :k] + 1j * x[:, k:]
-
-
-def sample_ito_second_moment(
-    fs: Sequence[TestFunction],
-    n_samples: int,
-    rng: np.random.Generator,
-    chunk: int = 2000,
-) -> np.ndarray:
-    """MC estimate of E|int dB fhat|^2 for each battery function (one shared
-    Brownian field per draw).  Returns shape (len(fs),)."""
-    grid = fs[0].grid
-    phi = np.stack([f.values for f in fs], axis=1)
-    scale = math.sqrt(grid.cell_volume)
-    acc = np.zeros(len(fs))
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        z = rng.normal(0.0, scale, (m, grid.n_cells))
-        vals = z @ phi
-        acc += np.sum(np.abs(vals) ** 2, axis=0)
-        done += m
-    return acc / n_samples
 
 
 # -- finite-N central limit diagnostics --------------------------------------

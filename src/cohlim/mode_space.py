@@ -82,13 +82,6 @@ class MomentumGrid:
             flat = flat * self.N + (j[:, axis_idx] - 1)
         return flat
 
-    def to_json(self) -> dict:
-        return {"d": self.d, "R": self.R, "N": self.N}
-
-    @staticmethod
-    def from_json(obj: dict) -> "MomentumGrid":
-        return MomentumGrid(d=int(obj["d"]), R=float(obj["R"]), N=int(obj["N"]))
-
 
 @dataclass(frozen=True)
 class TestFunction:

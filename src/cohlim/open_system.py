@@ -47,19 +47,19 @@ class SystemSpec:
         return len(self.energies)
 
 
-def _infrared_mask(eps: Dispersion, eps_min: float) -> np.ndarray:
-    return eps.values >= eps_min
-
-
-def gamma(t: float, g: TestFunction, eps: Dispersion, eps_min: float = EPS_MIN) -> float:
-    """Dephasing integral 2 int |ghat|^2 sin^2(eps t / 2) / eps^2 dk >= 0,
-    with cells below the infrared cutoff excluded."""
+def _infrared_cells(g: TestFunction, eps: Dispersion) -> tuple[np.ndarray, np.ndarray]:
+    """|ghat|^2 and eps over the cells at or above the infrared cutoff."""
     if g.grid != eps.grid:
         raise GridMismatchError("form factor and dispersion on different grids")
-    mask = _infrared_mask(eps, eps_min)
-    ev = eps.values[mask]
-    integrand = np.abs(g.values[mask]) ** 2 * np.sin(ev * t / 2.0) ** 2 / ev ** 2
-    return float(2.0 * g.grid.cell_volume * np.sum(integrand))
+    mask = eps.values >= EPS_MIN
+    return np.abs(g.values[mask]) ** 2, eps.values[mask]
+
+
+def gamma(t: float, g: TestFunction, eps: Dispersion) -> float:
+    """Dephasing integral 2 int |ghat|^2 sin^2(eps t / 2) / eps^2 dk >= 0
+    over the cutoff cells."""
+    g2, ev = _infrared_cells(g, eps)
+    return float(2.0 * g.grid.cell_volume * np.sum(g2 * np.sin(ev * t / 2.0) ** 2 / ev ** 2))
 
 
 def gamma_radial(
@@ -82,14 +82,33 @@ def gamma_radial(
     return float(2.0 * h * np.sum(integrand))
 
 
-def lamb_phase_integral(
-    t: float, g: TestFunction, eps: Dispersion, eps_min: float = EPS_MIN
-) -> float:
+def lamb_phase_integral(t: float, g: TestFunction, eps: Dispersion) -> float:
     """<g | (sin(eps t) - eps t) / eps | g> over the cutoff cells."""
-    mask = _infrared_mask(eps, eps_min)
-    ev = eps.values[mask]
-    integrand = np.abs(g.values[mask]) ** 2 * (np.sin(ev * t) - ev * t) / ev
-    return float(g.grid.cell_volume * np.sum(integrand))
+    g2, ev = _infrared_cells(g, eps)
+    return float(g.grid.cell_volume * np.sum(g2 * (np.sin(ev * t) - ev * t) / ev))
+
+
+def gaussian_rate(spec: SystemSpec, reservoir: ModeDensity) -> float:
+    """|sqrt(rho) ghat|_2^2, the rate of the Gaussian-in-time factor."""
+    return inner(spec.form_factor, spec.form_factor, reservoir).real
+
+
+def envelopes(
+    spec: SystemSpec, k: int, l: int, ts: float | np.ndarray, rate: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two decay factors of element (k, l) at each time of `ts`:
+
+        Gaussian  exp(-t^2 (g_k - g_l)^2 rate / 2),
+        Gamma     exp(-(g_k - g_l)^2 Gamma(t) / 2).
+
+    `rate` is `gaussian_rate` for the reservoir average and 0 for a single
+    sample.  Each factor is a scalar `math.exp`, so a t-grid gives the same
+    bits as one time at a time."""
+    dg = spec.couplings[k] - spec.couplings[l]
+    ts = np.atleast_1d(np.asarray(ts, dtype=float)).tolist()
+    gaussian = [math.exp(-0.5 * t * t * dg * dg * rate) for t in ts]
+    decay = [math.exp(-0.5 * dg * dg * gamma(t, spec.form_factor, spec.dispersion)) for t in ts]
+    return np.array(gaussian), np.array(decay)
 
 
 def reduced_element(
@@ -100,7 +119,6 @@ def reduced_element(
     rho0_kl: complex,
     sample: Optional[BrownianSample] = None,
     coeffs: Optional[CoefficientPair] = None,
-    eps_min: float = EPS_MIN,
 ) -> complex:
     """Exact matrix element rho_{k,l}(t).
 
@@ -118,14 +136,14 @@ def reduced_element(
     dg = g[k] - g[l]
     phase = -t * (e[k] - e[l])
     phase += 0.5 * (g[k] ** 2 - g[l] ** 2) * lamb_phase_integral(
-        t, spec.form_factor, spec.dispersion, eps_min
+        t, spec.form_factor, spec.dispersion
     )
     if sample is not None:
         if coeffs is None:
             raise ValueError("a coefficient pair is required with a Brownian sample")
         phase += -t * dg * chi_omega(spec.form_factor, coeffs, sample).real
-    decay = math.exp(-0.5 * dg ** 2 * gamma(t, spec.form_factor, spec.dispersion, eps_min))
-    return complex(rho0_kl) * np.exp(1j * phase) * decay
+    _, decay = envelopes(spec, k, l, t)
+    return complex(rho0_kl) * np.exp(1j * phase) * decay[0]
 
 
 def averaged_offdiagonal(
@@ -135,18 +153,13 @@ def averaged_offdiagonal(
     l: int,
     t: float,
     rho0_kl: complex,
-    eps_min: float = EPS_MIN,
 ) -> float:
-    """|E[rho_{k,l}(t)]| for k != l: Gaussian factor
-    exp(-t^2 (g_k - g_l)^2 |sqrt(rho) ghat|^2 / 2) times the Gamma(t)
-    envelope, times |rho_{k,l}(0)|."""
+    """|E[rho_{k,l}(t)]| for k != l: the Gaussian factor times the Gamma(t)
+    envelope (see `envelopes`), times |rho_{k,l}(0)|."""
     if k == l:
         raise ValueError("averaged decay is defined for off-diagonal elements")
-    dg = spec.couplings[k] - spec.couplings[l]
-    rate = inner(spec.form_factor, spec.form_factor, reservoir).real
-    gauss = math.exp(-0.5 * t * t * dg * dg * rate)
-    env = math.exp(-0.5 * dg * dg * gamma(t, spec.form_factor, spec.dispersion, eps_min))
-    return abs(rho0_kl) * gauss * env
+    gaussian, decay = envelopes(spec, k, l, t, gaussian_rate(spec, reservoir))
+    return abs(rho0_kl) * float(gaussian[0]) * float(decay[0])
 
 
 @dataclass(frozen=True)
@@ -156,15 +169,10 @@ class PlateauResult:
     partials: np.ndarray
 
 
-def gamma_plateau(
-    g: TestFunction, eps: Dispersion, eps_min: float = EPS_MIN
-) -> float:
+def gamma_plateau(g: TestFunction, eps: Dispersion) -> float:
     """Large-time limit |ghat / eps|_2^2 over the cutoff cells."""
-    mask = _infrared_mask(eps, eps_min)
-    ev = eps.values[mask]
-    return float(
-        g.grid.cell_volume * np.sum(np.abs(g.values[mask]) ** 2 / ev ** 2)
-    )
+    g2, ev = _infrared_cells(g, eps)
+    return float(g.grid.cell_volume * np.sum(g2 / ev ** 2))
 
 
 def plateau_radial(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cohlim.ito_sampler import CoefficientPair
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction
 
 
@@ -45,6 +46,14 @@ def make_battery(grid, n, rng=None):
             )
         )
     return fns
+
+
+def ito_pair(grid):
+    """The coefficient pair (S1, S2) = (1, 0): chi(f) is then the plain Ito
+    integral of fhat against one Brownian field, so E|chi(f)|^2 = |f|^2 (the
+    pair of rho = 1/2, mu_hat(2) = 1)."""
+    n = grid.n_cells
+    return CoefficientPair(grid, np.ones(n, dtype=complex), np.zeros(n, dtype=complex), 1.0)
 
 
 # pytest tries to collect the imported TestFunction dataclass as a test class;

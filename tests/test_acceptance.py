@@ -9,7 +9,6 @@ deterministic in practice.
 import math
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from cohlim.circle_measure import PhaseMeasure, fourier_moment
@@ -29,13 +28,12 @@ from cohlim.ito_sampler import (
     draw_brownian,
     random_functional,
     sample_chi,
-    sample_ito_second_moment,
 )
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, inner
 from cohlim.moments import build_q, permanent_moment, product_moment, wick_moment
 from cohlim.open_system import gamma, gamma_radial
 
-from conftest import make_battery
+from conftest import ito_pair, make_battery
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,7 +56,8 @@ def test_criterion_1_ito_isometry():
     grid = MomentumGrid(d=1, R=4.0, N=4096)
     battery = make_battery(grid, 20, np.random.default_rng(101))
     m = 20_000
-    est = sample_ito_second_moment(battery, m, np.random.default_rng(11))
+    chis = sample_chi(battery, ito_pair(grid), m, np.random.default_rng(11))
+    est = np.mean(np.abs(chis) ** 2, axis=0)
     tol = 5.0 * math.sqrt(2.0 / m)
     rel = np.array(
         [abs(e - inner(f, f).real) / inner(f, f).real for e, f in zip(est, battery)]
@@ -79,7 +78,7 @@ def test_criterion_2_clt_ks():
 
 def test_criterion_3_variance_law():
     grid, f, rho = std_setup()
-    m = 20_000
+    m = 40_000
     ok = True
     for seed, mu2 in ((21, 0.0), (22, 0.5), (23, -1.0), (24, 0.5j)):
         coeffs = build_coefficients(rho, mu2)

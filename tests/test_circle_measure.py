@@ -1,4 +1,4 @@
-import math
+import json
 
 import numpy as np
 import pytest
@@ -9,9 +9,11 @@ from cohlim.circle_measure import (
     TWO_PI,
     PhaseMeasure,
     admissible,
+    check_mu2,
     fourier_moment,
     sample_phase,
 )
+from cohlim.config import build_measure
 
 
 class TestConstruction:
@@ -48,14 +50,31 @@ class TestConstruction:
             PhaseMeasure.from_density(vals)
 
     def test_json_roundtrip(self):
+        # each kind's JSON descriptor, read back by the config reader
         for mu in (
             PhaseMeasure.uniform(),
             PhaseMeasure.opposite_pair(),
             PhaseMeasure.from_density(np.ones(16) / TWO_PI),
         ):
-            back = PhaseMeasure.from_json(mu.to_json())
-            assert back.kind == mu.kind
+            obj = {"kind": mu.kind}
+            if mu.kind == "atoms":
+                obj["atoms"] = [list(pair) for pair in mu.atoms]
+            if mu.kind == "density":
+                obj["values"] = mu.density.tolist()
+            back = build_measure(json.loads(json.dumps(obj)))
+            assert back.kind == mu.kind and back.atoms == mu.atoms
             assert fourier_moment(back, 2) == pytest.approx(fourier_moment(mu, 2))
+
+
+@pytest.mark.parametrize("mu2", [0.0, -1.0, 1j, 1.0 + 1e-13, 0.6 + 0.8j])
+def test_mu2_bound_accepts_the_unit_disc(mu2):
+    check_mu2(mu2)
+
+
+@pytest.mark.parametrize("mu2", [1.0 + 1e-11, -1.2, 0.8 + 0.8j])
+def test_mu2_bound_refuses_outside(mu2):
+    with pytest.raises(ValueError, match=r"\|mu_hat\(2\)\| must be <= 1"):
+        check_mu2(mu2)
 
 
 class TestFourierMoments:

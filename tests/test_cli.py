@@ -1,11 +1,14 @@
+import copy
 import csv
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from cohlim import cli
+from cohlim import config as cfgmod
 from cohlim.config import (
     ConfigError,
     build_grid,
@@ -111,8 +114,64 @@ CONFIGS = {
 
 
 # Malformed or out-of-range values tried in place of every key of every
-# CONFIGS entry: each run must return, and exit 2 only with a JSON pointer.
+# CONFIGS entry, and of every value nested below one: each run must return,
+# and exit 2 only with a JSON pointer.
 MALFORMED = ["x", True, None, -1, 0, 2.5, [], {}, [0], "0:1"]
+
+# CONFIGS, and the clt config with each measure kind that carries numbers.
+FUZZ_BASES = {
+    **CONFIGS,
+    "clt+atoms": {
+        **CONFIGS["clt"],
+        "measure": {"kind": "atoms", "atoms": [[math.pi / 2, 0.5], [3 * math.pi / 2, 0.5]]},
+    },
+    "clt+density": {
+        **CONFIGS["clt"],
+        "measure": {"kind": "density", "values": [1.0 / (2.0 * math.pi)] * 4},
+    },
+}
+
+
+def nested_paths(obj, prefix):
+    """Slash-separated paths of every value below `obj`, itself at `prefix`."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield f"{prefix}/{key}"
+        yield from nested_paths(value, f"{prefix}/{key}")
+
+
+def with_value(cfg, path, value):
+    """A copy of `cfg` with the value at the slash-separated `path` replaced."""
+    cfg = copy.deepcopy(cfg)
+    *parents, last = path.split("/")
+    node = cfg
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return cfg
+
+
+# (config, path, value) for every CONFIGS key, then for every nested value:
+# grid fields, descriptor parameters, list entries, tolerances and the
+# measures' atoms and values (the bool and string weights among them).  The
+# top-level cases come first so that their test ids keep their positions.
+MALFORMED_CASES = (
+    [(name, key, value) for name, cfg in CONFIGS.items() for key in cfg for value in MALFORMED]
+    + [
+        (name, path, value)
+        for name, cfg in CONFIGS.items()
+        for key in cfg
+        for path in nested_paths(cfg[key], key)
+        for value in MALFORMED
+    ]
+    + [
+        (name, path, value)
+        for name in ("clt+atoms", "clt+density")
+        for path in nested_paths(FUZZ_BASES[name]["measure"], "measure")
+        for value in MALFORMED
+    ]
+    + [("clt+atoms", "measure/atoms", [[0, True]]), ("clt+atoms", "measure/atoms", [["1.5", "1"]])]
+)
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -169,6 +228,32 @@ class TestBuilders:
         assert build_measure({"kind": "uniform"}).kind == "uniform"
         mu = build_measure({"kind": "atoms", "atoms": [[0.0, 0.5], [3.14159, 0.5]]})
         assert mu.kind == "atoms"
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            {"kind": "atoms", "atoms": [[0, True]]},
+            {"kind": "atoms", "atoms": [["1.5", "1"]]},
+            {"kind": "atoms", "atoms": [[0.0, 0.5, 0.5]]},
+            {"kind": "density", "values": [1.0 / math.pi, "0"]},
+            {"kind": "gaussian"},
+        ],
+    )
+    def test_measure_read_strictly(self, measure):
+        with pytest.raises(ConfigError, match="^/measure:"):
+            build_measure(measure)
+
+    def test_size_caps(self):
+        # the benchmark's 32 768 cells and 1001 times fit; diverge at d = 3
+        # with the default n_list (1024^3 cells, about 26 GB of points) does not
+        assert 32_768 <= cfgmod.MAX_CELLS < 1024 ** 3 and 1001 <= cfgmod.MAX_T_POINTS
+        assert build_grid({"d": 3, "R": 4.0, "N": 256}).n_cells == cfgmod.MAX_CELLS
+        with pytest.raises(ConfigError, match="^/grid:"):
+            build_grid({"d": 3, "R": 4.0, "N": 257})
+        assert len(parse_t_grid(f"0:{cfgmod.MAX_T_POINTS - 1}:1")) == cfgmod.MAX_T_POINTS
+        for spec in (f"0:{cfgmod.MAX_T_POINTS}:1", "0:1e10:1"):
+            with pytest.raises(ConfigError, match="^/t_grid:"):
+                parse_t_grid(spec)
 
     def test_value_file_roundtrip(self, tmp_path):
         vals = np.arange(6, dtype=float).reshape(3, 2)
@@ -445,13 +530,11 @@ class TestCliContract:
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], key: value}) == 2
         assert f"{pointer}:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "experiment, key, value",
-        [(exp, key, value) for exp, cfg in CONFIGS.items() for key in cfg for value in MALFORMED],
-    )
+    @pytest.mark.parametrize("experiment, key, value", MALFORMED_CASES)
     def test_malformed_value_never_raises(self, tmp_path, capsys, experiment, key, value):
-        path = write_cfg(tmp_path, {**CONFIGS[experiment], key: value})
-        rc = cli.main([experiment, "--config", path, "--out", str(tmp_path / "o")])
+        base = FUZZ_BASES[experiment]
+        path = write_cfg(tmp_path, with_value(base, key, value))
+        rc = cli.main([base["experiment"], "--config", path, "--out", str(tmp_path / "o")])
         assert rc in (0, 1, 2)
         if rc == 2:
             assert capsys.readouterr().err.startswith("error: /")
@@ -465,10 +548,37 @@ class TestCliContract:
             ("diverge", {"n_list": [64, 128]}, "/n_list"),
             ("rarefied", {"sigma": -1}, "/sigma"),
             ("rarefied", {"L_values": [0]}, "/L_values"),
+            ("chi", {"functions": [{**GAUSS_F, "label": [0]}]}, "/functions/0"),
+            # centred between two cells, a zero width gives fhat = 0 everywhere
+            ("functional", {"functions": [{**GAUSS_F, "width": 0, "center": 1 / 128}]}, "/functions/0"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, experiment, changes, pointer):
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], **changes}) == 2
+        assert f"{pointer}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("atoms", [[[0, True]], [["1.5", "1"]]])
+    def test_lenient_measure_exits_2(self, tmp_path, capsys, atoms):
+        # chi takes mu_hat(2) from a measure without asking for mu_hat(1) = 0,
+        # so only the strict reader refuses these
+        cfg = {k: v for k, v in CONFIGS["chi"].items() if k != "mu2"}
+        assert self.run_cli(tmp_path, {**cfg, "measure": {"kind": "atoms", "atoms": atoms}}) == 2
+        assert "/measure:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, changes, flags, pointer",
+        [
+            ("functional", {"grid": {"d": 2, "R": 4.0, "N": 64}}, (), "/grid"),
+            ("diverge", {"d": 2, "n_list": [8, 16, 32, 64]}, (), "/n_list"),
+            ("dynamics", {"t_grid": "0:100:1"}, (), "/t_grid"),
+            ("decohere", {}, ("--t-grid", "0:100:1"), "/t_grid"),
+        ],
+    )
+    def test_oversized_exits_2(self, tmp_path, capsys, monkeypatch, experiment, changes, flags, pointer):
+        # the caps are lowered so that the refused sizes stay cheap
+        monkeypatch.setattr(cfgmod, "MAX_CELLS", 1024)
+        monkeypatch.setattr(cfgmod, "MAX_T_POINTS", 50)
+        assert self.run_cli(tmp_path, {**CONFIGS[experiment], **changes}, *flags) == 2
         assert f"{pointer}:" in capsys.readouterr().err
 
     def test_missing_values_file_exits_2(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cohlim.circle_measure import InadmissibleMeasureError, PhaseMeasure, fourier_moment
+from cohlim.circle_measure import InadmissibleMeasureError, PhaseMeasure
 from cohlim.functionals import fock_functional, sigma_mu_sq
 from cohlim.ito_sampler import (
     DegenerateVarianceError,
@@ -18,7 +18,6 @@ from cohlim.ito_sampler import (
     random_functional,
     sample_chi,
     sample_chi_gram,
-    sample_ito_second_moment,
 )
 from cohlim.mode_space import (
     GridMismatchError,
@@ -28,7 +27,7 @@ from cohlim.mode_space import (
     norm_sq_momentum,
 )
 
-from conftest import make_battery
+from conftest import ito_pair, make_battery
 
 
 class TestBrownian:
@@ -52,7 +51,7 @@ class TestBrownian:
 class TestIsometry:
     def test_second_moment_matches_norm(self, grid, gauss):
         rng = np.random.default_rng(9)
-        est = sample_ito_second_moment([gauss], 40_000, rng)[0]
+        est = np.mean(np.abs(sample_chi([gauss], ito_pair(grid), 40_000, rng)[:, 0]) ** 2)
         assert est == pytest.approx(norm_sq_momentum(gauss), rel=0.05)
 
     def test_mean_is_zero(self, grid, gauss):
@@ -98,20 +97,6 @@ class TestCoefficients:
 
 
 class TestChi:
-    @pytest.mark.parametrize("mu2", [0.0, 0.5, -1.0, 0.5j])
-    def test_re_chi_variance(self, fine_grid, mu2):
-        f = TestFunction.from_profile(
-            fine_grid, lambda k: np.exp(-(k ** 2) / 2.0) * np.exp(1j * k)
-        )
-        rho = ModeDensity.from_profile(fine_grid, lambda k: np.exp(-((k - 1.0) ** 2)))
-        coeffs = build_coefficients(rho, mu2)
-        rng = np.random.default_rng(17)
-        m = 40_000
-        chis = sample_chi([f], coeffs, m, rng)[:, 0]
-        target = sigma_mu_sq(f, rho, mu2)
-        se = target * math.sqrt(2.0 / m)
-        assert np.var(chis.real, ddof=1) == pytest.approx(target, abs=5 * se)
-
     def test_additive_in_f(self, grid, rho):
         coeffs = build_coefficients(rho, 0.3)
         s = draw_brownian(grid, seed=8)

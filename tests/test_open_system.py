@@ -5,13 +5,16 @@ import pytest
 
 from cohlim.dynamics import Dispersion
 from cohlim.ito_sampler import build_coefficients, draw_brownian, chi_omega
-from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, inner
+from cohlim.mode_space import GridMismatchError, ModeDensity, MomentumGrid, TestFunction, inner
 from cohlim.open_system import (
+    EPS_MIN,
     SystemSpec,
     averaged_offdiagonal,
+    envelopes,
     gamma,
     gamma_plateau,
     gamma_radial,
+    gaussian_rate,
     lamb_phase_integral,
     plateau_radial,
     reduced_element,
@@ -25,8 +28,8 @@ def system(grid):
     return SystemSpec(np.array([0.0, 1.0, 2.5]), np.array([0.0, 1.0, -0.5]), g, eps)
 
 
-def masked_norm_sq(g, eps, eps_min=1e-8):
-    mask = eps.values >= eps_min
+def masked_norm_sq(g, eps):
+    mask = eps.values >= EPS_MIN
     return float(g.grid.cell_volume * np.sum(np.abs(g.values[mask]) ** 2))
 
 
@@ -68,6 +71,16 @@ class TestGamma:
             [gamma(t, g, eps) for t in np.linspace(200.0, 220.0, 50)]
         )
         assert long_time == pytest.approx(plateau, rel=0.05)
+
+
+@pytest.mark.parametrize("integral", [gamma, lamb_phase_integral, gamma_plateau])
+@pytest.mark.parametrize("other", [MomentumGrid(d=1, R=5.0, N=256), MomentumGrid(d=1, R=4.0, N=128)])
+def test_grid_mismatch_raises(grid, integral, other):
+    # same N with another R would pair the cells of different momenta
+    g = TestFunction.from_profile(grid, lambda k: np.exp(-(k ** 2)))
+    args = () if integral is gamma_plateau else (1.0,)
+    with pytest.raises(GridMismatchError):
+        integral(*args, g, Dispersion.photon(other))
 
 
 class TestGammaRadial:
@@ -167,6 +180,16 @@ class TestAveragedOffdiagonal:
         expect = math.exp(-0.5 * t * t * dg * dg * rate)
         assert mc.real == pytest.approx(expect, abs=5.0 / math.sqrt(m))
         assert abs(mc.imag) < 5.0 / math.sqrt(m)
+
+    def test_envelopes_match_per_t_factors(self, system, rho):
+        ts = np.linspace(0.0, 3.0, 7)
+        gaussian, decay = envelopes(system, 0, 2, ts, gaussian_rate(system, rho))
+        expect = [averaged_offdiagonal(system, rho, 0, 2, t, 1.0) for t in ts]
+        assert (gaussian * decay).tolist() == expect
+        # without a reservoir average only the Gamma envelope decays
+        gaussian, decay_alone = envelopes(system, 0, 2, ts)
+        assert gaussian.tolist() == [1.0] * len(ts)
+        np.testing.assert_array_equal(decay_alone, decay)
 
     def test_diagonal_rejected(self, system, rho):
         with pytest.raises(ValueError):
