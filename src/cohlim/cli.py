@@ -154,6 +154,12 @@ class Run:
         fns = self.cfg.get("functions", [])
         if not (isinstance(fns, list) and fns):
             raise ConfigError("/functions", f"expected a non-empty list, got {fns!r}")
+        # the samplers hold a cells x functions matrix; refuse it before building any function
+        if len(fns) * self.grid.n_cells > cfgmod.MAX_CELLS:
+            raise ConfigError(
+                "/functions",
+                f"{len(fns)} functions x {self.grid.n_cells} cells exceed the cap of {cfgmod.MAX_CELLS}",
+            )
         return [
             cfgmod.build_test_function(obj, self.grid, f"/functions/{i}")
             for i, obj in enumerate(fns)
@@ -247,7 +253,7 @@ def run_clt(run):
     mu = run.admissible_measure()
     f = run.battery[0]
     m = run.samples(2000)
-    draws = clt_sample(f, run.grid, run.density, mu, m, run.rng("phases"))
+    draws = clt_sample(f, run.density, mu, m, run.rng("phases"))
     sigma = math.sqrt(sigma_mu_sq(f, run.density, fourier_moment(mu, 2)))
     ks = float(stats.kstest(draws, "norm", args=(0.0, sigma)).statistic)
     tol = run.tol("ks", 1.95 / math.sqrt(m))

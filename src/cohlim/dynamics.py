@@ -15,12 +15,7 @@ from cohlim.functionals import (
     fock_functional,
     n_mode_functional,
 )
-from cohlim.mode_space import (
-    GridMismatchError,
-    ModeDensity,
-    MomentumGrid,
-    TestFunction,
-)
+from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, same_grid
 
 
 @dataclass(frozen=True)
@@ -65,8 +60,7 @@ class Dispersion:
 
 def evolve(f: TestFunction, eps: Dispersion, t: float) -> TestFunction:
     """Pointwise e^{i eps(k) t} fhat(k); norm preserving."""
-    if f.grid != eps.grid:
-        raise GridMismatchError("function and dispersion on different grids")
+    same_grid(f, eps)
     return TestFunction(
         f.grid, np.exp(1j * eps.values * t) * f.values, label=f.label
     )
@@ -135,8 +129,7 @@ def sigma_t(
     evaluated once per (t, distinct eps value) for the whole battery."""
     check_mu2(mu2)
     battery = [f] if isinstance(f, TestFunction) else list(f)
-    if any(g.grid != rho.grid or g.grid != eps.grid for g in battery):
-        raise GridMismatchError("inputs must share one grid")
+    same_grid(rho, eps, *battery)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     order, starts, levels = _eps_levels(eps.values)
     rho_sorted = rho.values[order]

@@ -24,12 +24,12 @@ from cohlim.circle_measure import (
     fourier_moment,
 )
 from cohlim.mode_space import (
-    GridMismatchError,
     ModeDensity,
     MomentumGrid,
     TestFunction,
     finite_volume_coefficients,
     norm_sq_momentum,
+    same_grid,
 )
 
 CIRCLE_NODES = 256
@@ -151,8 +151,7 @@ def finite_volume_functional(
 def sigma_mu_sq(f: TestFunction, rho: ModeDensity, mu2: complex) -> float:
     """Variance integral int rho (|fhat|^2 + Re{mu_hat(2) fhat^2}) dk >= 0."""
     check_mu2(mu2)
-    if f.grid != rho.grid:
-        raise GridMismatchError("test function and density on different grids")
+    same_grid(f, rho)
     integrand = rho.values * (
         np.abs(f.values) ** 2 + np.real(mu2 * f.values ** 2)
     )
@@ -246,7 +245,7 @@ def bessel_check(amplitude: float) -> BesselCheck:
 
 
 def discrete_phase_average_functional(
-    f: TestFunction, grid: MomentumGrid, rho: ModeDensity, mu: PhaseMeasure
+    f: TestFunction, rho: ModeDensity, mu: PhaseMeasure
 ) -> FunctionalValue:
     """Finite-N product of per-mode circle averages (any mu, admissible or
     not):
@@ -257,8 +256,7 @@ def discrete_phase_average_functional(
     phase-averaged functional as N grows when mu_hat(1) = 0; for uniform mu
     each factor equals J0(|z_j|).
     """
-    if f.grid != grid or rho.grid != grid:
-        raise GridMismatchError("inputs must share the supplied grid")
+    grid = same_grid(f, rho)
     fock = fock_functional(f)
     z = np.sqrt(2.0 * rho.values * grid.cell_volume) * f.values
     active = np.abs(z) > 0

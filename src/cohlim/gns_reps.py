@@ -10,7 +10,9 @@ which |Rf|^2 + |Tf|^2 = |fhat|^2 + 2 sigma^2 holds pointwise exactly; the
 result is then rescaled to the repo Fock convention once, through the
 mu_hat(2) = 0 closed-form identity.  See the README convention note.  The
 random representation's cyclic-vector value is the sampled functional
-`ito_sampler.random_functional` itself, so it has no separate realization here.
+`ito_sampler.random_functional`, Fock(f) e^{i Re chi(f)} at one sample omega
+of the Brownian fields (a seeded row of `ito_sampler.sample_chi`), so it has
+no separate realization here.
 """
 
 from __future__ import annotations
@@ -27,12 +29,7 @@ from cohlim.functionals import (
     _circle_average,
     fock_functional,
 )
-from cohlim.mode_space import (
-    GridMismatchError,
-    ModeDensity,
-    TestFunction,
-    norm_sq_momentum,
-)
+from cohlim.mode_space import ModeDensity, TestFunction, norm_sq_momentum, same_grid
 
 _BETA_CUTOFF = 1e-14  # below this |mu_hat(2)| the beta prefactor is a removable 0/0
 
@@ -68,8 +65,7 @@ def build_alpha_beta(rho: ModeDensity, mu2: complex) -> SqueezeCoefficients:
 def apply_R(f: TestFunction, rho: ModeDensity, coeffs: SqueezeCoefficients) -> TestFunction:
     """(Rf)(k) = sqrt(1+rho) alpha fhat + sqrt(rho) beta conj(fhat).
     Real-linear; complex-linear only when beta vanishes."""
-    if f.grid != rho.grid or f.grid != coeffs.grid:
-        raise GridMismatchError("function, density and coefficients must share a grid")
+    same_grid(f, rho, coeffs)
     vals = (
         np.sqrt(1.0 + rho.values) * coeffs.alpha * f.values
         + np.sqrt(rho.values) * coeffs.beta * np.conj(f.values)
@@ -79,8 +75,7 @@ def apply_R(f: TestFunction, rho: ModeDensity, coeffs: SqueezeCoefficients) -> T
 
 def apply_T(f: TestFunction, rho: ModeDensity, coeffs: SqueezeCoefficients) -> TestFunction:
     """(Tf)(k) = sqrt(1+rho) conj(beta) fhat + sqrt(rho) alpha conj(fhat)."""
-    if f.grid != rho.grid or f.grid != coeffs.grid:
-        raise GridMismatchError("function, density and coefficients must share a grid")
+    same_grid(f, rho, coeffs)
     vals = (
         np.sqrt(1.0 + rho.values) * np.conj(coeffs.beta) * f.values
         + np.sqrt(rho.values) * coeffs.alpha * np.conj(f.values)

@@ -1,10 +1,14 @@
-"""Random-phase machinery: Brownian cell increments, the discretized Ito
-integral, the complex Gaussian chi(f), sampled random functionals and the
-finite-N central-limit diagnostics.
+"""Random-phase machinery: the complex Gaussian chi(f), its exact Gram-law
+sampler, sampled random functionals and the finite-N central-limit
+diagnostics.
 
-The Ito integral is realized on grid cells exactly as the simple-function
-construction: each cell carries an independent N(0, dk) increment and the
-integral is the plain cell sum.  Integrands are deterministic, so no
+chi(f) = int dB1 S1 fhat + i int dB2 S2 fhat is realized on grid cells exactly
+as the simple-function construction: each cell carries an independent
+N(0, dk) increment of each Brownian field and the Ito integral is the plain
+cell sum, formed in `sample_chi` alone.  A sample omega of the fields is the
+one row of `sample_chi(fs, coeffs, 1, np.random.default_rng(seed))`: its
+increments depend only on the seed and the grid, not on the battery, so for a
+fixed seed chi is linear in f.  Integrands are deterministic, so no
 stochastic-calculus semantics beyond the isometry are needed.
 """
 
@@ -12,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -24,40 +28,17 @@ from cohlim.circle_measure import (
     sample_phase,
 )
 from cohlim.functionals import FunctionalValue, _circle_average, fock_functional
-from cohlim.mode_space import (
-    GridMismatchError,
-    ModeDensity,
-    MomentumGrid,
-    TestFunction,
-)
+from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, same_grid
 
 # Below this margin in 1 + Re mu_hat(2) the generic coefficient formulas
 # degenerate and the alternate branch S1 = i sqrt(rho), S2 = sqrt(rho) is used.
 BRANCH_MARGIN = 1e-9
+CHI_CHUNK = 2000  # draws of `sample_chi` per block of cell increments
+CLT_CHUNK = 512  # draws of `clt_sample` per block of mode phases
 
 
 class DegenerateVarianceError(ArithmeticError):
     """The variance normalizer s_N vanishes; the ratio is undefined."""
-
-
-@dataclass(frozen=True)
-class BrownianSample:
-    """Per-cell increments of two independent d-dimensional Brownian fields,
-    each N(0, dk), drawn from a seeded counter-based stream."""
-
-    grid: MomentumGrid
-    dB1: np.ndarray
-    dB2: np.ndarray
-    seed: int
-    stream: int = 0
-
-
-def draw_brownian(grid: MomentumGrid, seed: int, stream: int = 0) -> BrownianSample:
-    rng = np.random.default_rng([seed, stream])
-    scale = math.sqrt(grid.cell_volume)
-    dB1 = rng.normal(0.0, scale, grid.n_cells)
-    dB2 = rng.normal(0.0, scale, grid.n_cells)
-    return BrownianSample(grid, dB1, dB2, seed, stream)
 
 
 @dataclass(frozen=True)
@@ -87,40 +68,11 @@ def build_coefficients(rho: ModeDensity, mu2: complex) -> CoefficientPair:
     return CoefficientPair(rho.grid, s1, s2.astype(complex), mu2)
 
 
-def ito_integral(phi: Union[TestFunction, np.ndarray], dB: np.ndarray,
-                 grid: Optional[MomentumGrid] = None) -> complex:
-    """Cell sum sum_j phi(k_j) dB_j; linear in phi for a fixed sample, with
-    mean 0 and second moment equal to the momentum norm^2 over resamplings."""
-    if isinstance(phi, TestFunction):
-        if grid is not None and phi.grid != grid:
-            raise GridMismatchError("integrand grid does not match sample grid")
-        values = phi.values
-    else:
-        values = np.asarray(phi)
-    if values.shape != dB.shape:
-        raise GridMismatchError(
-            f"integrand has {values.shape} cells, increments have {dB.shape}"
-        )
-    return complex(np.sum(values * dB))
-
-
-def chi_omega(f: TestFunction, coeffs: CoefficientPair, sample: BrownianSample) -> complex:
-    """chi(f) = int dB1 S1 fhat + i int dB2 S2 fhat; additive in f per sample,
-    with Re chi ~ N(0, sigma_mu(f)^2) over resamplings."""
-    if f.grid != coeffs.grid or f.grid != sample.grid:
-        raise GridMismatchError("function, coefficients and sample must share a grid")
-    return complex(
-        np.sum(sample.dB1 * coeffs.S1 * f.values)
-        + 1j * np.sum(sample.dB2 * coeffs.S2 * f.values)
-    )
-
-
-def random_functional(
-    f: TestFunction, coeffs: CoefficientPair, sample: BrownianSample
-) -> FunctionalValue:
-    """Fock(f) * e^{i Re chi(f)}; the modulus is exactly the Fock value."""
+def random_functional(f: TestFunction, chi: complex) -> FunctionalValue:
+    """Fock(f) * e^{i Re chi} for a sampled chi = chi(f); the modulus is
+    exactly the Fock value."""
     fock = fock_functional(f)
-    phase = chi_omega(f, coeffs, sample).real
+    phase = float(np.real(chi))
     return FunctionalValue(fock.value * np.exp(1j * phase), fock.fock_exponent, phase=phase)
 
 
@@ -129,25 +81,22 @@ def sample_chi(
     coeffs: CoefficientPair,
     n_samples: int,
     rng: np.random.Generator,
-    chunk: int = 2000,
 ) -> np.ndarray:
     """Monte Carlo draws of chi for a battery of functions sharing one grid.
 
     Returns shape (n_samples, len(fs)); all functions see the same Brownian
     increments within a draw (as they must: chi is a single random field
-    evaluated on several integrands), and draws are independent.
+    evaluated on several integrands), and draws are independent.  A single
+    draw's increments are fixed by the state of `rng` and the grid alone.
     """
-    grid = coeffs.grid
-    for f in fs:
-        if f.grid != grid:
-            raise GridMismatchError("all battery functions must share the grid")
+    grid = same_grid(coeffs, *fs)
     phi1 = np.stack([coeffs.S1 * f.values for f in fs], axis=1)
     phi2 = np.stack([coeffs.S2 * f.values for f in fs], axis=1)
     scale = math.sqrt(grid.cell_volume)
     out = np.empty((n_samples, len(fs)), dtype=complex)
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(CHI_CHUNK, n_samples - done)
         z1 = rng.normal(0.0, scale, (m, grid.n_cells))
         z2 = rng.normal(0.0, scale, (m, grid.n_cells))
         out[done : done + m] = z1 @ phi1 + 1j * (z2 @ phi2)
@@ -166,10 +115,7 @@ def chi_gram_factor(fs: Sequence[TestFunction], coeffs: CoefficientPair) -> np.n
     clipping when W is rank deficient (|mu_hat(2)| = 1 with real f,
     collinear batteries).
     """
-    grid = coeffs.grid
-    for f in fs:
-        if f.grid != grid:
-            raise GridMismatchError("all battery functions must share the grid")
+    grid = same_grid(coeffs, *fs)
     n, k = grid.n_cells, len(fs)
     w = np.empty((2 * n, 2 * k))
     for j, f in enumerate(fs):
@@ -203,24 +149,19 @@ def sample_chi_gram(
 # -- finite-N central limit diagnostics --------------------------------------
 
 
-def _mode_amplitudes(
-    f: TestFunction, grid: MomentumGrid, rho: ModeDensity
-) -> np.ndarray:
+def _mode_amplitudes(f: TestFunction, rho: ModeDensity) -> np.ndarray:
     """z_j = (2R)^{d/2} sqrt(2 rho(k_j)) fhat(k_j): the per-mode complex
     amplitude whose phase-rotated real part is the CLT summand."""
-    if f.grid != grid or rho.grid != grid:
-        raise GridMismatchError("inputs must share the supplied grid")
+    grid = same_grid(f, rho)
     return (2.0 * grid.R) ** (grid.d / 2.0) * np.sqrt(2.0 * rho.values) * f.values
 
 
 def clt_sample(
     f: TestFunction,
-    grid: MomentumGrid,
     rho: ModeDensity,
     mu: PhaseMeasure,
     n_draws: int,
     rng: np.random.Generator,
-    chunk: int = 512,
 ) -> np.ndarray:
     """Independent draws of N^{-d/2} sum_j xi_j with
     xi_j = Re e^{-i theta_j} z_j and theta_j i.i.d. from mu.
@@ -229,12 +170,13 @@ def clt_sample(
     """
     if not admissible(mu):
         raise InadmissibleMeasureError("mu_hat(1) must vanish for the CLT limit")
-    z = _mode_amplitudes(f, grid, rho)
+    z = _mode_amplitudes(f, rho)
+    grid = f.grid
     scale = grid.N ** (-grid.d / 2.0)
     out = np.empty(n_draws)
     done = 0
     while done < n_draws:
-        m = min(chunk, n_draws - done)
+        m = min(CLT_CHUNK, n_draws - done)
         theta = sample_phase(mu, rng, size=(m, grid.n_cells))
         out[done : done + m] = scale * np.sum(
             np.real(np.exp(-1j * theta) * z[None, :]), axis=1
@@ -245,7 +187,6 @@ def clt_sample(
 
 def lyapounov_ratio(
     f: TestFunction,
-    grid: MomentumGrid,
     rho: ModeDensity,
     mu: PhaseMeasure,
     delta: float,
@@ -254,7 +195,7 @@ def lyapounov_ratio(
     quadrature; decays like N^{-d delta / 2} for smooth data."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    z = _mode_amplitudes(f, grid, rho)
+    z = _mode_amplitudes(f, rho)
     active = np.abs(z) > 0
     if not np.any(active):
         raise DegenerateVarianceError("all CLT summands vanish")

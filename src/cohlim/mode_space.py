@@ -152,7 +152,9 @@ class ModeDensity:
         return ModeDensity(grid, vals)
 
 
-def _require_same_grid(*objs) -> MomentumGrid:
+def same_grid(*objs) -> MomentumGrid:
+    """The grid shared by every argument (anything with a `grid`); raises
+    GridMismatchError if any two differ."""
     grid = objs[0].grid
     for o in objs[1:]:
         if o.grid != grid:
@@ -165,7 +167,7 @@ def inner(g: TestFunction, f: TestFunction, weight: Optional[ModeDensity] = None
 
     Conjugate-linear in the first argument.
     """
-    grid = _require_same_grid(g, f) if weight is None else _require_same_grid(g, f, weight)
+    grid = same_grid(g, f) if weight is None else same_grid(g, f, weight)
     w = 1.0 if weight is None else weight.values
     return complex(grid.cell_volume * np.sum(np.conj(g.values) * w * f.values))
 

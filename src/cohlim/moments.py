@@ -11,18 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Sequence
 
 import numpy as np
 
 from cohlim.ito_sampler import CoefficientPair, sample_chi_gram
-from cohlim.mode_space import (
-    GridMismatchError,
-    ModeDensity,
-    TestFunction,
-    inner,
-)
+from cohlim.mode_space import ModeDensity, TestFunction, inner, same_grid
 
 MAX_PAIRING_ORDER = 16  # (15)!! terms already; anything larger is refused
 MIN_ORACLE_SAMPLES = 1000  # fewest draws mc_oracle accepts for its error bar
@@ -62,9 +56,7 @@ def build_q(
     mu2: complex,
 ) -> QMatrix:
     p, q = len(fs), len(gs)
-    for h in list(fs) + list(gs):
-        if h.grid != rho.grid:
-            raise GridMismatchError("all functions must live on the density grid")
+    same_grid(rho, *fs, *gs)
     # rows f_1..f_p, conj g_1..conj g_q: H diag(rho dk) H^T is every block of Q
     # before the mu_hat(2), 1 and conj mu_hat(2) scales
     rows = [f.values for f in fs] + [np.conj(g.values) for g in gs]

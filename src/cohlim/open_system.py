@@ -17,8 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from cohlim.dynamics import Dispersion
-from cohlim.ito_sampler import BrownianSample, CoefficientPair, chi_omega
-from cohlim.mode_space import GridMismatchError, ModeDensity, TestFunction, inner
+from cohlim.mode_space import ModeDensity, TestFunction, inner, same_grid
 
 EPS_MIN = 1e-8  # infrared cutoff: cells with eps below this are excluded
 
@@ -37,8 +36,7 @@ class SystemSpec:
         g = np.asarray(self.couplings, dtype=float)
         if len(e) < 2 or len(e) != len(g):
             raise ValueError("need N >= 2 levels with one coupling eigenvalue each")
-        if self.form_factor.grid != self.dispersion.grid:
-            raise GridMismatchError("form factor and dispersion on different grids")
+        same_grid(self.form_factor, self.dispersion)
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "couplings", g)
 
@@ -49,8 +47,7 @@ class SystemSpec:
 
 def _infrared_cells(g: TestFunction, eps: Dispersion) -> tuple[np.ndarray, np.ndarray]:
     """|ghat|^2 and eps over the cells at or above the infrared cutoff."""
-    if g.grid != eps.grid:
-        raise GridMismatchError("form factor and dispersion on different grids")
+    same_grid(g, eps)
     mask = eps.values >= EPS_MIN
     return np.abs(g.values[mask]) ** 2, eps.values[mask]
 
@@ -117,15 +114,15 @@ def reduced_element(
     l: int,
     t: float,
     rho0_kl: complex,
-    sample: Optional[BrownianSample] = None,
-    coeffs: Optional[CoefficientPair] = None,
+    re_chi: float = 0.0,
 ) -> complex:
     """Exact matrix element rho_{k,l}(t).
 
-    With `sample` (and its coefficient pair) the random phase
-    e^{-i t (g_k - g_l) Re chi(g)} is included; without it the deterministic
-    part alone is returned, which is the per-sample envelope since the random
-    factor is a pure phase.  Diagonal elements are constant in t.
+    `re_chi` is a sampled Re chi(g) of the form factor g (a column of
+    `ito_sampler.sample_chi`), entering through the random phase
+    e^{-i t (g_k - g_l) Re chi(g)}; the default 0 leaves the deterministic
+    part alone, which is the per-sample envelope since the random factor is a
+    pure phase.  Diagonal elements are constant in t.
     """
     e = spec.energies
     g = spec.couplings
@@ -133,15 +130,10 @@ def reduced_element(
         raise IndexError("level index out of range")
     if k == l:
         return complex(rho0_kl)
-    dg = g[k] - g[l]
-    phase = -t * (e[k] - e[l])
+    phase = -t * (e[k] - e[l]) - t * (g[k] - g[l]) * re_chi
     phase += 0.5 * (g[k] ** 2 - g[l] ** 2) * lamb_phase_integral(
         t, spec.form_factor, spec.dispersion
     )
-    if sample is not None:
-        if coeffs is None:
-            raise ValueError("a coefficient pair is required with a Brownian sample")
-        phase += -t * dg * chi_omega(spec.form_factor, coeffs, sample).real
     _, decay = envelopes(spec, k, l, t)
     return complex(rho0_kl) * np.exp(1j * phase) * decay[0]
 

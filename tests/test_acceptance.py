@@ -25,7 +25,6 @@ from cohlim.gns_reps import rep_expectation_averaged
 from cohlim.ito_sampler import (
     build_coefficients,
     clt_sample,
-    draw_brownian,
     random_functional,
     sample_chi,
 )
@@ -69,7 +68,7 @@ def test_criterion_2_clt_ks():
     grid, f, rho = std_setup()
     ok = True
     for seed, mu in ((11, PhaseMeasure.uniform()), (12, PhaseMeasure.opposite_pair())):
-        draws = clt_sample(f, grid, rho, mu, 2000, np.random.default_rng(seed))
+        draws = clt_sample(f, rho, mu, 2000, np.random.default_rng(seed))
         sig = math.sqrt(sigma_mu_sq(f, rho, fourier_moment(mu, 2)))
         ks = stats.kstest(draws, "norm", args=(0.0, sig)).statistic
         ok = ok and ks < 1.95 / math.sqrt(2000)
@@ -232,13 +231,15 @@ def test_criterion_10_state_axioms():
     )
     mu = PhaseMeasure.opposite_pair()
     coeffs = build_coefficients(rho, fourier_moment(mu, 2))
-    sample = draw_brownian(grid, seed=1001)
 
     functionals = {
         "fock": lambda h: fock_functional(h).value,
         "n_mode": lambda h: n_mode_functional(h, modes).value,
         "averaged": lambda h: phase_averaged_functional(h, rho, mu).value,
-        "random": lambda h: random_functional(h, coeffs, sample).value,
+        # one sample omega, fixed by the seed
+        "random": lambda h: random_functional(
+            h, sample_chi([h], coeffs, 1, np.random.default_rng(1001))[0, 0]
+        ).value,
     }
 
     def symplectic(a, b):

@@ -572,6 +572,8 @@ class TestCliContract:
             ("diverge", {"d": 2, "n_list": [8, 16, 32, 64]}, (), "/n_list"),
             ("dynamics", {"t_grid": "0:100:1"}, (), "/t_grid"),
             ("decohere", {}, ("--t-grid", "0:100:1"), "/t_grid"),
+            # 3 x 512 cells: refused before the malformed third function is built
+            ("chi", {"functions": [GAUSS_F, GAUSS_F, {**GAUSS_F, "label": [0]}]}, (), "/functions"),
         ],
     )
     def test_oversized_exits_2(self, tmp_path, capsys, monkeypatch, experiment, changes, flags, pointer):

@@ -152,7 +152,7 @@ class TestPhaseAveraged:
             )
             r = ModeDensity.from_profile(g, lambda k: np.exp(-((k - 1.0) ** 2)))
             limit = phase_averaged_functional(f, r, mu).value
-            disc = discrete_phase_average_functional(f, g, r, mu).value
+            disc = discrete_phase_average_functional(f, r, mu).value
             errs.append(abs(disc - limit))
         # the J0 quartic term contributes O(1/N): each 4x refinement should
         # cut the error by about 4
@@ -160,10 +160,10 @@ class TestPhaseAveraged:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
 
-    def test_discrete_product_allows_inadmissible_measures(self, gauss, grid, rho):
+    def test_discrete_product_allows_inadmissible_measures(self, gauss, rho):
         # the finite-N product is well defined even when the limit diverges
         mu = PhaseMeasure.from_atoms([(0.0, 1.0)])
-        fv = discrete_phase_average_functional(gauss, grid, rho, mu)
+        fv = discrete_phase_average_functional(gauss, rho, mu)
         assert np.isfinite(fv.value.real)
 
 

@@ -19,7 +19,7 @@ from cohlim.gns_reps import (
     rep_expectation_averaged,
     rep_expectation_n_mode,
 )
-from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, norm_sq_momentum
+from cohlim.mode_space import ModeDensity, norm_sq_momentum
 
 from conftest import make_battery
 

@@ -1,0 +1,48 @@
+"""Every name a module under src/cohlim/ or tests/ imports is used in it.
+
+A stdlib `ast` scan: an imported name counts as used when it appears as a
+name anywhere in the module (annotations included) or is listed in
+`__all__`.  It catches the imports a deletion leaves behind.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "cohlim").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def imported_names(tree):
+    """(bound name, line) of every import but `from __future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
+    assert not unused, f"unused imports in {path.name}: {', '.join(unused)}"
+
+
+def test_scan_sees_an_unused_import():
+    tree = ast.parse("import math\nfrom os import path as p, sep\nprint(sep)\n")
+    assert sorted(n for n, _ in imported_names(tree) if n not in used_names(tree)) == ["math", "p"]

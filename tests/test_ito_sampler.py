@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cohlim import ito_sampler
 from cohlim.circle_measure import InadmissibleMeasureError, PhaseMeasure
 from cohlim.functionals import fock_functional, sigma_mu_sq
 from cohlim.ito_sampler import (
     DegenerateVarianceError,
     build_coefficients,
     chi_gram_factor,
-    chi_omega,
     clt_sample,
-    draw_brownian,
-    ito_integral,
     lyapounov_ratio,
     random_functional,
     sample_chi,
@@ -30,24 +28,6 @@ from cohlim.mode_space import (
 from conftest import ito_pair, make_battery
 
 
-class TestBrownian:
-    def test_reproducible(self, grid):
-        a = draw_brownian(grid, seed=42)
-        b = draw_brownian(grid, seed=42)
-        np.testing.assert_array_equal(a.dB1, b.dB1)
-        np.testing.assert_array_equal(a.dB2, b.dB2)
-
-    def test_streams_are_independent_draws(self, grid):
-        a = draw_brownian(grid, seed=42, stream=0)
-        b = draw_brownian(grid, seed=42, stream=1)
-        assert not np.array_equal(a.dB1, b.dB1)
-
-    def test_increment_variance(self):
-        g = MomentumGrid(d=1, R=4.0, N=50_000)
-        s = draw_brownian(g, seed=3)
-        assert np.var(s.dB1) == pytest.approx(g.cell_volume, rel=0.05)
-
-
 class TestIsometry:
     def test_second_moment_matches_norm(self, grid, gauss):
         rng = np.random.default_rng(9)
@@ -55,8 +35,9 @@ class TestIsometry:
         assert est == pytest.approx(norm_sq_momentum(gauss), rel=0.05)
 
     def test_mean_is_zero(self, grid, gauss):
+        # one sample omega per seed
         vals = [
-            ito_integral(gauss, draw_brownian(grid, seed=s).dB1, grid)
+            sample_chi([gauss], ito_pair(grid), 1, np.random.default_rng(s))[0, 0]
             for s in range(2000)
         ]
         m = np.mean(np.real(vals))
@@ -64,15 +45,13 @@ class TestIsometry:
         assert abs(m) < 5 * se
 
     def test_linear_in_integrand(self, grid, gauss):
-        s = draw_brownian(grid, seed=1)
         doubled = gauss.with_values(2.0 * gauss.values)
-        assert ito_integral(doubled, s.dB1, grid) == pytest.approx(
-            2.0 * ito_integral(gauss, s.dB1, grid)
-        )
+        chi = sample_chi([gauss, doubled], ito_pair(grid), 1, np.random.default_rng(1))[0]
+        assert chi[1] == pytest.approx(2.0 * chi[0])
 
-    def test_shape_mismatch_raises(self, grid, gauss):
+    def test_shape_mismatch_raises(self, gauss):
         with pytest.raises(GridMismatchError):
-            ito_integral(gauss, np.zeros(3), grid)
+            sample_chi([gauss], ito_pair(MomentumGrid(d=1, R=4.0, N=3)), 1, np.random.default_rng(0))
 
 
 class TestCoefficients:
@@ -99,17 +78,26 @@ class TestCoefficients:
 class TestChi:
     def test_additive_in_f(self, grid, rho):
         coeffs = build_coefficients(rho, 0.3)
-        s = draw_brownian(grid, seed=8)
         f1, f2 = make_battery(grid, 2)
         both = f1.with_values(f1.values + f2.values)
-        assert chi_omega(both, coeffs, s) == pytest.approx(
-            chi_omega(f1, coeffs, s) + chi_omega(f2, coeffs, s)
-        )
+        chi = sample_chi([f1, f2, both], coeffs, 1, np.random.default_rng(8))[0]
+        assert chi[2] == pytest.approx(chi[0] + chi[1])
 
-    def test_batch_matches_single(self, grid, rho, gauss):
+    def test_seed_fixes_the_sample(self, grid, rho):
+        # one draw's increments depend on the seed and the grid, not on the
+        # battery; only the BLAS summation order changes with its width
+        coeffs = build_coefficients(rho, 0.3 + 0.2j)
+        f1, f2 = make_battery(grid, 2)
+        for seed in (0, 8, 1001):
+            alone = sample_chi([f1], coeffs, 1, np.random.default_rng(seed))[0, 0]
+            paired = sample_chi([f2, f1], coeffs, 1, np.random.default_rng(seed))[0, 1]
+            assert abs(paired - alone) <= 1e-12 * abs(alone)
+
+    def test_batch_matches_single(self, grid, rho, gauss, monkeypatch):
         coeffs = build_coefficients(rho, 0.2 + 0.1j)
+        monkeypatch.setattr(ito_sampler, "CHI_CHUNK", 2)
         rng = np.random.default_rng(4)
-        batch = sample_chi([gauss], coeffs, 3, rng, chunk=2)
+        batch = sample_chi([gauss], coeffs, 3, rng)
         # same stream replayed by hand
         rng2 = np.random.default_rng(4)
         scale = math.sqrt(grid.cell_volume)
@@ -221,8 +209,8 @@ class TestGramSampler:
 class TestRandomFunctional:
     def test_modulus_is_fock(self, grid, rho, gauss):
         coeffs = build_coefficients(rho, 0.0)
-        s = draw_brownian(grid, seed=21)
-        fv = random_functional(gauss, coeffs, s)
+        chi = sample_chi([gauss], coeffs, 1, np.random.default_rng(21))[0, 0]
+        fv = random_functional(gauss, chi)
         assert fv.modulus == pytest.approx(fock_functional(gauss).modulus)
 
     def test_mean_recovers_averaged_value(self, fine_grid):
@@ -247,15 +235,15 @@ class TestCentralLimit:
         )
         rho = ModeDensity.from_profile(fine_grid, lambda k: np.exp(-((k - 1.0) ** 2)))
         mu = PhaseMeasure.uniform()
-        draws = clt_sample(f, fine_grid, rho, mu, 2000, np.random.default_rng(11))
+        draws = clt_sample(f, rho, mu, 2000, np.random.default_rng(11))
         sig = math.sqrt(sigma_mu_sq(f, rho, 0.0))
         ks = stats.kstest(draws, "norm", args=(0.0, sig)).statistic
         assert ks < 1.95 / math.sqrt(2000)
 
-    def test_inadmissible_measure_rejected(self, grid, rho, gauss):
+    def test_inadmissible_measure_rejected(self, rho, gauss):
         mu = PhaseMeasure.from_atoms([(0.0, 1.0)])
         with pytest.raises(InadmissibleMeasureError):
-            clt_sample(gauss, grid, rho, mu, 10, np.random.default_rng(0))
+            clt_sample(gauss, rho, mu, 10, np.random.default_rng(0))
 
     def test_lyapounov_ratio_decays(self):
         ratios = []
@@ -263,7 +251,7 @@ class TestCentralLimit:
             g = MomentumGrid(d=1, R=4.0, N=n)
             f = TestFunction.from_profile(g, lambda k: np.exp(-(k ** 2) / 2.0))
             rho = ModeDensity.from_profile(g, lambda k: np.exp(-(k ** 2)))
-            ratios.append(lyapounov_ratio(f, g, rho, PhaseMeasure.uniform(), 1.0))
+            ratios.append(lyapounov_ratio(f, rho, PhaseMeasure.uniform(), 1.0))
         # ~ N^{-1/2}: each 4x refinement should halve the ratio
         assert ratios[1] == pytest.approx(ratios[0] / 2, rel=0.1)
         assert ratios[2] == pytest.approx(ratios[1] / 2, rel=0.1)
@@ -272,8 +260,8 @@ class TestCentralLimit:
         f = TestFunction(grid, np.zeros(grid.n_cells))
         rho = ModeDensity(grid, np.ones(grid.n_cells))
         with pytest.raises(DegenerateVarianceError):
-            lyapounov_ratio(f, grid, rho, PhaseMeasure.uniform(), 1.0)
+            lyapounov_ratio(f, rho, PhaseMeasure.uniform(), 1.0)
 
-    def test_delta_must_be_positive(self, grid, rho, gauss):
+    def test_delta_must_be_positive(self, rho, gauss):
         with pytest.raises(ValueError):
-            lyapounov_ratio(gauss, grid, rho, PhaseMeasure.uniform(), 0.0)
+            lyapounov_ratio(gauss, rho, PhaseMeasure.uniform(), 0.0)

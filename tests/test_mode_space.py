@@ -1,12 +1,24 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohlim.circle_measure import PhaseMeasure
 from cohlim.config import build_grid
+from cohlim.dynamics import Dispersion, evolve, sigma_t
+from cohlim.functionals import discrete_phase_average_functional, sigma_mu_sq
+from cohlim.gns_reps import apply_R, apply_T, build_alpha_beta
+from cohlim.ito_sampler import (
+    build_coefficients,
+    chi_gram_factor,
+    clt_sample,
+    lyapounov_ratio,
+    sample_chi,
+)
 from cohlim.mode_space import (
     GridMismatchError,
     ModeDensity,
@@ -15,7 +27,10 @@ from cohlim.mode_space import (
     finite_volume_coefficients,
     inner,
     norm_sq_momentum,
+    same_grid,
 )
+from cohlim.moments import build_q
+from cohlim.open_system import SystemSpec, gamma, gamma_plateau, lamb_phase_integral
 
 
 class TestMomentumGrid:
@@ -176,3 +191,48 @@ class TestFiniteVolumeCoefficients:
 
 def test_norm_sq_momentum_matches_inner(gauss):
     assert norm_sq_momentum(gauss) == pytest.approx(inner(gauss, gauss).real)
+
+
+def _inputs(grid):
+    """One of each grid-carrying input on `grid`."""
+    rho = ModeDensity.from_profile(grid, lambda k: np.exp(-((k - 1.0) ** 2)))
+    return SimpleNamespace(
+        f=TestFunction.from_profile(grid, lambda k: np.exp(-(k ** 2) / 2.0)),
+        rho=rho,
+        eps=Dispersion.photon(grid),
+        coeffs=build_coefficients(rho, 0.3),
+        squeeze=build_alpha_beta(rho, 0.3),
+    )
+
+
+GRID_TAKING = {
+    "same_grid": lambda a, b: same_grid(a.f, a.rho, b.eps),
+    "inner": lambda a, b: inner(a.f, b.f),
+    "inner_weight": lambda a, b: inner(a.f, a.f, b.rho),
+    "sigma_mu_sq": lambda a, b: sigma_mu_sq(a.f, b.rho, 0.3),
+    "discrete_phase_average_functional": lambda a, b: discrete_phase_average_functional(
+        a.f, b.rho, PhaseMeasure.uniform()
+    ),
+    "evolve": lambda a, b: evolve(a.f, b.eps, 1.0),
+    "sigma_t": lambda a, b: sigma_t([a.f], a.rho, 0.3, b.eps, 1.0),
+    "SystemSpec": lambda a, b: SystemSpec(np.array([0.0, 1.0]), np.array([0.0, 1.0]), a.f, b.eps),
+    "gamma": lambda a, b: gamma(1.0, a.f, b.eps),
+    "lamb_phase_integral": lambda a, b: lamb_phase_integral(1.0, a.f, b.eps),
+    "gamma_plateau": lambda a, b: gamma_plateau(a.f, b.eps),
+    "sample_chi": lambda a, b: sample_chi([a.f], b.coeffs, 2, np.random.default_rng(0)),
+    "chi_gram_factor": lambda a, b: chi_gram_factor([a.f, b.f], a.coeffs),
+    "clt_sample": lambda a, b: clt_sample(a.f, b.rho, PhaseMeasure.uniform(), 2, np.random.default_rng(0)),
+    "lyapounov_ratio": lambda a, b: lyapounov_ratio(a.f, b.rho, PhaseMeasure.uniform(), 1.0),
+    "build_q": lambda a, b: build_q([a.f], [b.f], a.rho, 0.3),
+    "apply_R": lambda a, b: apply_R(a.f, a.rho, b.squeeze),
+    "apply_T": lambda a, b: apply_T(a.f, b.rho, a.squeeze),
+}
+
+
+@pytest.mark.parametrize("name", GRID_TAKING)
+def test_grid_taking_function_refuses_another_grid(grid, name):
+    # same N, different R: the cell counts agree, so only the grid check can refuse
+    other = MomentumGrid(d=grid.d, R=grid.R + 1.0, N=grid.N)
+    a, b = _inputs(grid), _inputs(other)
+    with pytest.raises(GridMismatchError):
+        GRID_TAKING[name](a, b)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cohlim.ito_sampler import build_coefficients
-from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, inner
+from cohlim.mode_space import inner
 from cohlim.moments import (
     QMatrix,
     anti_normal_two_point,

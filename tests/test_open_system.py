@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cohlim.dynamics import Dispersion
-from cohlim.ito_sampler import build_coefficients, draw_brownian, chi_omega
+from cohlim.ito_sampler import build_coefficients, sample_chi
 from cohlim.mode_space import GridMismatchError, ModeDensity, MomentumGrid, TestFunction, inner
 from cohlim.open_system import (
     EPS_MIN,
@@ -113,22 +113,17 @@ class TestReducedElement:
         )
         assert abs(val) == pytest.approx(abs(0.5 + 0.1j) * env)
 
-    def test_random_phase_preserves_modulus(self, system, grid, rho):
+    def test_random_phase_preserves_modulus(self, system, rho):
         coeffs = build_coefficients(rho, 0.0)
-        s = draw_brownian(grid, seed=5)
-        with_noise = reduced_element(system, 0, 1, 2.0, 1.0, sample=s, coeffs=coeffs)
+        re_chi = sample_chi([system.form_factor], coeffs, 1, np.random.default_rng(5))[0, 0].real
+        with_noise = reduced_element(system, 0, 1, 2.0, 1.0, re_chi)
         without = reduced_element(system, 0, 1, 2.0, 1.0)
         assert abs(with_noise) == pytest.approx(abs(without))
         dg = system.couplings[0] - system.couplings[1]
-        expect_extra = -2.0 * dg * chi_omega(system.form_factor, coeffs, s).real
+        expect_extra = -2.0 * dg * re_chi
         assert np.angle(with_noise / without) == pytest.approx(
             math.atan2(math.sin(expect_extra), math.cos(expect_extra)), abs=1e-10
         )
-
-    def test_sample_requires_coefficients(self, system, grid):
-        s = draw_brownian(grid, seed=5)
-        with pytest.raises(ValueError):
-            reduced_element(system, 0, 1, 1.0, 1.0, sample=s)
 
     def test_index_bounds(self, system):
         with pytest.raises(IndexError):
