@@ -113,11 +113,9 @@ def check_mu2(mu2: complex) -> None:
         raise ValueError(f"|mu_hat(2)| must be <= 1, got {abs(mu2)}")
 
 
-def admissible(mu: PhaseMeasure, tol: float = 1e-9) -> bool:
-    """True iff |mu_hat(1)| <= tol."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return abs(fourier_moment(mu, 1)) <= tol
+def admissible(mu: PhaseMeasure) -> bool:
+    """True iff |mu_hat(1)| <= 1e-9."""
+    return abs(fourier_moment(mu, 1)) <= 1e-9
 
 
 def sample_phase(mu: PhaseMeasure, rng: np.random.Generator, size=None) -> np.ndarray:

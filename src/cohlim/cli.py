@@ -28,6 +28,7 @@ from cohlim.circle_measure import admissible, check_mu2, fourier_moment
 from cohlim.config import ConfigError
 from cohlim.dynamics import sigma_t, uniformization_curve
 from cohlim.functionals import (
+    DIVERGENCE_FLOOR,
     CoherentModeSet,
     bessel_j0,
     divergence_diagnostic,
@@ -253,8 +254,11 @@ def run_clt(run):
     mu = run.admissible_measure()
     f = run.battery[0]
     m = run.samples(2000)
-    draws = clt_sample(f, run.density, mu, m, run.rng("phases"))
     sigma = math.sqrt(sigma_mu_sq(f, run.density, fourier_moment(mu, 2)))
+    if sigma == 0:
+        # the limit law N(0, 0) is a point mass, and no KS distance to it is defined
+        raise ConfigError("/functions/0", "sigma_mu(f) = 0: the limit law is degenerate")
+    draws = clt_sample(f, run.density, mu, m, run.rng("phases"))
     ks = float(stats.kstest(draws, "norm", args=(0.0, sigma)).statistic)
     tol = run.tol("ks", 1.95 / math.sqrt(m))
     run.write_csv("clt_draws.csv", ["draw"], [[x] for x in draws])
@@ -427,15 +431,16 @@ def run_diverge(run):
     fit = divergence_diagnostic(
         lambda pts: f_form(radius(pts)),
         lambda pts: np.abs(rho_form(radius(pts))),
-        lambda k: np.zeros(np.shape(k)[0] if d > 1 else np.shape(k)),
         n_list, R, d,
     )
     values = {
-        "slope": fit.slope,
+        "slope": fit.slope if fit.conclusive else None,
         "expected": d / 2.0,
         "conclusive": fit.conclusive,
         "magnitudes": list(map(float, fit.magnitudes)),
     }
+    # recorded on every run, so that a fit with no slope (all |S(N)| below the floor) fails
+    run.check("conclusive", float(fit.magnitudes.max()), DIVERGENCE_FLOOR, fit.conclusive)
     tol = run.tol("slope")
     if fit.conclusive and tol is not None:
         run.check("slope", fit.slope, tol, abs(fit.slope - d / 2.0) <= tol)

@@ -104,9 +104,9 @@ def config_digest(cfg: dict) -> str:
 # -- descriptor builders -----------------------------------------------------
 
 
-def build_grid(obj: dict, pointer: str = "/grid") -> MomentumGrid:
-    _require_object(obj, pointer)
-    with reading(pointer):
+def build_grid(obj: dict) -> MomentumGrid:
+    _require_object(obj, "/grid")
+    with reading("/grid"):
         grid = MomentumGrid(number(obj["d"], int), number(obj["R"]), number(obj["N"], int))
         check_cells(grid.n_cells)
         return grid
@@ -118,9 +118,9 @@ def check_cells(n_cells: int) -> None:
         raise ValueError(f"{n_cells} grid cells exceed the cap of {MAX_CELLS}")
 
 
-def build_measure(obj: dict, pointer: str = "/measure") -> PhaseMeasure:
-    _require_object(obj, pointer)
-    with reading(pointer):
+def build_measure(obj: dict) -> PhaseMeasure:
+    _require_object(obj, "/measure")
+    with reading("/measure"):
         kind = obj["kind"]
         if kind == "atoms":
             return PhaseMeasure.from_atoms([numbers(pair) for pair in obj["atoms"]])
@@ -187,30 +187,30 @@ def build_test_function(obj: dict, grid: MomentumGrid, pointer: str = "/function
         return TestFunction.from_profile(grid, _closed_form(obj, pointer, grid.d), label=label)
 
 
-def build_density(obj: dict, grid: MomentumGrid, pointer: str = "/density") -> ModeDensity:
-    _require_object(obj, pointer)
-    with reading(pointer):
+def build_density(obj: dict, grid: MomentumGrid) -> ModeDensity:
+    _require_object(obj, "/density")
+    with reading("/density"):
         if "values_file" in obj:
-            return ModeDensity(grid, read_value_file(obj["values_file"], pointer).real)
-        return ModeDensity(grid, np.asarray(_closed_form(obj, pointer, grid.d)(grid.axis)).real)
+            return ModeDensity(grid, read_value_file(obj["values_file"], "/density").real)
+        return ModeDensity(grid, np.asarray(_closed_form(obj, "/density", grid.d)(grid.axis)).real)
 
 
-def build_dispersion(obj: dict, grid: MomentumGrid, pointer: str = "/dispersion") -> Dispersion:
+def build_dispersion(obj: dict, grid: MomentumGrid) -> Dispersion:
     form = obj.get("form", "photon") if isinstance(obj, dict) else obj
     if form == "photon":
         return Dispersion.photon(grid)
     if form == "quadratic":
         return Dispersion.quadratic(grid)
     if form == "samples":
-        with reading(pointer, f"values must hold one number per cell ({grid.n_cells})"):
+        with reading("/dispersion", f"values must hold one number per cell ({grid.n_cells})"):
             return Dispersion(grid, numbers(obj["values"]))
-    raise ConfigError(pointer, f"unknown dispersion form {form!r}")
+    raise ConfigError("/dispersion", f"unknown dispersion form {form!r}")
 
 
-def parse_t_grid(spec: str, pointer: str = "/t_grid") -> np.ndarray:
+def parse_t_grid(spec: str) -> np.ndarray:
     """'start:stop:step' -> time grid from start in steps of step, ending at
     stop when stop lies on the grid and never past it."""
-    with reading(pointer, f"expected start:stop:step, got {spec!r}"):
+    with reading("/t_grid", f"expected start:stop:step, got {spec!r}"):
         start, stop, step = (float(x) for x in str(spec).split(":"))
         if not (0 < step < math.inf and start <= stop and math.isfinite(stop - start)):
             raise ValueError("need a finite step > 0 and finite start <= stop")
@@ -221,9 +221,9 @@ def parse_t_grid(spec: str, pointer: str = "/t_grid") -> np.ndarray:
         return start + step * np.arange(int(n) + 1)
 
 
-def parse_orders(spec: str, pointer: str = "/pq") -> tuple:
+def parse_orders(spec: str) -> tuple:
     """'p,q' -> the moment orders (p, q), both >= 0."""
-    with reading(pointer, f"expected orders p,q >= 0, got {spec!r}"):
+    with reading("/pq", f"expected orders p,q >= 0, got {spec!r}"):
         p, q = (int(x) for x in str(spec).split(","))
         if p < 0 or q < 0:
             raise ValueError("orders must be >= 0")

@@ -26,7 +26,6 @@ class Dispersion:
     grid: MomentumGrid
     values: np.ndarray
     profile: Optional[Callable] = field(default=None, compare=False)
-    form: str = "custom"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -38,8 +37,7 @@ class Dispersion:
     def photon(grid: MomentumGrid) -> "Dispersion":
         """epsilon(k) = |k| on the cell centers, exactly."""
         return Dispersion(
-            grid, grid.radii(), profile=lambda k: np.linalg.norm(np.atleast_2d(k), axis=-1),
-            form="photon",
+            grid, grid.radii(), profile=lambda k: np.linalg.norm(np.atleast_2d(k), axis=-1)
         )
 
     @staticmethod
@@ -48,7 +46,6 @@ class Dispersion:
             grid,
             grid.radii() ** 2,
             profile=lambda k: np.linalg.norm(np.atleast_2d(k), axis=-1) ** 2,
-            form="quadratic",
         )
 
     def at(self, k) -> np.ndarray:

@@ -33,6 +33,9 @@ from cohlim.mode_space import (
 )
 
 CIRCLE_NODES = 256
+BOX_NODES = 16384  # midpoint nodes of the finite-box Fourier coefficients
+RAREFIED_NODES = 8192  # midpoint nodes of the rarefied-limit integral over [a, b]
+DIVERGENCE_FLOOR = 1e-12  # mode sums all below this give an inconclusive fit
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,6 @@ def finite_volume_functional(
     fhat: TestFunction,
     L: float,
     modes: CoherentModeSet,
-    quad_points: int = 4096,
 ) -> FunctionalValue:
     """Finite-box value with each requested mode snapped to the nearest
     lattice momentum 2*pi*n/L.
@@ -141,7 +143,7 @@ def finite_volume_functional(
         return fock
     d = modes.modes[0].k.shape[0]
     lattice = np.rint(modes.momenta() * L / TWO_PI).astype(int)
-    coeffs = finite_volume_coefficients(f_position, L, lattice, d=d, quad_points=quad_points)
+    coeffs = finite_volume_coefficients(f_position, L, lattice, d=d, quad_points=BOX_NODES)
     # conj(alpha_j) * fhat_{k'} = sqrt(rho_j) e^{-i theta_j} * L^{d/2} fhat_{k'}
     amp = np.sqrt(modes.rhos()) * np.exp(-1j * modes.thetas()) * L ** (d / 2.0)
     phase = math.sqrt(2.0) * float(np.sum(np.real(amp * coeffs)))
@@ -162,12 +164,12 @@ def sigma_mu_sq(f: TestFunction, rho: ModeDensity, mu2: complex) -> float:
 
 
 def phase_averaged_functional(
-    f: TestFunction, rho: ModeDensity, mu: PhaseMeasure, tol: float = 1e-9
+    f: TestFunction, rho: ModeDensity, mu: PhaseMeasure
 ) -> FunctionalValue:
     """Continuous-mode limit of the phase-mixed functional:
     Fock value times exp(-sigma_mu(f)^2 / 2).  Requires mu_hat(1) = 0.
     """
-    if not admissible(mu, tol):
+    if not admissible(mu):
         raise InadmissibleMeasureError(
             f"mu_hat(1) = {fourier_moment(mu, 1):.3g} is nonzero: "
             "the continuous mode limit diverges"
@@ -282,27 +284,24 @@ class DivergenceFit:
     """Log-log fit of the deterministic phase sum against N."""
 
     slope: float
-    intercept: float
     magnitudes: np.ndarray
-    n_values: np.ndarray
     conclusive: bool
 
 
 def divergence_diagnostic(
     f_profile: Callable,
     rho_profile: Callable,
-    theta_fn: Callable,
     n_list: Sequence[int],
     R: float,
     d: int = 1,
 ) -> DivergenceFit:
-    """Growth exponent of the fixed-phase mode sum
+    """Growth exponent of the mode sum with every phase fixed at 0
 
-        S(N) = (2R/N)^{d/2} sum_j e^{-i theta(k_j)} sqrt(2 rho(k_j)) fhat(k_j)
+        S(N) = (2R/N)^{d/2} sum_j sqrt(2 rho(k_j)) fhat(k_j)
 
     as N grows; for generic smooth positive data |S(N)| ~ N^{d/2}.  Returns
-    an inconclusive fit if the sums all vanish (e.g. rho = 0 or fhat
-    orthogonal to the phase profile).
+    an inconclusive fit, slope NaN, if every |S(N)| is below
+    DIVERGENCE_FLOOR (e.g. rho = 0, or an odd fhat against an even rho).
     """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 4:
@@ -313,17 +312,13 @@ def divergence_diagnostic(
         pts = grid.points() if d > 1 else grid.points()[:, 0]
         rho_v = np.asarray(rho_profile(pts), dtype=float)
         f_v = np.asarray(f_profile(pts), dtype=complex)
-        th_v = np.asarray(theta_fn(pts), dtype=float)
-        s = (2.0 * R / n) ** (d / 2.0) * np.sum(
-            np.exp(-1j * th_v) * np.sqrt(2.0 * rho_v) * f_v
-        )
+        s = (2.0 * R / n) ** (d / 2.0) * np.sum(np.sqrt(2.0 * rho_v) * f_v)
         mags.append(abs(s))
     mags = np.array(mags)
-    n_arr = np.array(n_list, dtype=float)
-    if np.all(mags < 1e-12):
-        return DivergenceFit(float("nan"), float("nan"), mags, n_arr, False)
-    slope, intercept = np.polyfit(np.log(n_arr), np.log(mags), 1)
-    return DivergenceFit(float(slope), float(intercept), mags, n_arr, True)
+    if np.all(mags < DIVERGENCE_FLOOR):
+        return DivergenceFit(float("nan"), mags, False)
+    slope = np.polyfit(np.log(np.array(n_list, dtype=float)), np.log(mags), 1)[0]
+    return DivergenceFit(float(slope), mags, True)
 
 
 def rarefied_functional(
@@ -332,7 +327,6 @@ def rarefied_functional(
     sigma: float,
     a: float,
     b: float,
-    quad_points: int = 8192,
 ) -> FunctionalValue:
     """Zero-density limit state populated on a sqrt(L)-spaced subset of modes
     in [a, b]:
@@ -346,8 +340,8 @@ def rarefied_functional(
     if g.grid.d != 1:
         raise ValueError("rarefied limit is implemented for d = 1")
     fock = fock_functional(g)
-    h = (b - a) / quad_points
-    ks = a + h * (np.arange(quad_points) + 0.5)
+    h = (b - a) / RAREFIED_NODES
+    ks = a + h * (np.arange(RAREFIED_NODES) + 0.5)
     integrand = np.conj(alpha_profile(ks)) * g.evaluate_at(ks[:, None])
     phase = math.sqrt(2.0) * sigma * float(np.real(h * np.sum(integrand)))
     return FunctionalValue(fock.value * np.exp(1j * phase), fock.fock_exponent, phase=phase)

@@ -42,7 +42,6 @@ class SqueezeCoefficients:
     grid: object
     alpha: np.ndarray
     beta: np.ndarray
-    mu2: complex
 
 
 def build_alpha_beta(rho: ModeDensity, mu2: complex) -> SqueezeCoefficients:
@@ -59,7 +58,7 @@ def build_alpha_beta(rho: ModeDensity, mu2: complex) -> SqueezeCoefficients:
         beta = np.zeros_like(alpha, dtype=complex)
     else:
         beta = np.conj(mu2) / (2.0 * abs(mu2)) * (sp - sm)
-    return SqueezeCoefficients(rho.grid, alpha, beta, mu2)
+    return SqueezeCoefficients(rho.grid, alpha, beta)
 
 
 def apply_R(f: TestFunction, rho: ModeDensity, coeffs: SqueezeCoefficients) -> TestFunction:

@@ -50,7 +50,6 @@ class CoefficientPair:
     grid: MomentumGrid
     S1: np.ndarray
     S2: np.ndarray
-    mu2: complex
 
 
 def build_coefficients(rho: ModeDensity, mu2: complex) -> CoefficientPair:
@@ -61,11 +60,11 @@ def build_coefficients(rho: ModeDensity, mu2: complex) -> CoefficientPair:
     check_mu2(mu2)
     sqrho = np.sqrt(rho.values)
     if 1.0 + mu2.real <= BRANCH_MARGIN:
-        return CoefficientPair(rho.grid, 1j * sqrho, sqrho.astype(complex), mu2)
+        return CoefficientPair(rho.grid, 1j * sqrho, sqrho.astype(complex))
     base = sqrho / math.sqrt(1.0 + mu2.real)
     s1 = base * (1.0 + mu2)
     s2 = base * math.sqrt(max(0.0, 1.0 - abs(mu2) ** 2))
-    return CoefficientPair(rho.grid, s1, s2.astype(complex), mu2)
+    return CoefficientPair(rho.grid, s1, s2.astype(complex))
 
 
 def random_functional(f: TestFunction, chi: complex) -> FunctionalValue:

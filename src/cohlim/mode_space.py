@@ -123,8 +123,8 @@ class TestFunction:
             return np.asarray(self.profile(pts), dtype=complex).reshape(len(pts))
         return self.values[self.grid.nearest_index(pts)]
 
-    def with_values(self, values: np.ndarray, label: str = "") -> "TestFunction":
-        return TestFunction(self.grid, values, label=label or self.label)
+    def with_values(self, values: np.ndarray) -> "TestFunction":
+        return TestFunction(self.grid, values, label=self.label)
 
 
 @dataclass(frozen=True)

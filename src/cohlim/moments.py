@@ -31,22 +31,19 @@ class QMatrix:
     C_ij = <g_i | rho f_j>.
     """
 
-    p: int
-    q: int
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        n = self.p + self.q
-        if m.shape != (n, n):
-            raise ValueError(f"expected shape ({n},{n}), got {m.shape}")
-        if n and np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if m.size and np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
             raise ValueError("Q must be symmetric")
         object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:
-        return self.p + self.q
+        return self.matrix.shape[0]
 
 
 def build_q(
@@ -66,7 +63,7 @@ def build_q(
     Q[p:, p:] *= np.conj(mu2)
     # enforce exact symmetry against quadrature round-off
     Q = 0.5 * (Q + Q.T)
-    return QMatrix(p, q, Q)
+    return QMatrix(Q)
 
 
 def _matching_sum(m: np.ndarray, indices: list) -> complex:
@@ -140,7 +137,6 @@ def generating_fn(Q: QMatrix, t: np.ndarray) -> complex:
 class MomentEstimate:
     value: complex
     stderr: float
-    n_samples: int
 
     def z_score(self, target: complex) -> float:
         if self.stderr == 0:
@@ -158,7 +154,7 @@ def product_moment(chis: np.ndarray, p: int, q: int) -> MomentEstimate:
             f"need at least {MIN_ORACLE_SAMPLES} samples for a stable error bar"
         )
     if p + q == 0:
-        return MomentEstimate(1.0 + 0.0j, 0.0, n_samples)
+        return MomentEstimate(1.0 + 0.0j, 0.0)
     prod = np.ones(n_samples, dtype=complex)
     for i in range(p):
         prod *= chis[:, i]
@@ -171,7 +167,7 @@ def product_moment(chis: np.ndarray, p: int, q: int) -> MomentEstimate:
     var_jack = (n_samples - 1) / n_samples * np.sum(
         dev.real ** 2 + dev.imag ** 2
     )
-    return MomentEstimate(mean, math.sqrt(var_jack), n_samples)
+    return MomentEstimate(mean, math.sqrt(var_jack))
 
 
 def mc_oracle(
@@ -185,13 +181,3 @@ def mc_oracle(
     Arbitrates every closed-form normalization in this module."""
     chis = sample_chi_gram(list(fs) + list(gs), coeffs, n_samples, rng)
     return product_moment(chis, len(fs), len(gs))
-
-
-def anti_normal_two_point(
-    f: TestFunction, g: TestFunction, rho: ModeDensity
-) -> complex:
-    """<g | (rho + 1) f>: the normal-ordered two-point value plus the CCR
-    commutator <g|f> taken in the position-space normalization, i.e.
-    (2 pi)^{-d} times the momentum inner product."""
-    d = f.grid.d
-    return inner(g, f, rho) + (2.0 * np.pi) ** (-d) * inner(g, f)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +20,10 @@ from cohlim.dynamics import Dispersion
 from cohlim.mode_space import ModeDensity, TestFunction, inner, same_grid
 
 EPS_MIN = 1e-8  # infrared cutoff: cells with eps below this are excluded
+GAMMA_RADIAL_NODES = 400_000  # midpoint nodes of gamma_radial over [0, r_max]
+PLATEAU_NODES = 200_000  # midpoint nodes of each plateau_radial partial integral
+PLATEAU_CUTOFFS = (1e-5, 1e-6)  # infrared cutoffs of the last plateau_radial decade
+PLATEAU_GROWTH_TOL = 0.02  # relative growth over that decade that flags a divergence
 
 
 @dataclass(frozen=True)
@@ -60,21 +64,17 @@ def gamma(t: float, g: TestFunction, eps: Dispersion) -> float:
 
 
 def gamma_radial(
-    t: float,
-    angular_l2: Callable[[np.ndarray], np.ndarray],
-    r_max: float,
-    n_points: int = 200_000,
-    r_min: float = 0.0,
+    t: float, angular_l2: Callable[[np.ndarray], np.ndarray], r_max: float
 ) -> float:
     """Gamma(t) for d = 3 and eps(k) = |k| by radial quadrature:
 
-        2 int_rmin^rmax r^2 A(r) sin^2(r t / 2) / r^2 dr,
+        2 int_0^rmax r^2 A(r) sin^2(r t / 2) / r^2 dr,
 
     where A(r) = int_{S^2} |g(r, Sigma)|^2 dSigma.  Needed when the form
     factor behaves like r^{-1} near 0 and is not grid-resolvable.
     """
-    h = (r_max - r_min) / n_points
-    r = r_min + h * (np.arange(n_points) + 0.5)
+    h = r_max / GAMMA_RADIAL_NODES
+    r = h * (np.arange(GAMMA_RADIAL_NODES) + 0.5)
     integrand = angular_l2(r) * np.sin(r * t / 2.0) ** 2
     return float(2.0 * h * np.sum(integrand))
 
@@ -158,7 +158,6 @@ def averaged_offdiagonal(
 class PlateauResult:
     value: float
     divergent: bool
-    partials: np.ndarray
 
 
 def gamma_plateau(g: TestFunction, eps: Dispersion) -> float:
@@ -168,27 +167,20 @@ def gamma_plateau(g: TestFunction, eps: Dispersion) -> float:
 
 
 def plateau_radial(
-    angular_l2: Callable[[np.ndarray], np.ndarray],
-    r_max: float,
-    n_points: int = 200_000,
-    cutoffs: Optional[np.ndarray] = None,
-    growth_tol: float = 0.02,
+    angular_l2: Callable[[np.ndarray], np.ndarray], r_max: float
 ) -> PlateauResult:
-    """|g/eps|^2 = int r^2 A(r) / r^2 dr with a shrinking infrared cutoff.
+    """|g/eps|^2 = int r^2 A(r) / r^2 dr above a shrinking infrared cutoff.
 
-    The integral is evaluated at each cutoff; if the partial sums keep
-    growing by more than `growth_tol` relative per cutoff decade, the
-    infrared exponent is too singular and the plateau is flagged divergent
-    (consistent with linear Gamma growth).
+    The integral is evaluated at each of PLATEAU_CUTOFFS; if it still grows
+    by more than PLATEAU_GROWTH_TOL relative as the cutoff shrinks from the
+    first to the second, the infrared exponent is too singular and the
+    plateau is flagged divergent (consistent with linear Gamma growth).
     """
-    if cutoffs is None:
-        cutoffs = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     partials = []
-    for r_min in cutoffs:
-        h = (r_max - r_min) / n_points
-        r = r_min + h * (np.arange(n_points) + 0.5)
+    for r_min in PLATEAU_CUTOFFS:
+        h = (r_max - r_min) / PLATEAU_NODES
+        r = r_min + h * (np.arange(PLATEAU_NODES) + 0.5)
         partials.append(float(h * np.sum(angular_l2(r))))
-    partials = np.array(partials)
-    rel_growth = np.diff(partials) / np.maximum(np.abs(partials[:-1]), 1e-300)
-    divergent = bool(rel_growth[-1] > growth_tol)
-    return PlateauResult(partials[-1], divergent, partials)
+    coarse, fine = partials
+    growth = (fine - coarse) / max(abs(coarse), 1e-300)
+    return PlateauResult(fine, growth > PLATEAU_GROWTH_TOL)

@@ -53,7 +53,7 @@ def ito_pair(grid):
     integral of fhat against one Brownian field, so E|chi(f)|^2 = |f|^2 (the
     pair of rho = 1/2, mu_hat(2) = 1)."""
     n = grid.n_cells
-    return CoefficientPair(grid, np.ones(n, dtype=complex), np.zeros(n, dtype=complex), 1.0)
+    return CoefficientPair(grid, np.ones(n, dtype=complex), np.zeros(n, dtype=complex))
 
 
 # pytest tries to collect the imported TestFunction dataclass as a test class;

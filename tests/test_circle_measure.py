@@ -129,10 +129,6 @@ class TestAdmissible:
     def test_point_mass_not_admissible(self):
         assert not admissible(PhaseMeasure.from_atoms([(0.0, 1.0)]))
 
-    def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            admissible(PhaseMeasure.uniform(), tol=0.0)
-
 
 class TestSampling:
     def test_uniform_range_and_moments(self):

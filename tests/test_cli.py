@@ -112,6 +112,8 @@ CONFIGS = {
     },
 }
 
+# The diverge config with a zero density: every mode sum vanishes.
+DIVERGE_ZERO = {**CONFIGS["diverge"], "density": {"name": "gaussian", "amplitude": 0}}
 
 # Malformed or out-of-range values tried in place of every key of every
 # CONFIGS entry, and of every value nested below one: each run must return,
@@ -384,6 +386,29 @@ class TestCliRuns:
         assert cli.main(["diverge", "--config", cfg, "--out", str(out)]) == 0
         record = read_result(out)
         assert abs(record["values"]["slope"] - 0.5) < 0.05
+        assert [a["name"] for a in record["assertions"]] == ["conclusive", "slope"]
+
+    def test_diverge_inconclusive_fit_fails(self, tmp_path):
+        # a zero density makes every mode sum vanish: no slope, and a failed run
+        cfg = write_cfg(tmp_path, DIVERGE_ZERO)
+        out = tmp_path / "o"
+        assert cli.main(["diverge", "--config", cfg, "--out", str(out)]) == 1
+        record = read_result(out)
+        assert record["values"]["slope"] is None and not record["values"]["conclusive"]
+        assert record["assertions"] == [{"name": "conclusive", "value": 0.0, "tol": 1e-12, "pass": False}]
+        assert json.loads((out / "diverge.json").read_text())["slope"] is None
+
+    def test_results_are_strict_json(self, tmp_path):
+        """No result.json carries NaN or Infinity, which strict JSON refuses."""
+
+        def refuse(constant):
+            raise ValueError(f"non-finite number {constant} in result.json")
+
+        for name, cfg in {**CONFIGS, "diverge-zero": DIVERGE_ZERO}.items():
+            out = tmp_path / name
+            out.mkdir()
+            assert cli.main([cfg["experiment"], "--config", write_cfg(out, cfg), "--out", str(out)]) in (0, 1)
+            json.loads((out / "result.json").read_text(), parse_constant=refuse)
 
     def test_rarefied_convergence_table(self, tmp_path):
         cfg = write_cfg(tmp_path, CONFIGS["rarefied"])
@@ -582,6 +607,15 @@ class TestCliContract:
         monkeypatch.setattr(cfgmod, "MAX_T_POINTS", 50)
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], **changes}, *flags) == 2
         assert f"{pointer}:" in capsys.readouterr().err
+
+    def test_degenerate_clt_limit_exits_2(self, tmp_path, capsys):
+        # real f and mu_hat(2) = -1 give sigma_mu(f) = 0: the limit law is a
+        # point mass, against which no KS distance is defined
+        measure = {"kind": "atoms", "atoms": [[math.pi / 2, 0.5], [3 * math.pi / 2, 0.5]]}
+        cfg = {**CONFIGS["clt"], "measure": measure, "functions": [{"name": "gaussian", "label": "f"}]}
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert "/functions/0:" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "clt_draws.csv").exists()
 
     def test_missing_values_file_exits_2(self, tmp_path, capsys):
         fns = [{"values_file": str(tmp_path / "missing.bin")}]

@@ -24,7 +24,7 @@ from conftest import make_battery
 
 
 class TestDispersion:
-    def test_photon_values(self, grid):
+    def test_photon_samples(self, grid):
         eps = Dispersion.photon(grid)
         np.testing.assert_allclose(eps.values, np.abs(grid.axis))
 

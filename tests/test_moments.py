@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from cohlim.ito_sampler import build_coefficients
 from cohlim.mode_space import inner
 from cohlim.moments import (
     QMatrix,
-    anti_normal_two_point,
     build_q,
     generating_fn,
     mc_oracle,
@@ -57,7 +54,7 @@ class TestQMatrix:
 
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError, match="symmetric"):
-            QMatrix(1, 1, np.array([[0.0, 1.0], [2.0, 0.0]]))
+            QMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
     def test_a_block_vanishes_at_zero_mu2(self, setup):
         fs, gs, rho = setup
@@ -81,14 +78,14 @@ class TestWickMoment:
         # 3 matchings of {0,1,2,3}: (01)(23) + (02)(13) + (03)(12)
         m = np.arange(16, dtype=complex).reshape(4, 4)
         m = 0.5 * (m + m.T)
-        Q = QMatrix(2, 2, m)
+        Q = QMatrix(m)
         expect = m[0, 1] * m[2, 3] + m[0, 2] * m[1, 3] + m[0, 3] * m[1, 2]
         assert wick_moment(Q) == pytest.approx(expect)
 
     def test_order_cap(self):
         n = 18
         with pytest.raises(ValueError, match="cap"):
-            wick_moment(QMatrix(9, 9, np.zeros((n, n))))
+            wick_moment(QMatrix(np.zeros((n, n))))
 
 
 class TestPermanent:
@@ -162,12 +159,3 @@ class TestMcOracle:
         coeffs = build_coefficients(rho, 0.0)
         with pytest.raises(ValueError):
             mc_oracle(fs[:1], gs[:1], coeffs, 10, np.random.default_rng(0))
-
-
-class TestAntiNormal:
-    def test_exceeds_normal_ordering_by_commutator(self, setup):
-        fs, gs, rho = setup
-        f, g = fs[0], gs[0]
-        d = f.grid.d
-        diff = anti_normal_two_point(f, g, rho) - inner(g, f, rho)
-        assert diff == pytest.approx((2 * math.pi) ** (-d) * inner(g, f))
