@@ -29,6 +29,7 @@ from cohlim.config import ConfigError
 from cohlim.dynamics import sigma_t, uniformization_curve
 from cohlim.functionals import (
     DIVERGENCE_FLOOR,
+    MIN_FIT_POINTS,
     CoherentModeSet,
     bessel_j0,
     divergence_diagnostic,
@@ -41,7 +42,7 @@ from cohlim.functionals import (
 )
 from cohlim.gns_reps import rep_expectation_averaged, rep_expectation_n_mode
 from cohlim.ito_sampler import build_coefficients, clt_sample, sample_chi_gram
-from cohlim.moments import MIN_ORACLE_SAMPLES, build_q, mc_oracle, wick_moment
+from cohlim.moments import MAX_PAIRING_ORDER, MIN_ORACLE_SAMPLES, build_q, mc_oracle, wick_moment
 from cohlim.open_system import SystemSpec, envelopes, gaussian_rate
 
 SCHEMA_VERSION = "1"
@@ -303,6 +304,8 @@ def run_chi(run):
 
 def run_moments(run):
     p, q = cfgmod.parse_orders(run.cfg.get("pq", "1,1"))
+    if p + q > MAX_PAIRING_ORDER:
+        raise ConfigError("/pq", f"moment order p+q={p+q} is above the cap {MAX_PAIRING_ORDER}")
     battery = run.battery
     if p + q > len(battery):
         raise ConfigError("/functions", f"need at least p+q={p+q} functions")
@@ -417,8 +420,10 @@ def run_diverge(run):
         raise ConfigError("/d", f"dimension must be 1, 2 or 3, got {d}")
     if R <= 0:
         raise ConfigError("/R", f"half-width must be positive, got {R}")
-    if len(n_list) < 4 or min(n_list) < 2:
-        raise ConfigError("/n_list", f"need at least 4 grid sizes, each >= 2, got {n_list}")
+    if len(n_list) < MIN_FIT_POINTS or min(n_list) < 2:
+        raise ConfigError(
+            "/n_list", f"need at least {MIN_FIT_POINTS} grid sizes, each >= 2, got {n_list}"
+        )
     with cfgmod.reading("/n_list"):
         cfgmod.check_cells(max(n_list) ** d)
     f_form = run.closed_form("function")
@@ -439,8 +444,10 @@ def run_diverge(run):
         "conclusive": fit.conclusive,
         "magnitudes": list(map(float, fit.magnitudes)),
     }
-    # recorded on every run, so that a fit with no slope (all |S(N)| below the floor) fails
-    run.check("conclusive", float(fit.magnitudes.max()), DIVERGENCE_FLOOR, fit.conclusive)
+    # recorded on every run, so that a fit with no slope fails: the value is the
+    # MIN_FIT_POINTS-th largest |S(N)|, which reaches the floor iff the fit is conclusive
+    fitted = float(np.sort(fit.magnitudes)[-MIN_FIT_POINTS])
+    run.check("conclusive", fitted, DIVERGENCE_FLOOR, fit.conclusive)
     tol = run.tol("slope")
     if fit.conclusive and tol is not None:
         run.check("slope", fit.slope, tol, abs(fit.slope - d / 2.0) <= tol)

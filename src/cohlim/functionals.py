@@ -35,7 +35,8 @@ from cohlim.mode_space import (
 CIRCLE_NODES = 256
 BOX_NODES = 16384  # midpoint nodes of the finite-box Fourier coefficients
 RAREFIED_NODES = 8192  # midpoint nodes of the rarefied-limit integral over [a, b]
-DIVERGENCE_FLOOR = 1e-12  # mode sums all below this give an inconclusive fit
+DIVERGENCE_FLOOR = 1e-12  # mode sums below this are left out of the slope fit
+MIN_FIT_POINTS = 4  # fewest mode sums above DIVERGENCE_FLOOR that a slope fit uses
 
 
 @dataclass(frozen=True)
@@ -299,13 +300,14 @@ def divergence_diagnostic(
 
         S(N) = (2R/N)^{d/2} sum_j sqrt(2 rho(k_j)) fhat(k_j)
 
-    as N grows; for generic smooth positive data |S(N)| ~ N^{d/2}.  Returns
-    an inconclusive fit, slope NaN, if every |S(N)| is below
-    DIVERGENCE_FLOOR (e.g. rho = 0, or an odd fhat against an even rho).
+    as N grows; for generic smooth positive data |S(N)| ~ N^{d/2}.  The fit
+    uses only the N with |S(N)| >= DIVERGENCE_FLOOR; with fewer than 4 of
+    them (e.g. rho = 0, an odd fhat against an even rho, or a narrow fhat
+    that the coarse grids miss) the fit is inconclusive and its slope NaN.
     """
     n_list = sorted(int(n) for n in n_list)
-    if len(n_list) < 4:
-        raise ValueError("need at least 4 grid sizes for a slope fit")
+    if len(n_list) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} grid sizes for a slope fit")
     mags = []
     for n in n_list:
         grid = MomentumGrid(d=d, R=R, N=n)
@@ -315,9 +317,11 @@ def divergence_diagnostic(
         s = (2.0 * R / n) ** (d / 2.0) * np.sum(np.sqrt(2.0 * rho_v) * f_v)
         mags.append(abs(s))
     mags = np.array(mags)
-    if np.all(mags < DIVERGENCE_FLOOR):
+    fitted = mags >= DIVERGENCE_FLOOR
+    if np.count_nonzero(fitted) < MIN_FIT_POINTS:
         return DivergenceFit(float("nan"), mags, False)
-    slope = np.polyfit(np.log(np.array(n_list, dtype=float)), np.log(mags), 1)[0]
+    ns = np.array(n_list, dtype=float)[fitted]
+    slope = np.polyfit(np.log(ns), np.log(mags[fitted]), 1)[0]
     return DivergenceFit(float(slope), mags, True)
 
 

@@ -1,14 +1,17 @@
 """Quasifree moment engine.
 
-Vacuum expectations of normal-ordered creation/annihilation products reduce
-to pairing sums over the block matrix Q built from the two-point data
-(mu_hat(2), rho).  The pairing sum is over perfect matchings of {1..n}; the
-Monte Carlo oracle (products of sampled chi values) is the tie-breaker for
-any normalization question.
+Vacuum expectations of normal-ordered creation/annihilation products are
+Wick/Isserlis pairing sums over the block matrix Q built from the two-point
+data (mu_hat(2), rho), i.e. the hafnian haf(Q).  `wick_moment` computes it
+by the power-trace formula in O(n^3 2^{n/2}) up to order MAX_PAIRING_ORDER
+= 24; `permanent_moment` (Ryser) is the independent mu_hat(2) = 0 check, and
+the Monte Carlo oracle (products of sampled chi values) is the tie-breaker
+for any normalization question.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,7 +21,7 @@ import numpy as np
 from cohlim.ito_sampler import CoefficientPair, sample_chi_gram
 from cohlim.mode_space import ModeDensity, TestFunction, inner, same_grid
 
-MAX_PAIRING_ORDER = 16  # (15)!! terms already; anything larger is refused
+MAX_PAIRING_ORDER = 24  # 2^12 - 1 pair subsets, one small eigvals each; larger orders are refused
 MIN_ORACLE_SAMPLES = 1000  # fewest draws mc_oracle accepts for its error bar
 
 
@@ -66,33 +69,42 @@ def build_q(
     return QMatrix(Q)
 
 
-def _matching_sum(m: np.ndarray, indices: list) -> complex:
-    """Sum over perfect matchings of `indices` of the product of m entries,
-    pairing the smallest unpaired index first."""
-    if not indices:
-        return 1.0 + 0.0j
-    first, rest = indices[0], indices[1:]
-    total = 0.0 + 0.0j
-    for pos, other in enumerate(rest):
-        remaining = rest[:pos] + rest[pos + 1 :]
-        total += m[first, other] * _matching_sum(m, remaining)
-    return total
-
-
 def wick_moment(Q: QMatrix) -> complex:
-    """Pairing sum sum over perfect matchings of prod Q_{pair}; zero when
+    """haf(Q), the sum over perfect matchings of prod Q_{pair}; zero when
     p + q is odd.  Equals the averaged vacuum expectation of the
-    normal-ordered product a*(f_1)..a*(f_p) a(g_1)..a(g_q)."""
+    normal-ordered product a*(f_1)..a*(f_p) a(g_1)..a(g_q).
+
+    Power-trace formula (Bjorklund-Gupt-Quesada): pair index 2i with 2i + 1,
+    m = n/2; for each nonempty subset S of the m pairs let B_S = Q_S X_S,
+    X_S swapping the two members of each pair, and
+
+        haf(Q) = sum_S (-1)^{m-|S|} [lambda^m] exp(sum_k tr(B_S^k) lambda^k / 2k).
+
+    The traces come from one batched eigvals per |S| and the coefficient
+    from the Newton recurrence c_j = sum_{k<=j} tr(B^k) c_{j-k} / 2j.
+    O(n^3 2^{n/2}); orders above MAX_PAIRING_ORDER are refused."""
     n = Q.n
     if n == 0:
         return 1.0 + 0.0j
     if n % 2 == 1:
         return 0.0 + 0.0j
     if n > MAX_PAIRING_ORDER:
-        raise ValueError(
-            f"pairing sum of order {n} refused ((n-1)!! terms); cap is {MAX_PAIRING_ORDER}"
-        )
-    return _matching_sum(Q.matrix, list(range(n)))
+        raise ValueError(f"hafnian of order {n} refused; cap is {MAX_PAIRING_ORDER}")
+    m = n // 2
+    total = 0.0 + 0.0j
+    for size in range(1, m + 1):
+        S = np.array(list(itertools.combinations(range(m), size)))
+        rows = np.stack([2 * S, 2 * S + 1], axis=2).reshape(len(S), 2 * size)
+        cols = rows ^ 1  # the other member of each pair
+        B = Q.matrix[rows[:, :, None], cols[:, None, :]]
+        ev = np.linalg.eigvals(B)
+        traces = np.sum(ev[:, :, None] ** np.arange(1, m + 1), axis=1)  # tr B^k, k = 1..m
+        c = np.zeros((len(S), m + 1), dtype=complex)
+        c[:, 0] = 1.0
+        for j in range(1, m + 1):
+            c[:, j] = np.sum(traces[:, :j] * c[:, j - 1 :: -1], axis=1) / (2 * j)
+        total += (-1) ** (m - size) * np.sum(c[:, m])
+    return complex(total)
 
 
 def permanent(c: np.ndarray) -> complex:

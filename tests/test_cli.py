@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,13 @@ CONFIGS = {
 
 # The diverge config with a zero density: every mode sum vanishes.
 DIVERGE_ZERO = {**CONFIGS["diverge"], "density": {"name": "gaussian", "amplitude": 0}}
+# A narrow box fhat that the three coarsest grids miss: |S(N)| is 0 there, so
+# only two mode sums are left for the slope fit.
+DIVERGE_NARROW = {
+    "experiment": "diverge",
+    "function": {"name": "box", "lo": 0.001, "hi": 0.02},
+    "density": {"name": "gaussian", "center": 0.0, "width": 1.0},
+}
 
 # Malformed or out-of-range values tried in place of every key of every
 # CONFIGS entry, and of every value nested below one: each run must return,
@@ -389,14 +397,19 @@ class TestCliRuns:
         assert [a["name"] for a in record["assertions"]] == ["conclusive", "slope"]
 
     def test_diverge_inconclusive_fit_fails(self, tmp_path):
-        # a zero density makes every mode sum vanish: no slope, and a failed run
-        cfg = write_cfg(tmp_path, DIVERGE_ZERO)
-        out = tmp_path / "o"
-        assert cli.main(["diverge", "--config", cfg, "--out", str(out)]) == 1
-        record = read_result(out)
-        assert record["values"]["slope"] is None and not record["values"]["conclusive"]
-        assert record["assertions"] == [{"name": "conclusive", "value": 0.0, "tol": 1e-12, "pass": False}]
-        assert json.loads((out / "diverge.json").read_text())["slope"] is None
+        # a zero density makes every mode sum vanish, a narrow fhat all but two:
+        # no slope, no NaN and no log(0) warning, and a failed run
+        for name, cfg in (("zero", DIVERGE_ZERO), ("narrow", DIVERGE_NARROW)):
+            out = tmp_path / name
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(["diverge", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+            for output in ("diverge.json", "result.json"):
+                assert "NaN" not in (out / output).read_text()
+            record = read_result(out)
+            assert record["values"]["slope"] is None and not record["values"]["conclusive"]
+            assert record["assertions"] == [{"name": "conclusive", "value": 0.0, "tol": 1e-12, "pass": False}]
+            assert json.loads((out / "diverge.json").read_text())["slope"] is None
 
     def test_results_are_strict_json(self, tmp_path):
         """No result.json carries NaN or Infinity, which strict JSON refuses."""
@@ -498,6 +511,14 @@ class TestCliContract:
     def test_bad_pq_exits_2(self, tmp_path, capsys, pq):
         assert self.run_cli(tmp_path, CONFIGS["moments"], f"--pq={pq}") == 2
         assert "/pq:" in capsys.readouterr().err
+
+    def test_moment_order_above_cap_exits_2(self, tmp_path, capsys):
+        fns = [{**GAUSS_F, "center": 0.1 * i, "label": f"f{i}"} for i in range(26)]
+        cfg = {**CONFIGS["moments"], "grid": {"d": 1, "R": 4.0, "N": 64}, "functions": fns}
+        assert self.run_cli(tmp_path, cfg, "--pq", "13,13") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: /pq:") and "Traceback" not in err
+        assert not (tmp_path / "o" / "result.json").exists()
 
     @pytest.mark.parametrize(
         "experiment, mu2",

@@ -213,6 +213,20 @@ class TestDivergenceDiagnostic:
         )
         assert not fit.conclusive
 
+    def test_fit_skips_sums_below_floor(self):
+        # the density vanishes on the N = 64 grid only: the other four N fit
+        # the generic slope, and one more vanishing N leaves too few to fit
+        def rho(zero_sizes):
+            return lambda k: np.exp(-(k ** 2)) * (len(k) not in zero_sizes)
+
+        f = lambda k: np.exp(-(k ** 2) / 2.0)
+        n_list = [64, 128, 256, 512, 1024]
+        fit = divergence_diagnostic(f, rho({64}), n_list, 4.0, d=1)
+        assert fit.conclusive and fit.magnitudes[0] == 0.0
+        assert fit.slope == pytest.approx(0.5, abs=0.05)
+        fit = divergence_diagnostic(f, rho({64, 128}), n_list, 4.0, d=1)
+        assert not fit.conclusive and np.isnan(fit.slope)
+
     def test_needs_enough_grid_sizes(self):
         with pytest.raises(ValueError):
             divergence_diagnostic(

@@ -1,5 +1,6 @@
-"""Kernel microbenchmarks of the chi samplers at the `chi` benchmark size
-(20 000 draws x 4 functions x 4096 cells).
+"""Kernel microbenchmarks: the chi samplers at the `chi` benchmark size
+(20 000 draws x 4 functions x 4096 cells), and `build_q` + `wick_moment` at
+moment orders 16 and 24 on 4096 cells.
 
 Deselected by default (`kernel_bench` marker); run with
 `PYTHONPATH=src python -m pytest -m kernel_bench tests/test_kernel_bench.py`.
@@ -10,6 +11,7 @@ import pytest
 
 from cohlim.config import build_density, build_grid, build_test_function
 from cohlim.ito_sampler import build_coefficients, sample_chi, sample_chi_gram
+from cohlim.moments import build_q, wick_moment
 
 pytestmark = pytest.mark.kernel_bench
 
@@ -36,3 +38,23 @@ def test_sample_chi_kernel(benchmark, chi_inputs, sampler):
     rng = np.random.default_rng(1)
     chis = benchmark.pedantic(sampler, args=(battery, coeffs, SAMPLES, rng), rounds=3, iterations=1)
     assert chis.shape == (SAMPLES, len(battery))
+
+
+@pytest.mark.parametrize("order", [16, 24])
+def test_wick_moment_kernel(benchmark, order):
+    grid = build_grid({"d": 1, "R": 4.0, "N": 4096})
+    rho = build_density({"name": "gaussian", "center": 0.0, "width": 2.0}, grid)
+    battery = [
+        build_test_function(
+            {"name": "gaussian", "center": -3.0 + 6.0 * i / order, "width": 0.25, "modulation": 0.3 * i},
+            grid,
+        )
+        for i in range(order)
+    ]
+    half = order // 2
+
+    def kernel():
+        return wick_moment(build_q(battery[:half], battery[half:], rho, 0.3 + 0.2j))
+
+    value = benchmark.pedantic(kernel, rounds=3, iterations=1)
+    assert np.isfinite(value)

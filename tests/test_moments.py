@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohlim.ito_sampler import build_coefficients
 from cohlim.mode_space import inner
 from cohlim.moments import (
+    MAX_PAIRING_ORDER,
     QMatrix,
     build_q,
     generating_fn,
@@ -14,6 +17,18 @@ from cohlim.moments import (
 )
 
 from conftest import make_battery
+
+
+def matching_sum(m, indices):
+    """Brute-force hafnian: the sum over perfect matchings of `indices` of the
+    product of m entries, pairing the smallest unpaired index first."""
+    if not indices:
+        return 1.0 + 0.0j
+    first, rest = indices[0], indices[1:]
+    return sum(
+        m[first, other] * matching_sum(m, rest[:pos] + rest[pos + 1 :])
+        for pos, other in enumerate(rest)
+    )
 
 
 @pytest.fixture
@@ -69,6 +84,9 @@ class TestWickMoment:
         Q = build_q(fs[:1], gs, rho, 0.5)
         assert wick_moment(Q) == 0.0
 
+    def test_empty_product_is_one(self):
+        assert wick_moment(QMatrix(np.zeros((0, 0)))) == 1.0
+
     def test_two_point(self, setup):
         fs, gs, rho = setup
         Q = build_q(fs[:1], gs[:1], rho, 0.5)
@@ -83,9 +101,33 @@ class TestWickMoment:
         assert wick_moment(Q) == pytest.approx(expect)
 
     def test_order_cap(self):
-        n = 18
+        n = 26
+        assert n > MAX_PAIRING_ORDER
         with pytest.raises(ValueError, match="cap"):
             wick_moment(QMatrix(np.zeros((n, n))))
+
+    @pytest.mark.parametrize("mu2", [0.0, 0.3 + 0.2j, -1.0])
+    def test_matches_matching_sum(self, grid, rho, mu2):
+        battery = make_battery(grid, 12)
+        for n in range(2, 13, 2):
+            Q = build_q(battery[: n // 2], battery[n // 2 : n], rho, mu2)
+            expect = matching_sum(Q.matrix, list(range(n)))
+            assert wick_moment(Q) == pytest.approx(expect, rel=1e-9, abs=0)
+
+    @given(p=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_bipartite_hafnian_is_permanent(self, p, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p))
+        zero = np.zeros((p, p))
+        Q = QMatrix(np.block([[zero, c.T], [c, zero]]))
+        assert wick_moment(Q) == pytest.approx(permanent(c), rel=1e-9, abs=0)
+
+    def test_order_sixteen_is_permanent_at_zero_mu2(self, grid, rho):
+        battery = make_battery(grid, 16)
+        Q = build_q(battery[:8], battery[8:], rho, 0.0)
+        expect = permanent(Q.matrix[8:, :8])
+        assert wick_moment(Q) == pytest.approx(expect, rel=1e-10, abs=0)
 
 
 class TestPermanent:
