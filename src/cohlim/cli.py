@@ -15,13 +15,13 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from cohlim import config as cfgmod
 from cohlim.circle_measure import admissible, check_mu2, fourier_moment
@@ -41,7 +41,7 @@ from cohlim.functionals import (
     sigma_mu_sq,
 )
 from cohlim.gns_reps import rep_expectation_averaged, rep_expectation_n_mode
-from cohlim.ito_sampler import build_coefficients, clt_sample, sample_chi_gram
+from cohlim.ito_sampler import build_coefficients, clt_sample, ks_distance, sample_chi_gram
 from cohlim.moments import MAX_PAIRING_ORDER, MIN_ORACLE_SAMPLES, build_q, mc_oracle, wick_moment
 from cohlim.open_system import SystemSpec, envelopes, gaussian_rate
 
@@ -57,6 +57,18 @@ def _json_default(o):
     if isinstance(o, np.ndarray):
         return o.tolist()
     raise TypeError(f"not JSON serializable: {type(o)}")
+
+
+def environment() -> dict:
+    """The interpreter, numpy and BLAS a run used, and the CPU count; only
+    attribute lookups, so it costs no measurable time."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def _cnum(z):
@@ -260,7 +272,7 @@ def run_clt(run):
         # the limit law N(0, 0) is a point mass, and no KS distance to it is defined
         raise ConfigError("/functions/0", "sigma_mu(f) = 0: the limit law is degenerate")
     draws = clt_sample(f, run.density, mu, m, run.rng("phases"))
-    ks = float(stats.kstest(draws, "norm", args=(0.0, sigma)).statistic)
+    ks = ks_distance(draws, sigma)
     tol = run.tol("ks", 1.95 / math.sqrt(m))
     run.write_csv("clt_draws.csv", ["draw"], [[x] for x in draws])
     run.check("ks_distance", ks, tol, ks < tol)
@@ -294,7 +306,13 @@ def run_chi(run):
         mean = float(np.mean(chis[:, j].real))
         var = float(np.var(chis[:, j].real, ddof=1))
         sig2 = sigma_mu_sq(f, run.density, run.mu2)
-        values[label] = {"mean_re_chi": mean, "var_re_chi": var, "sigma_sq": sig2}
+        values[label] = {
+            "mean_re_chi": mean,
+            "mean_re_chi_se": math.sqrt(var / m),
+            "var_re_chi": var,
+            "var_re_chi_se": var * math.sqrt(2.0 / (m - 1)),
+            "sigma_sq": sig2,
+        }
         tol = z * math.sqrt(sig2 / m)
         run.check(f"mean_re_chi[{label}]", abs(mean), tol, abs(mean) <= tol)
         tol = z * sig2 * math.sqrt(2.0 / (m - 1))
@@ -498,6 +516,7 @@ def run_experiment(cfg: dict, out_dir) -> dict:
         "pass": all(a["pass"] for a in run.assertions),
         "runtime_s": round(time.perf_counter() - started, 3),
         "outputs": [str(p) for p in run.outputs],
+        "environment": environment(),
     }
     if run.rng_provenance is not None:
         record["rng"] = run.rng_provenance

@@ -184,6 +184,22 @@ def clt_sample(
     return out
 
 
+def ks_distance(draws: np.ndarray, sigma: float) -> float:
+    """Exact one-sample Kolmogorov-Smirnov distance sup_x |F_n(x) - F(x)|
+    of `draws` (at least one) to N(0, sigma^2), sigma > 0.
+
+    F_n jumps at the sorted draws x_1 <= ... <= x_n, so the supremum is
+    max_i max(i/n - F(x_i), F(x_i) - (i-1)/n), with
+    F(x) = erfc(-x / (sigma sqrt 2)) / 2 (erfc keeps the far left tail
+    accurate)."""
+    x = np.sort(np.asarray(draws, dtype=float))
+    n = len(x)
+    scale = -1.0 / (sigma * math.sqrt(2.0))
+    cdf = np.array([0.5 * math.erfc(scale * v) for v in x.tolist()])
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
+
+
 def lyapounov_ratio(
     f: TestFunction,
     rho: ModeDensity,

@@ -1,5 +1,9 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cohlim.ito_sampler import CoefficientPair
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction
@@ -46,6 +50,32 @@ def make_battery(grid, n, rng=None):
             )
         )
     return fns
+
+
+@st.composite
+def gaussian_setups(draw):
+    """(grid, battery, density) for property tests: a 1-d grid of at most 256
+    cells, one to three complex modulated Gaussians and a Gaussian density,
+    every parameter drawn.  Amplitudes are zero or at least 1e-3: products of
+    subnormal numbers carry no relative precision."""
+
+    def amplitude(hi):
+        return draw(st.one_of(st.just(0.0), st.floats(1e-3, hi)))
+
+    grid = MomentumGrid(d=1, R=draw(st.floats(2.0, 8.0)), N=draw(st.sampled_from([16, 64, 256])))
+
+    def gaussian(a):
+        c, w, m = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.2, 2.0)), draw(st.floats(-3.0, 3.0))
+        return lambda k: a * np.exp(-((k - c) ** 2) / (2 * w ** 2) + 1j * m * k)
+
+    battery = [
+        TestFunction.from_profile(
+            grid, gaussian(amplitude(4.0) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi))))
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    rho = gaussian(amplitude(3.0))
+    return grid, battery, ModeDensity.from_profile(grid, lambda k: np.abs(rho(k)))
 
 
 def ito_pair(grid):

@@ -2,7 +2,9 @@ import copy
 import csv
 import json
 import math
+import os
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -311,6 +313,11 @@ class TestCliRuns:
         assert 0.0 < float(rows[0]["modulus"]) <= 1.0
         assert [a["name"] for a in record["assertions"]] == ["modulus[f]"]
         assert record["assertions"][0]["pass"]
+        env = record["environment"]
+        assert env["python"] == "%d.%d.%d" % sys.version_info[:3]
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["cpu_count"] == os.cpu_count()
 
     def test_clt_pass_and_reproducible(self, tmp_path):
         cfg = write_cfg(tmp_path, CONFIGS["clt"])
@@ -442,6 +449,10 @@ class TestCliRuns:
         assert [a["name"] for a in record["assertions"]] == ["mean_re_chi[f]", "var_re_chi[f]"]
         assert record["pass"] and all(a["pass"] for a in record["assertions"])
         assert record["rng"] == {"seed": 5, "bit_generator": "PCG64", "sampler": "gram"}
+        values = record["values"]["f"]
+        assert values["mean_re_chi_se"] == pytest.approx(math.sqrt(values["var_re_chi"] / 200), rel=1e-12)
+        assert values["var_re_chi_se"] == pytest.approx(values["var_re_chi"] * math.sqrt(2.0 / 199), rel=1e-12)
+        assert values["mean_re_chi_se"] > 0 and values["var_re_chi_se"] > 0
 
     def test_chi_csv_matches_per_row_loop(self, tmp_path, monkeypatch):
         """The column-built chi_samples.csv equals the per-row loop's bytes

@@ -1,5 +1,10 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohlim import dynamics
 from cohlim.dynamics import (
@@ -20,7 +25,7 @@ from cohlim.mode_space import (
     norm_sq_momentum,
 )
 
-from conftest import make_battery
+from conftest import gaussian_setups, make_battery
 
 
 class TestDispersion:
@@ -91,6 +96,24 @@ class TestSigmaT:
             assert sigma_t(gauss, rho, mu2, eps, 0.0) == pytest.approx(
                 sigma_mu_sq(gauss, rho, mu2)
             )
+
+    @given(
+        setup=gaussian_setups(),
+        mu2=st.builds(lambda r, phi: r * cmath.exp(1j * phi), st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)),
+        form=st.sampled_from(["photon", "quadratic"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_time_zero_matches_static_property(self, setup, mu2, form):
+        grid, battery, rho = setup
+        eps = getattr(Dispersion, form)(grid)
+        table = sigma_t(battery, rho, mu2, eps, 0.0)
+        for f, value in zip(battery, table):
+            static = sigma_mu_sq(f, rho, mu2)
+            # the two sums group the cells differently, so where the terms
+            # cancel (mu2 = -1, real f) the residue is rounding on their scale
+            scale = grid.cell_volume * float(np.sum(rho.values * np.abs(f.values) ** 2))
+            for sigma in (value, sigma_t(f, rho, mu2, eps, 0.0)):
+                assert sigma == pytest.approx(static, rel=1e-12, abs=1e-12 * scale)
 
     def test_constant_at_zero_mu2(self, gauss, rho):
         eps = Dispersion.photon(gauss.grid)

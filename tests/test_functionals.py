@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import j0 as scipy_j0
 
 from cohlim.circle_measure import InadmissibleMeasureError, PhaseMeasure, fourier_moment
@@ -22,7 +24,7 @@ from cohlim.functionals import (
 )
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction
 
-from conftest import make_battery
+from conftest import gaussian_setups, make_battery
 
 
 class TestFockFunctional:
@@ -74,6 +76,58 @@ class TestNModeFunctional:
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError):
             CoherentMode(np.array([0.0]), -1.0, 0.0)
+
+
+class TestStateAxiomProperties:
+    """|E(f)| <= 1 and E(-f) = conj E(f) for the Fock, N-mode and
+    phase-averaged functionals on drawn batteries, densities, modes and
+    measures."""
+
+    @staticmethod
+    def check_axioms(functional, battery):
+        for f in battery:
+            value = functional(f).value
+            assert abs(value) <= 1.0 + 1e-12
+            # the N-mode value reads fhat at the modes from the closed form,
+            # so -f keeps one (with_values would drop it)
+            neg = TestFunction(f.grid, -f.values, profile=lambda k, p=f.profile: -p(k))
+            assert functional(neg).value == pytest.approx(
+                np.conj(value), rel=1e-12, abs=0.0
+            )
+
+    @given(setup=gaussian_setups())
+    @settings(max_examples=30, deadline=None)
+    def test_fock(self, setup):
+        _, battery, _ = setup
+        self.check_axioms(fock_functional, battery)
+
+    @given(
+        setup=gaussian_setups(),
+        modes=st.lists(
+            st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 3.0), st.floats(0.0, 2 * math.pi)),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_n_mode(self, setup, modes):
+        _, battery, _ = setup
+        mode_set = CoherentModeSet(tuple((np.array([k]), r, th) for k, r, th in modes))
+        self.check_axioms(lambda f: n_mode_functional(f, mode_set), battery)
+
+    @given(
+        setup=gaussian_setups(),
+        angles=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, math.pi)),
+        p=st.floats(0.0, 0.5),
+        uniform=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_phase_averaged(self, setup, angles, p, uniform):
+        _, battery, rho = setup
+        # antipodal pairs of equal weight: mu_hat(1) = 0, and mu_hat(2) anywhere in the unit disc
+        a, b = angles
+        atoms = [(a, p), (a + math.pi, p), (b, 0.5 - p), (b + math.pi, 0.5 - p)]
+        mu = PhaseMeasure.uniform() if uniform else PhaseMeasure.from_atoms(atoms)
+        self.check_axioms(lambda f: phase_averaged_functional(f, rho, mu), battery)
 
 
 class TestFiniteVolumeFunctional:

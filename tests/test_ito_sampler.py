@@ -12,6 +12,7 @@ from cohlim.ito_sampler import (
     build_coefficients,
     chi_gram_factor,
     clt_sample,
+    ks_distance,
     lyapounov_ratio,
     random_functional,
     sample_chi,
@@ -239,6 +240,37 @@ class TestCentralLimit:
         sig = math.sqrt(sigma_mu_sq(f, rho, 0.0))
         ks = stats.kstest(draws, "norm", args=(0.0, sig)).statistic
         assert ks < 1.95 / math.sqrt(2000)
+
+    @staticmethod
+    def scipy_ks(draws, sigma):
+        return stats.kstest(draws, "norm", args=(0.0, sigma)).statistic
+
+    def test_ks_distance_matches_scipy(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(60):
+            n, sigma = int(rng.integers(1, 5001)), rng.uniform(0.1, 3.0)
+            # draws from a shifted, rescaled normal so that the distances spread over (0, 1)
+            draws = rng.normal(rng.uniform(-1.0, 1.0), sigma * rng.uniform(0.5, 2.0), n)
+            assert ks_distance(draws, sigma) == pytest.approx(self.scipy_ks(draws, sigma), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [-2.5, 0.0, 0.3, 4.0])
+    def test_ks_distance_single_draw(self, x):
+        # F_1 jumps from 0 to 1 at x: the distance is max(F(x), 1 - F(x))
+        assert ks_distance([x], 1.3) == pytest.approx(self.scipy_ks([x], 1.3), rel=1e-12)
+        assert ks_distance([x], 1.3) == pytest.approx(0.5 + 0.5 * math.erf(abs(x) / (1.3 * math.sqrt(2.0))), rel=1e-12)
+
+    def test_ks_distance_with_ties(self):
+        rng = np.random.default_rng(7)
+        for draws in (np.round(rng.normal(0.0, 1.0, 400), 1), np.zeros(5), np.array([1.0, 1.0, -0.5])):
+            assert ks_distance(draws, 0.8) == pytest.approx(self.scipy_ks(draws, 0.8), rel=1e-12)
+
+    def test_ks_distance_by_hand(self):
+        # draws -1, 0, 2 against N(0, 1): the gaps F(x_i) - (i-1)/n are
+        # Phi(-1), 1/2 - 1/3 and Phi(2) - 2/3, the gaps i/n - F(x_i) are
+        # 1/3 - Phi(-1), 2/3 - 1/2 and 1 - Phi(2); the largest is Phi(2) - 2/3
+        expected = 0.9772498680518208 - 2.0 / 3.0
+        assert ks_distance([2.0, -1.0, 0.0], 1.0) == pytest.approx(expected, rel=1e-12)
+        assert self.scipy_ks([2.0, -1.0, 0.0], 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_inadmissible_measure_rejected(self, rho, gauss):
         mu = PhaseMeasure.from_atoms([(0.0, 1.0)])
