@@ -466,8 +466,8 @@ def run_diverge(run):
     # MIN_FIT_POINTS-th largest |S(N)|, which reaches the floor iff the fit is conclusive
     fitted = float(np.sort(fit.magnitudes)[-MIN_FIT_POINTS])
     run.check("conclusive", fitted, DIVERGENCE_FLOOR, fit.conclusive)
-    tol = run.tol("slope")
-    if fit.conclusive and tol is not None:
+    if fit.conclusive:
+        tol = run.tol("slope", 0.05)
         run.check("slope", fit.slope, tol, abs(fit.slope - d / 2.0) <= tol)
     run.write_json("diverge.json", values)
     return values

@@ -1,31 +1,24 @@
-"""Free-field (Bogoliubov) dynamics at the test-function level and the
-drift of phase-mixed states toward the uniform phase distribution."""
+"""Free-field (Bogoliubov) dynamics of phase-mixed states: the time-evolved
+variance integral and the drift toward the uniform phase distribution."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from cohlim.circle_measure import check_mu2
-from cohlim.functionals import (
-    CoherentModeSet,
-    FunctionalValue,
-    fock_functional,
-    n_mode_functional,
-)
+from cohlim.functionals import fock_functional
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, same_grid
 
 
 @dataclass(frozen=True)
 class Dispersion:
-    """Dispersion relation samples on a grid; `profile` gives off-grid
-    values for isolated coherent modes."""
+    """Dispersion relation samples on a grid."""
 
     grid: MomentumGrid
     values: np.ndarray
-    profile: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -36,43 +29,11 @@ class Dispersion:
     @staticmethod
     def photon(grid: MomentumGrid) -> "Dispersion":
         """epsilon(k) = |k| on the cell centers, exactly."""
-        return Dispersion(
-            grid, grid.radii(), profile=lambda k: np.linalg.norm(np.atleast_2d(k), axis=-1)
-        )
+        return Dispersion(grid, grid.radii())
 
     @staticmethod
     def quadratic(grid: MomentumGrid) -> "Dispersion":
-        return Dispersion(
-            grid,
-            grid.radii() ** 2,
-            profile=lambda k: np.linalg.norm(np.atleast_2d(k), axis=-1) ** 2,
-        )
-
-    def at(self, k) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(k, dtype=float))
-        if self.profile is not None:
-            return np.asarray(self.profile(pts), dtype=float).reshape(len(pts))
-        return self.values[self.grid.nearest_index(pts)]
-
-
-def evolve(f: TestFunction, eps: Dispersion, t: float) -> TestFunction:
-    """Pointwise e^{i eps(k) t} fhat(k); norm preserving."""
-    same_grid(f, eps)
-    return TestFunction(
-        f.grid, np.exp(1j * eps.values * t) * f.values, label=f.label
-    )
-
-
-def n_mode_evolved(
-    f: TestFunction, modes: CoherentModeSet, eps: Dispersion, t: float
-) -> FunctionalValue:
-    """N-mode value under the free dynamics: each phase shifts as
-    theta_j -> theta_j - t eps(k_j)."""
-    if len(modes) == 0:
-        return fock_functional(f)
-    eps_vals = eps.at(modes.momenta())
-    shifted = modes.with_thetas(modes.thetas() - t * eps_vals)
-    return n_mode_functional(f, shifted)
+        return Dispersion(grid, grid.radii() ** 2)
 
 
 # Bytes of the one (t, distinct eps) block of cos and sin that sigma_t holds,

@@ -225,28 +225,6 @@ def _circle_average(mu: PhaseMeasure, integrand: Callable[[np.ndarray], np.ndarr
     return np.sum(w * integrand(theta), axis=-1)
 
 
-@dataclass(frozen=True)
-class BesselCheck:
-    quadrature: complex
-    series: float
-
-
-def bessel_check(amplitude: float) -> BesselCheck:
-    """Circle integral int (dtheta/2pi) e^{-i(a cos + b sin)} with
-    a^2 + b^2 = amplitude^2, next to the J0 power-series value.
-
-    The split (a, b) = amplitude * (3/5, 4/5) exercises both terms; the
-    integral depends only on the amplitude.
-    """
-    a = 0.6 * amplitude
-    b = 0.8 * amplitude
-    quad = _circle_average(
-        PhaseMeasure.uniform(),
-        lambda th: np.exp(-1j * (a * np.cos(th) + b * np.sin(th))),
-    )
-    return BesselCheck(complex(quad), bessel_j0(amplitude))
-
-
 def discrete_phase_average_functional(
     f: TestFunction, rho: ModeDensity, mu: PhaseMeasure
 ) -> FunctionalValue:

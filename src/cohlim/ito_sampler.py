@@ -5,7 +5,9 @@ diagnostics.
 chi(f) = int dB1 S1 fhat + i int dB2 S2 fhat is realized on grid cells exactly
 as the simple-function construction: each cell carries an independent
 N(0, dk) increment of each Brownian field and the Ito integral is the plain
-cell sum, formed in `sample_chi` alone.  A sample omega of the fields is the
+cell sum.  One matrix W (`_chi_matrix`) holds it for a whole battery:
+`sample_chi` multiplies cell increments into W, and `sample_chi_gram` draws
+from the QR factor of W.  A sample omega of the fields is the
 one row of `sample_chi(fs, coeffs, 1, np.random.default_rng(seed))`: its
 increments depend only on the seed and the grid, not on the battery, so for a
 fixed seed chi is linear in f.  Integrands are deterministic, so no
@@ -27,7 +29,7 @@ from cohlim.circle_measure import (
     check_mu2,
     sample_phase,
 )
-from cohlim.functionals import FunctionalValue, _circle_average, fock_functional
+from cohlim.functionals import FunctionalValue, fock_functional
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, same_grid
 
 # Below this margin in 1 + Re mu_hat(2) the generic coefficient formulas
@@ -35,10 +37,6 @@ from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, same_grid
 BRANCH_MARGIN = 1e-9
 CHI_CHUNK = 2000  # draws of `sample_chi` per block of cell increments
 CLT_CHUNK = 512  # draws of `clt_sample` per block of mode phases
-
-
-class DegenerateVarianceError(ArithmeticError):
-    """The variance normalizer s_N vanishes; the ratio is undefined."""
 
 
 @dataclass(frozen=True)
@@ -75,6 +73,24 @@ def random_functional(f: TestFunction, chi: complex) -> FunctionalValue:
     return FunctionalValue(fock.value * np.exp(1j * phase), fock.fock_exponent, phase=phase)
 
 
+def _chi_matrix(fs: Sequence[TestFunction], coeffs: CoefficientPair) -> np.ndarray:
+    """The real 2N x 2K matrix
+    W = sqrt(dk) [[Re S1f | Im S1f], [-Im S2f | Re S2f]] for N cells and K
+    functions: (Re chi | Im chi) over the battery is z W, where z holds the
+    N cell increments of the first Brownian field, then the N of the second,
+    divided by sqrt(dk), so that z ~ N(0, I_2N)."""
+    grid = same_grid(coeffs, *fs)
+    n, k = grid.n_cells, len(fs)
+    w = np.empty((2 * n, 2 * k))
+    for j, f in enumerate(fs):
+        phi1 = coeffs.S1 * f.values
+        phi2 = coeffs.S2 * f.values
+        w[:n, j], w[:n, k + j] = phi1.real, phi1.imag
+        w[n:, j], w[n:, k + j] = -phi2.imag, phi2.real
+    w *= math.sqrt(grid.cell_volume)
+    return w
+
+
 def sample_chi(
     fs: Sequence[TestFunction],
     coeffs: CoefficientPair,
@@ -86,19 +102,20 @@ def sample_chi(
     Returns shape (n_samples, len(fs)); all functions see the same Brownian
     increments within a draw (as they must: chi is a single random field
     evaluated on several integrands), and draws are independent.  A single
-    draw's increments are fixed by the state of `rng` and the grid alone.
+    draw's increments are fixed by the state of `rng` and the grid alone:
+    each block of draws takes the increments of the first field, then those
+    of the second, from one `standard_normal` call, and both act on the
+    matrix of `_chi_matrix` through two real products.
     """
-    grid = same_grid(coeffs, *fs)
-    phi1 = np.stack([coeffs.S1 * f.values for f in fs], axis=1)
-    phi2 = np.stack([coeffs.S2 * f.values for f in fs], axis=1)
-    scale = math.sqrt(grid.cell_volume)
-    out = np.empty((n_samples, len(fs)), dtype=complex)
+    w = _chi_matrix(fs, coeffs)
+    n, k = w.shape[0] // 2, len(fs)
+    out = np.empty((n_samples, k), dtype=complex)
     done = 0
     while done < n_samples:
         m = min(CHI_CHUNK, n_samples - done)
-        z1 = rng.normal(0.0, scale, (m, grid.n_cells))
-        z2 = rng.normal(0.0, scale, (m, grid.n_cells))
-        out[done : done + m] = z1 @ phi1 + 1j * (z2 @ phi2)
+        z = rng.standard_normal((2, m, n))
+        x = z[0] @ w[:n] + z[1] @ w[n:]
+        out[done : done + m] = x[:, :k] + 1j * x[:, k:]
         done += m
     return out
 
@@ -107,23 +124,13 @@ def chi_gram_factor(fs: Sequence[TestFunction], coeffs: CoefficientPair) -> np.n
     """Upper-triangular R with R^T R the covariance of (Re chi | Im chi)
     over the battery, shape (min(2N, 2K), 2K) for N cells and K functions.
 
-    The cell sum of `sample_chi` is z W for z ~ N(0, I_2N) and the real
-    2N x 2K matrix W = sqrt(dk) [[Re S1f | Im S1f], [-Im S2f | Re S2f]], so
-    its covariance is W^T W = R^T R with R from the QR factorization of W.
+    The cell sum of `sample_chi` is z W with W from `_chi_matrix`, so its
+    covariance is W^T W = R^T R with R from the QR factorization of W.
     Unlike a Cholesky or eigen factorization of W^T W, this needs no
     clipping when W is rank deficient (|mu_hat(2)| = 1 with real f,
     collinear batteries).
     """
-    grid = same_grid(coeffs, *fs)
-    n, k = grid.n_cells, len(fs)
-    w = np.empty((2 * n, 2 * k))
-    for j, f in enumerate(fs):
-        phi1 = coeffs.S1 * f.values
-        phi2 = coeffs.S2 * f.values
-        w[:n, j], w[:n, k + j] = phi1.real, phi1.imag
-        w[n:, j], w[n:, k + j] = -phi2.imag, phi2.real
-    w *= math.sqrt(grid.cell_volume)
-    return np.linalg.qr(w, mode="r")
+    return np.linalg.qr(_chi_matrix(fs, coeffs), mode="r")
 
 
 def sample_chi_gram(
@@ -198,32 +205,3 @@ def ks_distance(draws: np.ndarray, sigma: float) -> float:
     cdf = np.array([0.5 * math.erfc(scale * v) for v in x.tolist()])
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
-
-
-def lyapounov_ratio(
-    f: TestFunction,
-    rho: ModeDensity,
-    mu: PhaseMeasure,
-    delta: float,
-) -> float:
-    """sum_j E|xi_j|^{2+delta} / s_N^{2+delta} with per-mode circle
-    quadrature; decays like N^{-d delta / 2} for smooth data."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    z = _mode_amplitudes(f, rho)
-    active = np.abs(z) > 0
-    if not np.any(active):
-        raise DegenerateVarianceError("all CLT summands vanish")
-    za = z[active]
-
-    def abs_moment(power):
-        def integrand(theta):
-            return np.abs(np.real(np.exp(-1j * theta)[None, :] * za[:, None])) ** power
-
-        return _circle_average(mu, integrand)
-
-    s_sq = float(np.sum(abs_moment(2.0)))
-    if s_sq <= 0:
-        raise DegenerateVarianceError("variance normalizer s_N vanished")
-    num = float(np.sum(abs_moment(2.0 + delta)))
-    return num / s_sq ** (1.0 + delta / 2.0)

@@ -136,15 +136,6 @@ def permanent_moment(
     return permanent(C)
 
 
-def generating_fn(Q: QMatrix, t: np.ndarray) -> complex:
-    """exp(q(t)) with q(t) = sum_{j,k} t_j t_k Q_{jk}; its mixed derivatives
-    at 0 are the moments E[chi(f_1)..conj(chi(g_q))]."""
-    t = np.asarray(t, dtype=complex)
-    if t.shape != (Q.n,):
-        raise ValueError(f"t must have length {Q.n}")
-    return complex(np.exp(t @ Q.matrix @ t))
-
-
 @dataclass(frozen=True)
 class MomentEstimate:
     value: complex

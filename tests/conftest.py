@@ -1,5 +1,8 @@
 import cmath
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,12 +81,36 @@ def gaussian_setups(draw):
     return grid, battery, ModeDensity.from_profile(grid, lambda k: np.abs(rho(k)))
 
 
+# mu_hat(2) anywhere in the closed unit disk, the range of a phase measure's
+# second Fourier coefficient
+unit_disk = st.builds(
+    lambda r, phi: r * cmath.exp(1j * phi), st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)
+)
+
+
 def ito_pair(grid):
     """The coefficient pair (S1, S2) = (1, 0): chi(f) is then the plain Ito
     integral of fhat against one Brownian field, so E|chi(f)|^2 = |f|^2 (the
     pair of rho = 1/2, mu_hat(2) = 1)."""
     n = grid.n_cells
     return CoefficientPair(grid, np.ones(n, dtype=complex), np.zeros(n, dtype=complex))
+
+
+SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+
+
+def traced_pairs():
+    """The (module, name) pairs that the benchmark tracer wraps: `TRACED` of
+    benchmark/spans.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    # dataclasses resolves a class's module through sys.modules
+    sys.modules[spec.name] = spans
+    try:
+        spec.loader.exec_module(spans)
+    finally:
+        del sys.modules[spec.name]
+    return spans.TRACED
 
 
 # pytest tries to collect the imported TestFunction dataclass as a test class;

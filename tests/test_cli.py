@@ -403,6 +403,15 @@ class TestCliRuns:
         assert abs(record["values"]["slope"] - 0.5) < 0.05
         assert [a["name"] for a in record["assertions"]] == ["conclusive", "slope"]
 
+    def test_diverge_asserts_slope_by_default(self, tmp_path):
+        cfg = {k: v for k, v in CONFIGS["diverge"].items() if k != "tolerances"}
+        out = tmp_path / "o"
+        assert cli.main(["diverge", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        record = read_result(out)
+        slope = record["assertions"][1]
+        assert [a["name"] for a in record["assertions"]] == ["conclusive", "slope"]
+        assert slope == {"name": "slope", "value": record["values"]["slope"], "tol": 0.05, "pass": True}
+
     def test_diverge_inconclusive_fit_fails(self, tmp_path):
         # a zero density makes every mode sum vanish, a narrow fhat all but two:
         # no slope, no NaN and no log(0) warning, and a failed run

@@ -1,6 +1,3 @@
-import cmath
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,23 +6,14 @@ from hypothesis import strategies as st
 from cohlim import dynamics
 from cohlim.dynamics import (
     Dispersion,
-    evolve,
-    n_mode_evolved,
     sigma_t,
     uniformization_curve,
     uniformization_metric,
 )
 from cohlim.functionals import CoherentModeSet, n_mode_functional, sigma_mu_sq
-from cohlim.mode_space import (
-    GridMismatchError,
-    ModeDensity,
-    MomentumGrid,
-    TestFunction,
-    inner,
-    norm_sq_momentum,
-)
+from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, inner
 
-from conftest import gaussian_setups, make_battery
+from conftest import gaussian_setups, make_battery, unit_disk
 
 
 class TestDispersion:
@@ -37,56 +25,30 @@ class TestDispersion:
         eps = Dispersion.quadratic(grid)
         np.testing.assert_allclose(eps.values, grid.axis ** 2)
 
-    def test_off_grid_evaluation(self, grid):
-        eps = Dispersion.photon(grid)
-        assert eps.at(np.array([[0.123]]))[0] == pytest.approx(0.123)
-
     def test_three_dimensional_photon(self):
         g = MomentumGrid(d=3, R=2.0, N=6)
         eps = Dispersion.photon(g)
         np.testing.assert_allclose(eps.values, g.radii())
 
 
-class TestEvolve:
-    def test_norm_preserved(self, grid, gauss):
-        eps = Dispersion.photon(grid)
-        ft = evolve(gauss, eps, 7.3)
-        assert norm_sq_momentum(ft) == pytest.approx(norm_sq_momentum(gauss))
-
-    def test_group_property(self, grid, gauss):
-        eps = Dispersion.quadratic(grid)
-        once = evolve(evolve(gauss, eps, 1.5), eps, 2.5)
-        direct = evolve(gauss, eps, 4.0)
-        np.testing.assert_allclose(once.values, direct.values, atol=1e-12)
-
-    def test_time_zero_is_identity(self, grid, gauss):
-        eps = Dispersion.photon(grid)
-        np.testing.assert_array_equal(evolve(gauss, eps, 0.0).values, gauss.values)
-
-    def test_grid_mismatch(self, gauss):
-        g2 = MomentumGrid(d=1, R=4.0, N=64)
-        with pytest.raises(GridMismatchError):
-            evolve(gauss, Dispersion.photon(g2), 1.0)
+def evolve(f, eps, t):
+    """The free evolution e^{i eps(k) t} fhat(k), pointwise on the cells."""
+    return f.with_values(np.exp(1j * eps.values * t) * f.values)
 
 
 class TestNModeEvolved:
-    def test_matches_evolved_function(self, gauss):
-        # rotating the test function or counter-rotating the mode phases give
-        # the same value; the mode momentum 0.5 sits on a cell center so the
-        # evolved (sample-backed) function is evaluated exactly
+    @pytest.mark.parametrize("t", [0.0, 3.7])
+    def test_evolved_function_matches_counter_rotated_phases(self, gauss, t):
+        # rotating the test function or counter-rotating the mode phases
+        # theta_j -> theta_j - t eps(k_j) give the same value; the mode
+        # momentum 0.5 sits on a cell center so the evolved (sample-backed)
+        # function is evaluated exactly
         eps = Dispersion.photon(gauss.grid)
         modes = CoherentModeSet(((np.array([0.5]), 2.0, 0.3),))
-        t = 3.7
-        lhs = n_mode_evolved(gauss, modes, eps, t).value
-        rhs = n_mode_functional(evolve(gauss, eps, t), modes).value
+        eps_k = eps.values[gauss.grid.nearest_index(modes.momenta())]
+        lhs = n_mode_functional(evolve(gauss, eps, t), modes).value
+        rhs = n_mode_functional(gauss, modes.with_thetas(modes.thetas() - t * eps_k)).value
         assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_zero_time_identity(self, gauss):
-        eps = Dispersion.photon(gauss.grid)
-        modes = CoherentModeSet(((np.array([0.5]), 2.0, 0.3),))
-        assert n_mode_evolved(gauss, modes, eps, 0.0).value == pytest.approx(
-            n_mode_functional(gauss, modes).value
-        )
 
 
 class TestSigmaT:
@@ -99,7 +61,7 @@ class TestSigmaT:
 
     @given(
         setup=gaussian_setups(),
-        mu2=st.builds(lambda r, phi: r * cmath.exp(1j * phi), st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)),
+        mu2=unit_disk,
         form=st.sampled_from(["photon", "quadratic"]),
     )
     @settings(max_examples=40, deadline=None)

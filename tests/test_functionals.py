@@ -10,7 +10,7 @@ from cohlim.circle_measure import InadmissibleMeasureError, PhaseMeasure, fourie
 from cohlim.functionals import (
     CoherentMode,
     CoherentModeSet,
-    bessel_check,
+    _circle_average,
     bessel_j0,
     discrete_phase_average_functional,
     divergence_diagnostic,
@@ -229,9 +229,16 @@ class TestBessel:
 
     @pytest.mark.parametrize("amp", [0.0, 0.3, 1.0, 2.0, 4.5])
     def test_quadrature_matches_series(self, amp):
-        chk = bessel_check(amp)
-        assert abs(chk.quadrature.imag) < 1e-12
-        assert chk.quadrature.real == pytest.approx(chk.series, abs=1e-12)
+        # int (dtheta/2pi) e^{-i(a cos + b sin)} = J0(amplitude) for
+        # a^2 + b^2 = amplitude^2; the split (3/5, 4/5) exercises both terms
+        a, b = 0.6 * amp, 0.8 * amp
+        quad = complex(
+            _circle_average(
+                PhaseMeasure.uniform(), lambda th: np.exp(-1j * (a * np.cos(th) + b * np.sin(th)))
+            )
+        )
+        assert abs(quad.imag) < 1e-12
+        assert quad.real == pytest.approx(bessel_j0(amp), abs=1e-12)
 
 
 class TestDivergenceDiagnostic:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohlim.circle_measure import PhaseMeasure, fourier_moment
 from cohlim.functionals import (
@@ -21,7 +23,11 @@ from cohlim.gns_reps import (
 )
 from cohlim.mode_space import ModeDensity, norm_sq_momentum
 
-from conftest import make_battery
+from conftest import gaussian_setups, make_battery, unit_disk
+
+# real scalars zero or at least 1e-3 in modulus: products of subnormal
+# numbers carry no relative precision
+SCALARS = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
 
 
 class TestSqueezeCoefficients:
@@ -69,6 +75,26 @@ class TestRTMaps:
         np.testing.assert_allclose(r_2f.values, 2.0 * rf.values)
         # ... complex scaling does not (beta term conjugates)
         assert not np.allclose(r_if.values, 1j * rf.values)
+
+    @given(setup=gaussian_setups(), mu2=unit_disk, a=SCALARS, b=SCALARS)
+    @settings(max_examples=40, deadline=None)
+    def test_real_linear_property(self, setup, mu2, a, b):
+        # R(a f + b g) = a Rf + b Rg for real a, b, and the same for T
+        _, battery, rho = setup
+        f, g = battery[0], battery[-1]
+        c = build_alpha_beta(rho, mu2)
+        combo = f.with_values(a * f.values + b * g.values)
+        # rounding on the scale of the summands of a single cell
+        scale = np.max(np.sqrt(1.0 + rho.values)) * (
+            abs(a) * np.max(np.abs(f.values)) + abs(b) * np.max(np.abs(g.values))
+        )
+        for op in (apply_R, apply_T):
+            np.testing.assert_allclose(
+                op(combo, rho, c).values,
+                a * op(f, rho, c).values + b * op(g, rho, c).values,
+                rtol=1e-12,
+                atol=1e-12 * scale,
+            )
 
     def test_t_vanishes_at_zero_density(self, grid, gauss):
         rho0 = ModeDensity(grid, np.zeros(grid.n_cells))

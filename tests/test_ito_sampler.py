@@ -2,18 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import stats
 
 from cohlim import ito_sampler
 from cohlim.circle_measure import InadmissibleMeasureError, PhaseMeasure
 from cohlim.functionals import fock_functional, sigma_mu_sq
 from cohlim.ito_sampler import (
-    DegenerateVarianceError,
     build_coefficients,
     chi_gram_factor,
     clt_sample,
     ks_distance,
-    lyapounov_ratio,
     random_functional,
     sample_chi,
     sample_chi_gram,
@@ -26,7 +25,7 @@ from cohlim.mode_space import (
     norm_sq_momentum,
 )
 
-from conftest import ito_pair, make_battery
+from conftest import gaussian_setups, ito_pair, make_battery, unit_disk
 
 
 class TestIsometry:
@@ -94,20 +93,26 @@ class TestChi:
             paired = sample_chi([f2, f1], coeffs, 1, np.random.default_rng(seed))[0, 1]
             assert abs(paired - alone) <= 1e-12 * abs(alone)
 
-    def test_batch_matches_single(self, grid, rho, gauss, monkeypatch):
-        coeffs = build_coefficients(rho, 0.2 + 0.1j)
-        monkeypatch.setattr(ito_sampler, "CHI_CHUNK", 2)
-        rng = np.random.default_rng(4)
-        batch = sample_chi([gauss], coeffs, 3, rng)
-        # same stream replayed by hand
-        rng2 = np.random.default_rng(4)
+    @pytest.mark.parametrize("mu2", [0.3 + 0.2j, -1.0])
+    def test_matches_two_block_cell_sum_across_chunks(self, grid, rho, mu2, monkeypatch):
+        # the reference draws each chunk's N(0, dk) increments as two blocks,
+        # the first field's then the second's, and sums phi = S fhat over the
+        # cells; sample_chi takes the same numbers from one standard-normal
+        # draw per chunk, so only the rounding of the sums may differ
+        fs = make_battery(grid, 2)
+        coeffs = build_coefficients(rho, mu2)
+        monkeypatch.setattr(ito_sampler, "CHI_CHUNK", 3)
+        got = sample_chi(fs, coeffs, 7, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
         scale = math.sqrt(grid.cell_volume)
-        z1 = rng2.normal(0.0, scale, (2, grid.n_cells))
-        z2 = rng2.normal(0.0, scale, (2, grid.n_cells))
-        first = np.sum(z1[0] * coeffs.S1 * gauss.values) + 1j * np.sum(
-            z2[0] * coeffs.S2 * gauss.values
-        )
-        assert batch[0, 0] == pytest.approx(first)
+        phi1 = np.stack([coeffs.S1 * f.values for f in fs], axis=1)
+        phi2 = np.stack([coeffs.S2 * f.values for f in fs], axis=1)
+        blocks = []
+        for m in (3, 3, 1):
+            z1 = rng.normal(0.0, scale, (m, grid.n_cells))
+            z2 = rng.normal(0.0, scale, (m, grid.n_cells))
+            blocks.append(z1 @ phi1 + 1j * (z2 @ phi2))
+        np.testing.assert_allclose(got, np.vstack(blocks), rtol=1e-12, atol=0)
 
 
 GRAM_MU2 = [0.0, 0.4 + 0.3j, -1.0, 0.5j]
@@ -170,6 +175,30 @@ class TestGramSampler:
             ]
         )
         np.testing.assert_allclose(cov, expect, rtol=0, atol=1e-12 * max(sig))
+
+    @given(setup=gaussian_setups(), mu2=unit_disk)
+    @settings(max_examples=40, deadline=None)
+    def test_polarization_property(self, setup, mu2):
+        # the polarization of sigma_mu^2 alone is a covariance matrix, and it
+        # is the Re-Re block of the Gram law that chi_gram_factor factors
+        grid, fs, rho = setup
+        sig = [sigma_mu_sq(f, rho, mu2) for f in fs]
+        pol = np.array(
+            [
+                [
+                    (sigma_mu_sq(fi.with_values(fi.values + fj.values), rho, mu2) - si - sj) / 2.0
+                    for fj, sj in zip(fs, sig)
+                ]
+                for fi, si in zip(fs, sig)
+            ]
+        )
+        assert np.min(np.linalg.eigvalsh(pol)) >= -1e-12 * np.trace(pol)
+        r = chi_gram_factor(fs, build_coefficients(rho, mu2))
+        # every entry is a sum of terms on the scale of int rho |f|^2
+        scale = sum(grid.cell_volume * float(np.sum(rho.values * np.abs(f.values) ** 2)) for f in fs)
+        np.testing.assert_allclose(
+            (r.T @ r)[: len(fs), : len(fs)], pol, rtol=1e-12, atol=1e-12 * scale
+        )
 
     @pytest.mark.parametrize("mu2", [0.4 + 0.3j, -1.0])
     def test_two_sample_covariance_agrees_with_cells(self, grid, rho, mu2):
@@ -276,24 +305,3 @@ class TestCentralLimit:
         mu = PhaseMeasure.from_atoms([(0.0, 1.0)])
         with pytest.raises(InadmissibleMeasureError):
             clt_sample(gauss, rho, mu, 10, np.random.default_rng(0))
-
-    def test_lyapounov_ratio_decays(self):
-        ratios = []
-        for n in (256, 1024, 4096):
-            g = MomentumGrid(d=1, R=4.0, N=n)
-            f = TestFunction.from_profile(g, lambda k: np.exp(-(k ** 2) / 2.0))
-            rho = ModeDensity.from_profile(g, lambda k: np.exp(-(k ** 2)))
-            ratios.append(lyapounov_ratio(f, rho, PhaseMeasure.uniform(), 1.0))
-        # ~ N^{-1/2}: each 4x refinement should halve the ratio
-        assert ratios[1] == pytest.approx(ratios[0] / 2, rel=0.1)
-        assert ratios[2] == pytest.approx(ratios[1] / 2, rel=0.1)
-
-    def test_degenerate_variance_raises(self, grid):
-        f = TestFunction(grid, np.zeros(grid.n_cells))
-        rho = ModeDensity(grid, np.ones(grid.n_cells))
-        with pytest.raises(DegenerateVarianceError):
-            lyapounov_ratio(f, rho, PhaseMeasure.uniform(), 1.0)
-
-    def test_delta_must_be_positive(self, rho, gauss):
-        with pytest.raises(ValueError):
-            lyapounov_ratio(gauss, rho, PhaseMeasure.uniform(), 0.0)

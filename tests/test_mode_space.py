@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from cohlim.circle_measure import PhaseMeasure
 from cohlim.config import build_grid
-from cohlim.dynamics import Dispersion, evolve, sigma_t
+from cohlim.dynamics import Dispersion, sigma_t
 from cohlim.functionals import discrete_phase_average_functional, sigma_mu_sq
 from cohlim.gns_reps import apply_R, apply_T, build_alpha_beta
 from cohlim.ito_sampler import (
     build_coefficients,
     chi_gram_factor,
     clt_sample,
-    lyapounov_ratio,
     sample_chi,
 )
 from cohlim.mode_space import (
@@ -30,7 +29,7 @@ from cohlim.mode_space import (
     same_grid,
 )
 from cohlim.moments import build_q
-from cohlim.open_system import SystemSpec, gamma, gamma_plateau, lamb_phase_integral
+from cohlim.open_system import SystemSpec, gamma
 
 
 class TestMomentumGrid:
@@ -213,16 +212,12 @@ GRID_TAKING = {
     "discrete_phase_average_functional": lambda a, b: discrete_phase_average_functional(
         a.f, b.rho, PhaseMeasure.uniform()
     ),
-    "evolve": lambda a, b: evolve(a.f, b.eps, 1.0),
     "sigma_t": lambda a, b: sigma_t([a.f], a.rho, 0.3, b.eps, 1.0),
     "SystemSpec": lambda a, b: SystemSpec(np.array([0.0, 1.0]), np.array([0.0, 1.0]), a.f, b.eps),
     "gamma": lambda a, b: gamma(1.0, a.f, b.eps),
-    "lamb_phase_integral": lambda a, b: lamb_phase_integral(1.0, a.f, b.eps),
-    "gamma_plateau": lambda a, b: gamma_plateau(a.f, b.eps),
     "sample_chi": lambda a, b: sample_chi([a.f], b.coeffs, 2, np.random.default_rng(0)),
     "chi_gram_factor": lambda a, b: chi_gram_factor([a.f, b.f], a.coeffs),
     "clt_sample": lambda a, b: clt_sample(a.f, b.rho, PhaseMeasure.uniform(), 2, np.random.default_rng(0)),
-    "lyapounov_ratio": lambda a, b: lyapounov_ratio(a.f, b.rho, PhaseMeasure.uniform(), 1.0),
     "build_q": lambda a, b: build_q([a.f], [b.f], a.rho, 0.3),
     "apply_R": lambda a, b: apply_R(a.f, a.rho, b.squeeze),
     "apply_T": lambda a, b: apply_T(a.f, b.rho, a.squeeze),

@@ -9,7 +9,6 @@ from cohlim.moments import (
     MAX_PAIRING_ORDER,
     QMatrix,
     build_q,
-    generating_fn,
     mc_oracle,
     permanent,
     permanent_moment,
@@ -153,32 +152,6 @@ class TestPermanent:
         fs, gs, rho = setup
         Q = build_q(fs, gs, rho, 0.0)
         assert abs(wick_moment(Q) - permanent_moment(fs, gs, rho)) < 1e-10
-
-
-class TestGeneratingFunction:
-    def test_value_at_zero(self, setup):
-        fs, gs, rho = setup
-        Q = build_q(fs, gs, rho, 0.3)
-        assert generating_fn(Q, np.zeros(4)) == 1.0
-
-    def test_second_derivative_is_moment(self, setup):
-        # d^2/dt_0 dt_2 exp(t Q t) |_0 = 2 Q_{02}, the (1,1) pairing value
-        fs, gs, rho = setup
-        Q = build_q(fs[:1], gs[:1], rho, 0.4 + 0.1j)
-        h = 1e-5
-        vals = np.zeros((2, 2), dtype=complex)
-        for i, si in enumerate((-1, 1)):
-            for j, sj in enumerate((-1, 1)):
-                t = np.array([si * h, sj * h], dtype=complex)
-                vals[i, j] = generating_fn(Q, t)
-        mixed = (vals[1, 1] - vals[1, 0] - vals[0, 1] + vals[0, 0]) / (4 * h * h)
-        assert mixed == pytest.approx(2.0 * Q.matrix[0, 1], abs=1e-6)
-
-    def test_rejects_wrong_length(self, setup):
-        fs, gs, rho = setup
-        Q = build_q(fs, gs, rho, 0.0)
-        with pytest.raises(ValueError):
-            generating_fn(Q, np.zeros(3))
 
 
 class TestMcOracle:

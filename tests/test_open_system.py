@@ -9,15 +9,11 @@ from cohlim.mode_space import GridMismatchError, ModeDensity, MomentumGrid, Test
 from cohlim.open_system import (
     EPS_MIN,
     SystemSpec,
-    averaged_offdiagonal,
+    _infrared_cells,
     envelopes,
     gamma,
-    gamma_plateau,
     gamma_radial,
     gaussian_rate,
-    lamb_phase_integral,
-    plateau_radial,
-    reduced_element,
 )
 
 
@@ -26,6 +22,12 @@ def system(grid):
     g = TestFunction.from_profile(grid, lambda k: np.exp(-(k ** 2)), label="coupling")
     eps = Dispersion.photon(grid)
     return SystemSpec(np.array([0.0, 1.0, 2.5]), np.array([0.0, 1.0, -0.5]), g, eps)
+
+
+def gamma_plateau(g, eps):
+    """Large-time limit |ghat / eps|_2^2 of Gamma over the cutoff cells."""
+    g2, ev = _infrared_cells(g, eps)
+    return float(g.grid.cell_volume * np.sum(g2 / ev ** 2))
 
 
 def masked_norm_sq(g, eps):
@@ -73,14 +75,12 @@ class TestGamma:
         assert long_time == pytest.approx(plateau, rel=0.05)
 
 
-@pytest.mark.parametrize("integral", [gamma, lamb_phase_integral, gamma_plateau])
 @pytest.mark.parametrize("other", [MomentumGrid(d=1, R=5.0, N=256), MomentumGrid(d=1, R=4.0, N=128)])
-def test_grid_mismatch_raises(grid, integral, other):
+def test_grid_mismatch_raises(grid, other):
     # same N with another R would pair the cells of different momenta
     g = TestFunction.from_profile(grid, lambda k: np.exp(-(k ** 2)))
-    args = () if integral is gamma_plateau else (1.0,)
     with pytest.raises(GridMismatchError):
-        integral(*args, g, Dispersion.photon(other))
+        gamma(1.0, g, Dispersion.photon(other))
 
 
 class TestGammaRadial:
@@ -91,73 +91,28 @@ class TestGammaRadial:
         slope = gamma_radial(200.0, ang, 40.0) / 200.0
         assert slope == pytest.approx(2 * math.pi ** 2, rel=0.02)
 
-    def test_plateau_divergence_flagged(self):
-        ang = lambda r: 4 * np.pi * np.exp(-2 * r ** 2) / r ** 2
-        assert plateau_radial(ang, 40.0).divergent
-
-    def test_regular_coupling_not_flagged(self):
-        ang = lambda r: 4 * np.pi * np.exp(-2 * r ** 2)
-        assert not plateau_radial(ang, 40.0).divergent
-
-
-class TestReducedElement:
-    def test_populations_frozen(self, system):
-        assert reduced_element(system, 1, 1, 17.0, 0.42 + 0j) == 0.42 + 0j
-
-    def test_modulus_is_gamma_envelope(self, system):
-        t = 2.0
-        dg = system.couplings[0] - system.couplings[1]
-        val = reduced_element(system, 0, 1, t, 0.5 + 0.1j)
-        env = math.exp(
-            -0.5 * dg ** 2 * gamma(t, system.form_factor, system.dispersion)
-        )
-        assert abs(val) == pytest.approx(abs(0.5 + 0.1j) * env)
-
-    def test_random_phase_preserves_modulus(self, system, rho):
-        coeffs = build_coefficients(rho, 0.0)
-        re_chi = sample_chi([system.form_factor], coeffs, 1, np.random.default_rng(5))[0, 0].real
-        with_noise = reduced_element(system, 0, 1, 2.0, 1.0, re_chi)
-        without = reduced_element(system, 0, 1, 2.0, 1.0)
-        assert abs(with_noise) == pytest.approx(abs(without))
-        dg = system.couplings[0] - system.couplings[1]
-        expect_extra = -2.0 * dg * re_chi
-        assert np.angle(with_noise / without) == pytest.approx(
-            math.atan2(math.sin(expect_extra), math.cos(expect_extra)), abs=1e-10
-        )
-
-    def test_index_bounds(self, system):
-        with pytest.raises(IndexError):
-            reduced_element(system, 0, 3, 1.0, 1.0)
-
-
-class TestLambPhase:
-    def test_vanishes_at_time_zero(self, system):
-        assert lamb_phase_integral(0.0, system.form_factor, system.dispersion) == 0.0
-
-    def test_equal_couplings_decouple(self, grid):
-        # identical coupling eigenvalues: the element only picks up the free
-        # phase, no decay
-        g = TestFunction.from_profile(grid, lambda k: np.exp(-(k ** 2)))
-        spec = SystemSpec(
-            np.array([0.0, 1.0]), np.array([0.7, 0.7]), g, Dispersion.photon(grid)
-        )
-        val = reduced_element(spec, 0, 1, 5.0, 1.0 + 0j)
-        assert abs(val) == pytest.approx(1.0)
-
 
 class TestAveragedOffdiagonal:
+    """|E[rho_kl(t)]| / |rho_kl(0)| is the product of the two `envelopes`."""
+
     def test_gaussian_envelope(self, system, rho):
         t = 1.5
         dg = system.couplings[0] - system.couplings[1]
         rate = inner(system.form_factor, system.form_factor, rho).real
-        expect = (
-            0.3
-            * math.exp(-0.5 * t * t * dg * dg * rate)
-            * math.exp(
-                -0.5 * dg ** 2 * gamma(t, system.form_factor, system.dispersion)
-            )
+        expect = math.exp(-0.5 * t * t * dg * dg * rate) * math.exp(
+            -0.5 * dg * dg * gamma(t, system.form_factor, system.dispersion)
         )
-        assert averaged_offdiagonal(system, rho, 0, 1, t, 0.3) == pytest.approx(expect)
+        gaussian, decay = envelopes(system, 0, 1, t, gaussian_rate(system, rho))
+        assert gaussian[0] * decay[0] == expect
+
+    def test_equal_couplings_decouple(self, grid):
+        # identical coupling eigenvalues: neither envelope decays
+        g = TestFunction.from_profile(grid, lambda k: np.exp(-(k ** 2)))
+        spec = SystemSpec(
+            np.array([0.0, 1.0]), np.array([0.7, 0.7]), g, Dispersion.photon(grid)
+        )
+        gaussian, decay = envelopes(spec, 0, 1, 5.0, 0.3)
+        assert (gaussian[0], decay[0]) == (1.0, 1.0)
 
     def test_monte_carlo_agreement(self, fine_grid):
         # the phase average of e^{-i t dg Re chi(g)} is the Gaussian factor
@@ -165,8 +120,6 @@ class TestAveragedOffdiagonal:
         rho = ModeDensity.from_profile(fine_grid, lambda k: np.exp(-((k - 1.0) ** 2)))
         coeffs = build_coefficients(rho, 0.0)
         rng = np.random.default_rng(23)
-        from cohlim.ito_sampler import sample_chi
-
         m = 20_000
         chis = sample_chi([g], coeffs, m, rng)[:, 0].real
         t, dg = 1.2, 0.8
@@ -178,14 +131,16 @@ class TestAveragedOffdiagonal:
 
     def test_envelopes_match_per_t_factors(self, system, rho):
         ts = np.linspace(0.0, 3.0, 7)
-        gaussian, decay = envelopes(system, 0, 2, ts, gaussian_rate(system, rho))
-        expect = [averaged_offdiagonal(system, rho, 0, 2, t, 1.0) for t in ts]
+        rate = gaussian_rate(system, rho)
+        gaussian, decay = envelopes(system, 0, 2, ts, rate)
+        dg = system.couplings[0] - system.couplings[2]
+        expect = [
+            math.exp(-0.5 * t * t * dg * dg * rate)
+            * math.exp(-0.5 * dg * dg * gamma(t, system.form_factor, system.dispersion))
+            for t in ts.tolist()
+        ]
         assert (gaussian * decay).tolist() == expect
         # without a reservoir average only the Gamma envelope decays
         gaussian, decay_alone = envelopes(system, 0, 2, ts)
         assert gaussian.tolist() == [1.0] * len(ts)
         np.testing.assert_array_equal(decay_alone, decay)
-
-    def test_diagonal_rejected(self, system, rho):
-        with pytest.raises(ValueError):
-            averaged_offdiagonal(system, rho, 1, 1, 1.0, 1.0)
