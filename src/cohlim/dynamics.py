@@ -157,6 +157,7 @@ def uniformization_curve(
     sigma = sigma_t(battery, rho, mu2, eps, ts) of shape (len(ts), len(battery))."""
     if not battery:
         raise ValueError("battery must be nonempty")
+    same_grid(rho, *battery)
     fock = np.array([fock_functional(f).value.real for f in battery])
     unif = np.array([_sigma_unif(f, rho) for f in battery])
     return _gap(fock, sigma, unif).max(axis=1)

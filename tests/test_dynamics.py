@@ -77,6 +77,24 @@ class TestSigmaT:
             for sigma in (value, sigma_t(f, rho, mu2, eps, 0.0)):
                 assert sigma == pytest.approx(static, rel=1e-12, abs=1e-12 * scale)
 
+    @pytest.mark.parametrize("form", ["photon", "quadratic"])
+    @pytest.mark.parametrize("t", [1.5, 7.3])
+    def test_is_sigma_mu_sq_of_evolved_function(self, gauss, rho, form, t):
+        # sigma_t is the static variance of the freely evolved test function
+        eps = getattr(Dispersion, form)(gauss.grid)
+        scale = gauss.grid.cell_volume * float(np.sum(rho.values * np.abs(gauss.values) ** 2))
+        for mu2 in (0.5, 0.4 + 0.3j, -1.0):
+            expect = sigma_mu_sq(evolve(gauss, eps, t), rho, mu2)
+            assert sigma_t(gauss, rho, mu2, eps, t) == pytest.approx(
+                expect, rel=1e-12, abs=1e-12 * scale
+            )
+
+    def test_group_property(self, gauss, rho):
+        # evolving for s and then for t is evolving for s + t
+        eps = Dispersion.quadratic(gauss.grid)
+        once = sigma_t(evolve(gauss, eps, 1.5), rho, -1.0, eps, 2.5)
+        assert once == pytest.approx(sigma_t(gauss, rho, -1.0, eps, 4.0), rel=1e-12)
+
     def test_constant_at_zero_mu2(self, gauss, rho):
         eps = Dispersion.photon(gauss.grid)
         base = inner(gauss, gauss, rho).real

@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 
 from cohlim.circle_measure import PhaseMeasure
 from cohlim.config import build_grid
-from cohlim.dynamics import Dispersion, sigma_t
-from cohlim.functionals import discrete_phase_average_functional, sigma_mu_sq
-from cohlim.gns_reps import apply_R, apply_T, build_alpha_beta
+from cohlim.dynamics import Dispersion, sigma_t, uniformization_curve, uniformization_metric
+from cohlim.functionals import (
+    discrete_phase_average_functional,
+    phase_averaged_functional,
+    sigma_mu_sq,
+)
+from cohlim.gns_reps import apply_R, apply_T, build_alpha_beta, rep_expectation_averaged
 from cohlim.ito_sampler import (
     build_coefficients,
     chi_gram_factor,
     clt_sample,
     sample_chi,
+    sample_chi_gram,
 )
 from cohlim.mode_space import (
     GridMismatchError,
@@ -28,8 +33,8 @@ from cohlim.mode_space import (
     norm_sq_momentum,
     same_grid,
 )
-from cohlim.moments import build_q
-from cohlim.open_system import SystemSpec, gamma
+from cohlim.moments import build_q, mc_oracle, permanent_moment
+from cohlim.open_system import SystemSpec, gamma, gaussian_rate
 
 
 class TestMomentumGrid:
@@ -212,15 +217,27 @@ GRID_TAKING = {
     "discrete_phase_average_functional": lambda a, b: discrete_phase_average_functional(
         a.f, b.rho, PhaseMeasure.uniform()
     ),
+    "phase_averaged_functional": lambda a, b: phase_averaged_functional(
+        a.f, b.rho, PhaseMeasure.uniform()
+    ),
     "sigma_t": lambda a, b: sigma_t([a.f], a.rho, 0.3, b.eps, 1.0),
+    "uniformization_metric": lambda a, b: uniformization_metric([a.f], a.rho, 0.3, b.eps, 1.0),
+    "uniformization_curve": lambda a, b: uniformization_curve([a.f], b.rho, np.zeros((2, 1))),
     "SystemSpec": lambda a, b: SystemSpec(np.array([0.0, 1.0]), np.array([0.0, 1.0]), a.f, b.eps),
     "gamma": lambda a, b: gamma(1.0, a.f, b.eps),
+    "gaussian_rate": lambda a, b: gaussian_rate(
+        SystemSpec(np.array([0.0, 1.0]), np.array([0.0, 1.0]), a.f, a.eps), b.rho
+    ),
     "sample_chi": lambda a, b: sample_chi([a.f], b.coeffs, 2, np.random.default_rng(0)),
     "chi_gram_factor": lambda a, b: chi_gram_factor([a.f, b.f], a.coeffs),
+    "sample_chi_gram": lambda a, b: sample_chi_gram([a.f], b.coeffs, 2, np.random.default_rng(0)),
     "clt_sample": lambda a, b: clt_sample(a.f, b.rho, PhaseMeasure.uniform(), 2, np.random.default_rng(0)),
     "build_q": lambda a, b: build_q([a.f], [b.f], a.rho, 0.3),
+    "permanent_moment": lambda a, b: permanent_moment([a.f], [a.f], b.rho),
+    "mc_oracle": lambda a, b: mc_oracle([a.f], [a.f], b.coeffs, 1000, np.random.default_rng(0)),
     "apply_R": lambda a, b: apply_R(a.f, a.rho, b.squeeze),
     "apply_T": lambda a, b: apply_T(a.f, b.rho, a.squeeze),
+    "rep_expectation_averaged": lambda a, b: rep_expectation_averaged(a.f, b.rho, 0.3),
 }
 
 

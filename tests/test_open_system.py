@@ -64,6 +64,13 @@ class TestGamma:
             target, rel=1e-5
         )
 
+    def test_even_in_time_and_quadratic_in_coupling(self, system):
+        g, eps = system.form_factor, system.dispersion
+        doubled = g.with_values(2.0 * g.values)
+        for t in (0.3, 2.0, 17.0):
+            assert gamma(-t, g, eps) == gamma(t, g, eps)
+            assert gamma(t, doubled, eps) == pytest.approx(4.0 * gamma(t, g, eps), rel=1e-14)
+
     def test_plateau_reached_for_gapped_dispersion(self, grid):
         # eps >= 1 everywhere: Gamma(t) oscillates around the plateau |g/eps|^2
         g = TestFunction.from_profile(grid, lambda k: np.exp(-(k ** 2)))
@@ -83,6 +90,20 @@ def test_grid_mismatch_raises(grid, other):
         gamma(1.0, g, Dispersion.photon(other))
 
 
+@pytest.mark.parametrize("other", [MomentumGrid(d=1, R=5.0, N=256), MomentumGrid(d=1, R=4.0, N=128)])
+def test_spec_refuses_dispersion_on_another_grid(grid, other):
+    g = TestFunction.from_profile(grid, lambda k: np.exp(-(k ** 2)))
+    with pytest.raises(GridMismatchError):
+        SystemSpec(np.array([0.0, 1.0]), np.array([0.0, 1.0]), g, Dispersion.photon(other))
+
+
+@pytest.mark.parametrize("other", [MomentumGrid(d=1, R=5.0, N=256), MomentumGrid(d=1, R=4.0, N=128)])
+def test_gaussian_rate_refuses_reservoir_on_another_grid(system, other):
+    reservoir = ModeDensity.from_profile(other, lambda k: np.exp(-(k ** 2)))
+    with pytest.raises(GridMismatchError):
+        gaussian_rate(system, reservoir)
+
+
 class TestGammaRadial:
     def test_linear_growth_for_infrared_singular_coupling(self):
         # ghat = e^{-r^2}/r in d = 3: angular integral 4 pi e^{-2 r^2} / r^2,
@@ -90,6 +111,15 @@ class TestGammaRadial:
         ang = lambda r: 4 * np.pi * np.exp(-2 * r ** 2) / r ** 2
         slope = gamma_radial(200.0, ang, 40.0) / 200.0
         assert slope == pytest.approx(2 * math.pi ** 2, rel=0.02)
+
+    def test_small_time_quadratic(self):
+        # sin^2(r t/2) -> r^2 t^2 / 4: Gamma ~ (t^2/2) int A(r) r^2 dr, and for
+        # A = 4 pi e^{-2 r^2} / r^2 that integral is 2 pi sqrt(pi/2)
+        ang = lambda r: 4 * np.pi * np.exp(-2 * r ** 2) / r ** 2
+        t = 1e-3
+        assert gamma_radial(t, ang, 40.0) / t ** 2 == pytest.approx(
+            math.pi * math.sqrt(math.pi / 2.0), rel=1e-5
+        )
 
 
 class TestAveragedOffdiagonal:
@@ -128,6 +158,15 @@ class TestAveragedOffdiagonal:
         expect = math.exp(-0.5 * t * t * dg * dg * rate)
         assert mc.real == pytest.approx(expect, abs=5.0 / math.sqrt(m))
         assert abs(mc.imag) < 5.0 / math.sqrt(m)
+
+    def test_grid_gives_the_bits_of_each_time(self, system, rho):
+        # the docstring's promise: a t-grid and one time at a time agree exactly
+        ts = np.linspace(0.0, 3.0, 7)
+        rate = gaussian_rate(system, rho)
+        gaussian, decay = envelopes(system, 1, 2, ts, rate)
+        for i, t in enumerate(ts.tolist()):
+            g1, d1 = envelopes(system, 1, 2, t, rate)
+            assert (g1.tolist(), d1.tolist()) == ([gaussian[i]], [decay[i]])
 
     def test_envelopes_match_per_t_factors(self, system, rho):
         ts = np.linspace(0.0, 3.0, 7)
