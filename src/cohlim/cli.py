@@ -94,12 +94,13 @@ class Run:
             raise ConfigError(f"/{key}", f"required by the {self.cfg['experiment']} experiment")
         return self.cfg[key]
 
-    def read(self, key, kind=float, default=None, each=False):
+    def read(self, key, kind=float, default=None, each=False, **bounds):
         """cfg[key], or `default` when absent (required when None), read
-        strictly as a `kind` number, or as a list of them if `each`."""
+        strictly as a `kind` number, or as a list of them if `each`, within
+        the `bounds` of `config.number` (and `min_count` of `config.numbers`)."""
         value = self.need(key) if default is None else self.cfg.get(key, default)
         with cfgmod.reading(f"/{key}"):
-            return (cfgmod.numbers if each else cfgmod.number)(value, kind)
+            return (cfgmod.numbers if each else cfgmod.number)(value, kind, **bounds)
 
     def tol(self, name, default=None):
         """tolerances[name], or `default` when it is absent."""
@@ -109,10 +110,7 @@ class Run:
 
     def samples(self, default, minimum=2):
         """The sample count; the default minimum is the two draws var(ddof=1) needs."""
-        m = self.read("samples", int, default)
-        if m < minimum:
-            raise ConfigError("/samples", f"need at least {minimum} samples, got {m}")
-        return m
+        return self.read("samples", int, default, least=minimum)
 
     def closed_form(self, key):
         return cfgmod._closed_form(self.need(key), f"/{key}")
@@ -197,9 +195,7 @@ class Run:
     def rarefied(self):
         """(alpha, sigma, a, b) of the zero-density limit."""
         alpha = self.closed_form("alpha")
-        sigma, a, b = (self.read(key) for key in ("sigma", "a", "b"))
-        if sigma <= 0:
-            raise ConfigError("/sigma", f"must be positive, got {sigma}")
+        sigma, a, b = self.read("sigma", above=0.0), self.read("a"), self.read("b")
         if not a < b:
             raise ConfigError("/b", f"must exceed a = {a}, got {b}")
         return alpha, sigma, a, b
@@ -432,16 +428,10 @@ def run_decohere(run):
 
 
 def run_diverge(run):
-    d, R = run.read("d", int, 1), run.read("R", float, 4.0)
-    n_list = run.read("n_list", int, [64, 128, 256, 512, 1024], each=True)
-    if d not in (1, 2, 3):
-        raise ConfigError("/d", f"dimension must be 1, 2 or 3, got {d}")
-    if R <= 0:
-        raise ConfigError("/R", f"half-width must be positive, got {R}")
-    if len(n_list) < MIN_FIT_POINTS or min(n_list) < 2:
-        raise ConfigError(
-            "/n_list", f"need at least {MIN_FIT_POINTS} grid sizes, each >= 2, got {n_list}"
-        )
+    d, R = run.read("d", int, 1, least=1, most=3), run.read("R", float, 4.0, above=0.0)
+    n_list = run.read(
+        "n_list", int, [64, 128, 256, 512, 1024], each=True, min_count=MIN_FIT_POINTS, least=2
+    )
     with cfgmod.reading("/n_list"):
         cfgmod.check_cells(max(n_list) ** d)
     f_form = run.closed_form("function")
@@ -475,9 +465,7 @@ def run_diverge(run):
 
 def run_rarefied(run):
     gfun = run.battery[0]
-    L_values = run.read("L_values", float, [100.0, 1000.0, 10000.0], each=True)
-    if any(L <= 0 for L in L_values):
-        raise ConfigError("/L_values", f"box sizes must be positive, got {L_values}")
+    L_values = run.read("L_values", float, [100.0, 1000.0, 10000.0], each=True, above=0.0)
     limit = rarefied_functional(gfun, *run.rarefied)
     rows = []
     for L in L_values:

@@ -47,23 +47,33 @@ def reading(pointer: str, expected: str = ""):
 _KIND_NAMES = {int: "an integer", float: "a number", complex: "a number or [re, im]"}
 
 
-def number(value, kind=float):
+def number(value, kind=float, least=None, most=None, above=None):
     """`value` read strictly as a finite int, float or complex: a bool is no
-    number, an int refuses 2.5, and a complex is a real or [re, im]."""
+    number, an int refuses 2.5, and a complex is a real or [re, im].  A real
+    is also held to least <= value <= most and value > above, where given."""
     if kind is complex and isinstance(value, list) and len(value) == 2:
         return complex(number(value[0]), number(value[1]))
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise TypeError(f"expected {_KIND_NAMES[kind]}, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"must be >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"must be <= {most}, got {value!r}")
+    if above is not None and not value > above:
+        raise ValueError(f"must be > {above}, got {value!r}")
     return kind(value)
 
 
-def numbers(values, kind=float) -> list:
-    """A JSON list of numbers, each read by `number`."""
+def numbers(values, kind=float, min_count=0, **bounds) -> list:
+    """A JSON list of at least `min_count` numbers, each read by `number`
+    with `bounds`."""
     if not isinstance(values, list):
         raise TypeError(f"expected a list of numbers, got {values!r}")
-    return [number(v, kind) for v in values]
+    if len(values) < min_count:
+        raise ValueError(f"need at least {min_count} values, got {values!r}")
+    return [number(v, kind, **bounds) for v in values]
 
 
 # Size caps, checked before anything is allocated: grid cells (2^24 float64

@@ -227,6 +227,15 @@ class TestConfigValidation:
         ts = parse_t_grid("0:100:0.1")
         assert len(ts) == 1001 and ts[-1] == pytest.approx(100.0)
 
+    def test_number_bounds(self):
+        assert cfgmod.number(3, int, least=1, most=3) == 3
+        assert cfgmod.numbers([2, 5], int, min_count=2, least=2) == [2, 5]
+        for value, bounds in ((0, {"least": 1}), (4, {"most": 3}), (0.0, {"above": 0.0})):
+            with pytest.raises(ValueError, match="must be"):
+                cfgmod.number(value, int if isinstance(value, int) else float, **bounds)
+        with pytest.raises(ValueError, match="at least 3"):
+            cfgmod.numbers([1.0, 2.0], min_count=3)
+
     def test_parse_t_grid_rejects_garbage(self):
         with pytest.raises(ConfigError):
             parse_t_grid("0,1,2")
@@ -622,6 +631,25 @@ class TestCliContract:
     def test_bad_value_exits_2(self, tmp_path, capsys, experiment, changes, pointer):
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], **changes}) == 2
         assert f"{pointer}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, changes, pointer",
+        [
+            ("diverge", {"d": 0}, "/d"),
+            ("diverge", {"d": 4}, "/d"),
+            ("diverge", {"R": 0.0}, "/R"),
+            ("diverge", {"R": -2}, "/R"),
+            ("diverge", {"n_list": [64, 128, 256, 1]}, "/n_list"),
+            ("chi", {"samples": 1}, "/samples"),
+            ("moments", {"samples": 10}, "/samples"),
+            ("rarefied", {"sigma": 0}, "/sigma"),
+            ("rarefied", {"L_values": [10.0, -1.0]}, "/L_values"),
+        ],
+    )
+    def test_out_of_bounds_exits_2(self, tmp_path, capsys, experiment, changes, pointer):
+        # each bound is checked by the strict number reader of its key
+        assert self.run_cli(tmp_path, {**CONFIGS[experiment], **changes}) == 2
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
 
     @pytest.mark.parametrize("atoms", [[[0, True]], [["1.5", "1"]]])
     def test_lenient_measure_exits_2(self, tmp_path, capsys, atoms):

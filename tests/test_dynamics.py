@@ -227,3 +227,127 @@ class TestSigmaTGrid:
     def test_curve_rejects_empty_battery(self, rho):
         with pytest.raises(ValueError):
             uniformization_curve([], rho, np.zeros((3, 0)))
+
+
+def _sorted_levels(eps):
+    """The distinct dispersion values of `eps`, ascending."""
+    return dynamics._eps_levels(eps.values)[2]
+
+
+def _no_chirp(*args):
+    raise AssertionError("the chirp-z path was taken")
+
+
+@st.composite
+def lattice_sums(draw):
+    """(weights, levels, ts, c) for a chirp-z level sum: L levels on a gapped
+    lattice eps_0 + n h of at most 4 L points, with n = 0 and 1 both present
+    so that h is the smallest gap; K complex weight columns; a uniform t-grid
+    of up to 4000 times from t0 != 0.  Every phase c t eps stays below 1000
+    rad, so that the rounding of the direct path stays far below 1e-12."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_levels = draw(st.integers(2, 200))
+    n_points = draw(st.integers(n_levels, 4 * n_levels)) if n_levels > 2 else 2
+    inside = rng.choice(np.arange(2, n_points - 1), max(n_levels - 3, 0), replace=False)
+    n = np.unique(np.concatenate(([0, 1, n_points - 1], inside)))
+    h = draw(st.floats(0.5, 6.0)) / (n_points - 1)
+    eps0 = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 4.0))
+    levels = eps0 + h * n
+    k = draw(st.integers(1, 3))
+    weights = rng.normal(size=(n_levels, k)) + 1j * rng.normal(size=(n_levels, k))
+    n_times = draw(st.integers(2, 4000))
+    t0 = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 25.0))
+    ts = t0 + draw(st.floats(0.1, 25.0)) / (n_times - 1) * np.arange(n_times)
+    return weights, levels, ts, draw(st.sampled_from([1.0, 2.0]))
+
+
+class TestLevelSum:
+    """The chirp-z path of level_sum against its direct path."""
+
+    @given(case=lattice_sums())
+    @settings(max_examples=40, deadline=None)
+    def test_chirp_matches_direct(self, case):
+        weights, levels, ts, c = case
+        assert dynamics._uniform_step(ts) is not None
+        assert dynamics._lattice(levels) is not None
+        fast = dynamics.level_sum(weights, levels, ts, c)
+        direct = dynamics._direct_level_sum(weights, levels, ts, c)
+        assert fast.shape == (len(ts), weights.shape[1])
+        scale = np.sum(np.abs(weights), axis=0)
+        assert np.all(np.abs(fast - direct) <= 1e-12 * scale)
+
+    def test_few_levels_on_a_long_grid(self):
+        # the chirp e^{i phi m^2/2} reaches 3e4 rad here, against phases
+        # c t eps of at most 120: its rounding must not grow with it
+        levels = 0.5 + 0.25 * np.arange(3)
+        weights = np.array([[1.0 + 0.5j], [-0.3 + 1.0j], [0.7 - 0.2j]])
+        ts = np.linspace(2.0, 60.0, 2000)
+        fast = dynamics.level_sum(weights, levels, ts, 2.0)
+        direct = dynamics._direct_level_sum(weights, levels, ts, 2.0)
+        assert np.all(np.abs(fast - direct) <= 1e-12 * np.sum(np.abs(weights)))
+
+    def test_levels_apart_by_rounding_share_a_lattice_point(self):
+        # 2R/N = 0.05 is inexact, so the two cells +-k of a pair can round to
+        # two distinct |k|: 85 levels on a 51-point lattice
+        levels = _sorted_levels(Dispersion.photon(MomentumGrid(d=1, R=2.5, N=100)))
+        n, _ = dynamics._lattice(levels)
+        assert len(levels) == 85 and n[-1] == 50
+        rng = np.random.default_rng(7)
+        weights = rng.normal(size=(85, 2)) + 1j * rng.normal(size=(85, 2))
+        ts = np.linspace(-3.0, 40.0, 300)
+        fast = dynamics.level_sum(weights, levels, ts, 2.0)
+        direct = dynamics._direct_level_sum(weights, levels, ts, 2.0)
+        assert np.all(np.abs(fast - direct) <= 1e-12 * np.sum(np.abs(weights), axis=0))
+
+    @pytest.mark.parametrize("ts", [np.array([0.0, 1.0, 3.0]), np.array([2.5])])
+    def test_uneven_grid_or_one_time_takes_direct_path(self, monkeypatch, ts):
+        levels = 0.5 + 0.25 * np.arange(40)
+        weights = np.exp(1j * levels)[:, None]
+        monkeypatch.setattr(dynamics, "_chirp_level_sum", _no_chirp)
+        assert np.array_equal(
+            dynamics.level_sum(weights, levels, ts, 2.0),
+            dynamics._direct_level_sum(weights, levels, ts, 2.0),
+        )
+
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            _sorted_levels(Dispersion.quadratic(MomentumGrid(d=1, R=4.0, N=256))),
+            _sorted_levels(Dispersion.photon(MomentumGrid(d=2, R=3.0, N=20))),
+            np.sort(np.random.default_rng(5).uniform(0.0, 3.0, 50)),
+        ],
+        ids=["quadratic", "photon-2d", "sampled"],
+    )
+    def test_off_lattice_levels_take_direct_path(self, monkeypatch, levels):
+        assert dynamics._lattice(levels) is None
+        weights = np.exp(1j * levels)[:, None]
+        ts = np.linspace(0.0, 10.0, 30)
+        monkeypatch.setattr(dynamics, "_chirp_level_sum", _no_chirp)
+        assert np.array_equal(
+            dynamics.level_sum(weights, levels, ts, 2.0),
+            dynamics._direct_level_sum(weights, levels, ts, 2.0),
+        )
+
+    def test_zero_mu2_gives_the_base_exactly(self):
+        battery, rho, eps = _grid_case(1, "photon")
+        ts = np.linspace(0.5, 60.0, 400)
+        assert dynamics._lattice(_sorted_levels(eps)) is not None
+        table = sigma_t(battery, rho, 0.0, eps, ts)
+        for j, f in enumerate(battery):
+            assert np.all(table[:, j] == dynamics._sigma_unif(f, rho))
+
+    @pytest.mark.parametrize("n_points, n_times", [(40, 200), (200, 40), (5, 100)])
+    def test_blocks_match_one_convolution(self, monkeypatch, n_points, n_times):
+        # with CHIRP_BLOCK = 16 the block side max(16, min(M, T)) cuts the
+        # longer axis, the t-grid into segments or the lattice into runs, in
+        # at least 3 pieces
+        rng = np.random.default_rng(n_points)
+        levels = 0.7 + 0.03 * np.arange(n_points)
+        weights = rng.normal(size=(n_points, 2)) + 1j * rng.normal(size=(n_points, 2))
+        ts = 1.5 + 0.2 * np.arange(n_times)
+        monkeypatch.setattr(dynamics, "CHIRP_BLOCK", 10 ** 6)
+        whole = dynamics.level_sum(weights, levels, ts, 2.0)
+        monkeypatch.setattr(dynamics, "CHIRP_BLOCK", 16)
+        assert max(n_points, n_times) >= 3 * max(16, min(n_points, n_times))
+        cut = dynamics.level_sum(weights, levels, ts, 2.0)
+        assert np.all(np.abs(cut - whole) <= 1e-12 * np.sum(np.abs(weights), axis=0))

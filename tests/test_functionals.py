@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import j0 as scipy_j0
 
@@ -128,6 +128,58 @@ class TestStateAxiomProperties:
         atoms = [(a, p), (a + math.pi, p), (b, 0.5 - p), (b + math.pi, 0.5 - p)]
         mu = PhaseMeasure.uniform() if uniform else PhaseMeasure.from_atoms(atoms)
         self.check_axioms(lambda f: phase_averaged_functional(f, rho, mu), battery)
+
+
+    # the case where the nearest-cell read of -f once missed conj E(f): a
+    # 16-cell grid (R = 2) with one mode at k = 1.625, midway between cells
+    OFF_GRID = MomentumGrid(d=1, R=2.0, N=16)
+
+    @given(
+        setup=gaussian_setups(),
+        modes=st.lists(
+            st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 3.0), st.floats(0.0, 2 * math.pi)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @example(
+        setup=(
+            OFF_GRID,
+            [TestFunction.from_profile(OFF_GRID, lambda k: np.exp(-((k - 1.0) ** 2) / 2.0 + 0.7j * k))],
+            None,
+        ),
+        modes=[(1.625, 1.0, 0.3)],
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_n_mode_negation_off_grid(self, setup, modes):
+        # -f made by with_values reads -fhat at modes off the cell centres too
+        _, battery, _ = setup
+        mode_set = CoherentModeSet(tuple((np.array([k]), r, th) for k, r, th in modes))
+        for f in battery:
+            value = n_mode_functional(f, mode_set).value
+            neg = n_mode_functional(f.with_values(-f.values), mode_set).value
+            assert neg == pytest.approx(np.conj(value), rel=1e-12, abs=1e-15)
+
+    @given(
+        setup=gaussian_setups(),
+        alpha=st.tuples(st.floats(-2.0, 2.0), st.floats(0.2, 2.0), st.floats(-3.0, 3.0)),
+        sigma=st.floats(0.05, 3.0),
+        a=st.floats(-2.0, 1.0),
+        width=st.floats(0.1, 2.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_rarefied(self, setup, alpha, sigma, a, width):
+        # E(0) = 1, |E(f)| <= 1 and E(-f) = conj E(f) for the zero-density limit
+        _, battery, _ = setup
+        c, w, m = alpha
+        profile = lambda k: np.exp(-((k - c) ** 2) / (2 * w ** 2) + 1j * m * k)
+        args = (profile, sigma, a, a + width)
+        for f in battery:
+            assert rarefied_functional(f.with_values(np.zeros(f.grid.n_cells)), *args).value == 1.0
+            value = rarefied_functional(f, *args).value
+            assert abs(value) <= 1.0 + 1e-12
+            neg = rarefied_functional(f.with_values(-f.values), *args).value
+            assert neg == pytest.approx(np.conj(value), rel=1e-12, abs=1e-15)
 
 
 class TestFiniteVolumeFunctional:

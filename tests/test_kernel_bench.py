@@ -1,6 +1,9 @@
 """Kernel microbenchmarks: the chi samplers at the `chi` benchmark size
-(20 000 draws x 4 functions x 4096 cells), and `build_q` + `wick_moment` at
-moment orders 16 and 24 on 4096 cells.
+(20 000 draws x 4 functions x 4096 cells), `build_q` + `wick_moment` at
+moment orders 16 and 24 on 4096 cells, and `sigma_t` at the `dynamics`
+benchmark size (32 768 cells x 3 functions x 1001 times) on both of its
+paths: the photon dispersion takes the chirp-z level sum, the quadratic one
+the direct sum.
 
 Deselected by default (`kernel_bench` marker); run with
 `PYTHONPATH=src python -m pytest -m kernel_bench tests/test_kernel_bench.py`.
@@ -9,7 +12,14 @@ Deselected by default (`kernel_bench` marker); run with
 import numpy as np
 import pytest
 
-from cohlim.config import build_density, build_grid, build_test_function
+from cohlim.config import (
+    build_density,
+    build_dispersion,
+    build_grid,
+    build_test_function,
+    parse_t_grid,
+)
+from cohlim.dynamics import sigma_t
 from cohlim.ito_sampler import build_coefficients, sample_chi, sample_chi_gram
 from cohlim.moments import build_q, wick_moment
 
@@ -58,3 +68,19 @@ def test_wick_moment_kernel(benchmark, order):
 
     value = benchmark.pedantic(kernel, rounds=3, iterations=1)
     assert np.isfinite(value)
+
+
+@pytest.mark.parametrize("form", ["photon", "quadratic"], ids=["chirp", "direct"])
+def test_sigma_t_kernel(benchmark, form):
+    grid = build_grid({"d": 1, "R": 8.0, "N": 32768})
+    rho = build_density({"name": "gaussian", "center": 0.0, "width": 1.5}, grid)
+    fns = [
+        {"name": "gaussian", "center": 0.0, "width": 1.0, "modulation": 0.5},
+        {"name": "gaussian", "center": 1.0, "width": 0.6},
+        {"name": "gaussian", "center": -2.0, "width": 1.5, "modulation": -1.0},
+    ]
+    battery = [build_test_function(obj, grid) for obj in fns]
+    eps = build_dispersion({"form": form}, grid)
+    ts = parse_t_grid("0:100:0.1")
+    table = benchmark.pedantic(sigma_t, args=(battery, rho, -1.0, eps, ts), rounds=3, iterations=1)
+    assert table.shape == (len(ts), len(battery))
