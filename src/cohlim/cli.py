@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -46,6 +47,7 @@ from cohlim.moments import MAX_PAIRING_ORDER, MIN_ORACLE_SAMPLES, build_q, mc_or
 from cohlim.open_system import SystemSpec, envelopes, gaussian_rate
 
 SCHEMA_VERSION = "1"
+CSV_BLOCK = 1024  # samples per block of `Run.write_draws` rows
 
 
 def _json_default(o):
@@ -178,6 +180,22 @@ class Run:
         ]
 
     @cached_property
+    def labels(self):
+        """The key of each battery function in result.json: its label, or f<j>
+        when that is empty.  Two equal keys are refused, as the later
+        function's values would replace the earlier one's."""
+        keys = {}
+        for j, f in enumerate(self.battery):
+            key = f.label or f"f{j}"
+            if key in keys:
+                raise ConfigError(
+                    f"/functions/{j}",
+                    f"label {key!r} repeats that of /functions/{keys[key]}; give each function its own",
+                )
+            keys[key] = j
+        return list(keys)
+
+    @cached_property
     def dispersion(self):
         return cfgmod.build_dispersion(self.cfg.get("dispersion", {"form": "photon"}), self.grid)
 
@@ -211,6 +229,30 @@ class Run:
             writer.writerows(rows)
         self.outputs.append(path)
 
+    def write_draws(self, name, header, labels, columns):
+        """The CSV `write_csv` would write for the rows (sample, label, x_1..x_c),
+        sample-major over `labels`, with x_i from `columns[i]`, a float array of
+        shape (samples, len(labels)); byte for byte, but without the csv module
+        per field.  Each label is quoted once by csv.writer; a float's repr,
+        which is what csv.writer writes, never needs quoting.  The rows go out
+        in blocks of CSV_BLOCK samples, so the table never sits in memory."""
+        cells = []
+        for label in labels:
+            buf = io.StringIO()
+            csv.writer(buf).writerow([label, ""])
+            cells.append(buf.getvalue()[: -len(",\r\n")])
+        line = ",".join(["{}"] * (len(columns) + 1)) + "\r\n"
+        n = len(columns[0])
+        path = self.out_dir / name
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerow(header)
+            for start in range(0, n, CSV_BLOCK):
+                stop = min(start + CSV_BLOCK, n)
+                keys = [f"{i},{cell}" for i in range(start, stop) for cell in cells]
+                floats = (map(repr, c[start:stop].ravel().tolist()) for c in columns)
+                fh.writelines(map(line.format, keys, *floats))
+        self.outputs.append(path)
+
     def write_json(self, name, obj):
         path = self.out_dir / name
         with open(path, "w") as fh:
@@ -224,7 +266,7 @@ class Run:
 def run_functional(run):
     kind = run.cfg.get("kind", "fock")
     rows, values = [], {}
-    for f in run.battery:
+    for f, label in zip(run.battery, run.labels):
         if kind == "fock":
             fv = fock_functional(f)
         elif kind == "nmode":
@@ -246,7 +288,6 @@ def run_functional(run):
                 "" if fv.phase is None else fv.phase,
             ]
         )
-        label = f.label or f"f{len(values)}"
         values[label] = _cnum(fv.value)
         # a state's value on a Weyl unitary has modulus at most 1
         tol = 1.0 + 1e-12
@@ -278,27 +319,21 @@ def run_clt(run):
 def run_chi(run):
     """Re chi(f) ~ N(0, sigma_mu(f)^2): the sample mean and variance of each
     function's draws are checked against that law at z standard errors."""
-    battery = run.battery
+    battery, labels = run.battery, run.labels
     m = run.samples(1000)
     coeffs = build_coefficients(run.density, run.mu2)
     chis = sample_chi_gram(battery, coeffs, m, run.rng("gram"))
     fock = np.array([fock_functional(f).value for f in battery])
     vals = fock * np.exp(1j * chis.real)
-    # one row per (sample, function), sample-major
-    columns = [
-        np.repeat(np.arange(m), len(battery)).tolist(),
-        [f.label for f in battery] * m,
-        *(a.ravel().tolist() for a in (chis.real, chis.imag, vals.real, vals.imag)),
-    ]
-    run.write_csv(
+    run.write_draws(
         "chi_samples.csv",
         ["sample", "label", "chi_re", "chi_im", "functional_re", "functional_im"],
-        zip(*columns),
+        [f.label for f in battery],
+        [chis.real, chis.imag, vals.real, vals.imag],
     )
     z = run.tol("z", 5.0)
     values = {}
-    for j, f in enumerate(battery):
-        label = f.label or f"f{j}"
+    for j, (f, label) in enumerate(zip(battery, labels)):
         mean = float(np.mean(chis[:, j].real))
         var = float(np.var(chis[:, j].real, ddof=1))
         sig2 = sigma_mu_sq(f, run.density, run.mu2)

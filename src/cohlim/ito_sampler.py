@@ -7,7 +7,11 @@ as the simple-function construction: each cell carries an independent
 N(0, dk) increment of each Brownian field and the Ito integral is the plain
 cell sum.  One matrix W (`_chi_matrix`) holds it for a whole battery:
 `sample_chi` multiplies cell increments into W, and `sample_chi_gram` draws
-from the QR factor of W.  A sample omega of the fields is the
+from a pivoted Cholesky factor of the small Gram matrix W^T W, which is
+formed, factored and applied with numpy's own loops (np.einsum without
+`optimize`) rather than BLAS: products this small gain nothing from BLAS,
+whose first threaded call leaves a second thread spinning for the rest of
+the process.  A sample omega of the fields is the
 one row of `sample_chi(fs, coeffs, 1, np.random.default_rng(seed))`: its
 increments depend only on the seed and the grid, not on the battery, so for a
 fixed seed chi is linear in f.  Integrands are deterministic, so no
@@ -35,6 +39,9 @@ from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, same_grid
 # Below this margin in 1 + Re mu_hat(2) the generic coefficient formulas
 # degenerate and the alternate branch S1 = i sqrt(rho), S2 = sqrt(rho) is used.
 BRANCH_MARGIN = 1e-9
+# psd_factor stops once every remaining pivot is below this share of the
+# largest diagonal entry
+PIVOT_TOL = 1e-14
 CHI_CHUNK = 2000  # draws of `sample_chi` per block of cell increments
 CLT_CHUNK = 512  # draws of `clt_sample` per block of mode phases
 
@@ -120,17 +127,47 @@ def sample_chi(
     return out
 
 
+def psd_factor(g: np.ndarray) -> np.ndarray:
+    """R of shape (r, n) with R^T R = G for a symmetric positive semidefinite
+    n x n matrix G, by Cholesky with full (diagonal) pivoting.
+
+    Step i takes the largest remaining diagonal d_p as pivot, sets
+    row_i = (G[p] - sum_{j<i} R[j, p] R[j]) / sqrt(d_p) and subtracts row_i^2
+    from d; it stops once max d <= PIVOT_TOL * max diag(G).  The Schur
+    complement left out is then positive semidefinite with diagonal at most
+    that bound, so every entry of G - R^T R is too: a rank-deficient G is
+    factored to that accuracy, with r at most its rank, and no eigenvalue is
+    clipped (Higham, "Analysis of the Cholesky decomposition of a
+    semi-definite matrix", 1990).
+    """
+    n = g.shape[0]
+    d = np.diag(g).copy()
+    r = np.zeros((n, n))
+    tol = PIVOT_TOL * d.max(initial=0.0)
+    rank = 0
+    while rank < n:
+        p = int(np.argmax(d))
+        if d[p] <= tol:
+            break
+        row = (g[p] - np.einsum("j,jk->k", r[:rank, p], r[:rank])) / math.sqrt(d[p])
+        d -= row ** 2
+        d[p] = 0.0  # exactly, not up to rounding: a pivot is never taken twice
+        r[rank] = row
+        rank += 1
+    return r[:rank]
+
+
 def chi_gram_factor(fs: Sequence[TestFunction], coeffs: CoefficientPair) -> np.ndarray:
-    """Upper-triangular R with R^T R the covariance of (Re chi | Im chi)
-    over the battery, shape (min(2N, 2K), 2K) for N cells and K functions.
+    """R with R^T R the covariance of (Re chi | Im chi) over the battery,
+    shape (r, 2K) for K functions, r at most the rank of that covariance.
 
     The cell sum of `sample_chi` is z W with W from `_chi_matrix`, so its
-    covariance is W^T W = R^T R with R from the QR factorization of W.
-    Unlike a Cholesky or eigen factorization of W^T W, this needs no
-    clipping when W is rank deficient (|mu_hat(2)| = 1 with real f,
-    collinear batteries).
+    covariance is the 2K x 2K Gram matrix W^T W, and `psd_factor` factors it
+    exactly also when W is rank deficient (|mu_hat(2)| = 1 with real f,
+    collinear batteries).  Any R with R^T R = W^T W gives the same law.
     """
-    return np.linalg.qr(_chi_matrix(fs, coeffs), mode="r")
+    w = _chi_matrix(fs, coeffs)
+    return psd_factor(np.einsum("ij,ik->jk", w, w))
 
 
 def sample_chi_gram(
@@ -142,12 +179,12 @@ def sample_chi_gram(
     """Draws of chi over a battery with exactly the law of `sample_chi`.
 
     On a fixed grid (Re chi, Im chi) is a 2K-dimensional Gaussian, so each
-    draw is one standard normal 2K-vector times `chi_gram_factor`: O(N K^2)
+    draw is one standard normal r-vector times `chi_gram_factor`: O(N K^2)
     once, then O(n K^2), instead of 2 n N cell increments.  Returns shape
     (n_samples, len(fs)), complex; the RNG stream differs from `sample_chi`.
     """
     r = chi_gram_factor(fs, coeffs)
-    x = rng.standard_normal((n_samples, r.shape[0])) @ r
+    x = np.einsum("ij,jk->ik", rng.standard_normal((n_samples, r.shape[0])), r)
     k = len(fs)
     return x[:, :k] + 1j * x[:, k:]
 

@@ -58,10 +58,11 @@ def build_q(
     p, q = len(fs), len(gs)
     same_grid(rho, *fs, *gs)
     # rows f_1..f_p, conj g_1..conj g_q: H diag(rho dk) H^T is every block of Q
-    # before the mu_hat(2), 1 and conj mu_hat(2) scales
+    # before the mu_hat(2), 1 and conj mu_hat(2) scales; einsum keeps this
+    # small product off the BLAS thread pool (see `ito_sampler`)
     rows = [f.values for f in fs] + [np.conj(g.values) for g in gs]
     H = np.array(rows, dtype=complex).reshape(p + q, rho.grid.n_cells)
-    Q = (H * (rho.grid.cell_volume * rho.values)) @ H.T
+    Q = np.einsum("ik,jk->ij", H * (rho.grid.cell_volume * rho.values), H)
     Q[:p, :p] *= mu2
     Q[p:, p:] *= np.conj(mu2)
     # enforce exact symmetry against quadrature round-off

@@ -472,9 +472,11 @@ class TestCliRuns:
         assert values["var_re_chi_se"] == pytest.approx(values["var_re_chi"] * math.sqrt(2.0 / 199), rel=1e-12)
         assert values["mean_re_chi_se"] > 0 and values["var_re_chi_se"] > 0
 
-    def test_chi_csv_matches_per_row_loop(self, tmp_path, monkeypatch):
-        """The column-built chi_samples.csv equals the per-row loop's bytes
-        for the same chi draws."""
+    @pytest.mark.parametrize("labels", [["f", "g"], ["a,b", 'q"x', '""', ""]], ids=["plain", "quoted"])
+    def test_chi_csv_matches_per_row_loop(self, tmp_path, monkeypatch, labels):
+        """The block-built chi_samples.csv equals the bytes csv.writer writes
+        row by row for the same chi draws, with labels that need quoting and
+        an empty one, over blocks that do not divide the sample count."""
         drawn = []
 
         def recording_sampler(*args):
@@ -483,8 +485,12 @@ class TestCliRuns:
 
         real_sampler = cli.sample_chi_gram
         monkeypatch.setattr(cli, "sample_chi_gram", recording_sampler)
-        g = {"name": "gaussian", "label": "g", "center": 0.5, "modulation": -1.0}
-        cfg = {**CONFIGS["chi"], "mu2": [0.3, 0.2], "functions": [GAUSS_F, g]}
+        monkeypatch.setattr(cli, "CSV_BLOCK", 64)
+        fns = [
+            {"name": "gaussian", "label": label, "center": 0.5 * j, "modulation": 1.0 - j}
+            for j, label in enumerate(labels)
+        ]
+        cfg = {**CONFIGS["chi"], "mu2": [0.3, 0.2], "functions": fns}
         out = tmp_path / "o"
         assert cli.main(["chi", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
         (chis,) = drawn
@@ -507,6 +513,26 @@ class TestCliContract:
     def run_cli(self, tmp_path, cfg, *flags):
         path = write_cfg(tmp_path, cfg)
         return cli.main([cfg["experiment"], "--config", path, "--out", str(tmp_path / "o"), *flags])
+
+    @pytest.mark.parametrize("experiment", ["functional", "chi"])
+    @pytest.mark.parametrize(
+        "fns",
+        [
+            [{"name": "gaussian"}, {"name": "gaussian", "center": 1.0}],
+            [{**GAUSS_F, "label": "f1"}, {**GAUSS_F, "label": ""}],
+        ],
+        ids=["default-labels", "key-of-empty-label"],
+    )
+    def test_repeated_label_exits_2(self, tmp_path, capsys, experiment, fns):
+        # each function's values sit under its label in result.json, where
+        # a repeat would overwrite the earlier function's results
+        assert self.run_cli(tmp_path, {**CONFIGS[experiment], "functions": fns}) == 2
+        assert capsys.readouterr().err.startswith("error: /functions/1: ")
+        assert not (tmp_path / "o" / "result.json").exists()
+
+    def test_moments_may_repeat_a_function(self, tmp_path):
+        fns = [{"name": "gaussian"}, {"name": "gaussian"}]
+        assert self.run_cli(tmp_path, {**CONFIGS["moments"], "functions": fns}) == 0
 
     @pytest.mark.parametrize(
         "experiment, key",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cohlim import ito_sampler
@@ -13,6 +14,7 @@ from cohlim.ito_sampler import (
     chi_gram_factor,
     clt_sample,
     ks_distance,
+    psd_factor,
     random_functional,
     sample_chi,
     sample_chi_gram,
@@ -234,6 +236,43 @@ class TestGramSampler:
         other = TestFunction.from_profile(MomentumGrid(d=1, R=4.0, N=128), lambda k: np.exp(-k ** 2))
         with pytest.raises(GridMismatchError):
             sample_chi_gram([gauss, other], build_coefficients(rho, 0.0), 5, np.random.default_rng(0))
+
+
+class TestPsdFactor:
+    """The pivoted Cholesky factor of the Gram matrix, on its edge cases."""
+
+    @given(
+        n=st.integers(1, 40),
+        k2=st.integers(1, 12),
+        rank=st.integers(0, 12),
+        seed=st.integers(0, 2 ** 32 - 1),
+        scales=st.lists(st.integers(-3, 3), min_size=12, max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_low_rank_gram(self, n, k2, rank, seed, scales):
+        # W = A B has rank at most min(n, rank, k2); columns scaled over six decades
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, k2))
+        w *= 10.0 ** np.array(scales[:k2])
+        gram = w.T @ w
+        r = psd_factor(gram)
+        assert r.shape[1] == k2
+        assert r.shape[0] <= np.linalg.matrix_rank(w)
+        np.testing.assert_allclose(r.T @ r, gram, rtol=0, atol=1e-12 * np.max(np.diag(gram), initial=0.0))
+
+    def test_empty_battery(self, rho):
+        coeffs = build_coefficients(rho, 0.3 + 0.2j)
+        assert chi_gram_factor([], coeffs).shape == (0, 0)
+        chis = sample_chi_gram([], coeffs, 5, np.random.default_rng(0))
+        assert chis.shape == (5, 0) and chis.dtype == complex
+
+    def test_zero_function(self, rho, gauss):
+        coeffs = build_coefficients(rho, 0.3 + 0.2j)
+        zero = gauss.with_values(np.zeros_like(gauss.values))
+        assert chi_gram_factor([zero], coeffs).shape == (0, 2)
+        chis = sample_chi_gram([zero, zero], coeffs, 5, np.random.default_rng(0))
+        assert chis.shape == (5, 2)
+        assert not np.any(chis)
 
 
 class TestRandomFunctional:

@@ -1,5 +1,7 @@
 """Kernel microbenchmarks: the chi samplers at the `chi` benchmark size
-(20 000 draws x 4 functions x 4096 cells), `build_q` + `wick_moment` at
+(20 000 draws x 4 functions x 4096 cells), the Gram factor of the chi law
+at the `chi` and `moments` sizes (4 and 16 functions on 4096 cells),
+`build_q` + `wick_moment` at
 moment orders 16 and 24 on 4096 cells, and `sigma_t` at the `dynamics`
 benchmark size (32 768 cells x 3 functions x 1001 times) on both of its
 paths: the photon dispersion takes the chirp-z level sum, the quadratic one
@@ -20,7 +22,7 @@ from cohlim.config import (
     parse_t_grid,
 )
 from cohlim.dynamics import sigma_t
-from cohlim.ito_sampler import build_coefficients, sample_chi, sample_chi_gram
+from cohlim.ito_sampler import build_coefficients, chi_gram_factor, sample_chi, sample_chi_gram
 from cohlim.moments import build_q, wick_moment
 
 pytestmark = pytest.mark.kernel_bench
@@ -48,6 +50,23 @@ def test_sample_chi_kernel(benchmark, chi_inputs, sampler):
     rng = np.random.default_rng(1)
     chis = benchmark.pedantic(sampler, args=(battery, coeffs, SAMPLES, rng), rounds=3, iterations=1)
     assert chis.shape == (SAMPLES, len(battery))
+
+
+@pytest.mark.parametrize("n_fns", [4, 16])
+def test_chi_gram_factor_kernel(benchmark, n_fns):
+    grid = build_grid({"d": 1, "R": 4.0, "N": 4096})
+    rho = build_density({"name": "gaussian", "center": 0.5, "width": 1.0}, grid)
+    battery = [
+        build_test_function(
+            {"name": "gaussian", "center": -3.0 + 6.0 * i / n_fns, "width": 0.7, "modulation": 0.3 * i},
+            grid,
+        )
+        for i in range(n_fns)
+    ]
+    r = benchmark.pedantic(
+        chi_gram_factor, args=(battery, build_coefficients(rho, 0.3 + 0.2j)), rounds=20, iterations=1
+    )
+    assert r.shape[1] == 2 * n_fns
 
 
 @pytest.mark.parametrize("order", [16, 24])
