@@ -44,7 +44,7 @@ from cohlim.functionals import (
 from cohlim.gns_reps import rep_expectation_averaged, rep_expectation_n_mode
 from cohlim.ito_sampler import build_coefficients, clt_sample, ks_distance, sample_chi_gram
 from cohlim.moments import MAX_PAIRING_ORDER, MIN_ORACLE_SAMPLES, build_q, mc_oracle, wick_moment
-from cohlim.open_system import SystemSpec, envelopes, gaussian_rate
+from cohlim.open_system import envelopes
 
 SCHEMA_VERSION = "1"
 CSV_BLOCK = 1024  # samples per block of `Run.write_draws` rows
@@ -201,13 +201,17 @@ class Run:
 
     @cached_property
     def modes(self):
+        """The coherent modes; each momentum k has one component per grid axis."""
+        d, modes = self.grid.d, []
         with cfgmod.reading("/modes"):
-            return CoherentModeSet(
-                [
-                    (m["k"], cfgmod.number(m["rho"]), cfgmod.number(m.get("theta", 0.0)))
-                    for m in self.cfg.get("modes", [])
-                ]
-            )
+            for i, m in enumerate(self.cfg.get("modes", [])):
+                k = m["k"] if isinstance(m["k"], list) else [m["k"]]
+                with cfgmod.reading(f"/modes/{i}/k"):
+                    if len(k) != d:
+                        raise ValueError(f"expected {d} momentum components, got {m['k']!r}")
+                    k = cfgmod.numbers(k)
+                modes.append((k, cfgmod.number(m["rho"]), cfgmod.number(m.get("theta", 0.0))))
+            return CoherentModeSet(modes)
 
     @cached_property
     def rarefied(self):
@@ -384,18 +388,18 @@ def run_gns_check(run):
         rho, mu2 = run.density, run.mu2
         if "measure" in run.cfg:
             run.admissible_measure()
-        for f in run.battery:
+        for f, label in zip(run.battery, run.labels):
             lhs = rep_expectation_averaged(f, rho, mu2).value
             rhs = fock_functional(f).value * math.exp(-sigma_mu_sq(f, rho, mu2) / 2.0)
-            checks.append((f.label, lhs, rhs))
+            checks.append((label, lhs, rhs))
     elif rep == "nmode":
         modes = run.modes
-        for f in run.battery:
+        for f, label in zip(run.battery, run.labels):
             lhs = rep_expectation_n_mode(f, modes).value
             fhat = f.evaluate_at(modes.momenta())
             j0s = [bessel_j0(math.sqrt(2.0 * r) * abs(v)) for r, v in zip(modes.rhos(), fhat)]
             rhs = fock_functional(f).value * np.prod(j0s)
-            checks.append((f.label, lhs, rhs))
+            checks.append((label, lhs, rhs))
     else:
         raise ConfigError("/rep", f"unknown representation {rep!r}; use nmode or averaged")
     tol = run.tol("residual", 1e-9)
@@ -428,21 +432,19 @@ def run_decohere(run):
     over chi draws must match the Gaussian envelope within z standard
     errors at every t > 0."""
     g = cfgmod.build_test_function(run.need("form_factor"), run.grid, "/form_factor")
-    energies, couplings = run.read("energies", each=True), run.read("couplings", each=True)
-    with cfgmod.reading("/couplings"):
-        system = SystemSpec(energies, couplings, g, run.dispersion)
+    couplings = run.read("couplings", each=True, min_count=2)
     element = run.read("element", int, [0, 1], each=True)
-    n = system.n_levels
+    n = len(couplings)
     if not (len(element) == 2 and all(0 <= i < n for i in element) and element[0] != element[1]):
         raise ConfigError("/element", f"expected two distinct levels in 0..{n - 1}, got {element}")
     k, l = element
-    dg = system.couplings[k] - system.couplings[l]
+    dg = couplings[k] - couplings[l]
     m = run.samples(10_000)
     coeffs = build_coefficients(run.density, 0.0)
     re_chi = sample_chi_gram([g], coeffs, m, run.rng("gram"))[:, 0].real
-    rate = gaussian_rate(system, run.density)
+    rate = sigma_mu_sq(g, run.density, 0.0)
     ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:2:0.1"))
-    gaussian, decay = envelopes(system, k, l, ts, rate)
+    gaussian, decay = envelopes(dg, g, run.dispersion, ts, rate)
     rows = []
     worst = 0.0
     for t, gaussian_env, gamma_env in zip(ts.tolist(), gaussian.tolist(), decay.tolist()):

@@ -81,8 +81,9 @@ def numbers(values, kind=float, min_count=0, **bounds) -> list:
 MAX_CELLS = 2 ** 24
 MAX_T_POINTS = 10 ** 6
 
-STOCHASTIC_EXPERIMENTS = ("clt", "chi", "moments", "decohere")
-EXPERIMENTS = STOCHASTIC_EXPERIMENTS + ("functional", "gns-check", "dynamics", "diverge", "rarefied")
+EXPERIMENTS = (
+    "clt", "chi", "moments", "decohere", "functional", "gns-check", "dynamics", "diverge", "rarefied"
+)
 
 
 def load_config(path) -> dict:
@@ -99,8 +100,6 @@ def validate_config(cfg: dict) -> None:
     exp = cfg.get("experiment")
     if exp not in EXPERIMENTS:
         raise ConfigError("/experiment", f"must be one of {sorted(EXPERIMENTS)}, got {exp!r}")
-    if exp in STOCHASTIC_EXPERIMENTS and "seed" not in cfg:
-        raise ConfigError("/seed", f"a seed is mandatory for the {exp} experiment")
     if not isinstance(cfg.get("tolerances", {}), dict):
         raise ConfigError("/tolerances", f"expected an object, got {cfg['tolerances']!r}")
 

@@ -253,29 +253,27 @@ def _gap(fock, sig_t, sig_unif):
 
 
 def sigma_t(
-    f: TestFunction | Sequence[TestFunction],
+    battery: Sequence[TestFunction],
     rho: ModeDensity,
     mu2: complex,
     eps: Dispersion,
-    t: float | np.ndarray,
-) -> float | np.ndarray:
+    ts: np.ndarray,
+) -> np.ndarray:
     """Time-evolved variance integral
-    int rho (|fhat|^2 + Re{e^{2 i t eps} mu_hat(2) fhat^2}) dk;
-    tends to int rho |fhat|^2 dk for smooth data as t grows.
+    int rho (|fhat|^2 + Re{e^{2 i t eps} mu_hat(2) fhat^2}) dk
+    of every function f of `battery` at every time t of the 1-d `ts`: shape
+    (len(ts), len(battery)).  Tends to int rho |fhat|^2 dk for smooth data
+    as t grows.
 
-    `f` is one test function or a battery (a sequence of them), `t` a scalar
-    or a 1-d time grid.  A battery on a grid gives shape (len(t), len(f)),
-    one function at one time a float.  Cells of equal dispersion are summed
-    before the phase is applied, which is exact, and the t-dependent part is
-    `level_sum` over the distinct eps values with c = 2.  So a uniform
-    t-grid on lattice levels (the photon dispersion in d = 1) costs one
-    chirp-z transform per function; other inputs (quadratic eps, d >= 2,
-    sampled eps, a single time or an uneven grid) evaluate e^{2 i t eps} once
-    per (t, distinct eps value) for the whole battery."""
+    Cells of equal dispersion are summed before the phase is applied, which
+    is exact, and the t-dependent part is `level_sum` over the distinct eps
+    values with c = 2.  So a uniform t-grid on lattice levels (the photon
+    dispersion in d = 1) costs one chirp-z transform per function; other
+    inputs (quadratic eps, d >= 2, sampled eps, a single time or an uneven
+    grid) evaluate e^{2 i t eps} once per (t, distinct eps value) for the
+    whole battery."""
     check_mu2(mu2)
-    battery = [f] if isinstance(f, TestFunction) else list(f)
     same_grid(rho, eps, *battery)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
     order, starts, levels = _eps_levels(eps.values)
     rho_sorted = rho.values[order]
     # mu_hat(2) int rho fhat^2 over the cells of each level, one function at a
@@ -291,12 +289,7 @@ def sigma_t(
         np.add.reduceat(sq, starts, out=weights[:, j])
     del order, rho_sorted, sq  # freed before the level sum allocates
     # exactly base when mu_hat(2) = 0: the weights, hence the sum, are then zero
-    out = base + eps.grid.cell_volume * level_sum(weights, levels, ts, 2.0)
-    if isinstance(f, TestFunction):
-        out = out[:, 0]
-    if np.ndim(t) == 0:
-        out = out[0]
-    return float(out) if np.ndim(out) == 0 else out
+    return base + eps.grid.cell_volume * level_sum(weights, levels, ts, 2.0)
 
 
 def uniformization_metric(
@@ -314,7 +307,7 @@ def uniformization_metric(
     worst = 0.0
     for f in battery:
         fock = fock_functional(f).value.real
-        sig_t = sigma_t(f, rho, mu2, eps, t)
+        sig_t = sigma_t([f], rho, mu2, eps, [t])[0, 0]
         worst = max(worst, float(_gap(fock, sig_t, _sigma_unif(f, rho))))
     return worst
 

@@ -1,48 +1,26 @@
 """Exact reduced dynamics of an N-level system with an energy-conserving
 coupling to the random-phase coherent reservoir.
 
-Populations are frozen; the modulus of each off-diagonal element decays by
-two envelopes: the zero-temperature-like Gamma(t) factor and (after
-averaging over the random phase carried by Re chi(g)) a Gaussian-in-time
-factor whose rate is |sqrt(rho) ghat|_2^2.
+Populations are frozen.  The level energies only give each off-diagonal
+element a phase e^{-i (E_k - E_l) t}; its modulus decays by two envelopes
+that depend only on the coupling difference g_k - g_l: the
+zero-temperature-like Gamma(t) factor and (after averaging over the random
+phase carried by Re chi(g)) a Gaussian-in-time factor whose rate is
+|sqrt(rho) ghat|_2^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from cohlim.dynamics import Dispersion
-from cohlim.mode_space import ModeDensity, TestFunction, inner, same_grid
+from cohlim.mode_space import TestFunction, same_grid
 
 EPS_MIN = 1e-8  # infrared cutoff: cells with eps below this are excluded
 GAMMA_RADIAL_NODES = 400_000  # midpoint nodes of gamma_radial over [0, r_max]
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    """N-level system with diagonal Hamiltonian and diagonal coupling."""
-
-    energies: np.ndarray
-    couplings: np.ndarray
-    form_factor: TestFunction
-    dispersion: Dispersion
-
-    def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
-        g = np.asarray(self.couplings, dtype=float)
-        if len(e) < 2 or len(e) != len(g):
-            raise ValueError("need N >= 2 levels with one coupling eigenvalue each")
-        same_grid(self.form_factor, self.dispersion)
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "couplings", g)
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.energies)
 
 
 def _infrared_cells(g: TestFunction, eps: Dispersion) -> tuple[np.ndarray, np.ndarray]:
@@ -75,24 +53,19 @@ def gamma_radial(
     return float(2.0 * h * np.sum(integrand))
 
 
-def gaussian_rate(spec: SystemSpec, reservoir: ModeDensity) -> float:
-    """|sqrt(rho) ghat|_2^2, the rate of the Gaussian-in-time factor."""
-    return inner(spec.form_factor, spec.form_factor, reservoir).real
-
-
 def envelopes(
-    spec: SystemSpec, k: int, l: int, ts: float | np.ndarray, rate: float = 0.0
+    dg: float, g: TestFunction, eps: Dispersion, ts: np.ndarray, rate: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The two decay factors of element (k, l) at each time of `ts`:
+    """The two decay factors of an element whose levels' couplings differ
+    by `dg`, at each time of `ts`:
 
-        Gaussian  exp(-t^2 (g_k - g_l)^2 rate / 2),
-        Gamma     exp(-(g_k - g_l)^2 Gamma(t) / 2).
+        Gaussian  exp(-t^2 dg^2 rate / 2),
+        Gamma     exp(-dg^2 Gamma(t) / 2).
 
-    `rate` is `gaussian_rate` for the reservoir average and 0 for a single
+    `rate` is int rho |ghat|^2 for the reservoir average and 0 for a single
     sample.  Each factor is a scalar `math.exp`, so a t-grid gives the same
     bits as one time at a time."""
-    dg = spec.couplings[k] - spec.couplings[l]
-    ts = np.atleast_1d(np.asarray(ts, dtype=float)).tolist()
+    ts = np.asarray(ts, dtype=float).tolist()
     gaussian = [math.exp(-0.5 * t * t * dg * dg * rate) for t in ts]
-    decay = [math.exp(-0.5 * dg * dg * gamma(t, spec.form_factor, spec.dispersion)) for t in ts]
+    decay = [math.exp(-0.5 * dg * dg * gamma(t, g, eps)) for t in ts]
     return np.array(gaussian), np.array(decay)

@@ -91,8 +91,8 @@ CONFIGS = {
         "density": DENSITY,
         "dispersion": {"form": "photon"},
         "form_factor": {"name": "gaussian", "label": "g"},
-        "energies": [0.0, 1.0],
         "couplings": [0.0, 1.0],
+        "element": [0, 1],
         "t_grid": "0:1:0.5",
     },
     "diverge": {
@@ -201,10 +201,6 @@ class TestConfigValidation:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="/experiment"):
             validate_config({"experiment": "nope"})
-
-    def test_stochastic_requires_seed(self):
-        with pytest.raises(ConfigError, match="/seed"):
-            validate_config({"experiment": "clt"})
 
     def test_deterministic_needs_no_seed(self):
         validate_config({"experiment": "functional"})
@@ -387,7 +383,7 @@ class TestCliRuns:
         assert len(rows) == len(ts)
         for t, row in zip(ts, rows):
             assert float(row["t"]) == t
-            s = sigma_t(battery[0], rho, mu2, eps, float(t))
+            s = sigma_t(battery[:1], rho, mu2, eps, [float(t)])[0, 0]
             metric = uniformization_metric(battery, rho, mu2, eps, float(t))
             assert float(row["sigma_t"]) == pytest.approx(s, rel=1e-12, abs=1e-15)
             assert float(row["metric"]) == pytest.approx(metric, rel=1e-12, abs=1e-15)
@@ -514,7 +510,7 @@ class TestCliContract:
         path = write_cfg(tmp_path, cfg)
         return cli.main([cfg["experiment"], "--config", path, "--out", str(tmp_path / "o"), *flags])
 
-    @pytest.mark.parametrize("experiment", ["functional", "chi"])
+    @pytest.mark.parametrize("experiment", ["functional", "chi", "gns-check"])
     @pytest.mark.parametrize(
         "fns",
         [
@@ -530,6 +526,16 @@ class TestCliContract:
         assert capsys.readouterr().err.startswith("error: /functions/1: ")
         assert not (tmp_path / "o" / "result.json").exists()
 
+    @pytest.mark.parametrize("experiment", ["clt", "chi", "moments", "decohere"])
+    def test_stochastic_requires_seed(self, tmp_path, capsys, experiment):
+        # the seed may come from the config or from --seed
+        cfg = {k: v for k, v in CONFIGS[experiment].items() if k != "seed"}
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert capsys.readouterr().err.startswith("error: /seed: ")
+        assert not (tmp_path / "o" / "result.json").exists()
+        assert self.run_cli(tmp_path, cfg, "--seed", "5") == 0
+        assert read_result(tmp_path / "o")["seed"] == 5
+
     def test_moments_may_repeat_a_function(self, tmp_path):
         fns = [{"name": "gaussian"}, {"name": "gaussian"}]
         assert self.run_cli(tmp_path, {**CONFIGS["moments"], "functions": fns}) == 0
@@ -543,7 +549,7 @@ class TestCliContract:
             ("moments", "density"),
             ("gns-check", "density"),
             ("dynamics", "density"),
-            ("decohere", "energies"),
+            ("decohere", "couplings"),
             ("decohere", "form_factor"),
             ("diverge", "function"),
             ("rarefied", "alpha"),
@@ -595,12 +601,9 @@ class TestCliContract:
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], "samples": samples}) == 2
         assert "/samples:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "energies, couplings",
-        [([0.0, 1.0], [0.0, 1.0, 2.0]), ([0.0], [1.0]), ([0.0, 1.0, 2.0], [0.0, 1.0])],
-    )
-    def test_bad_levels_exit_2(self, tmp_path, capsys, energies, couplings):
-        cfg = {**CONFIGS["decohere"], "energies": energies, "couplings": couplings}
+    @pytest.mark.parametrize("couplings", [[1.0], []])
+    def test_bad_levels_exit_2(self, tmp_path, capsys, couplings):
+        cfg = {**CONFIGS["decohere"], "couplings": couplings}
         assert self.run_cli(tmp_path, cfg) == 2
         assert "/couplings:" in capsys.readouterr().err
 
@@ -623,8 +626,8 @@ class TestCliContract:
             ("dynamics", "density", {"name": "gaussian", "width": [1.0]}, "/density"),
             ("decohere", "form_factor", {"name": "box", "amplitude": "big"}, "/form_factor"),
             ("diverge", "function", 3, "/function"),
-            ("decohere", "energies", [0.0, "one"], "/energies"),
-            ("decohere", "energies", "0 1", "/energies"),
+            ("decohere", "couplings", [0.0, "one"], "/couplings"),
+            ("decohere", "couplings", "0 1", "/couplings"),
         ],
     )
     def test_malformed_descriptor_exits_2(self, tmp_path, capsys, experiment, key, value, pointer):
@@ -644,6 +647,14 @@ class TestCliContract:
         "experiment, changes, pointer",
         [
             ("functional", {"kind": "nmode", "modes": [{"k": 1.0}]}, "/modes"),
+            # a momentum needs one component per grid axis, here d = 1
+            ("functional", {"kind": "nmode", "modes": [{"k": [1.0, 2.0], "rho": 1}]}, "/modes/0/k"),
+            ("gns-check", {"rep": "nmode", "modes": [{"k": [1.0, 2.0], "rho": 1}]}, "/modes/0/k"),
+            (
+                "functional",
+                {"kind": "nmode", "modes": [{"k": 1.0, "rho": 1}, {"k": [1.0, 2.0], "rho": 1}]},
+                "/modes/1/k",
+            ),
             ("chi", {"seed": True}, "/seed"),
             ("diverge", {"tolerances": "x"}, "/tolerances"),
             ("diverge", {"n_list": [64, 128]}, "/n_list"),
@@ -657,6 +668,14 @@ class TestCliContract:
     def test_bad_value_exits_2(self, tmp_path, capsys, experiment, changes, pointer):
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], **changes}) == 2
         assert f"{pointer}:" in capsys.readouterr().err
+
+    def test_mode_momentum_may_be_a_number_in_one_dimension(self, tmp_path):
+        values = []
+        for k in (0.5, [0.5]):
+            cfg = {**CONFIGS["functional"], "kind": "nmode", "modes": [{"k": k, "rho": 1}]}
+            assert self.run_cli(tmp_path, cfg) == 0
+            values.append(read_result(tmp_path / "o")["values"])
+        assert values[0] == values[1]
 
     @pytest.mark.parametrize(
         "experiment, changes, pointer",

@@ -55,7 +55,7 @@ class TestSigmaT:
     def test_time_zero_matches_static(self, gauss, rho):
         eps = Dispersion.photon(gauss.grid)
         for mu2 in (0.0, 0.5, -1.0):
-            assert sigma_t(gauss, rho, mu2, eps, 0.0) == pytest.approx(
+            assert sigma_t([gauss], rho, mu2, eps, [0.0])[0, 0] == pytest.approx(
                 sigma_mu_sq(gauss, rho, mu2)
             )
 
@@ -68,13 +68,13 @@ class TestSigmaT:
     def test_time_zero_matches_static_property(self, setup, mu2, form):
         grid, battery, rho = setup
         eps = getattr(Dispersion, form)(grid)
-        table = sigma_t(battery, rho, mu2, eps, 0.0)
-        for f, value in zip(battery, table):
+        table = sigma_t(battery, rho, mu2, eps, [0.0])
+        for f, value in zip(battery, table[0]):
             static = sigma_mu_sq(f, rho, mu2)
             # the two sums group the cells differently, so where the terms
             # cancel (mu2 = -1, real f) the residue is rounding on their scale
             scale = grid.cell_volume * float(np.sum(rho.values * np.abs(f.values) ** 2))
-            for sigma in (value, sigma_t(f, rho, mu2, eps, 0.0)):
+            for sigma in (value, sigma_t([f], rho, mu2, eps, [0.0])[0, 0]):
                 assert sigma == pytest.approx(static, rel=1e-12, abs=1e-12 * scale)
 
     @pytest.mark.parametrize("form", ["photon", "quadratic"])
@@ -85,21 +85,21 @@ class TestSigmaT:
         scale = gauss.grid.cell_volume * float(np.sum(rho.values * np.abs(gauss.values) ** 2))
         for mu2 in (0.5, 0.4 + 0.3j, -1.0):
             expect = sigma_mu_sq(evolve(gauss, eps, t), rho, mu2)
-            assert sigma_t(gauss, rho, mu2, eps, t) == pytest.approx(
+            assert sigma_t([gauss], rho, mu2, eps, [t])[0, 0] == pytest.approx(
                 expect, rel=1e-12, abs=1e-12 * scale
             )
 
     def test_group_property(self, gauss, rho):
         # evolving for s and then for t is evolving for s + t
         eps = Dispersion.quadratic(gauss.grid)
-        once = sigma_t(evolve(gauss, eps, 1.5), rho, -1.0, eps, 2.5)
-        assert once == pytest.approx(sigma_t(gauss, rho, -1.0, eps, 4.0), rel=1e-12)
+        once = sigma_t([evolve(gauss, eps, 1.5)], rho, -1.0, eps, [2.5])[0, 0]
+        assert once == pytest.approx(sigma_t([gauss], rho, -1.0, eps, [4.0])[0, 0], rel=1e-12)
 
     def test_constant_at_zero_mu2(self, gauss, rho):
         eps = Dispersion.photon(gauss.grid)
         base = inner(gauss, gauss, rho).real
         for t in (0.0, 5.0, 50.0):
-            assert sigma_t(gauss, rho, 0.0, eps, t) == pytest.approx(base)
+            assert sigma_t([gauss], rho, 0.0, eps, [t])[0, 0] == pytest.approx(base)
 
     def test_relaxes_to_uniform_value(self):
         g = MomentumGrid(d=1, R=4.0, N=4096)
@@ -107,8 +107,8 @@ class TestSigmaT:
         rho = ModeDensity.from_profile(g, lambda k: np.exp(-((k - 1.0) ** 2)))
         eps = Dispersion.photon(g)
         uniform = inner(f, f, rho).real
-        assert abs(sigma_t(f, rho, -1.0, eps, 0.0) - uniform) > 0.1
-        assert abs(sigma_t(f, rho, -1.0, eps, 50.0) - uniform) < 1e-6
+        assert abs(sigma_t([f], rho, -1.0, eps, [0.0])[0, 0] - uniform) > 0.1
+        assert abs(sigma_t([f], rho, -1.0, eps, [50.0])[0, 0] - uniform) < 1e-6
 
 
 class TestUniformizationMetric:
@@ -177,7 +177,7 @@ class TestSigmaTGrid:
         assert table.shape == (len(ts), len(battery))
         for i, t in enumerate(ts):
             for j, f in enumerate(battery):
-                scalar = sigma_t(f, rho, mu2, eps, float(t))
+                scalar = sigma_t([f], rho, mu2, eps, [float(t)])[0, 0]
                 assert abs(table[i, j] - scalar) <= 1e-12 * abs(scalar)
                 # against the ungrouped per-cell sum, on the scale of its terms
                 scale = 2.0 * inner(f, f, rho).real
@@ -190,21 +190,22 @@ class TestSigmaTGrid:
         table = sigma_t(battery, rho, -1.0, eps, ts)
         for i in (0, 1, 499, 998, len(ts) - 1):
             for j, f in enumerate(battery):
-                scalar = sigma_t(f, rho, -1.0, eps, float(ts[i]))
+                scalar = sigma_t([f], rho, -1.0, eps, [float(ts[i])])[0, 0]
                 assert abs(table[i, j] - scalar) <= 1e-12 * abs(scalar)
 
-    def test_result_shapes(self, gauss, rho):
+    @pytest.mark.parametrize("n_times", [1, 3])
+    @pytest.mark.parametrize("n_fns", [1, 2])
+    def test_result_shape(self, gauss, rho, n_times, n_fns):
+        # one time and one function keep their axes: always (len(ts), len(battery))
         eps = Dispersion.photon(gauss.grid)
-        ts = np.array([0.0, 1.0, 2.5])
-        assert isinstance(sigma_t(gauss, rho, -1.0, eps, 1.0), float)
-        assert sigma_t(gauss, rho, -1.0, eps, ts).shape == (3,)
-        assert sigma_t([gauss, gauss], rho, -1.0, eps, 1.0).shape == (2,)
-        assert sigma_t([gauss, gauss], rho, -1.0, eps, ts).shape == (3, 2)
+        ts = np.array([0.0, 1.0, 2.5])[:n_times]
+        table = sigma_t([gauss] * n_fns, rho, -1.0, eps, ts)
+        assert table.shape == (n_times, n_fns) and table.dtype == np.float64
 
     def test_rejects_mu2_outside_unit_disc(self, gauss, rho):
         eps = Dispersion.photon(gauss.grid)
         with pytest.raises(ValueError):
-            sigma_t(gauss, rho, 1.5, eps, 1.0)
+            sigma_t([gauss], rho, 1.5, eps, [1.0])
         with pytest.raises(ValueError):
             sigma_t([gauss], rho, 0.8 + 0.8j, eps, np.array([0.0, 1.0]))
 

@@ -34,7 +34,7 @@ from cohlim.mode_space import (
     same_grid,
 )
 from cohlim.moments import build_q, mc_oracle, permanent_moment
-from cohlim.open_system import SystemSpec, gamma, gaussian_rate
+from cohlim.open_system import envelopes, gamma
 
 
 class TestMomentumGrid:
@@ -220,14 +220,11 @@ GRID_TAKING = {
     "phase_averaged_functional": lambda a, b: phase_averaged_functional(
         a.f, b.rho, PhaseMeasure.uniform()
     ),
-    "sigma_t": lambda a, b: sigma_t([a.f], a.rho, 0.3, b.eps, 1.0),
+    "sigma_t": lambda a, b: sigma_t([a.f], a.rho, 0.3, b.eps, [1.0]),
     "uniformization_metric": lambda a, b: uniformization_metric([a.f], a.rho, 0.3, b.eps, 1.0),
     "uniformization_curve": lambda a, b: uniformization_curve([a.f], b.rho, np.zeros((2, 1))),
-    "SystemSpec": lambda a, b: SystemSpec(np.array([0.0, 1.0]), np.array([0.0, 1.0]), a.f, b.eps),
     "gamma": lambda a, b: gamma(1.0, a.f, b.eps),
-    "gaussian_rate": lambda a, b: gaussian_rate(
-        SystemSpec(np.array([0.0, 1.0]), np.array([0.0, 1.0]), a.f, a.eps), b.rho
-    ),
+    "envelopes": lambda a, b: envelopes(1.0, a.f, b.eps, [1.0], 0.3),
     "sample_chi": lambda a, b: sample_chi([a.f], b.coeffs, 2, np.random.default_rng(0)),
     "chi_gram_factor": lambda a, b: chi_gram_factor([a.f, b.f], a.coeffs),
     "sample_chi_gram": lambda a, b: sample_chi_gram([a.f], b.coeffs, 2, np.random.default_rng(0)),
