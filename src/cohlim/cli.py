@@ -42,7 +42,8 @@ from cohlim.functionals import (
     sigma_mu_sq,
 )
 from cohlim.gns_reps import rep_expectation_averaged, rep_expectation_n_mode
-from cohlim.ito_sampler import build_coefficients, clt_sample, ks_distance, sample_chi_gram
+from cohlim.ito_sampler import clt_sample, ks_distance, sample_chi_gram
+from cohlim.mode_space import battery_gram
 from cohlim.moments import MAX_PAIRING_ORDER, MIN_ORACLE_SAMPLES, build_q, mc_oracle, wick_moment
 from cohlim.open_system import envelopes
 
@@ -325,8 +326,7 @@ def run_chi(run):
     function's draws are checked against that law at z standard errors."""
     battery, labels = run.battery, run.labels
     m = run.samples(1000)
-    coeffs = build_coefficients(run.density, run.mu2)
-    chis = sample_chi_gram(battery, coeffs, m, run.rng("gram"))
+    chis = sample_chi_gram(battery_gram(battery, run.density), run.mu2, m, run.rng("gram"))
     fock = np.array([fock_functional(f).value for f in battery])
     vals = fock * np.exp(1j * chis.real)
     run.write_draws(
@@ -363,9 +363,9 @@ def run_moments(run):
     if p + q > len(battery):
         raise ConfigError("/functions", f"need at least p+q={p+q} functions")
     m = run.samples(10_000, MIN_ORACLE_SAMPLES)
-    fs, gs = battery[:p], battery[p : p + q]
-    closed = wick_moment(build_q(fs, gs, run.density, run.mu2))
-    est = mc_oracle(fs, gs, build_coefficients(run.density, run.mu2), m, run.rng("gram"))
+    gram = battery_gram(battery[: p + q], run.density)
+    closed = wick_moment(build_q(gram, p, run.mu2))
+    est = mc_oracle(gram, p, run.mu2, m, run.rng("gram"))
     z = est.z_score(closed)
     values = {
         "p": p,
@@ -394,6 +394,8 @@ def run_gns_check(run):
             checks.append((label, lhs, rhs))
     elif rep == "nmode":
         modes = run.modes
+        if not len(modes):
+            raise ConfigError("/modes", "rep nmode needs at least one mode")
         for f, label in zip(run.battery, run.labels):
             lhs = rep_expectation_n_mode(f, modes).value
             fhat = f.evaluate_at(modes.momenta())
@@ -440,8 +442,7 @@ def run_decohere(run):
     k, l = element
     dg = couplings[k] - couplings[l]
     m = run.samples(10_000)
-    coeffs = build_coefficients(run.density, 0.0)
-    re_chi = sample_chi_gram([g], coeffs, m, run.rng("gram"))[:, 0].real
+    re_chi = sample_chi_gram(battery_gram([g], run.density), 0.0, m, run.rng("gram"))[:, 0].real
     rate = sigma_mu_sq(g, run.density, 0.0)
     ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:2:0.1"))
     gaussian, decay = envelopes(dg, g, run.dispersion, ts, rate)

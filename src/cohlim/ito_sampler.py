@@ -5,14 +5,14 @@ diagnostics.
 chi(f) = int dB1 S1 fhat + i int dB2 S2 fhat is realized on grid cells exactly
 as the simple-function construction: each cell carries an independent
 N(0, dk) increment of each Brownian field and the Ito integral is the plain
-cell sum.  One matrix W (`_chi_matrix`) holds it for a whole battery:
-`sample_chi` multiplies cell increments into W, and `sample_chi_gram` draws
-from a pivoted Cholesky factor of the small Gram matrix W^T W, which is
+cell sum, which `sample_chi` forms from the integrand matrix W of
+`_chi_matrix`.  `sample_chi_gram` draws from a pivoted Cholesky factor of
+the same law's covariance, read from the battery Gram of `battery_gram`, and
 formed, factored and applied with numpy's own loops (np.einsum without
 `optimize`) rather than BLAS: products this small gain nothing from BLAS,
 whose first threaded call leaves a second thread spinning for the rest of
 the process.  A sample omega of the fields is the
-one row of `sample_chi(fs, coeffs, 1, np.random.default_rng(seed))`: its
+one row of `sample_chi(fs, rho, mu2, 1, np.random.default_rng(seed))`: its
 increments depend only on the seed and the grid, not on the battery, so for a
 fixed seed chi is linear in f.  Integrands are deterministic, so no
 stochastic-calculus semantics beyond the isometry are needed.
@@ -100,11 +100,12 @@ def _chi_matrix(fs: Sequence[TestFunction], coeffs: CoefficientPair) -> np.ndarr
 
 def sample_chi(
     fs: Sequence[TestFunction],
-    coeffs: CoefficientPair,
+    rho: ModeDensity,
+    mu2: complex,
     n_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Monte Carlo draws of chi for a battery of functions sharing one grid.
+    """Monte Carlo draws of chi, coefficients `build_coefficients(rho, mu2)`.
 
     Returns shape (n_samples, len(fs)); all functions see the same Brownian
     increments within a draw (as they must: chi is a single random field
@@ -114,7 +115,7 @@ def sample_chi(
     of the second, from one `standard_normal` call, and both act on the
     matrix of `_chi_matrix` through two real products.
     """
-    w = _chi_matrix(fs, coeffs)
+    w = _chi_matrix(fs, build_coefficients(rho, mu2))
     n, k = w.shape[0] // 2, len(fs)
     out = np.empty((n_samples, k), dtype=complex)
     done = 0
@@ -157,35 +158,38 @@ def psd_factor(g: np.ndarray) -> np.ndarray:
     return r[:rank]
 
 
-def chi_gram_factor(fs: Sequence[TestFunction], coeffs: CoefficientPair) -> np.ndarray:
-    """R with R^T R the covariance of (Re chi | Im chi) over the battery,
-    shape (r, 2K) for K functions, r at most the rank of that covariance.
+def chi_gram_factor(gram: tuple[np.ndarray, np.ndarray], mu2: complex) -> np.ndarray:
+    """R with R^T R the covariance of (Re chi | Im chi) over a battery with
+    `battery_gram` (G, T), shape (r, 2K), r at most the covariance's rank.
 
-    The cell sum of `sample_chi` is z W with W from `_chi_matrix`, so its
-    covariance is the 2K x 2K Gram matrix W^T W, and `psd_factor` factors it
-    exactly also when W is rank deficient (|mu_hat(2)| = 1 with real f,
-    collinear batteries).  Any R with R^T R = W^T W gives the same law.
+    Both branches of `build_coefficients` have |S1|^2 + |S2|^2 = 2 rho and
+    S1^2 - S2^2 = 2 mu2 rho, so this covariance (the W^T W of `sample_chi`)
+    has blocks Re-Re = Re(conj G + mu2 T), Im-Im = Re(conj G - mu2 T) and
+    Re-Im = Im(mu2 T - conj G).  `psd_factor` factors it exactly also when it
+    is rank deficient (|mu2| = 1 with real f, collinear batteries).
     """
-    w = _chi_matrix(fs, coeffs)
-    return psd_factor(np.einsum("ij,ik->jk", w, w))
+    check_mu2(mu2)
+    g, t = gram
+    plus, minus = np.conj(g) + mu2 * t, np.conj(g) - mu2 * t
+    return psd_factor(np.block([[plus.real, -minus.imag], [-minus.imag.T, minus.real]]))
 
 
 def sample_chi_gram(
-    fs: Sequence[TestFunction],
-    coeffs: CoefficientPair,
+    gram: tuple[np.ndarray, np.ndarray],
+    mu2: complex,
     n_samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draws of chi over a battery with exactly the law of `sample_chi`.
+    """Draws of chi over a battery of `battery_gram` (G, T), in the law of `sample_chi`.
 
     On a fixed grid (Re chi, Im chi) is a 2K-dimensional Gaussian, so each
-    draw is one standard normal r-vector times `chi_gram_factor`: O(N K^2)
-    once, then O(n K^2), instead of 2 n N cell increments.  Returns shape
-    (n_samples, len(fs)), complex; the RNG stream differs from `sample_chi`.
+    draw is one standard normal r-vector times `chi_gram_factor`: O(n K^2)
+    after the O(N K^2) Gram, instead of 2 n N cell increments.  Returns
+    shape (n_samples, K), complex; the RNG stream differs from `sample_chi`.
     """
-    r = chi_gram_factor(fs, coeffs)
+    r = chi_gram_factor(gram, mu2)
     x = np.einsum("ij,jk->ik", rng.standard_normal((n_samples, r.shape[0])), r)
-    k = len(fs)
+    k = len(gram[0])
     return x[:, :k] + 1j * x[:, k:]
 
 

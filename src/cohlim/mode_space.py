@@ -191,6 +191,23 @@ def inner(g: TestFunction, f: TestFunction, weight: Optional[ModeDensity] = None
     return complex(grid.cell_volume * np.sum(np.conj(g.values) * w * f.values))
 
 
+def battery_gram(fs: Sequence[TestFunction], rho: ModeDensity) -> tuple[np.ndarray, np.ndarray]:
+    """(G, T) of a battery f_1..f_K: the sesquilinear G_ij = <f_i | rho f_j>
+    and the bilinear T_ij = dk * sum rho f_i f_j, both read from the one real
+    Gram matrix of the 2K rows sqrt(rho dk) [Re F; Im F].  The moment matrix
+    Q and the covariance of chi are linear in them.  np.einsum without
+    `optimize` keeps this small product off BLAS (see `ito_sampler`)."""
+    grid = same_grid(rho, *fs)
+    k, w = len(fs), np.sqrt(grid.cell_volume * rho.values)
+    h = np.empty((2 * k, grid.n_cells))
+    for i, f in enumerate(fs):
+        np.multiply(f.values.real, w, out=h[i])
+        np.multiply(f.values.imag, w, out=h[k + i])
+    m = np.einsum("ik,jk->ij", h, h)
+    rr, ri, ii = m[:k, :k], m[:k, k:], m[k:, k:]
+    return rr + ii + 1j * (ri - ri.T), rr - ii + 1j * (ri + ri.T)
+
+
 def norm_sq_momentum(f: TestFunction) -> float:
     """Momentum-space norm squared dk * sum |fhat|^2."""
     return float(f.grid.cell_volume * np.sum(np.abs(f.values) ** 2))

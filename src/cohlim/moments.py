@@ -2,11 +2,11 @@
 
 Vacuum expectations of normal-ordered creation/annihilation products are
 Wick/Isserlis pairing sums over the block matrix Q built from the two-point
-data (mu_hat(2), rho), i.e. the hafnian haf(Q).  `wick_moment` computes it
-by the power-trace formula in O(n^3 2^{n/2}) up to order MAX_PAIRING_ORDER
-= 24; `permanent_moment` (Ryser) is the independent mu_hat(2) = 0 check, and
-the Monte Carlo oracle (products of sampled chi values) is the tie-breaker
-for any normalization question.
+data (mu_hat(2), rho), i.e. the hafnian haf(Q), read from the battery Gram that
+also fixes the chi law of the Monte Carlo oracle.  `wick_moment` computes it by
+power traces in O(n^3 2^{n/2}) up to order MAX_PAIRING_ORDER = 24;
+`permanent_moment` (Ryser) is the independent mu_hat(2) = 0 check, and the
+oracle (products of sampled chi) is the tie-breaker for any normalization.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from cohlim.ito_sampler import CoefficientPair, sample_chi_gram
-from cohlim.mode_space import ModeDensity, TestFunction, inner, same_grid
+from cohlim.ito_sampler import sample_chi_gram
+from cohlim.mode_space import ModeDensity, TestFunction, inner
 
-MAX_PAIRING_ORDER = 24  # 2^12 - 1 pair subsets, one small eigvals each; larger orders are refused
+MAX_PAIRING_ORDER = 24  # 2^12 - 1 pair subsets, a few small products each; larger is refused
 MIN_ORACLE_SAMPLES = 1000  # fewest draws mc_oracle accepts for its error bar
 
 
@@ -49,24 +49,15 @@ class QMatrix:
         return self.matrix.shape[0]
 
 
-def build_q(
-    fs: Sequence[TestFunction],
-    gs: Sequence[TestFunction],
-    rho: ModeDensity,
-    mu2: complex,
-) -> QMatrix:
-    p, q = len(fs), len(gs)
-    same_grid(rho, *fs, *gs)
-    # rows f_1..f_p, conj g_1..conj g_q: H diag(rho dk) H^T is every block of Q
-    # before the mu_hat(2), 1 and conj mu_hat(2) scales; einsum keeps this
-    # small product off the BLAS thread pool (see `ito_sampler`)
-    rows = [f.values for f in fs] + [np.conj(g.values) for g in gs]
-    H = np.array(rows, dtype=complex).reshape(p + q, rho.grid.n_cells)
-    Q = np.einsum("ik,jk->ij", H * (rho.grid.cell_volume * rho.values), H)
-    Q[:p, :p] *= mu2
-    Q[p:, p:] *= np.conj(mu2)
-    # enforce exact symmetry against quadrature round-off
-    Q = 0.5 * (Q + Q.T)
+def build_q(gram: tuple[np.ndarray, np.ndarray], p: int, mu2: complex) -> QMatrix:
+    """Q of a*(f_1)..a*(f_p) a(g_1)..a(g_q) from the `battery_gram` (G, T) of
+    f_1..f_p, g_1..g_q: A = mu_hat(2) T_ff, C = G_gf, B = conj(mu_hat(2) T_gg)."""
+    g, t = gram
+    Q = np.empty_like(g)
+    Q[:p, :p] = mu2 * t[:p, :p]
+    Q[p:, :p] = g[p:, :p]
+    Q[:p, p:] = g[p:, :p].T
+    Q[p:, p:] = np.conj(mu2 * t[p:, p:])
     return QMatrix(Q)
 
 
@@ -81,9 +72,9 @@ def wick_moment(Q: QMatrix) -> complex:
 
         haf(Q) = sum_S (-1)^{m-|S|} [lambda^m] exp(sum_k tr(B_S^k) lambda^k / 2k).
 
-    The traces come from one batched eigvals per |S| and the coefficient
-    from the Newton recurrence c_j = sum_{k<=j} tr(B^k) c_{j-k} / 2j.
-    O(n^3 2^{n/2}); orders above MAX_PAIRING_ORDER are refused."""
+    Per |S| the powers B^k, k <= h = ceil(m/2), are batched products, and
+    tr B^k = sum_ij (B^h)_ij (B^{k-h})_ji for k > h; the Newton recurrence
+    c_j = sum_{k<=j} tr(B^k) c_{j-k} / 2j gives the coefficient."""
     n = Q.n
     if n == 0:
         return 1.0 + 0.0j
@@ -92,20 +83,24 @@ def wick_moment(Q: QMatrix) -> complex:
     if n > MAX_PAIRING_ORDER:
         raise ValueError(f"hafnian of order {n} refused; cap is {MAX_PAIRING_ORDER}")
     m = n // 2
-    total = 0.0 + 0.0j
+    terms = []  # (-1)^{m-|S|} [lambda^m] of each S, for one exact sum
     for size in range(1, m + 1):
         S = np.array(list(itertools.combinations(range(m), size)))
         rows = np.stack([2 * S, 2 * S + 1], axis=2).reshape(len(S), 2 * size)
         cols = rows ^ 1  # the other member of each pair
-        B = Q.matrix[rows[:, :, None], cols[:, None, :]]
-        ev = np.linalg.eigvals(B)
-        traces = np.sum(ev[:, :, None] ** np.arange(1, m + 1), axis=1)  # tr B^k, k = 1..m
+        powers = [Q.matrix[rows[:, :, None], cols[:, None, :]]]  # B^1 .. B^h
+        while len(powers) < (m + 1) // 2:
+            powers.append(powers[-1] @ powers[0])
+        traces = [np.trace(b, axis1=1, axis2=2) for b in powers]
+        traces += [np.einsum("sij,sji->s", powers[-1], b) for b in powers[: m // 2]]
+        traces = np.stack(traces, axis=1)  # tr B^k, k = 1..m
         c = np.zeros((len(S), m + 1), dtype=complex)
         c[:, 0] = 1.0
         for j in range(1, m + 1):
             c[:, j] = np.sum(traces[:, :j] * c[:, j - 1 :: -1], axis=1) / (2 * j)
-        total += (-1) ** (m - size) * np.sum(c[:, m])
-    return complex(total)
+        terms.append((-1) ** (m - size) * c[:, m])
+    terms = np.concatenate(terms)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 def permanent(c: np.ndarray) -> complex:
@@ -175,13 +170,13 @@ def product_moment(chis: np.ndarray, p: int, q: int) -> MomentEstimate:
 
 
 def mc_oracle(
-    fs: Sequence[TestFunction],
-    gs: Sequence[TestFunction],
-    coeffs: CoefficientPair,
+    gram: tuple[np.ndarray, np.ndarray],
+    p: int,
+    mu2: complex,
     n_samples: int,
     rng: np.random.Generator,
 ) -> MomentEstimate:
-    """`product_moment` of chi drawn from its exact Gram law over fs + gs.
-    Arbitrates every closed-form normalization in this module."""
-    chis = sample_chi_gram(list(fs) + list(gs), coeffs, n_samples, rng)
-    return product_moment(chis, len(fs), len(gs))
+    """`product_moment` of chi drawn from its exact law over the Gram's
+    battery f_1..f_p, g_1..g_q.  Arbitrates every closed-form normalization."""
+    chis = sample_chi_gram(gram, mu2, n_samples, rng)
+    return product_moment(chis, p, chis.shape[1] - p)

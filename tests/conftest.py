@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cohlim.ito_sampler import CoefficientPair
-from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction
+from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, battery_gram
+from cohlim.moments import build_q
 
 
 @pytest.fixture
@@ -89,11 +89,15 @@ unit_disk = st.builds(
 
 
 def ito_pair(grid):
-    """The coefficient pair (S1, S2) = (1, 0): chi(f) is then the plain Ito
-    integral of fhat against one Brownian field, so E|chi(f)|^2 = |f|^2 (the
-    pair of rho = 1/2, mu_hat(2) = 1)."""
-    n = grid.n_cells
-    return CoefficientPair(grid, np.ones(n, dtype=complex), np.zeros(n, dtype=complex))
+    """(rho, mu_hat(2)) = (1/2, 1), whose coefficient pair is (S1, S2) = (1, 0):
+    chi(f) is then the plain Ito integral of fhat against one Brownian field,
+    so E|chi(f)|^2 = |f|^2."""
+    return ModeDensity(grid, np.full(grid.n_cells, 0.5)), 1.0
+
+
+def q_matrix(fs, gs, rho, mu2):
+    """`build_q` of a*(f_1)..a*(f_p) a(g_1)..a(g_q) from the Gram of fs + gs."""
+    return build_q(battery_gram(list(fs) + list(gs), rho), len(fs), mu2)
 
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"

@@ -22,17 +22,12 @@ from cohlim.functionals import (
     sigma_mu_sq,
 )
 from cohlim.gns_reps import rep_expectation_averaged
-from cohlim.ito_sampler import (
-    build_coefficients,
-    clt_sample,
-    random_functional,
-    sample_chi,
-)
+from cohlim.ito_sampler import clt_sample, random_functional, sample_chi
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, inner
-from cohlim.moments import build_q, permanent_moment, product_moment, wick_moment
+from cohlim.moments import permanent_moment, product_moment, wick_moment
 from cohlim.open_system import gamma, gamma_radial
 
-from conftest import ito_pair, make_battery
+from conftest import ito_pair, make_battery, q_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,7 +50,7 @@ def test_criterion_1_ito_isometry():
     grid = MomentumGrid(d=1, R=4.0, N=4096)
     battery = make_battery(grid, 20, np.random.default_rng(101))
     m = 20_000
-    chis = sample_chi(battery, ito_pair(grid), m, np.random.default_rng(11))
+    chis = sample_chi(battery, *ito_pair(grid), m, np.random.default_rng(11))
     est = np.mean(np.abs(chis) ** 2, axis=0)
     tol = 5.0 * math.sqrt(2.0 / m)
     rel = np.array(
@@ -80,8 +75,7 @@ def test_criterion_3_variance_law():
     m = 40_000
     ok = True
     for seed, mu2 in ((21, 0.0), (22, 0.5), (23, -1.0), (24, 0.5j)):
-        coeffs = build_coefficients(rho, mu2)
-        chis = sample_chi([f], coeffs, m, np.random.default_rng(seed))[:, 0]
+        chis = sample_chi([f], rho, mu2, m, np.random.default_rng(seed))[:, 0]
         target = sigma_mu_sq(f, rho, mu2)
         se = target * math.sqrt(2.0 / m)
         ok = ok and abs(np.var(chis.real, ddof=1) - target) < 5.0 * se
@@ -96,8 +90,7 @@ def test_criterion_4_commuting_diagram():
     ok = True
     for seed, mu in ((41, PhaseMeasure.uniform()), (42, PhaseMeasure.opposite_pair())):
         mu2 = fourier_moment(mu, 2)
-        coeffs = build_coefficients(rho, mu2)
-        chis = sample_chi(battery, coeffs, m, np.random.default_rng(seed))
+        chis = sample_chi(battery, rho, mu2, m, np.random.default_rng(seed))
         for j, f in enumerate(battery):
             mc = fock_functional(f).value * np.mean(np.exp(1j * chis[:, j].real))
             closed = phase_averaged_functional(f, rho, mu).value
@@ -109,24 +102,23 @@ def test_criterion_5_quasifree_moments():
     grid, _, rho = std_setup(n=1024)
     battery = make_battery(grid, 4, np.random.default_rng(505))
     mu2 = 0.3 + 0.2j
-    coeffs = build_coefficients(rho, mu2)
     m = 40_000
     ok = True
     for seed, (p, q) in ((51, (1, 1)), (52, (2, 0)), (53, (0, 2)), (54, (2, 2)), (55, (3, 1))):
         fs, gs = battery[:p], battery[p : p + q]
-        closed = wick_moment(build_q(fs, gs, rho, mu2))
-        est = product_moment(sample_chi(fs + gs, coeffs, m, np.random.default_rng(seed)), p, q)
+        closed = wick_moment(q_matrix(fs, gs, rho, mu2))
+        est = product_moment(sample_chi(fs + gs, rho, mu2, m, np.random.default_rng(seed)), p, q)
         ok = ok and est.z_score(closed) < 5.0
     # odd orders vanish: closed form exactly, MC within noise
     for seed, (p, q) in ((56, (1, 0)), (57, (2, 1))):
         fs, gs = battery[:p], battery[p : p + q]
-        assert wick_moment(build_q(fs, gs, rho, mu2)) == 0.0
-        est = product_moment(sample_chi(fs + gs, coeffs, m, np.random.default_rng(seed)), p, q)
+        assert wick_moment(q_matrix(fs, gs, rho, mu2)) == 0.0
+        est = product_moment(sample_chi(fs + gs, rho, mu2, m, np.random.default_rng(seed)), p, q)
         ok = ok and est.z_score(0.0) < 5.0
     # permanent route at mu_hat(2) = 0
-    coeffs0_q = build_q(battery[:2], battery[2:4], rho, 0.0)
+    q0 = q_matrix(battery[:2], battery[2:4], rho, 0.0)
     ok = ok and abs(
-        wick_moment(coeffs0_q) - permanent_moment(battery[:2], battery[2:4], rho)
+        wick_moment(q0) - permanent_moment(battery[:2], battery[2:4], rho)
     ) < 1e-10
     verdict(5, "quasifree moments", ok)
 
@@ -201,8 +193,7 @@ def test_criterion_9_decoherence():
     dg = 1.0
     rate = inner(g, g, rho).real
     m = 10_000
-    coeffs = build_coefficients(rho, 0.0)
-    chis = sample_chi([g], coeffs, m, np.random.default_rng(91))[:, 0].real
+    chis = sample_chi([g], rho, 0.0, m, np.random.default_rng(91))[:, 0].real
     ok = True
     for t in (0.5, 1.0, 2.0):
         mc = np.mean(np.exp(-1j * t * dg * chis))
@@ -228,7 +219,7 @@ def test_criterion_10_state_axioms():
         ((np.array([0.5]), 2.0, 0.3), (np.array([-1.0]), 1.0, 1.1))
     )
     mu = PhaseMeasure.opposite_pair()
-    coeffs = build_coefficients(rho, fourier_moment(mu, 2))
+    mu2 = fourier_moment(mu, 2)
 
     functionals = {
         "fock": lambda h: fock_functional(h).value,
@@ -236,7 +227,7 @@ def test_criterion_10_state_axioms():
         "averaged": lambda h: phase_averaged_functional(h, rho, mu).value,
         # one sample omega, fixed by the seed
         "random": lambda h: random_functional(
-            h, sample_chi([h], coeffs, 1, np.random.default_rng(1001))[0, 0]
+            h, sample_chi([h], rho, mu2, 1, np.random.default_rng(1001))[0, 0]
         ).value,
     }
 

@@ -1,6 +1,7 @@
-"""The small products of the chi sampler and of `build_q` stay off BLAS.
+"""The small products of the battery Gram, the chi sampler and `build_q` stay
+off BLAS.
 
-They are at most 2K x 2K (K functions) or a few thousand x 32, where BLAS
+They are at most 2K x 2K (K functions) or 2K x a few thousand, where BLAS
 gains nothing, but OpenBLAS's first threaded call starts its thread pool,
 whose threads then spin for the rest of the process: about as much CPU
 again as the whole `chi` or `moments` run, with no gain in wall time.  So
@@ -18,6 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 GUARDED = {
     "ito_sampler": ("_chi_matrix", "psd_factor", "chi_gram_factor", "sample_chi_gram"),
+    "mode_space": ("battery_gram",),
     "moments": ("build_q",),
 }
 

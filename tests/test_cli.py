@@ -749,6 +749,12 @@ class TestCliContract:
         assert self.run_cli(tmp_path, CONFIGS["gns-check"], "--rep", "random") == 2
         assert "/rep:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("modes", [{}, {"modes": []}], ids=["absent", "empty"])
+    def test_gns_check_nmode_without_modes_exits_2(self, tmp_path, capsys, modes):
+        cfg = {**CONFIGS["gns-check"], "rep": "nmode", **modes}
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert capsys.readouterr().err.startswith("error: /modes: rep nmode needs at least one mode")
+
     def test_override_flag_enters_digest(self, tmp_path):
         fns = CONFIGS["moments"]["functions"] * 2
         digests = []

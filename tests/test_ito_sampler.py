@@ -24,6 +24,7 @@ from cohlim.mode_space import (
     ModeDensity,
     MomentumGrid,
     TestFunction,
+    battery_gram,
     norm_sq_momentum,
 )
 
@@ -33,13 +34,13 @@ from conftest import gaussian_setups, ito_pair, make_battery, unit_disk
 class TestIsometry:
     def test_second_moment_matches_norm(self, grid, gauss):
         rng = np.random.default_rng(9)
-        est = np.mean(np.abs(sample_chi([gauss], ito_pair(grid), 40_000, rng)[:, 0]) ** 2)
+        est = np.mean(np.abs(sample_chi([gauss], *ito_pair(grid), 40_000, rng)[:, 0]) ** 2)
         assert est == pytest.approx(norm_sq_momentum(gauss), rel=0.05)
 
     def test_mean_is_zero(self, grid, gauss):
         # one sample omega per seed
         vals = [
-            sample_chi([gauss], ito_pair(grid), 1, np.random.default_rng(s))[0, 0]
+            sample_chi([gauss], *ito_pair(grid), 1, np.random.default_rng(s))[0, 0]
             for s in range(2000)
         ]
         m = np.mean(np.real(vals))
@@ -48,12 +49,12 @@ class TestIsometry:
 
     def test_linear_in_integrand(self, grid, gauss):
         doubled = gauss.with_values(2.0 * gauss.values)
-        chi = sample_chi([gauss, doubled], ito_pair(grid), 1, np.random.default_rng(1))[0]
+        chi = sample_chi([gauss, doubled], *ito_pair(grid), 1, np.random.default_rng(1))[0]
         assert chi[1] == pytest.approx(2.0 * chi[0])
 
     def test_shape_mismatch_raises(self, gauss):
         with pytest.raises(GridMismatchError):
-            sample_chi([gauss], ito_pair(MomentumGrid(d=1, R=4.0, N=3)), 1, np.random.default_rng(0))
+            sample_chi([gauss], *ito_pair(MomentumGrid(d=1, R=4.0, N=3)), 1, np.random.default_rng(0))
 
 
 class TestCoefficients:
@@ -79,20 +80,18 @@ class TestCoefficients:
 
 class TestChi:
     def test_additive_in_f(self, grid, rho):
-        coeffs = build_coefficients(rho, 0.3)
         f1, f2 = make_battery(grid, 2)
         both = f1.with_values(f1.values + f2.values)
-        chi = sample_chi([f1, f2, both], coeffs, 1, np.random.default_rng(8))[0]
+        chi = sample_chi([f1, f2, both], rho, 0.3, 1, np.random.default_rng(8))[0]
         assert chi[2] == pytest.approx(chi[0] + chi[1])
 
     def test_seed_fixes_the_sample(self, grid, rho):
         # one draw's increments depend on the seed and the grid, not on the
         # battery; only the BLAS summation order changes with its width
-        coeffs = build_coefficients(rho, 0.3 + 0.2j)
         f1, f2 = make_battery(grid, 2)
         for seed in (0, 8, 1001):
-            alone = sample_chi([f1], coeffs, 1, np.random.default_rng(seed))[0, 0]
-            paired = sample_chi([f2, f1], coeffs, 1, np.random.default_rng(seed))[0, 1]
+            alone = sample_chi([f1], rho, 0.3 + 0.2j, 1, np.random.default_rng(seed))[0, 0]
+            paired = sample_chi([f2, f1], rho, 0.3 + 0.2j, 1, np.random.default_rng(seed))[0, 1]
             assert abs(paired - alone) <= 1e-12 * abs(alone)
 
     @pytest.mark.parametrize("mu2", [0.3 + 0.2j, -1.0])
@@ -104,7 +103,7 @@ class TestChi:
         fs = make_battery(grid, 2)
         coeffs = build_coefficients(rho, mu2)
         monkeypatch.setattr(ito_sampler, "CHI_CHUNK", 3)
-        got = sample_chi(fs, coeffs, 7, np.random.default_rng(11))
+        got = sample_chi(fs, rho, mu2, 7, np.random.default_rng(11))
         rng = np.random.default_rng(11)
         scale = math.sqrt(grid.cell_volume)
         phi1 = np.stack([coeffs.S1 * f.values for f in fs], axis=1)
@@ -157,14 +156,14 @@ class TestGramSampler:
         phi2 = np.stack([coeffs.S2 * f.values for f in fs], axis=1)
         w = np.block([[phi1.real, phi1.imag], [-phi2.imag, phi2.real]])
         gram = rho.grid.cell_volume * (w.T @ w)
-        r = chi_gram_factor(fs, coeffs)
+        r = chi_gram_factor(battery_gram(fs, rho), mu2)
         np.testing.assert_allclose(r.T @ r, gram, rtol=0, atol=1e-12 * np.max(np.abs(gram)))
 
     @pytest.mark.parametrize("mu2", GRAM_MU2)
     def test_polarization_of_sigma_mu(self, battery, mu2):
         # Cov(Re chi_i, Re chi_j) = (sigma^2(f_i + f_j) - sigma^2(f_i) - sigma^2(f_j)) / 2
         fs, rho = battery
-        r = chi_gram_factor(fs, build_coefficients(rho, mu2))
+        r = chi_gram_factor(battery_gram(fs, rho), mu2)
         cov = (r.T @ r)[: len(fs), : len(fs)]
         sig = [sigma_mu_sq(f, rho, mu2) for f in fs]
         expect = np.array(
@@ -195,7 +194,7 @@ class TestGramSampler:
             ]
         )
         assert np.min(np.linalg.eigvalsh(pol)) >= -1e-12 * np.trace(pol)
-        r = chi_gram_factor(fs, build_coefficients(rho, mu2))
+        r = chi_gram_factor(battery_gram(fs, rho), mu2)
         # every entry is a sum of terms on the scale of int rho |f|^2
         scale = sum(grid.cell_volume * float(np.sum(rho.values * np.abs(f.values) ** 2)) for f in fs)
         np.testing.assert_allclose(
@@ -205,17 +204,16 @@ class TestGramSampler:
     @pytest.mark.parametrize("mu2", [0.4 + 0.3j, -1.0])
     def test_two_sample_covariance_agrees_with_cells(self, grid, rho, mu2):
         fs = make_battery(grid, 3)
-        coeffs = build_coefficients(rho, mu2)
         m = 20_000
         samples = [
-            sample(fs, coeffs, m, np.random.default_rng(seed))
-            for sample, seed in ((sample_chi, 61), (sample_chi_gram, 62))
+            sample_chi(fs, rho, mu2, m, np.random.default_rng(61)),
+            sample_chi_gram(battery_gram(fs, rho), mu2, m, np.random.default_rng(62)),
         ]
         x_cells, x_gram = (np.hstack([c.real, c.imag]) for c in samples)
         c_cells, c_gram = np.cov(x_cells.T), np.cov(x_gram.T)
         # se of the difference of two independent empirical covariance
         # entries of a Gaussian: sqrt(2 (S_ii S_jj + S_ij^2) / m)
-        r = chi_gram_factor(fs, coeffs)
+        r = chi_gram_factor(battery_gram(fs, rho), mu2)
         s = r.T @ r
         d = np.diag(s)
         se = np.sqrt(2.0 * (np.outer(d, d) + s ** 2) / m)
@@ -226,16 +224,19 @@ class TestGramSampler:
     @pytest.mark.parametrize("n_fns", [1, 3])
     def test_output_matches_reference_shape(self, grid, rho, n_fns):
         fs = make_battery(grid, n_fns)
-        coeffs = build_coefficients(rho, 0.2)
-        fast = sample_chi_gram(fs, coeffs, 7, np.random.default_rng(0))
-        ref = sample_chi(fs, coeffs, 7, np.random.default_rng(0))
+        fast = sample_chi_gram(battery_gram(fs, rho), 0.2, 7, np.random.default_rng(0))
+        ref = sample_chi(fs, rho, 0.2, 7, np.random.default_rng(0))
         assert fast.shape == ref.shape == (7, n_fns)
         assert fast.dtype == ref.dtype
 
     def test_grid_mismatch_raises(self, rho, gauss):
         other = TestFunction.from_profile(MomentumGrid(d=1, R=4.0, N=128), lambda k: np.exp(-k ** 2))
         with pytest.raises(GridMismatchError):
-            sample_chi_gram([gauss, other], build_coefficients(rho, 0.0), 5, np.random.default_rng(0))
+            battery_gram([gauss, other], rho)
+
+    def test_rejects_oversized_mu2(self, rho, gauss):
+        with pytest.raises(ValueError, match="mu_hat"):
+            sample_chi_gram(battery_gram([gauss], rho), 1.2, 5, np.random.default_rng(0))
 
 
 class TestPsdFactor:
@@ -261,24 +262,22 @@ class TestPsdFactor:
         np.testing.assert_allclose(r.T @ r, gram, rtol=0, atol=1e-12 * np.max(np.diag(gram), initial=0.0))
 
     def test_empty_battery(self, rho):
-        coeffs = build_coefficients(rho, 0.3 + 0.2j)
-        assert chi_gram_factor([], coeffs).shape == (0, 0)
-        chis = sample_chi_gram([], coeffs, 5, np.random.default_rng(0))
+        gram = battery_gram([], rho)
+        assert chi_gram_factor(gram, 0.3 + 0.2j).shape == (0, 0)
+        chis = sample_chi_gram(gram, 0.3 + 0.2j, 5, np.random.default_rng(0))
         assert chis.shape == (5, 0) and chis.dtype == complex
 
     def test_zero_function(self, rho, gauss):
-        coeffs = build_coefficients(rho, 0.3 + 0.2j)
         zero = gauss.with_values(np.zeros_like(gauss.values))
-        assert chi_gram_factor([zero], coeffs).shape == (0, 2)
-        chis = sample_chi_gram([zero, zero], coeffs, 5, np.random.default_rng(0))
+        assert chi_gram_factor(battery_gram([zero], rho), 0.3 + 0.2j).shape == (0, 2)
+        chis = sample_chi_gram(battery_gram([zero, zero], rho), 0.3 + 0.2j, 5, np.random.default_rng(0))
         assert chis.shape == (5, 2)
         assert not np.any(chis)
 
 
 class TestRandomFunctional:
     def test_modulus_is_fock(self, grid, rho, gauss):
-        coeffs = build_coefficients(rho, 0.0)
-        chi = sample_chi([gauss], coeffs, 1, np.random.default_rng(21))[0, 0]
+        chi = sample_chi([gauss], rho, 0.0, 1, np.random.default_rng(21))[0, 0]
         fv = random_functional(gauss, chi)
         assert fv.modulus == pytest.approx(fock_functional(gauss).modulus)
 
@@ -288,10 +287,9 @@ class TestRandomFunctional:
         )
         rho = ModeDensity.from_profile(fine_grid, lambda k: np.exp(-((k - 1.0) ** 2)))
         mu2 = -1.0
-        coeffs = build_coefficients(rho, mu2)
         rng = np.random.default_rng(30)
         m = 20_000
-        chis = sample_chi([f], coeffs, m, rng)[:, 0]
+        chis = sample_chi([f], rho, mu2, m, rng)[:, 0]
         mc = np.mean(np.exp(1j * chis.real))
         expect = math.exp(-sigma_mu_sq(f, rho, mu2) / 2.0)
         assert mc.real == pytest.approx(expect, abs=5.0 / math.sqrt(m))

@@ -1,8 +1,8 @@
 """Kernel microbenchmarks: the chi samplers at the `chi` benchmark size
-(20 000 draws x 4 functions x 4096 cells), the Gram factor of the chi law
-at the `chi` and `moments` sizes (4 and 16 functions on 4096 cells),
-`build_q` + `wick_moment` at
-moment orders 16 and 24 on 4096 cells, and `sigma_t` at the `dynamics`
+(20 000 draws x 4 functions x 4096 cells), the battery Gram (G, T) and the
+factor of the chi law read from it at the `chi` and `moments` sizes (4 and
+16 functions on 4096 cells), `build_q` + `wick_moment` at moment orders 16
+and 24 on a precomputed Gram, and `sigma_t` at the `dynamics`
 benchmark size (32 768 cells x 3 functions x 1001 times) on both of its
 paths: the photon dispersion takes the chirp-z level sum, the quadratic one
 the direct sum.
@@ -22,12 +22,14 @@ from cohlim.config import (
     parse_t_grid,
 )
 from cohlim.dynamics import sigma_t
-from cohlim.ito_sampler import build_coefficients, chi_gram_factor, sample_chi, sample_chi_gram
+from cohlim.ito_sampler import chi_gram_factor, sample_chi, sample_chi_gram
+from cohlim.mode_space import battery_gram
 from cohlim.moments import build_q, wick_moment
 
 pytestmark = pytest.mark.kernel_bench
 
 SAMPLES = 20_000
+MU2 = 0.3 + 0.2j
 
 
 @pytest.fixture(scope="module")
@@ -41,19 +43,22 @@ def chi_inputs():
         {"name": "gaussian", "center": 1.5, "width": 0.5, "modulation": 2.0, "amplitude": 0.8},
     ]
     battery = [build_test_function(obj, grid) for obj in fns]
-    return battery, build_coefficients(rho, 0.3 + 0.2j)
+    return battery, rho
 
 
-@pytest.mark.parametrize("sampler", [sample_chi, sample_chi_gram], ids=["cells", "gram"])
+@pytest.mark.parametrize("sampler", ["cells", "gram"])
 def test_sample_chi_kernel(benchmark, chi_inputs, sampler):
-    battery, coeffs = chi_inputs
+    battery, rho = chi_inputs
     rng = np.random.default_rng(1)
-    chis = benchmark.pedantic(sampler, args=(battery, coeffs, SAMPLES, rng), rounds=3, iterations=1)
+    if sampler == "cells":
+        chis = benchmark.pedantic(sample_chi, args=(battery, rho, MU2, SAMPLES, rng), rounds=3, iterations=1)
+    else:
+        gram = battery_gram(battery, rho)
+        chis = benchmark.pedantic(sample_chi_gram, args=(gram, MU2, SAMPLES, rng), rounds=3, iterations=1)
     assert chis.shape == (SAMPLES, len(battery))
 
 
-@pytest.mark.parametrize("n_fns", [4, 16])
-def test_chi_gram_factor_kernel(benchmark, n_fns):
+def gram_inputs(n_fns):
     grid = build_grid({"d": 1, "R": 4.0, "N": 4096})
     rho = build_density({"name": "gaussian", "center": 0.5, "width": 1.0}, grid)
     battery = [
@@ -63,9 +68,19 @@ def test_chi_gram_factor_kernel(benchmark, n_fns):
         )
         for i in range(n_fns)
     ]
-    r = benchmark.pedantic(
-        chi_gram_factor, args=(battery, build_coefficients(rho, 0.3 + 0.2j)), rounds=20, iterations=1
-    )
+    return battery, rho
+
+
+@pytest.mark.parametrize("n_fns", [4, 16])
+def test_battery_gram_kernel(benchmark, n_fns):
+    g, t = benchmark.pedantic(battery_gram, args=gram_inputs(n_fns), rounds=20, iterations=1)
+    assert g.shape == t.shape == (n_fns, n_fns)
+
+
+@pytest.mark.parametrize("n_fns", [4, 16])
+def test_chi_gram_factor_kernel(benchmark, n_fns):
+    gram = battery_gram(*gram_inputs(n_fns))
+    r = benchmark.pedantic(chi_gram_factor, args=(gram, MU2), rounds=20, iterations=1)
     assert r.shape[1] == 2 * n_fns
 
 
@@ -80,10 +95,10 @@ def test_wick_moment_kernel(benchmark, order):
         )
         for i in range(order)
     ]
-    half = order // 2
+    gram = battery_gram(battery, rho)
 
     def kernel():
-        return wick_moment(build_q(battery[:half], battery[half:], rho, 0.3 + 0.2j))
+        return wick_moment(build_q(gram, order // 2, MU2))
 
     value = benchmark.pedantic(kernel, rounds=3, iterations=1)
     assert np.isfinite(value)

@@ -16,24 +16,19 @@ from cohlim.functionals import (
     sigma_mu_sq,
 )
 from cohlim.gns_reps import apply_R, apply_T, build_alpha_beta, rep_expectation_averaged
-from cohlim.ito_sampler import (
-    build_coefficients,
-    chi_gram_factor,
-    clt_sample,
-    sample_chi,
-    sample_chi_gram,
-)
+from cohlim.ito_sampler import clt_sample, sample_chi
 from cohlim.mode_space import (
     GridMismatchError,
     ModeDensity,
     MomentumGrid,
     TestFunction,
+    battery_gram,
     finite_volume_coefficients,
     inner,
     norm_sq_momentum,
     same_grid,
 )
-from cohlim.moments import build_q, mc_oracle, permanent_moment
+from cohlim.moments import permanent_moment
 from cohlim.open_system import envelopes, gamma
 
 
@@ -204,7 +199,6 @@ def _inputs(grid):
         f=TestFunction.from_profile(grid, lambda k: np.exp(-(k ** 2) / 2.0)),
         rho=rho,
         eps=Dispersion.photon(grid),
-        coeffs=build_coefficients(rho, 0.3),
         squeeze=build_alpha_beta(rho, 0.3),
     )
 
@@ -225,13 +219,11 @@ GRID_TAKING = {
     "uniformization_curve": lambda a, b: uniformization_curve([a.f], b.rho, np.zeros((2, 1))),
     "gamma": lambda a, b: gamma(1.0, a.f, b.eps),
     "envelopes": lambda a, b: envelopes(1.0, a.f, b.eps, [1.0], 0.3),
-    "sample_chi": lambda a, b: sample_chi([a.f], b.coeffs, 2, np.random.default_rng(0)),
-    "chi_gram_factor": lambda a, b: chi_gram_factor([a.f, b.f], a.coeffs),
-    "sample_chi_gram": lambda a, b: sample_chi_gram([a.f], b.coeffs, 2, np.random.default_rng(0)),
+    "sample_chi": lambda a, b: sample_chi([a.f], b.rho, 0.3, 2, np.random.default_rng(0)),
+    "battery_gram": lambda a, b: battery_gram([a.f, b.f], a.rho),
+    "battery_gram_weight": lambda a, b: battery_gram([a.f], b.rho),
     "clt_sample": lambda a, b: clt_sample(a.f, b.rho, PhaseMeasure.uniform(), 2, np.random.default_rng(0)),
-    "build_q": lambda a, b: build_q([a.f], [b.f], a.rho, 0.3),
     "permanent_moment": lambda a, b: permanent_moment([a.f], [a.f], b.rho),
-    "mc_oracle": lambda a, b: mc_oracle([a.f], [a.f], b.coeffs, 1000, np.random.default_rng(0)),
     "apply_R": lambda a, b: apply_R(a.f, a.rho, b.squeeze),
     "apply_T": lambda a, b: apply_T(a.f, b.rho, a.squeeze),
     "rep_expectation_averaged": lambda a, b: rep_expectation_averaged(a.f, b.rho, 0.3),

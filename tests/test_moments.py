@@ -1,21 +1,22 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohlim.ito_sampler import build_coefficients
-from cohlim.mode_space import inner
+from cohlim.mode_space import battery_gram, inner
 from cohlim.moments import (
     MAX_PAIRING_ORDER,
     QMatrix,
-    build_q,
     mc_oracle,
     permanent,
     permanent_moment,
     wick_moment,
 )
 
-from conftest import make_battery
+from conftest import gaussian_setups, make_battery, q_matrix, unit_disk
 
 
 def matching_sum(m, indices):
@@ -40,7 +41,7 @@ class TestQMatrix:
     def test_blocks(self, setup):
         fs, gs, rho = setup
         mu2 = 0.3 + 0.2j
-        Q = build_q(fs, gs, rho, mu2)
+        Q = q_matrix(fs, gs, rho, mu2)
         dk = rho.grid.cell_volume
         a01 = mu2 * complex(dk * np.sum(fs[0].values * rho.values * fs[1].values))
         c00 = inner(gs[0], fs[0], rho)
@@ -54,7 +55,7 @@ class TestQMatrix:
 
         p = len(fs)
         for mu2 in (0.0, 0.3 + 0.2j, -1.0):
-            Q = build_q(fs, gs, rho, mu2).matrix
+            Q = q_matrix(fs, gs, rho, mu2).matrix
             expect = np.zeros_like(Q)
             for i, fi in enumerate(fs):
                 for j, fj in enumerate(fs):
@@ -66,13 +67,48 @@ class TestQMatrix:
                     expect[p + i, p + j] = np.conj(mu2) * inner(gi, conj(gj), rho)
             np.testing.assert_allclose(Q, expect, rtol=1e-12, atol=1e-15)
 
+    @given(
+        setup=gaussian_setups(),
+        split=st.integers(0, 3),
+        mu2=st.one_of(
+            unit_disk,
+            st.just(-1.0),
+            st.builds(lambda phi: cmath.exp(1j * phi), st.floats(0.0, 2 * math.pi)),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_entries_match_inner_pairwise(self, setup, split, mu2):
+        # Q from the one shared Gram, entry by entry against `inner` of one pair
+        grid, battery, rho = setup
+        p = min(split, len(battery))
+        fs, gs = battery[:p], battery[p:]
+        Q = q_matrix(fs, gs, rho, mu2).matrix
+
+        def conj(h):
+            return h.with_values(np.conj(h.values))
+
+        norms = [math.sqrt(inner(h, h, rho).real) for h in battery]
+        for i, hi in enumerate(battery):
+            for j, hj in enumerate(battery):
+                if i < p and j < p:
+                    expect = mu2 * inner(conj(hi), hj, rho)
+                elif i >= p and j >= p:
+                    expect = np.conj(mu2) * inner(hi, conj(hj), rho)
+                elif i >= p:
+                    expect = inner(hi, hj, rho)
+                else:
+                    expect = inner(hj, hi, rho)
+                # |expect| <= norm_i norm_j by Cauchy-Schwarz
+                tol = 1e-12 * abs(expect) + 1e-14 * norms[i] * norms[j]
+                assert abs(Q[i, j] - expect) <= tol, (i, j, Q[i, j], expect)
+
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError, match="symmetric"):
             QMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
     def test_a_block_vanishes_at_zero_mu2(self, setup):
         fs, gs, rho = setup
-        Q = build_q(fs, gs, rho, 0.0)
+        Q = q_matrix(fs, gs, rho, 0.0)
         np.testing.assert_allclose(Q.matrix[:2, :2], 0.0)
         np.testing.assert_allclose(Q.matrix[2:, 2:], 0.0)
 
@@ -80,7 +116,7 @@ class TestQMatrix:
 class TestWickMoment:
     def test_odd_order_vanishes(self, setup):
         fs, gs, rho = setup
-        Q = build_q(fs[:1], gs, rho, 0.5)
+        Q = q_matrix(fs[:1], gs, rho, 0.5)
         assert wick_moment(Q) == 0.0
 
     def test_empty_product_is_one(self):
@@ -88,7 +124,7 @@ class TestWickMoment:
 
     def test_two_point(self, setup):
         fs, gs, rho = setup
-        Q = build_q(fs[:1], gs[:1], rho, 0.5)
+        Q = q_matrix(fs[:1], gs[:1], rho, 0.5)
         assert wick_moment(Q) == pytest.approx(inner(gs[0], fs[0], rho))
 
     def test_four_point_hand_count(self):
@@ -109,24 +145,34 @@ class TestWickMoment:
     def test_matches_matching_sum(self, grid, rho, mu2):
         battery = make_battery(grid, 12)
         for n in range(2, 13, 2):
-            Q = build_q(battery[: n // 2], battery[n // 2 : n], rho, mu2)
+            Q = q_matrix(battery[: n // 2], battery[n // 2 : n], rho, mu2)
             expect = matching_sum(Q.matrix, list(range(n)))
             assert wick_moment(Q) == pytest.approx(expect, rel=1e-9, abs=0)
 
-    @given(p=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    @given(p=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_bipartite_hafnian_is_permanent(self, p, seed):
+        # up to the order cap, 2p = 24
         rng = np.random.default_rng(seed)
         c = rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p))
         zero = np.zeros((p, p))
         Q = QMatrix(np.block([[zero, c.T], [c, zero]]))
-        assert wick_moment(Q) == pytest.approx(permanent(c), rel=1e-9, abs=0)
+        assert wick_moment(Q) == pytest.approx(permanent(c), rel=1e-10, abs=0)
 
     def test_order_sixteen_is_permanent_at_zero_mu2(self, grid, rho):
         battery = make_battery(grid, 16)
-        Q = build_q(battery[:8], battery[8:], rho, 0.0)
+        Q = q_matrix(battery[:8], battery[8:], rho, 0.0)
         expect = permanent(Q.matrix[8:, :8])
         assert wick_moment(Q) == pytest.approx(expect, rel=1e-10, abs=0)
+
+    def test_order_twenty_four_is_permanent_at_zero_mu2(self, grid, rho):
+        # at the order cap the 4095 signed subset terms of the power-trace sum
+        # reach about 7e6 times |haf| on this battery, so double rounding alone
+        # gives about 1e-10 relative
+        battery = make_battery(grid, 24)
+        Q = q_matrix(battery[:12], battery[12:], rho, 0.0)
+        expect = permanent(Q.matrix[12:, :12])
+        assert wick_moment(Q) == pytest.approx(expect, rel=1e-9, abs=0)
 
 
 class TestPermanent:
@@ -150,7 +196,7 @@ class TestPermanent:
 
     def test_matches_wick_at_zero_mu2(self, setup):
         fs, gs, rho = setup
-        Q = build_q(fs, gs, rho, 0.0)
+        Q = q_matrix(fs, gs, rho, 0.0)
         assert abs(wick_moment(Q) - permanent_moment(fs, gs, rho)) < 1e-10
 
 
@@ -158,19 +204,16 @@ class TestMcOracle:
     def test_two_point_agrees_with_closed_form(self, setup):
         fs, gs, rho = setup
         mu2 = 0.3 + 0.2j
-        Q = build_q(fs[:1], gs[:1], rho, mu2)
-        coeffs = build_coefficients(rho, mu2)
-        est = mc_oracle(fs[:1], gs[:1], coeffs, 20_000, np.random.default_rng(3))
-        assert est.z_score(wick_moment(Q)) < 5.0
+        gram = battery_gram([fs[0], gs[0]], rho)
+        est = mc_oracle(gram, 1, mu2, 20_000, np.random.default_rng(3))
+        assert est.z_score(wick_moment(q_matrix(fs[:1], gs[:1], rho, mu2))) < 5.0
 
     def test_empty_product_is_one(self, setup):
         fs, gs, rho = setup
-        coeffs = build_coefficients(rho, 0.0)
-        est = mc_oracle([], [], coeffs, 2000, np.random.default_rng(0))
+        est = mc_oracle(battery_gram([], rho), 0, 0.0, 2000, np.random.default_rng(0))
         assert est.value == 1.0 and est.stderr == 0.0
 
     def test_refuses_small_sample(self, setup):
         fs, gs, rho = setup
-        coeffs = build_coefficients(rho, 0.0)
         with pytest.raises(ValueError):
-            mc_oracle(fs[:1], gs[:1], coeffs, 10, np.random.default_rng(0))
+            mc_oracle(battery_gram([fs[0], gs[0]], rho), 1, 0.0, 10, np.random.default_rng(0))

@@ -5,7 +5,7 @@ import pytest
 
 from cohlim.dynamics import Dispersion
 from cohlim.functionals import sigma_mu_sq
-from cohlim.ito_sampler import build_coefficients, sample_chi
+from cohlim.ito_sampler import sample_chi
 from cohlim.mode_space import GridMismatchError, ModeDensity, MomentumGrid, TestFunction, inner
 from cohlim.open_system import EPS_MIN, _infrared_cells, envelopes, gamma, gamma_radial
 
@@ -116,10 +116,9 @@ class TestAveragedOffdiagonal:
         # the phase average of e^{-i t dg Re chi(g)} is the Gaussian factor
         g = TestFunction.from_profile(fine_grid, lambda k: np.exp(-(k ** 2)))
         rho = ModeDensity.from_profile(fine_grid, lambda k: np.exp(-((k - 1.0) ** 2)))
-        coeffs = build_coefficients(rho, 0.0)
         rng = np.random.default_rng(23)
         m = 20_000
-        chis = sample_chi([g], coeffs, m, rng)[:, 0].real
+        chis = sample_chi([g], rho, 0.0, m, rng)[:, 0].real
         t, dg = 1.2, 0.8
         mc = np.mean(np.exp(-1j * t * dg * chis))
         rate = inner(g, g, rho).real
