@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -421,7 +421,7 @@ def run_dynamics(run):
     ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:100:1"))
     sig = sigma_t(battery, rho, mu2, eps, ts)
     metric = uniformization_curve(battery, rho, sig)
-    rows = [[t, s, m] for t, s, m in zip(ts, sig[:, 0].tolist(), metric.tolist())]
+    rows = [[t, s, m] for t, s, m in zip(ts.tolist(), sig[:, 0].tolist(), metric.tolist())]
     run.write_csv("dynamics.csv", ["t", "sigma_t", "metric"], rows)
     tol = run.tol("metric_final")
     if tol is not None:
@@ -473,7 +473,7 @@ def run_diverge(run):
     with cfgmod.reading("/n_list"):
         cfgmod.check_cells(max(n_list) ** d)
     f_form = run.closed_form("function")
-    rho_form = run.closed_form("density")
+    rho_form = cfgmod.density_form(run.need("density"))
 
     def radius(pts):
         pts = np.asarray(pts)
@@ -481,7 +481,7 @@ def run_diverge(run):
 
     fit = divergence_diagnostic(
         lambda pts: f_form(radius(pts)),
-        lambda pts: np.abs(rho_form(radius(pts))),
+        lambda pts: rho_form(radius(pts)),
         n_list, R, d,
     )
     values = {
@@ -513,16 +513,26 @@ def run_rarefied(run):
     return {"limit_phase": limit.phase, "limit_value": _cnum(limit.value)}
 
 
-HANDLERS = {
-    "functional": run_functional,
-    "clt": run_clt,
-    "chi": run_chi,
-    "moments": run_moments,
-    "gns-check": run_gns_check,
-    "dynamics": run_dynamics,
-    "decohere": run_decohere,
-    "diverge": run_diverge,
-    "rarefied": run_rarefied,
+# Flags that override the config key of the same name ("--t-grid" sets "t_grid").
+FLAGS = {
+    "seed": (int, "override the config seed"),
+    "samples": (int, "override the sample count"),
+    "pq": (str, "p,q orders, e.g. 2,2"),
+    "rep": (str, "nmode | averaged"),
+    "t_grid": (str, "start:stop:step"),
+}
+
+# The one list of experiments: each subcommand's handler and the FLAGS it offers.
+EXPERIMENTS = {
+    "functional": (run_functional, ()),
+    "clt": (run_clt, ("seed", "samples")),
+    "chi": (run_chi, ("seed", "samples")),
+    "moments": (run_moments, ("seed", "samples", "pq")),
+    "gns-check": (run_gns_check, ("rep",)),
+    "dynamics": (run_dynamics, ("t_grid",)),
+    "decohere": (run_decohere, ("seed", "samples", "t_grid")),
+    "diverge": (run_diverge, ()),
+    "rarefied": (run_rarefied, ()),
 }
 
 
@@ -530,7 +540,8 @@ def run_experiment(cfg: dict, out_dir) -> dict:
     """Run the config's experiment into `out_dir` and write its result.json."""
     started = time.perf_counter()
     run = Run(cfg, out_dir)
-    values = HANDLERS[cfg["experiment"]](run)
+    handler, _ = EXPERIMENTS[cfg["experiment"]]
+    values = handler(run)
     record = {
         "schema": SCHEMA_VERSION,
         "experiment": cfg["experiment"],
@@ -550,42 +561,34 @@ def run_experiment(cfg: dict, out_dir) -> dict:
     return record
 
 
-# Flags that override the config key of the same name ("--t-grid" sets
-# "t_grid"), and the experiments that take each (None: all of them).
-OVERRIDES = (
-    ("--seed", int, "override the config seed", None),
-    ("--samples", int, "override the sample count", None),
-    ("--pq", str, "p,q orders, e.g. 2,2", {"moments"}),
-    ("--rep", str, "nmode | averaged", {"gns-check"}),
-    ("--t-grid", str, "start:stop:step", {"dynamics", "decohere"}),
-)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+@cache
+def parser() -> argparse.ArgumentParser:
+    """The `cohlim` parser, built once per process: one subcommand per
+    experiment, offering the override flags of its row."""
+    top = argparse.ArgumentParser(
         prog="cohlim",
         description="Seeded, reproducible experiments on infinite-volume coherent states.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in sorted(HANDLERS):
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (_, keys) in sorted(EXPERIMENTS.items()):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        for flag, kind, help_text, commands in OVERRIDES:
-            if commands is None or name in commands:
-                p.add_argument(flag, type=kind, default=None, help=help_text)
-    args = parser.parse_args(argv)
+        for key in keys:
+            kind, help_text = FLAGS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text)
+    return top
 
+
+def main(argv=None) -> int:
+    args = parser().parse_args(argv)
     try:
         cfg = cfgmod.load_config(args.config)
-        if cfg["experiment"] != args.command:
+        if cfg.get("experiment") != args.command:
             raise ConfigError(
-                "/experiment", f"config is for {cfg['experiment']!r}, invoked as {args.command!r}"
+                "/experiment", f"config is for {cfg.get('experiment')!r}, invoked as {args.command!r}"
             )
-        for flag, *_ in OVERRIDES:
-            key = flag[2:].replace("-", "_")
-            if getattr(args, key, None) is not None:
-                cfg[key] = getattr(args, key)
+        cfg.update({key: v for key, v in vars(args).items() if key in FLAGS and v is not None})
         record = run_experiment(cfg, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

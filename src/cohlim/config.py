@@ -81,10 +81,6 @@ def numbers(values, kind=float, min_count=0, **bounds) -> list:
 MAX_CELLS = 2 ** 24
 MAX_T_POINTS = 10 ** 6
 
-EXPERIMENTS = (
-    "clt", "chi", "moments", "decohere", "functional", "gns-check", "dynamics", "diverge", "rarefied"
-)
-
 
 def load_config(path) -> dict:
     with reading("/", "not a readable JSON file"):
@@ -97,9 +93,6 @@ def load_config(path) -> dict:
 def validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("/", "config must be a JSON object")
-    exp = cfg.get("experiment")
-    if exp not in EXPERIMENTS:
-        raise ConfigError("/experiment", f"must be one of {sorted(EXPERIMENTS)}, got {exp!r}")
     if not isinstance(cfg.get("tolerances", {}), dict):
         raise ConfigError("/tolerances", f"expected an object, got {cfg['tolerances']!r}")
 
@@ -165,9 +158,13 @@ def _closed_form(obj: dict, pointer: str, d: int = 1) -> Callable[[np.ndarray], 
         if par.get("width", 1.0) <= 0:
             raise ValueError(f"width must be positive, got {par['width']}")
     if name == "gaussian":
-        return lambda k: amp * np.exp(
-            -((np.asarray(k) - par["center"]) ** 2) / (2.0 * par["width"] ** 2)
-        ) * np.exp(1j * par["modulation"] * np.asarray(k))
+        def gauss(k):
+            return amp * np.exp(-((np.asarray(k) - par["center"]) ** 2) / (2.0 * par["width"] ** 2))
+
+        m = par["modulation"]
+        # exp(i m k) = 1 at m = 0; otherwise it stays a second factor, since
+        # one exp of the complex exponent rounds differently
+        return gauss if m == 0 else lambda k: gauss(k) * np.exp(1j * m * np.asarray(k))
 
     def in_band(k):
         return (np.asarray(k) >= par["lo"]) & (np.asarray(k) <= par["hi"])
@@ -175,6 +172,22 @@ def _closed_form(obj: dict, pointer: str, d: int = 1) -> Callable[[np.ndarray], 
     if name == "box":
         return lambda k: amp * in_band(k).astype(complex)
     return lambda k: amp * np.exp(1j * par["x0"] * np.asarray(k)) * in_band(k)
+
+
+def density_form(obj: dict, d: int = 1) -> Callable[[np.ndarray], np.ndarray]:
+    """The closed form of the mode density at /density, real and nonnegative:
+    a complex or negative `amplitude`, or a nonzero `modulation` (`x0`), is
+    refused at its key."""
+    form = _closed_form(obj, "/density", d)
+    amp = number(obj.get("amplitude", 1.0), complex)
+    if amp.imag != 0 or amp.real < 0:
+        raise ConfigError(
+            "/density/amplitude", f"a density needs a real amplitude >= 0, got {obj['amplitude']!r}"
+        )
+    for key in {"modulation", "x0"} & CLOSED_FORMS[obj["name"]].keys():
+        if obj.get(key, 0) != 0:
+            raise ConfigError(f"/density/{key}", f"a density is real: {key} must be 0, got {obj[key]!r}")
+    return lambda k: form(k).real
 
 
 def read_value_file(path, pointer: str = "/functions") -> np.ndarray:
@@ -200,8 +213,11 @@ def build_density(obj: dict, grid: MomentumGrid) -> ModeDensity:
     _require_object(obj, "/density")
     with reading("/density"):
         if "values_file" in obj:
-            return ModeDensity(grid, read_value_file(obj["values_file"], "/density").real)
-        return ModeDensity(grid, np.asarray(_closed_form(obj, "/density", grid.d)(grid.axis)).real)
+            values = read_value_file(obj["values_file"], "/density")
+            if np.any(values.imag != 0):
+                raise ConfigError("/density/values_file", "a density is real: every im column must be 0")
+            return ModeDensity(grid, values.real)
+        return ModeDensity(grid, density_form(obj, grid.d)(grid.axis))
 
 
 def build_dispersion(obj: dict, grid: MomentumGrid) -> Dispersion:

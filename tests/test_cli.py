@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import json
@@ -198,10 +199,6 @@ def read_result(out_dir):
 
 
 class TestConfigValidation:
-    def test_unknown_experiment(self):
-        with pytest.raises(ConfigError, match="/experiment"):
-            validate_config({"experiment": "nope"})
-
     def test_deterministic_needs_no_seed(self):
         validate_config({"experiment": "functional"})
 
@@ -506,9 +503,106 @@ class TestCliRuns:
 class TestCliContract:
     """Bad inputs exit 2 with a JSON pointer; override flags set config keys."""
 
-    def run_cli(self, tmp_path, cfg, *flags):
+    def run_cli(self, tmp_path, cfg, *flags, command=None):
         path = write_cfg(tmp_path, cfg)
-        return cli.main([cfg["experiment"], "--config", path, "--out", str(tmp_path / "o"), *flags])
+        command = command or cfg["experiment"]
+        return cli.main([command, "--config", path, "--out", str(tmp_path / "o"), *flags])
+
+    def test_configs_cover_the_table(self):
+        assert sorted(CONFIGS) == sorted(cli.EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+    def test_subcommand_offers_the_flags_of_its_row(self, experiment):
+        _, keys = cli.EXPERIMENTS[experiment]
+        for key, (kind, _) in cli.FLAGS.items():
+            argv = [experiment, "--config", "c.json", "--" + key.replace("_", "-"), "1"]
+            if key in keys:
+                args = cli.parser().parse_args(argv)
+                assert getattr(args, key) == kind("1")
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    cli.parser().parse_args(argv)
+                assert exc.value.code == 2
+        args = cli.parser().parse_args([experiment, "--config", "c.json"])
+        assert set(vars(args)) == {"command", "config", "out", *keys}
+
+    def test_flag_of_another_row_exits_2(self, tmp_path, capsys):
+        # a deterministic run takes no seed, so --seed is no flag of dynamics
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(tmp_path, CONFIGS["dynamics"], "--seed", "1")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "experiment",
+        ["nope", None, ["chi"], {"name": "chi"}, 3],
+        ids=["unknown", "missing", "list", "object", "number"],
+    )
+    def test_unknown_experiment_exits_2(self, tmp_path, capsys, experiment):
+        cfg = {k: v for k, v in CONFIGS["chi"].items() if k != "experiment"}
+        if experiment is not None:
+            cfg["experiment"] = experiment
+        assert self.run_cli(tmp_path, cfg, command="chi") == 2
+        assert capsys.readouterr().err.startswith("error: /experiment: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert self.run_cli(tmp_path, CONFIGS["functional"]) == 0
+        finally:
+            cli.parser.cache_clear()
+        # the top-level parser, then one subparser per experiment, each once
+        assert built == ["cohlim", *(f"cohlim {name}" for name in sorted(cli.EXPERIMENTS))]
+
+    def test_override_does_not_outlive_its_call(self, tmp_path):
+        for flags, seed, samples in ((("--seed", "9", "--samples", "300"), 9, 300), ((), 11, 500)):
+            assert self.run_cli(tmp_path, CONFIGS["clt"], *flags) == 0
+            record = read_result(tmp_path / "o")
+            assert (record["seed"], record["values"]["samples"]) == (seed, samples)
+
+    @pytest.mark.parametrize("experiment", ["chi", "diverge"])
+    @pytest.mark.parametrize(
+        "density, pointer",
+        [
+            ({"name": "gaussian", "amplitude": [0, 1]}, "/density/amplitude"),
+            ({"name": "gaussian", "amplitude": [1, 5]}, "/density/amplitude"),
+            ({"name": "box", "amplitude": -1}, "/density/amplitude"),
+            ({"name": "gaussian", "modulation": 1.0}, "/density/modulation"),
+            ({"name": "plane_wave", "x0": 0.5}, "/density/x0"),
+        ],
+    )
+    def test_density_not_real_and_nonnegative_exits_2(self, tmp_path, capsys, experiment, density, pointer):
+        assert self.run_cli(tmp_path, {**CONFIGS[experiment], "density": density}) == 2
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+        assert not (tmp_path / "o" / "result.json").exists()
+
+    @pytest.mark.parametrize("im, pointer", [(0.0, None), (5.0, "/density/values_file")])
+    def test_density_values_file_is_real(self, tmp_path, capsys, im, pointer):
+        path = tmp_path / "rho.bin"
+        path.write_bytes(struct.pack("<dd", 1.0, im) * GRID["N"])
+        cfg = {**CONFIGS["dynamics"], "density": {"values_file": str(path)}}
+        assert self.run_cli(tmp_path, cfg) == (0 if pointer is None else 2)
+        if pointer is not None:
+            assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+
+    @pytest.mark.parametrize("experiment", ["dynamics", "diverge"])
+    def test_density_amplitude_may_be_a_real_pair(self, tmp_path, experiment):
+        values = []
+        for amplitude in (2, [2, 0]):
+            density = {**CONFIGS[experiment]["density"], "amplitude": amplitude}
+            assert self.run_cli(tmp_path, {**CONFIGS[experiment], "density": density}) == 0
+            values.append(read_result(tmp_path / "o")["values"])
+        assert values[0] == values[1]
 
     @pytest.mark.parametrize("experiment", ["functional", "chi", "gns-check"])
     @pytest.mark.parametrize(

@@ -5,20 +5,27 @@ factor of the chi law read from it at the `chi` and `moments` sizes (4 and
 and 24 on a precomputed Gram, and `sigma_t` at the `dynamics`
 benchmark size (32 768 cells x 3 functions x 1001 times) on both of its
 paths: the photon dispersion takes the chirp-z level sum, the quadratic one
-the direct sum.
+the direct sum.  The output layer: `Run.write_draws` at the `chi` benchmark
+size (20 000 samples x 4 functions, 4 float columns), and `cli.main`'s parse
+plus config load on the `dynamics` benchmark config, with the parser built
+in each round and taken from the cache.
 
 Deselected by default (`kernel_bench` marker); run with
 `PYTHONPATH=src python -m pytest -m kernel_bench tests/test_kernel_bench.py`.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from cohlim import cli
 from cohlim.config import (
     build_density,
     build_dispersion,
     build_grid,
     build_test_function,
+    load_config,
     parse_t_grid,
 )
 from cohlim.dynamics import sigma_t
@@ -118,3 +125,37 @@ def test_sigma_t_kernel(benchmark, form):
     ts = parse_t_grid("0:100:0.1")
     table = benchmark.pedantic(sigma_t, args=(battery, rho, -1.0, eps, ts), rounds=3, iterations=1)
     assert table.shape == (len(ts), len(battery))
+
+
+def test_write_draws_kernel(benchmark, tmp_path):
+    columns = list(np.random.default_rng(1).standard_normal((4, SAMPLES, 4)))
+    header = ["sample", "label", "chi_re", "chi_im", "functional_re", "functional_im"]
+    args = ("chi_samples.csv", header, ["g0", "g1", "g2", "g3"], columns)
+    benchmark.pedantic(cli.Run({}, tmp_path).write_draws, args=args, rounds=3, iterations=1)
+    assert len((tmp_path / "chi_samples.csv").read_text().splitlines()) == 1 + 4 * SAMPLES
+
+
+@pytest.mark.parametrize("parser", ["built", "cached"])
+def test_parse_and_load_kernel(benchmark, tmp_path, parser):
+    fns = [
+        {"name": "gaussian", "label": "h0", "center": 0.0, "width": 1.0, "modulation": 0.5},
+        {"name": "gaussian", "label": "h1", "center": 1.0, "width": 0.6},
+        {"name": "gaussian", "label": "h2", "center": -2.0, "width": 1.5, "modulation": -1.0},
+    ]
+    cfg = {
+        "experiment": "dynamics",
+        "grid": {"d": 1, "R": 8.0, "N": 32768},
+        "density": {"name": "gaussian", "center": 0.0, "width": 1.5},
+        "mu2": [-1.0, 0.0],
+        "dispersion": {"form": "photon"},
+        "functions": fns,
+    }
+    path = tmp_path / "dynamics.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["dynamics", "--config", str(path), "--out", str(tmp_path / "o"), "--t-grid", "0:100:0.1"]
+
+    def kernel():
+        return load_config(cli.parser().parse_args(argv).config)
+
+    setup = cli.parser.cache_clear if parser == "built" else None
+    assert benchmark.pedantic(kernel, setup=setup, rounds=20, iterations=1) == cfg
