@@ -17,8 +17,10 @@ import io
 import json
 import math
 import os
+import shutil
 import sys
 import time
+import warnings
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -49,6 +51,7 @@ from cohlim.open_system import envelopes
 
 SCHEMA_VERSION = "1"
 CSV_BLOCK = 1024  # samples per block of `Run.write_draws` rows
+CSV_PART = 4 * CSV_BLOCK  # fewest samples that repay forking a `Run.write_draws` writer
 
 
 def _json_default(o):
@@ -62,16 +65,59 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask), or 1 where
+    that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def writers(samples) -> int:
+    """How many processes `Run.write_draws` splits `samples` rows across:
+    one per usable CPU, each with at least CSV_PART samples, and 1 where
+    `os.fork` is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(usable_cpus(), samples // CSV_PART))
+
+
 def environment() -> dict:
-    """The interpreter, numpy and BLAS a run used, and the CPU count; only
-    attribute lookups, so it costs no measurable time."""
+    """The interpreter, numpy and BLAS a run used, the CPU count and the
+    usable CPUs; cheap lookups, so it costs no measurable time."""
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     return {
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
+        "usable_cpus": usable_cpus(),
     }
+
+
+def _write_rows(fh, cells, columns, start, stop):
+    """The `Run.write_draws` rows of samples start..stop, label cells `cells`,
+    written in blocks of CSV_BLOCK samples, so the table never sits in memory."""
+    line = ",".join(["{}"] * (len(columns) + 1)) + "\r\n"
+    for lo in range(start, stop, CSV_BLOCK):
+        hi = min(lo + CSV_BLOCK, stop)
+        keys = [f"{i},{cell}" for i in range(lo, hi) for cell in cells]
+        floats = (map(repr, c[lo:hi].ravel().tolist()) for c in columns)
+        fh.writelines(map(line.format, keys, *floats))
+
+
+def _write_part(path, cells, columns, start, stop):
+    """In a forked writer: write the rows of samples start..stop to `path`,
+    then end the process with status 0, or 1 on any exception.  It never
+    returns, so the child never runs the rest of its parent's program."""
+    status = 1
+    try:
+        with open(path, "w", newline="") as fh:
+            _write_rows(fh, cells, columns, start, stop)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _cnum(z):
@@ -111,9 +157,15 @@ class Run:
         with cfgmod.reading(f"/tolerances/{name}"):
             return cfgmod.number(tols[name]) if name in tols else default
 
-    def samples(self, default, minimum=2):
-        """The sample count; the default minimum is the two draws var(ddof=1) needs."""
-        return self.read("samples", int, default, least=minimum)
+    def samples(self, default, width, minimum=2):
+        """The sample count; the default minimum is the two draws var(ddof=1)
+        needs.  A draw table of more than MAX_CELLS entries, `width` per
+        sample, is refused before anything is drawn."""
+        m = self.read("samples", int, default, least=minimum)
+        if m * width > cfgmod.MAX_CELLS:
+            cap = cfgmod.MAX_CELLS
+            raise ConfigError("/samples", f"{m} samples x {width} exceed the cap of {cap} entries")
+        return m
 
     def closed_form(self, key):
         return cfgmod._closed_form(self.need(key), f"/{key}")
@@ -239,23 +291,48 @@ class Run:
         sample-major over `labels`, with x_i from `columns[i]`, a float array of
         shape (samples, len(labels)); byte for byte, but without the csv module
         per field.  Each label is quoted once by csv.writer; a float's repr,
-        which is what csv.writer writes, never needs quoting.  The rows go out
-        in blocks of CSV_BLOCK samples, so the table never sits in memory."""
+        which is what csv.writer writes, never needs quoting.
+
+        `writers(samples)` processes format contiguous sample ranges: a forked
+        child writes each range after the first to a part file beside the
+        output, this process writes the first and then appends the parts in
+        order, so the bytes do not depend on the split.  Every child is reaped
+        and every part file removed, also when a writer fails."""
         cells = []
         for label in labels:
             buf = io.StringIO()
             csv.writer(buf).writerow([label, ""])
             cells.append(buf.getvalue()[: -len(",\r\n")])
-        line = ",".join(["{}"] * (len(columns) + 1)) + "\r\n"
         n = len(columns[0])
+        w = writers(n)
+        bounds = [n * k // w for k in range(w + 1)]
         path = self.out_dir / name
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow(header)
-            for start in range(0, n, CSV_BLOCK):
-                stop = min(start + CSV_BLOCK, n)
-                keys = [f"{i},{cell}" for i in range(start, stop) for cell in cells]
-                floats = (map(repr, c[start:stop].ravel().tolist()) for c in columns)
-                fh.writelines(map(line.format, keys, *floats))
+        parts = [path.with_name(f"{name}.part{k}") for k in range(1, w)]
+        pids = []
+        try:
+            try:
+                for part, start, stop in zip(parts, bounds[1:], bounds[2:]):
+                    # a fork warning raised as an error would lose the child's pid
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", DeprecationWarning)
+                        pid = os.fork()
+                    if pid == 0:
+                        _write_part(part, cells, columns, start, stop)
+                    pids.append(pid)
+                with open(path, "w", newline="") as fh:
+                    csv.writer(fh).writerow(header)
+                    _write_rows(fh, cells, columns, 0, bounds[1])
+            finally:
+                failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+            if failed:
+                raise RuntimeError(f"{failed} of {len(pids)} writer processes of {name} failed")
+            with open(path, "ab") as out:
+                for part in parts:
+                    with open(part, "rb") as fh:
+                        shutil.copyfileobj(fh, out)
+        finally:
+            for part in parts:
+                part.unlink(missing_ok=True)
         self.outputs.append(path)
 
     def write_json(self, name, obj):
@@ -308,7 +385,7 @@ def run_functional(run):
 def run_clt(run):
     mu = run.admissible_measure()
     f = run.battery[0]
-    m = run.samples(2000)
+    m = run.samples(2000, f.grid.n_cells)
     sigma = math.sqrt(sigma_mu_sq(f, run.density, fourier_moment(mu, 2)))
     if sigma == 0:
         # the limit law N(0, 0) is a point mass, and no KS distance to it is defined
@@ -325,7 +402,7 @@ def run_chi(run):
     """Re chi(f) ~ N(0, sigma_mu(f)^2): the sample mean and variance of each
     function's draws are checked against that law at z standard errors."""
     battery, labels = run.battery, run.labels
-    m = run.samples(1000)
+    m = run.samples(1000, len(battery))
     chis = sample_chi_gram(battery_gram(battery, run.density), run.mu2, m, run.rng("gram"))
     fock = np.array([fock_functional(f).value for f in battery])
     vals = fock * np.exp(1j * chis.real)
@@ -362,7 +439,7 @@ def run_moments(run):
     battery = run.battery
     if p + q > len(battery):
         raise ConfigError("/functions", f"need at least p+q={p+q} functions")
-    m = run.samples(10_000, MIN_ORACLE_SAMPLES)
+    m = run.samples(10_000, p + q, MIN_ORACLE_SAMPLES)
     gram = battery_gram(battery[: p + q], run.density)
     closed = wick_moment(build_q(gram, p, run.mu2))
     est = mc_oracle(gram, p, run.mu2, m, run.rng("gram"))
@@ -441,10 +518,10 @@ def run_decohere(run):
         raise ConfigError("/element", f"expected two distinct levels in 0..{n - 1}, got {element}")
     k, l = element
     dg = couplings[k] - couplings[l]
-    m = run.samples(10_000)
+    ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:2:0.1"))
+    m = run.samples(10_000, 1)
     re_chi = sample_chi_gram(battery_gram([g], run.density), 0.0, m, run.rng("gram"))[:, 0].real
     rate = sigma_mu_sq(g, run.density, 0.0)
-    ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:2:0.1"))
     gaussian, decay = envelopes(dg, g, run.dispersion, ts, rate)
     rows = []
     worst = 0.0

@@ -320,6 +320,8 @@ class TestCliRuns:
         assert env["numpy"] == np.__version__
         assert set(env["blas"]) == {"name", "version"}
         assert env["cpu_count"] == os.cpu_count()
+        affinity = getattr(os, "sched_getaffinity", None)
+        assert env["usable_cpus"] == (len(affinity(0)) if affinity else 1)
 
     def test_clt_pass_and_reproducible(self, tmp_path):
         cfg = write_cfg(tmp_path, CONFIGS["clt"])
@@ -465,11 +467,19 @@ class TestCliRuns:
         assert values["var_re_chi_se"] == pytest.approx(values["var_re_chi"] * math.sqrt(2.0 / 199), rel=1e-12)
         assert values["mean_re_chi_se"] > 0 and values["var_re_chi_se"] > 0
 
-    @pytest.mark.parametrize("labels", [["f", "g"], ["a,b", 'q"x', '""', ""]], ids=["plain", "quoted"])
-    def test_chi_csv_matches_per_row_loop(self, tmp_path, monkeypatch, labels):
+    @pytest.mark.parametrize(
+        "labels, writers",
+        [
+            pytest.param(labels, writers, id=name + suffix)
+            for writers, suffix in ((1, ""), (3, "-split"))
+            for name, labels in (("plain", ["f", "g"]), ("quoted", ["a,b", 'q"x', '""', ""]))
+        ],
+    )
+    def test_chi_csv_matches_per_row_loop(self, tmp_path, monkeypatch, labels, writers):
         """The block-built chi_samples.csv equals the bytes csv.writer writes
         row by row for the same chi draws, with labels that need quoting and
-        an empty one, over blocks that do not divide the sample count."""
+        an empty one, over blocks that do not divide the sample count, from
+        one writer and from three with uneven parts (66, 67 and 67 samples)."""
         drawn = []
 
         def recording_sampler(*args):
@@ -479,6 +489,8 @@ class TestCliRuns:
         real_sampler = cli.sample_chi_gram
         monkeypatch.setattr(cli, "sample_chi_gram", recording_sampler)
         monkeypatch.setattr(cli, "CSV_BLOCK", 64)
+        self.split_writer(monkeypatch, writers)
+        assert cli.writers(CONFIGS["chi"]["samples"]) == writers
         fns = [
             {"name": "gaussian", "label": label, "center": 0.5 * j, "modulation": 1.0 - j}
             for j, label in enumerate(labels)
@@ -498,6 +510,45 @@ class TestCliRuns:
                     val = fock[j] * np.exp(1j * chis[i, j].real)
                     writer.writerow([i, f.label, chis[i, j].real, chis[i, j].imag, val.real, val.imag])
         assert (out / "chi_samples.csv").read_bytes() == expected.read_bytes()
+
+    def split_writer(self, monkeypatch, writers=3):
+        """Make `Run.write_draws` split the chi config's 200 samples across
+        `writers` processes on any host."""
+        monkeypatch.setattr(cli, "CSV_PART", 50)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: writers)
+
+    def test_chi_split_writer_leaves_no_child_or_part(self, tmp_path, monkeypatch):
+        self.split_writer(monkeypatch)
+        out = tmp_path / "o"
+        assert cli.main(["chi", "--config", write_cfg(tmp_path, CONFIGS["chi"]), "--out", str(out)]) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(p.name for p in out.iterdir()) == ["chi_samples.csv", "result.json"]
+        assert read_result(out)["outputs"] == [str(out / "chi_samples.csv")]
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_failed_writer_raises_and_cleans_up(self, tmp_path, monkeypatch, failing):
+        """A writer that raises, in a forked child or in the calling process,
+        makes write_draws raise; every child is reaped and no part file is left."""
+        self.split_writer(monkeypatch)
+        parent = os.getpid()
+
+        def failing_rows(fh, cells, columns, start, stop):
+            if (os.getpid() == parent) == (failing == "parent"):
+                raise OSError("no space left")
+            real_rows(fh, cells, columns, start, stop)
+
+        real_rows = cli._write_rows
+        monkeypatch.setattr(cli, "_write_rows", failing_rows)
+        run = cli.Run({}, tmp_path / "o")
+        columns = [np.zeros((200, 1))] * 2
+        expected = RuntimeError if failing == "child" else OSError
+        with pytest.raises(expected):
+            run.write_draws("chi_samples.csv", ["sample", "label", "a", "b"], ["f"], columns)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert [p.name for p in (tmp_path / "o").iterdir() if p.name != "chi_samples.csv"] == []
+        assert run.outputs == []
 
 
 class TestCliContract:
@@ -661,6 +712,26 @@ class TestCliContract:
     def test_too_few_samples_exits_2(self, tmp_path, capsys, experiment, samples):
         assert self.run_cli(tmp_path, CONFIGS[experiment], "--samples", str(samples)) == 2
         assert "/samples:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, samples",
+        [
+            ("clt", cfgmod.MAX_CELLS // GRID["N"] + 1),
+            ("chi", cfgmod.MAX_CELLS + 1),
+            ("moments", cfgmod.MAX_CELLS // 2 + 1),
+            ("decohere", cfgmod.MAX_CELLS + 1),
+            ("clt", 10**12),
+            ("chi", 10**12),
+            ("moments", 10**12),
+            ("decohere", 10**12),
+        ],
+    )
+    def test_draw_table_above_cap_exits_2(self, tmp_path, capsys, experiment, samples):
+        # the smallest count over the cap, then one whose table would need terabytes
+        assert self.run_cli(tmp_path, CONFIGS[experiment], "--samples", str(samples)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: /samples: ") and "Traceback" not in err
+        assert not (tmp_path / "o" / "result.json").exists()
 
     @pytest.mark.parametrize("pq", ["2,x", "-1,2", "3"])
     def test_bad_pq_exits_2(self, tmp_path, capsys, pq):

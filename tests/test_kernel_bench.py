@@ -6,7 +6,8 @@ and 24 on a precomputed Gram, and `sigma_t` at the `dynamics`
 benchmark size (32 768 cells x 3 functions x 1001 times) on both of its
 paths: the photon dispersion takes the chirp-z level sum, the quadratic one
 the direct sum.  The output layer: `Run.write_draws` at the `chi` benchmark
-size (20 000 samples x 4 functions, 4 float columns), and `cli.main`'s parse
+size (20 000 samples x 4 functions, 4 float columns) from one process and
+split across the usable CPUs, and `cli.main`'s parse
 plus config load on the `dynamics` benchmark config, with the parser built
 in each round and taken from the cache.
 
@@ -127,7 +128,11 @@ def test_sigma_t_kernel(benchmark, form):
     assert table.shape == (len(ts), len(battery))
 
 
-def test_write_draws_kernel(benchmark, tmp_path):
+@pytest.mark.parametrize("writers", ["one", "split"])
+def test_write_draws_kernel(benchmark, tmp_path, monkeypatch, writers):
+    if writers == "one":
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+    benchmark.extra_info["writers"] = cli.writers(SAMPLES)
     columns = list(np.random.default_rng(1).standard_normal((4, SAMPLES, 4)))
     header = ["sample", "label", "chi_re", "chi_im", "functional_re", "functional_im"]
     args = ("chi_samples.csv", header, ["g0", "g1", "g2", "g3"], columns)
