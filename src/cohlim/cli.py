@@ -120,11 +120,6 @@ def _write_part(path, cells, columns, start, stop):
         os._exit(status)
 
 
-def _cnum(z):
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
 class Run:
     """One experiment invocation: the config, its inputs built on first use,
     the assertions recorded so far and the output files written so far."""
@@ -207,10 +202,15 @@ class Run:
 
     @cached_property
     def mu2(self):
+        """mu_hat(2): the mu2 key, else the measure's; a mu2 key that
+        disagrees with a measure given beside it is refused."""
         if "mu2" in self.cfg:
             z = self.read("mu2", complex)
             with cfgmod.reading("/mu2"):
                 check_mu2(z)
+            m2 = fourier_moment(self.measure, 2) if "measure" in self.cfg else z
+            if abs(z - m2) > 1e-12:
+                raise ConfigError("/mu2", f"mu2 = {z} disagrees with mu_hat(2) = {m2} of /measure")
             return z
         if "measure" in self.cfg:
             return fourier_moment(self.measure, 2)
@@ -255,16 +255,17 @@ class Run:
     @cached_property
     def modes(self):
         """The coherent modes; each momentum k has one component per grid axis."""
-        d, modes = self.grid.d, []
+        d, ks, rhos, thetas = self.grid.d, [], [], []
         with cfgmod.reading("/modes"):
             for i, m in enumerate(self.cfg.get("modes", [])):
                 k = m["k"] if isinstance(m["k"], list) else [m["k"]]
                 with cfgmod.reading(f"/modes/{i}/k"):
                     if len(k) != d:
                         raise ValueError(f"expected {d} momentum components, got {m['k']!r}")
-                    k = cfgmod.numbers(k)
-                modes.append((k, cfgmod.number(m["rho"]), cfgmod.number(m.get("theta", 0.0))))
-            return CoherentModeSet(modes)
+                    ks.append(cfgmod.numbers(k))
+                rhos.append(cfgmod.number(m["rho"]))
+                thetas.append(cfgmod.number(m.get("theta", 0.0)))
+            return CoherentModeSet(np.reshape(ks, (len(ks), d)), rhos, thetas)
 
     @cached_property
     def rarefied(self):
@@ -297,7 +298,8 @@ class Run:
         child writes each range after the first to a part file beside the
         output, this process writes the first and then appends the parts in
         order, so the bytes do not depend on the split.  Every child is reaped
-        and every part file removed, also when a writer fails."""
+        and every part file removed, also when a writer fails; the output is
+        then removed too, so no truncated table is left."""
         cells = []
         for label in labels:
             buf = io.StringIO()
@@ -330,6 +332,9 @@ class Run:
                 for part in parts:
                     with open(part, "rb") as fh:
                         shutil.copyfileobj(fh, out)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
         finally:
             for part in parts:
                 part.unlink(missing_ok=True)
@@ -370,7 +375,7 @@ def run_functional(run):
                 "" if fv.phase is None else fv.phase,
             ]
         )
-        values[label] = _cnum(fv.value)
+        values[label] = fv.value
         # a state's value on a Weyl unitary has modulus at most 1
         tol = 1.0 + 1e-12
         run.check(f"modulus[{label}]", fv.modulus, tol, fv.modulus <= tol)
@@ -447,8 +452,8 @@ def run_moments(run):
     values = {
         "p": p,
         "q": q,
-        "closed_form": _cnum(closed),
-        "mc_value": _cnum(est.value),
+        "closed_form": closed,
+        "mc_value": est.value,
         "mc_stderr": est.stderr,
         "z_score": z,
     }
@@ -471,12 +476,12 @@ def run_gns_check(run):
             checks.append((label, lhs, rhs))
     elif rep == "nmode":
         modes = run.modes
-        if not len(modes):
+        if not len(modes.rho):
             raise ConfigError("/modes", "rep nmode needs at least one mode")
         for f, label in zip(run.battery, run.labels):
             lhs = rep_expectation_n_mode(f, modes).value
-            fhat = f.evaluate_at(modes.momenta())
-            j0s = [bessel_j0(math.sqrt(2.0 * r) * abs(v)) for r, v in zip(modes.rhos(), fhat)]
+            fhat = f.evaluate_at(modes.k)
+            j0s = [bessel_j0(math.sqrt(2.0 * r) * abs(v)) for r, v in zip(modes.rho, fhat)]
             rhs = fock_functional(f).value * np.prod(j0s)
             checks.append((label, lhs, rhs))
     else:
@@ -486,7 +491,7 @@ def run_gns_check(run):
     for label, lhs, rhs in checks:
         residual = abs(lhs - rhs)
         values["checks"].append(
-            {"label": label, "lhs": _cnum(lhs), "rhs": _cnum(rhs), "residual": residual}
+            {"label": label, "lhs": lhs, "rhs": rhs, "residual": residual}
         )
         run.check(f"residual[{label}]", residual, tol, residual < tol)
     run.write_json("gns_check.json", values)
@@ -587,7 +592,7 @@ def run_rarefied(run):
         phase = rarefied_finite_volume_phase(gfun, *run.rarefied, L)
         rows.append([L, phase, abs(phase - limit.phase)])
     run.write_csv("rarefied.csv", ["L", "phase", "abs_error"], rows)
-    return {"limit_phase": limit.phase, "limit_value": _cnum(limit.value)}
+    return {"limit_phase": limit.phase, "limit_value": limit.value}
 
 
 # Flags that override the config key of the same name ("--t-grid" sets "t_grid").

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from cohlim.circle_measure import check_mu2
-from cohlim.functionals import fock_functional
+from cohlim.functionals import fock_functional, variances
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, same_grid
 
 
@@ -237,15 +237,6 @@ def level_sum(weights: np.ndarray, levels: np.ndarray, ts: np.ndarray, c: float)
     return _chirp_level_sum(weights, levels, *lattice, ts, step, c)
 
 
-def _sigma_unif(f: TestFunction, rho: ModeDensity) -> float:
-    """int rho |fhat|^2 dk: the t-independent part of sigma_t, and its value
-    for the uniform phase measure (mu_hat(2) = 0)."""
-    density = np.abs(f.values)
-    np.square(density, out=density)
-    density *= rho.values
-    return float(f.grid.cell_volume * np.sum(density))
-
-
 def _gap(fock, sig_t, sig_unif):
     """|fock e^{-sig_t/2} - fock e^{-sig_unif/2}|, factored so that it is
     exactly zero wherever sig_t == sig_unif."""
@@ -279,7 +270,7 @@ def sigma_t(
     # mu_hat(2) int rho fhat^2 over the cells of each level, one function at a
     # time through one reused buffer to keep the peak memory low
     weights = np.empty((len(levels), len(battery)), dtype=complex)
-    base = np.array([_sigma_unif(g, rho) for g in battery])
+    base = variances(battery, rho, 0.0)  # the t-independent part
     sq = np.empty(len(order), dtype=complex)
     for j, g in enumerate(battery):
         np.take(g.values, order, out=sq, mode="clip")  # "raise" would buffer a copy
@@ -305,10 +296,10 @@ def uniformization_metric(
     if not battery:
         raise ValueError("battery must be nonempty")
     worst = 0.0
-    for f in battery:
+    for f, unif in zip(battery, variances(battery, rho, 0.0)):
         fock = fock_functional(f).value.real
         sig_t = sigma_t([f], rho, mu2, eps, [t])[0, 0]
-        worst = max(worst, float(_gap(fock, sig_t, _sigma_unif(f, rho))))
+        worst = max(worst, float(_gap(fock, sig_t, unif)))
     return worst
 
 
@@ -319,7 +310,5 @@ def uniformization_curve(
     sigma = sigma_t(battery, rho, mu2, eps, ts) of shape (len(ts), len(battery))."""
     if not battery:
         raise ValueError("battery must be nonempty")
-    same_grid(rho, *battery)
     fock = np.array([fock_functional(f).value.real for f in battery])
-    unif = np.array([_sigma_unif(f, rho) for f in battery])
-    return _gap(fock, sigma, unif).max(axis=1)
+    return _gap(fock, sigma, variances(battery, rho, 0.0)).max(axis=1)

@@ -40,53 +40,27 @@ MIN_FIT_POINTS = 4  # fewest mode sums above DIVERGENCE_FLOOR that a slope fit u
 
 
 @dataclass(frozen=True)
-class CoherentMode:
-    """One discrete coherent mode: momentum, particle density per unit
-    volume, and phase."""
+class CoherentModeSet:
+    """Discrete coherent modes j = 1..n: momenta k of shape (n, d) (or (n,)
+    when d = 1), particle densities per unit volume rho >= 0 and phases
+    theta, reduced mod 2 pi."""
 
     k: np.ndarray
-    rho: float
-    theta: float
+    rho: np.ndarray
+    theta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "k", np.atleast_1d(np.asarray(self.k, dtype=float)))
-        if self.rho < 0:
+        k = np.asarray(self.k, dtype=float)
+        rho, theta = np.asarray(self.rho, dtype=float), np.asarray(self.theta, dtype=float)
+        k = k[:, None] if k.ndim == 1 else k
+        if k.ndim != 2 or not rho.shape == theta.shape == (len(k),):
+            shapes = f"{k.shape}, {rho.shape}, {theta.shape}"
+            raise ValueError(f"need n momenta, densities and phases, got shapes {shapes}")
+        if np.any(rho < 0):
             raise ValueError("mode density must be nonnegative")
-        object.__setattr__(self, "theta", float(np.mod(self.theta, TWO_PI)))
-
-
-@dataclass(frozen=True)
-class CoherentModeSet:
-    modes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "modes",
-            tuple(
-                m if isinstance(m, CoherentMode) else CoherentMode(*m)
-                for m in self.modes
-            ),
-        )
-
-    def __len__(self):
-        return len(self.modes)
-
-    def momenta(self) -> np.ndarray:
-        return np.stack([m.k for m in self.modes])
-
-    def rhos(self) -> np.ndarray:
-        return np.array([m.rho for m in self.modes])
-
-    def thetas(self) -> np.ndarray:
-        return np.array([m.theta for m in self.modes])
-
-    def with_thetas(self, thetas: np.ndarray) -> "CoherentModeSet":
-        return CoherentModeSet(
-            tuple(
-                CoherentMode(m.k, m.rho, t) for m, t in zip(self.modes, thetas)
-            )
-        )
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "theta", np.mod(theta, TWO_PI))
 
 
 @dataclass(frozen=True)
@@ -114,11 +88,11 @@ def n_mode_functional(f: TestFunction, modes: CoherentModeSet) -> FunctionalValu
     exp(i * Re sum_j e^{-i theta_j} sqrt(2 rho_j) fhat(k_j)).
     """
     fock = fock_functional(f)
-    if len(modes) == 0:
+    if not len(modes.rho):
         return fock
-    fhat = f.evaluate_at(modes.momenta())
-    amps = np.sqrt(2.0 * modes.rhos())
-    phase = float(np.sum(np.real(np.exp(-1j * modes.thetas()) * amps * fhat)))
+    fhat = f.evaluate_at(modes.k)
+    amps = np.sqrt(2.0 * modes.rho)
+    phase = float(np.sum(np.real(np.exp(-1j * modes.theta) * amps * fhat)))
     return FunctionalValue(fock.value * np.exp(1j * phase), fock.fock_exponent, phase=phase)
 
 
@@ -140,28 +114,45 @@ def finite_volume_functional(
     if L <= 0:
         raise ValueError(f"box size must be positive, got L={L}")
     fock = fock_functional(fhat)
-    if len(modes) == 0:
+    if not len(modes.rho):
         return fock
-    d = modes.modes[0].k.shape[0]
-    lattice = np.rint(modes.momenta() * L / TWO_PI).astype(int)
+    d = modes.k.shape[1]
+    lattice = np.rint(modes.k * L / TWO_PI).astype(int)
     coeffs = finite_volume_coefficients(f_position, L, lattice, d=d, quad_points=BOX_NODES)
     # conj(alpha_j) * fhat_{k'} = sqrt(rho_j) e^{-i theta_j} * L^{d/2} fhat_{k'}
-    amp = np.sqrt(modes.rhos()) * np.exp(-1j * modes.thetas()) * L ** (d / 2.0)
+    amp = np.sqrt(modes.rho) * np.exp(-1j * modes.theta) * L ** (d / 2.0)
     phase = math.sqrt(2.0) * float(np.sum(np.real(amp * coeffs)))
     return FunctionalValue(fock.value * np.exp(1j * phase), fock.fock_exponent, phase=phase)
 
 
-def sigma_mu_sq(f: TestFunction, rho: ModeDensity, mu2: complex) -> float:
-    """Variance integral int rho (|fhat|^2 + Re{mu_hat(2) fhat^2}) dk >= 0."""
+def variances(battery: Sequence[TestFunction], rho: ModeDensity, mu2: complex) -> np.ndarray:
+    """The variance integral sigma_mu(f)^2 = int rho (|fhat|^2 + Re{mu_hat(2) fhat^2}) dk >= 0
+    of every function f of `battery`: shape (len(battery),).  One function at a
+    time goes through buffers reused in place.  At mu_hat(2) = 0 the second
+    term, an exact zero, is not formed."""
     check_mu2(mu2)
-    same_grid(f, rho)
-    integrand = rho.values * (
-        np.abs(f.values) ** 2 + np.real(mu2 * f.values ** 2)
-    )
-    val = float(f.grid.cell_volume * np.sum(integrand))
-    if val < -1e-12:
-        raise ArithmeticError(f"variance integral came out negative: {val}")
-    return max(val, 0.0)
+    grid = same_grid(rho, *battery)
+    out = np.empty(len(battery))
+    for j, f in enumerate(battery):
+        integrand = np.abs(f.values)
+        np.square(integrand, out=integrand)
+        if mu2 != 0:
+            square = f.values ** 2
+            np.multiply(mu2, square, out=square)
+            integrand += square.real
+        np.multiply(rho.values, integrand, out=integrand)
+        out[j] = np.sum(integrand)
+    out *= grid.cell_volume
+    if np.any(out < -1e-12):
+        raise ArithmeticError(f"variance integral came out negative: {out.min()}")
+    out[out < 0.0] = 0.0
+    return out
+
+
+def sigma_mu_sq(f: TestFunction, rho: ModeDensity, mu2: complex) -> float:
+    """`variances` of the one function f; `benchmark/spans.py` times calls by
+    this name."""
+    return float(variances([f], rho, mu2)[0])
 
 
 def phase_averaged_functional(

@@ -91,14 +91,13 @@ def rep_expectation_n_mode(
         Fock(f) * prod_j int dmu e^{-i sqrt(2 rho_j)(cos th Re fhat(k_j)
                                                + sin th Im fhat(k_j))}.
 
-    For uniform mu each factor is J0(sqrt(2 rho_j) |fhat(k_j)|).
+    For uniform mu each factor is J0(sqrt(2 rho_j) |fhat(k_j)|); an empty
+    mode set gives the Fock value.
     """
     mu = mu or PhaseMeasure.uniform()
     fock = fock_functional(f)
-    if len(modes) == 0:
-        return fock
-    fhat = f.evaluate_at(modes.momenta())
-    amps = np.sqrt(2.0 * modes.rhos())
+    fhat = f.evaluate_at(modes.k)
+    amps = np.sqrt(2.0 * modes.rho)
 
     def integrand(theta):
         arg = amps[:, None] * (

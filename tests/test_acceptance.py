@@ -215,9 +215,7 @@ def test_criterion_10_state_axioms():
     grid, f, rho = std_setup(n=512)
     battery = make_battery(grid, 4, np.random.default_rng(1010))
     zero = TestFunction(grid, np.zeros(grid.n_cells))
-    modes = CoherentModeSet(
-        ((np.array([0.5]), 2.0, 0.3), (np.array([-1.0]), 1.0, 1.1))
-    )
+    modes = CoherentModeSet([0.5, -1.0], [2.0, 1.0], [0.3, 1.1])
     mu = PhaseMeasure.opposite_pair()
     mu2 = fourier_moment(mu, 2)
 

@@ -529,7 +529,8 @@ class TestCliRuns:
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_failed_writer_raises_and_cleans_up(self, tmp_path, monkeypatch, failing):
         """A writer that raises, in a forked child or in the calling process,
-        makes write_draws raise; every child is reaped and no part file is left."""
+        makes write_draws raise; every child is reaped and neither a part file
+        nor the truncated output is left."""
         self.split_writer(monkeypatch)
         parent = os.getpid()
 
@@ -547,7 +548,7 @@ class TestCliRuns:
             run.write_draws("chi_samples.csv", ["sample", "label", "a", "b"], ["f"], columns)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert [p.name for p in (tmp_path / "o").iterdir() if p.name != "chi_samples.csv"] == []
+        assert [p.name for p in (tmp_path / "o").iterdir()] == []
         assert run.outputs == []
 
 
@@ -760,6 +761,22 @@ class TestCliContract:
     def test_bad_mu2_exits_2(self, tmp_path, capsys, experiment, mu2):
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], "mu2": mu2}) == 2
         assert "/mu2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["chi", "gns-check"])
+    def test_mu2_disagreeing_with_measure_exits_2(self, tmp_path, capsys, experiment):
+        # the uniform measure has mu_hat(2) = 0; mu2 = 0.5 would silently replace it
+        cfg = {**CONFIGS[experiment], "measure": {"kind": "uniform"}, "mu2": [0.5, 0.0]}
+        assert self.run_cli(tmp_path, cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: /mu2: ") and "(0.5+0j)" in err and "0j" in err.split("mu_hat(2)")[1]
+        assert not (tmp_path / "o" / "result.json").exists()
+
+    @pytest.mark.parametrize("experiment", ["chi", "gns-check"])
+    def test_mu2_matching_measure_runs(self, tmp_path, experiment):
+        # opposite-pair atoms have mu_hat(2) = -1 to rounding
+        atoms = [[math.pi / 2, 0.5], [3 * math.pi / 2, 0.5]]
+        cfg = {**CONFIGS[experiment], "measure": {"kind": "atoms", "atoms": atoms}, "mu2": [-1.0, 0.0]}
+        assert self.run_cli(tmp_path, cfg) == 0
 
     @pytest.mark.parametrize("experiment, samples", [("chi", "abc"), ("chi", 2.5), ("decohere", 500.5)])
     def test_non_integer_samples_exits_2(self, tmp_path, capsys, experiment, samples):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from cohlim.dynamics import (
     uniformization_curve,
     uniformization_metric,
 )
-from cohlim.functionals import CoherentModeSet, n_mode_functional, sigma_mu_sq
+from cohlim.functionals import CoherentModeSet, n_mode_functional, sigma_mu_sq, variances
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, inner
 
 from conftest import gaussian_setups, make_battery, unit_disk
@@ -44,10 +46,10 @@ class TestNModeEvolved:
         # momentum 0.5 sits on a cell center so the evolved (sample-backed)
         # function is evaluated exactly
         eps = Dispersion.photon(gauss.grid)
-        modes = CoherentModeSet(((np.array([0.5]), 2.0, 0.3),))
-        eps_k = eps.values[gauss.grid.nearest_index(modes.momenta())]
+        modes = CoherentModeSet([0.5], [2.0], [0.3])
+        eps_k = eps.values[gauss.grid.nearest_index(modes.k)]
         lhs = n_mode_functional(evolve(gauss, eps, t), modes).value
-        rhs = n_mode_functional(gauss, modes.with_thetas(modes.thetas() - t * eps_k)).value
+        rhs = n_mode_functional(gauss, replace(modes, theta=modes.theta - t * eps_k)).value
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -334,8 +336,7 @@ class TestLevelSum:
         ts = np.linspace(0.5, 60.0, 400)
         assert dynamics._lattice(_sorted_levels(eps)) is not None
         table = sigma_t(battery, rho, 0.0, eps, ts)
-        for j, f in enumerate(battery):
-            assert np.all(table[:, j] == dynamics._sigma_unif(f, rho))
+        assert np.all(table == variances(battery, rho, 0.0))
 
     @pytest.mark.parametrize("n_points, n_times", [(40, 200), (200, 40), (5, 100)])
     def test_blocks_match_one_convolution(self, monkeypatch, n_points, n_times):

@@ -8,7 +8,6 @@ from scipy.special import j0 as scipy_j0
 
 from cohlim.circle_measure import InadmissibleMeasureError, PhaseMeasure, fourier_moment
 from cohlim.functionals import (
-    CoherentMode,
     CoherentModeSet,
     _circle_average,
     bessel_j0,
@@ -21,10 +20,11 @@ from cohlim.functionals import (
     rarefied_finite_volume_phase,
     rarefied_functional,
     sigma_mu_sq,
+    variances,
 )
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction
 
-from conftest import gaussian_setups, make_battery
+from conftest import gaussian_setups, make_battery, unit_disk
 
 
 class TestFockFunctional:
@@ -53,12 +53,12 @@ class TestFockFunctional:
 
 class TestNModeFunctional:
     def test_empty_mode_set_is_fock(self, gauss):
-        assert n_mode_functional(gauss, CoherentModeSet(())).value == pytest.approx(
+        assert n_mode_functional(gauss, CoherentModeSet([], [], [])).value == pytest.approx(
             fock_functional(gauss).value
         )
 
     def test_single_mode_phase(self, gauss):
-        modes = CoherentModeSet(((np.array([0.5]), 2.0, 0.3),))
+        modes = CoherentModeSet([0.5], [2.0], [0.3])
         fv = n_mode_functional(gauss, modes)
         fhat = gauss.evaluate_at(np.array([[0.5]]))[0]
         expect_phase = np.real(np.exp(-0.3j) * math.sqrt(4.0) * fhat)
@@ -66,16 +66,31 @@ class TestNModeFunctional:
         assert fv.modulus == pytest.approx(fock_functional(gauss).modulus)
 
     def test_phases_add_over_modes(self, gauss):
-        m1 = CoherentModeSet(((np.array([0.5]), 2.0, 0.3),))
-        m2 = CoherentModeSet(((np.array([-1.0]), 1.0, 1.1),))
-        both = CoherentModeSet(m1.modes + m2.modes)
+        m1 = CoherentModeSet([0.5], [2.0], [0.3])
+        m2 = CoherentModeSet([-1.0], [1.0], [1.1])
+        both = CoherentModeSet([0.5, -1.0], [2.0, 1.0], [0.3, 1.1])
         assert n_mode_functional(gauss, both).phase == pytest.approx(
             n_mode_functional(gauss, m1).phase + n_mode_functional(gauss, m2).phase
         )
 
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError):
-            CoherentMode(np.array([0.0]), -1.0, 0.0)
+            CoherentModeSet([0.0, 1.0], [1.0, -1.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "k, rho, theta",
+        [([0.0, 1.0], [1.0], [0.0]), ([0.0], [1.0], [0.0, 1.0]), ([[[0.0]]], [1.0], [0.0]), ([0.0], [1.0], 0.0)],
+    )
+    def test_rejects_mismatched_arrays(self, k, rho, theta):
+        with pytest.raises(ValueError):
+            CoherentModeSet(k, rho, theta)
+
+    def test_holds_arrays(self):
+        modes = CoherentModeSet([[0.5, -1.0], [1.0, 2.0]], [2.0, 1.0], [-0.5, 7.0])
+        assert modes.k.shape == (2, 2)
+        np.testing.assert_array_equal(modes.theta, np.mod([-0.5, 7.0], 2 * math.pi))
+        assert CoherentModeSet([0.5], [2.0], [0.3]).k.shape == (1, 1)
+        assert CoherentModeSet([], [], []).k.shape == (0, 1)
 
 
 class TestStateAxiomProperties:
@@ -111,7 +126,7 @@ class TestStateAxiomProperties:
     @settings(max_examples=30, deadline=None)
     def test_n_mode(self, setup, modes):
         _, battery, _ = setup
-        mode_set = CoherentModeSet(tuple((np.array([k]), r, th) for k, r, th in modes))
+        mode_set = CoherentModeSet(*np.reshape(modes, (-1, 3)).T)
         self.check_axioms(lambda f: n_mode_functional(f, mode_set), battery)
 
     @given(
@@ -154,7 +169,7 @@ class TestStateAxiomProperties:
     def test_n_mode_negation_off_grid(self, setup, modes):
         # -f made by with_values reads -fhat at modes off the cell centres too
         _, battery, _ = setup
-        mode_set = CoherentModeSet(tuple((np.array([k]), r, th) for k, r, th in modes))
+        mode_set = CoherentModeSet(*np.reshape(modes, (-1, 3)).T)
         for f in battery:
             value = n_mode_functional(f, mode_set).value
             neg = n_mode_functional(f.with_values(-f.values), mode_set).value
@@ -186,7 +201,7 @@ class TestFiniteVolumeFunctional:
     def test_converges_to_limit(self):
         g = MomentumGrid(d=1, R=8.0, N=4096)
         f = TestFunction.from_profile(g, lambda k: math.sqrt(2 * math.pi) * np.exp(-(k ** 2) / 2.0))
-        modes = CoherentModeSet(((np.array([0.7]), 1.3, 0.4),))
+        modes = CoherentModeSet([0.7], [1.3], [0.4])
         limit = n_mode_functional(f, modes)
         errs = []
         for L in (50.0, 200.0, 800.0):
@@ -200,7 +215,7 @@ class TestFiniteVolumeFunctional:
 
     def test_rejects_bad_box(self, gauss):
         with pytest.raises(ValueError):
-            finite_volume_functional(lambda x: x, gauss, 0.0, CoherentModeSet(()))
+            finite_volume_functional(lambda x: x, gauss, 0.0, CoherentModeSet([], [], []))
 
 
 class TestSigmaMuSq:
@@ -227,6 +242,24 @@ class TestSigmaMuSq:
     def test_rejects_oversized_mu2(self, gauss, rho):
         with pytest.raises(ValueError):
             sigma_mu_sq(gauss, rho, 1.5)
+
+    @given(setup=gaussian_setups(), mu2=unit_disk)
+    @settings(max_examples=30, deadline=None)
+    def test_variances_are_the_per_function_integral(self, setup, mu2):
+        # the battery form gives each function's integral to the bit, also at
+        # mu2 = 0, where the exact zero Re{mu2 fhat^2} is not formed
+        _, battery, rho = setup
+        for m in (mu2, 0.0):
+            sig = variances(battery, rho, m)
+            assert sig.shape == (len(battery),)
+            for f, s in zip(battery, sig):
+                assert s == sigma_mu_sq(f, rho, m)
+                dk = f.grid.cell_volume
+                expect = dk * np.sum(rho.values * (np.abs(f.values) ** 2 + np.real(m * f.values ** 2)))
+                assert s == max(float(expect), 0.0)
+
+    def test_empty_battery(self, rho):
+        assert variances([], rho, 0.5).shape == (0,)
 
 
 class TestPhaseAveraged:

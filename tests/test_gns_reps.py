@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,18 +106,19 @@ class TestRTMaps:
 
 class TestRepExpectations:
     def test_n_mode_uniform_is_j0_product(self, gauss):
-        modes = CoherentModeSet(
-            ((np.array([0.5]), 2.0, 0.0), (np.array([-1.0]), 1.0, 0.0))
-        )
+        modes = CoherentModeSet([0.5, -1.0], [2.0, 1.0], [0.0, 0.0])
         fv = rep_expectation_n_mode(gauss, modes)
-        fhat = gauss.evaluate_at(modes.momenta())
+        fhat = gauss.evaluate_at(modes.k)
         expect = fock_functional(gauss).value * np.prod(
             [
                 bessel_j0(math.sqrt(2 * r) * abs(v))
-                for r, v in zip(modes.rhos(), fhat)
+                for r, v in zip(modes.rho, fhat)
             ]
         )
         assert fv.value == pytest.approx(expect, abs=1e-10)
+
+    def test_n_mode_empty_is_fock(self, gauss):
+        assert rep_expectation_n_mode(gauss, CoherentModeSet([], [], [])).value == fock_functional(gauss).value
 
     def test_n_mode_point_mass_recovers_fixed_phase(self, gauss):
         # a point mass averages nothing: the value is a fixed-phase n-mode
@@ -124,9 +126,9 @@ class TestRepExpectations:
         # equivalent fixed phase is theta0 + pi)
         theta0 = 0.8
         mu = PhaseMeasure.from_atoms([(theta0, 1.0)])
-        modes = CoherentModeSet(((np.array([0.5]), 2.0, 0.3),))
+        modes = CoherentModeSet([0.5], [2.0], [0.3])
         fv = rep_expectation_n_mode(gauss, modes, mu)
-        fixed = modes.with_thetas(np.array([theta0 + math.pi]))
+        fixed = replace(modes, theta=[theta0 + math.pi])
         assert fv.value == pytest.approx(n_mode_functional(gauss, fixed).value)
 
     @pytest.mark.parametrize("mu2", [0.0, 0.5, -1.0, 0.6j])

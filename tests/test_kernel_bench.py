@@ -2,7 +2,10 @@
 (20 000 draws x 4 functions x 4096 cells), the battery Gram (G, T) and the
 factor of the chi law read from it at the `chi` and `moments` sizes (4 and
 16 functions on 4096 cells), `build_q` + `wick_moment` at moment orders 16
-and 24 on a precomputed Gram, and `sigma_t` at the `dynamics`
+and 24 on a precomputed Gram, the Fock and sigma_mu^2 quadratures
+(`fock_functional` per function and `variances` of the battery) on the `chi`
+battery and on the `dynamics` one (32 768 cells x 3 functions), and `sigma_t`
+at the `dynamics`
 benchmark size (32 768 cells x 3 functions x 1001 times) on both of its
 paths: the photon dispersion takes the chirp-z level sum, the quadratic one
 the direct sum.  The output layer: `Run.write_draws` at the `chi` benchmark
@@ -30,6 +33,7 @@ from cohlim.config import (
     parse_t_grid,
 )
 from cohlim.dynamics import sigma_t
+from cohlim.functionals import fock_functional, variances
 from cohlim.ito_sampler import chi_gram_factor, sample_chi, sample_chi_gram
 from cohlim.mode_space import battery_gram
 from cohlim.moments import build_q, wick_moment
@@ -52,6 +56,41 @@ def chi_inputs():
     ]
     battery = [build_test_function(obj, grid) for obj in fns]
     return battery, rho
+
+
+@pytest.fixture(scope="module")
+def dynamics_inputs():
+    grid = build_grid({"d": 1, "R": 8.0, "N": 32768})
+    rho = build_density({"name": "gaussian", "center": 0.0, "width": 1.5}, grid)
+    fns = [
+        {"name": "gaussian", "center": 0.0, "width": 1.0, "modulation": 0.5},
+        {"name": "gaussian", "center": 1.0, "width": 0.6},
+        {"name": "gaussian", "center": -2.0, "width": 1.5, "modulation": -1.0},
+    ]
+    battery = [build_test_function(obj, grid) for obj in fns]
+    return battery, rho
+
+
+@pytest.fixture(params=["chi", "dynamics"])
+def quadrature_inputs(request):
+    """The battery and density of the `chi` (4 x 4096) or `dynamics` (3 x 32 768) benchmark."""
+    return request.getfixturevalue(f"{request.param}_inputs")
+
+
+def test_variances_kernel(benchmark, quadrature_inputs):
+    battery, rho = quadrature_inputs
+    sig = benchmark.pedantic(variances, args=(battery, rho, MU2), rounds=20, iterations=1)
+    assert sig.shape == (len(battery),)
+
+
+def test_fock_functional_kernel(benchmark, quadrature_inputs):
+    battery, _ = quadrature_inputs
+
+    def kernel():
+        return [fock_functional(f) for f in battery]
+
+    values = benchmark.pedantic(kernel, rounds=20, iterations=1)
+    assert all(0.0 < fv.value.real <= 1.0 for fv in values)
 
 
 @pytest.mark.parametrize("sampler", ["cells", "gram"])
@@ -113,16 +152,9 @@ def test_wick_moment_kernel(benchmark, order):
 
 
 @pytest.mark.parametrize("form", ["photon", "quadratic"], ids=["chirp", "direct"])
-def test_sigma_t_kernel(benchmark, form):
-    grid = build_grid({"d": 1, "R": 8.0, "N": 32768})
-    rho = build_density({"name": "gaussian", "center": 0.0, "width": 1.5}, grid)
-    fns = [
-        {"name": "gaussian", "center": 0.0, "width": 1.0, "modulation": 0.5},
-        {"name": "gaussian", "center": 1.0, "width": 0.6},
-        {"name": "gaussian", "center": -2.0, "width": 1.5, "modulation": -1.0},
-    ]
-    battery = [build_test_function(obj, grid) for obj in fns]
-    eps = build_dispersion({"form": form}, grid)
+def test_sigma_t_kernel(benchmark, dynamics_inputs, form):
+    battery, rho = dynamics_inputs
+    eps = build_dispersion({"form": form}, rho.grid)
     ts = parse_t_grid("0:100:0.1")
     table = benchmark.pedantic(sigma_t, args=(battery, rho, -1.0, eps, ts), rounds=3, iterations=1)
     assert table.shape == (len(ts), len(battery))

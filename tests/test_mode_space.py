@@ -14,6 +14,7 @@ from cohlim.functionals import (
     discrete_phase_average_functional,
     phase_averaged_functional,
     sigma_mu_sq,
+    variances,
 )
 from cohlim.gns_reps import apply_R, apply_T, build_alpha_beta, rep_expectation_averaged
 from cohlim.ito_sampler import clt_sample, sample_chi
@@ -30,6 +31,8 @@ from cohlim.mode_space import (
 )
 from cohlim.moments import permanent_moment
 from cohlim.open_system import envelopes, gamma
+
+from conftest import gaussian_setups, unit_disk
 
 
 class TestMomentumGrid:
@@ -145,6 +148,26 @@ class TestInner:
         assert inner(f1, combo) == pytest.approx(expect, abs=1e-12)
 
 
+class TestBatteryGram:
+    @given(setup=gaussian_setups(), mu2=unit_disk)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_independent_sums(self, setup, mu2):
+        # the Gram the chi law is drawn from, entry by entry, to 1e-13 of the
+        # entry scale sqrt(G_ii G_jj), which bounds |G_ij| and |T_ij|
+        grid, battery, rho = setup
+        G, T = battery_gram(battery, rho)
+        dk = grid.cell_volume
+        norms = np.sqrt([dk * np.sum(rho.values * np.abs(f.values) ** 2) for f in battery])
+        tol = 1e-13 * np.outer(norms, norms)
+        for i, fi in enumerate(battery):
+            for j, fj in enumerate(battery):
+                assert abs(G[i, j] - inner(fi, fj, rho)) <= tol[i, j]
+                assert abs(T[i, j] - dk * np.sum(rho.values * fi.values * fj.values)) <= tol[i, j]
+        # its diagonal is the variance integral
+        diag = np.diagonal(G).real + np.real(mu2 * np.diagonal(T))
+        assert np.all(np.abs(diag - variances(battery, rho, mu2)) <= np.diagonal(tol))
+
+
 class TestFiniteVolumeCoefficients:
     def test_gaussian_coefficient_against_transform(self):
         # fhat_k = L^{-1/2} int e^{-ikx} e^{-x^2/2} dx -> L^{-1/2} sqrt(2 pi) e^{-k^2/2}
@@ -208,6 +231,7 @@ GRID_TAKING = {
     "inner": lambda a, b: inner(a.f, b.f),
     "inner_weight": lambda a, b: inner(a.f, a.f, b.rho),
     "sigma_mu_sq": lambda a, b: sigma_mu_sq(a.f, b.rho, 0.3),
+    "variances": lambda a, b: variances([a.f, b.f], a.rho, 0.3),
     "discrete_phase_average_functional": lambda a, b: discrete_phase_average_functional(
         a.f, b.rho, PhaseMeasure.uniform()
     ),
