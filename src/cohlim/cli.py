@@ -17,10 +17,8 @@ import io
 import json
 import math
 import os
-import shutil
 import sys
 import time
-import warnings
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -30,6 +28,7 @@ from cohlim import config as cfgmod
 from cohlim.circle_measure import admissible, check_mu2, fourier_moment
 from cohlim.config import ConfigError
 from cohlim.dynamics import sigma_t, uniformization_curve
+from cohlim.float_text import repr_chars
 from cohlim.functionals import (
     DIVERGENCE_FLOOR,
     MIN_FIT_POINTS,
@@ -50,8 +49,7 @@ from cohlim.moments import MAX_PAIRING_ORDER, MIN_ORACLE_SAMPLES, build_q, mc_or
 from cohlim.open_system import envelopes
 
 SCHEMA_VERSION = "1"
-CSV_BLOCK = 1024  # samples per block of `Run.write_draws` rows
-CSV_PART = 4 * CSV_BLOCK  # fewest samples that repay forking a `Run.write_draws` writer
+CSV_BLOCK = 256  # samples per block of `Run.write_draws` rows
 
 
 def _json_default(o):
@@ -74,15 +72,6 @@ def usable_cpus() -> int:
         return 1
 
 
-def writers(samples) -> int:
-    """How many processes `Run.write_draws` splits `samples` rows across:
-    one per usable CPU, each with at least CSV_PART samples, and 1 where
-    `os.fork` is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(usable_cpus(), samples // CSV_PART))
-
-
 def environment() -> dict:
     """The interpreter, numpy and BLAS a run used, the CPU count and the
     usable CPUs; cheap lookups, so it costs no measurable time."""
@@ -96,28 +85,57 @@ def environment() -> dict:
     }
 
 
-def _write_rows(fh, cells, columns, start, stop):
-    """The `Run.write_draws` rows of samples start..stop, label cells `cells`,
-    written in blocks of CSV_BLOCK samples, so the table never sits in memory."""
-    line = ",".join(["{}"] * (len(columns) + 1)) + "\r\n"
-    for lo in range(start, stop, CSV_BLOCK):
-        hi = min(lo + CSV_BLOCK, stop)
-        keys = [f"{i},{cell}" for i in range(lo, hi) for cell in cells]
-        floats = (map(repr, c[lo:hi].ravel().tolist()) for c in columns)
-        fh.writelines(map(line.format, keys, *floats))
+def _sample_chars(start, stop):
+    """(chars, keep) of the sample numbers start..stop-1 in decimal, as
+    (digit place, sample) matrices: digits right-aligned, leading zeros
+    not kept."""
+    v = np.arange(start, stop)
+    places = 10 ** np.arange(len(str(stop - 1)) - 1, -1, -1)[:, None]
+    keep = v >= places
+    keep[-1] = True
+    return (v // places % 10 + 48).astype(np.uint8), keep
 
 
-def _write_part(path, cells, columns, start, stop):
-    """In a forked writer: write the rows of samples start..stop to `path`,
-    then end the process with status 0, or 1 on any exception.  It never
-    returns, so the child never runs the rest of its parent's program."""
-    status = 1
-    try:
-        with open(path, "w", newline="") as fh:
-            _write_rows(fh, cells, columns, start, stop)
-        status = 0
-    finally:
-        os._exit(status)
+def _label_chars(labels, encoding, errors):
+    """(chars, keep) of each label's cell as csv.writer quotes it, encoded
+    as the output file is, as (byte, label) matrices.  A NUL byte is kept
+    like any other: csv.writer writes it unchanged."""
+    cells = []
+    for label in labels:
+        buf = io.StringIO()
+        csv.writer(buf).writerow([label, ""])
+        cells.append(buf.getvalue()[: -len(",\r\n")].encode(encoding, errors))
+    lengths = np.array([len(cell) for cell in cells])
+    chars = np.zeros((lengths.max(), len(cells)), dtype=np.uint8)
+    for j, cell in enumerate(cells):
+        chars[: len(cell), j] = np.frombuffer(cell, dtype=np.uint8)
+    return chars, np.arange(len(chars))[:, None] < lengths
+
+
+def _draw_rows(labels, columns, start, stop):
+    """The bytes of the `Run.write_draws` rows of samples start..stop, with
+    the label cells `labels` of `_label_chars`.  Each field (sample number,
+    label, the floats of `repr_chars`, separators, line end) fills some
+    positions of one uint8 matrix, a row per CSV row, with a mask of the
+    bytes to keep; the matrices are built as their transposes, position by
+    row, and read in row order."""
+    b, c = stop - start, labels[0].shape[1]
+    chars, keep = repr_chars(np.concatenate([col[start:stop].ravel() for col in columns]))
+    chars, keep = chars.T.reshape(-1, len(columns), b, c), keep.T.reshape(-1, len(columns), b, c)
+    index, index_keep = _sample_chars(start, stop)
+    comma = np.full((1, 1, 1), 44, dtype=np.uint8), True
+    fields = [(index[:, :, None], index_keep[:, :, None]), comma, (labels[0][:, None], labels[1][:, None])]
+    for j in range(len(columns)):
+        fields += [comma, (chars[:, j], keep[:, j])]
+    fields.append((np.array([13, 10], dtype=np.uint8)[:, None, None], True))  # \r\n
+    width = sum(len(f) for f, _ in fields)
+    text = np.empty((width, b, c), dtype=np.uint8)
+    mask = np.empty((width, b, c), dtype=bool)
+    at = 0
+    for f, k in fields:
+        text[at : at + len(f)], mask[at : at + len(f)] = f, k
+        at += len(f)
+    return text.reshape(width, -1).T[mask.reshape(width, -1).T]
 
 
 class Run:
@@ -292,52 +310,22 @@ class Run:
         sample-major over `labels`, with x_i from `columns[i]`, a float array of
         shape (samples, len(labels)); byte for byte, but without the csv module
         per field.  Each label is quoted once by csv.writer; a float's repr,
-        which is what csv.writer writes, never needs quoting.
-
-        `writers(samples)` processes format contiguous sample ranges: a forked
-        child writes each range after the first to a part file beside the
-        output, this process writes the first and then appends the parts in
-        order, so the bytes do not depend on the split.  Every child is reaped
-        and every part file removed, also when a writer fails; the output is
-        then removed too, so no truncated table is left."""
-        cells = []
-        for label in labels:
-            buf = io.StringIO()
-            csv.writer(buf).writerow([label, ""])
-            cells.append(buf.getvalue()[: -len(",\r\n")])
-        n = len(columns[0])
-        w = writers(n)
-        bounds = [n * k // w for k in range(w + 1)]
+        which is what csv.writer writes, never needs quoting, and comes from
+        `repr_chars`.  The rows go out in blocks of CSV_BLOCK samples, so the
+        table never sits in memory as text; a failed write removes the
+        output, so no truncated table is left."""
         path = self.out_dir / name
-        parts = [path.with_name(f"{name}.part{k}") for k in range(1, w)]
-        pids = []
         try:
-            try:
-                for part, start, stop in zip(parts, bounds[1:], bounds[2:]):
-                    # a fork warning raised as an error would lose the child's pid
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", DeprecationWarning)
-                        pid = os.fork()
-                    if pid == 0:
-                        _write_part(part, cells, columns, start, stop)
-                    pids.append(pid)
-                with open(path, "w", newline="") as fh:
-                    csv.writer(fh).writerow(header)
-                    _write_rows(fh, cells, columns, 0, bounds[1])
-            finally:
-                failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
-            if failed:
-                raise RuntimeError(f"{failed} of {len(pids)} writer processes of {name} failed")
-            with open(path, "ab") as out:
-                for part in parts:
-                    with open(part, "rb") as fh:
-                        shutil.copyfileobj(fh, out)
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerow(header)
+                fh.flush()  # the rows go to the byte buffer beneath
+                cells = _label_chars(labels, fh.encoding, fh.errors)
+                n = len(columns[0])
+                for start in range(0, n, CSV_BLOCK):
+                    fh.buffer.write(_draw_rows(cells, columns, start, min(start + CSV_BLOCK, n)))
         except BaseException:
             path.unlink(missing_ok=True)
             raise
-        finally:
-            for part in parts:
-                part.unlink(missing_ok=True)
         self.outputs.append(path)
 
     def write_json(self, name, obj):

@@ -468,18 +468,20 @@ class TestCliRuns:
         assert values["mean_re_chi_se"] > 0 and values["var_re_chi_se"] > 0
 
     @pytest.mark.parametrize(
-        "labels, writers",
+        "labels",
         [
-            pytest.param(labels, writers, id=name + suffix)
-            for writers, suffix in ((1, ""), (3, "-split"))
-            for name, labels in (("plain", ["f", "g"]), ("quoted", ["a,b", 'q"x', '""', ""]))
+            pytest.param(["f", "g"], id="plain"),
+            pytest.param(["a,b", 'q"x', '""', ""], id="quoted"),
+            pytest.param(["χ(f)", "café", "g"], id="non-ascii"),
+            pytest.param(["a\x00b", "\x00", "c"], id="nul"),
         ],
     )
-    def test_chi_csv_matches_per_row_loop(self, tmp_path, monkeypatch, labels, writers):
+    def test_chi_csv_matches_per_row_loop(self, tmp_path, monkeypatch, labels):
         """The block-built chi_samples.csv equals the bytes csv.writer writes
-        row by row for the same chi draws, with labels that need quoting and
-        an empty one, over blocks that do not divide the sample count, from
-        one writer and from three with uneven parts (66, 67 and 67 samples)."""
+        row by row for the same chi draws, with labels that need quoting, an
+        empty one, non-ASCII ones and ones holding a NUL byte (which
+        csv.writer writes unchanged), over blocks that do not divide the
+        sample count."""
         drawn = []
 
         def recording_sampler(*args):
@@ -489,8 +491,6 @@ class TestCliRuns:
         real_sampler = cli.sample_chi_gram
         monkeypatch.setattr(cli, "sample_chi_gram", recording_sampler)
         monkeypatch.setattr(cli, "CSV_BLOCK", 64)
-        self.split_writer(monkeypatch, writers)
-        assert cli.writers(CONFIGS["chi"]["samples"]) == writers
         fns = [
             {"name": "gaussian", "label": label, "center": 0.5 * j, "modulation": 1.0 - j}
             for j, label in enumerate(labels)
@@ -511,43 +511,44 @@ class TestCliRuns:
                     writer.writerow([i, f.label, chis[i, j].real, chis[i, j].imag, val.real, val.imag])
         assert (out / "chi_samples.csv").read_bytes() == expected.read_bytes()
 
-    def split_writer(self, monkeypatch, writers=3):
-        """Make `Run.write_draws` split the chi config's 200 samples across
-        `writers` processes on any host."""
-        monkeypatch.setattr(cli, "CSV_PART", 50)
-        monkeypatch.setattr(cli, "usable_cpus", lambda: writers)
+    def test_draws_equal_csv_writer_on_special_floats(self, tmp_path, monkeypatch):
+        """Floats that `repr_chars` hands to repr (zeros, subnormals, inf,
+        nan, exponent forms, powers of two) and sample numbers across a
+        change of digit count keep write_draws equal to csv.writer."""
+        monkeypatch.setattr(cli, "CSV_BLOCK", 7)
+        special = [0.0, -0.0, 5e-324, -np.inf, np.inf, np.nan, 1e-5, -2.5e16, 0.5, -1024.0, 0.1, 1e15]
+        first = np.resize(np.array(special), (12, 2))
+        columns = [first, -first[::-1]]
+        run = cli.Run({}, tmp_path / "o")
+        run.write_draws("t.csv", ["sample", "label", "a", "b"], ["x", "y"], columns)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["sample", "label", "a", "b"])
+            for i in range(12):
+                for j, label in enumerate(["x", "y"]):
+                    writer.writerow([i, label, float(columns[0][i, j]), float(columns[1][i, j])])
+        assert (tmp_path / "o" / "t.csv").read_bytes() == expected.read_bytes()
 
-    def test_chi_split_writer_leaves_no_child_or_part(self, tmp_path, monkeypatch):
-        self.split_writer(monkeypatch)
-        out = tmp_path / "o"
-        assert cli.main(["chi", "--config", write_cfg(tmp_path, CONFIGS["chi"]), "--out", str(out)]) == 0
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert sorted(p.name for p in out.iterdir()) == ["chi_samples.csv", "result.json"]
-        assert read_result(out)["outputs"] == [str(out / "chi_samples.csv")]
+    def test_failed_writer_raises_and_cleans_up(self, tmp_path, monkeypatch):
+        """A block that raises, after earlier blocks were written, makes
+        write_draws raise; no partial output is left and none is listed."""
+        blocks = []
 
-    @pytest.mark.parametrize("failing", ["child", "parent"])
-    def test_failed_writer_raises_and_cleans_up(self, tmp_path, monkeypatch, failing):
-        """A writer that raises, in a forked child or in the calling process,
-        makes write_draws raise; every child is reaped and neither a part file
-        nor the truncated output is left."""
-        self.split_writer(monkeypatch)
-        parent = os.getpid()
-
-        def failing_rows(fh, cells, columns, start, stop):
-            if (os.getpid() == parent) == (failing == "parent"):
+        def failing_rows(*args):
+            blocks.append(args)
+            if len(blocks) == 2:
                 raise OSError("no space left")
-            real_rows(fh, cells, columns, start, stop)
+            return real_rows(*args)
 
-        real_rows = cli._write_rows
-        monkeypatch.setattr(cli, "_write_rows", failing_rows)
+        real_rows = cli._draw_rows
+        monkeypatch.setattr(cli, "_draw_rows", failing_rows)
+        monkeypatch.setattr(cli, "CSV_BLOCK", 64)
         run = cli.Run({}, tmp_path / "o")
         columns = [np.zeros((200, 1))] * 2
-        expected = RuntimeError if failing == "child" else OSError
-        with pytest.raises(expected):
+        with pytest.raises(OSError):
             run.write_draws("chi_samples.csv", ["sample", "label", "a", "b"], ["f"], columns)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert len(blocks) == 2
         assert [p.name for p in (tmp_path / "o").iterdir()] == []
         assert run.outputs == []
 

@@ -9,10 +9,11 @@ at the `dynamics`
 benchmark size (32 768 cells x 3 functions x 1001 times) on both of its
 paths: the photon dispersion takes the chirp-z level sum, the quadratic one
 the direct sum.  The output layer: `Run.write_draws` at the `chi` benchmark
-size (20 000 samples x 4 functions, 4 float columns) from one process and
-split across the usable CPUs, and `cli.main`'s parse
-plus config load on the `dynamics` benchmark config, with the parser built
-in each round and taken from the cache.
+size (20 000 samples x 4 functions, 4 float columns), in one process; the
+float formatter `repr_chars` on those 320 000 floats, in the writer's
+blocks, beside plain `repr` on the same blocks; and `cli.main`'s parse plus
+config load on the `dynamics` benchmark config, with the parser built in
+each round and taken from the cache.
 
 Deselected by default (`kernel_bench` marker); run with
 `PYTHONPATH=src python -m pytest -m kernel_bench tests/test_kernel_bench.py`.
@@ -33,6 +34,7 @@ from cohlim.config import (
     parse_t_grid,
 )
 from cohlim.dynamics import sigma_t
+from cohlim.float_text import repr_chars
 from cohlim.functionals import fock_functional, variances
 from cohlim.ito_sampler import chi_gram_factor, sample_chi, sample_chi_gram
 from cohlim.mode_space import battery_gram
@@ -160,16 +162,25 @@ def test_sigma_t_kernel(benchmark, dynamics_inputs, form):
     assert table.shape == (len(ts), len(battery))
 
 
-@pytest.mark.parametrize("writers", ["one", "split"])
-def test_write_draws_kernel(benchmark, tmp_path, monkeypatch, writers):
-    if writers == "one":
-        monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
-    benchmark.extra_info["writers"] = cli.writers(SAMPLES)
+def test_write_draws_kernel(benchmark, tmp_path):
     columns = list(np.random.default_rng(1).standard_normal((4, SAMPLES, 4)))
     header = ["sample", "label", "chi_re", "chi_im", "functional_re", "functional_im"]
     args = ("chi_samples.csv", header, ["g0", "g1", "g2", "g3"], columns)
     benchmark.pedantic(cli.Run({}, tmp_path).write_draws, args=args, rounds=3, iterations=1)
     assert len((tmp_path / "chi_samples.csv").read_text().splitlines()) == 1 + 4 * SAMPLES
+
+
+@pytest.mark.parametrize("formatter", ["repr_chars", "repr"])
+def test_float_format_kernel(benchmark, formatter):
+    columns = np.random.default_rng(1).standard_normal((4, SAMPLES, 4))
+    blocks = [columns[:, lo : lo + cli.CSV_BLOCK].ravel() for lo in range(0, SAMPLES, cli.CSV_BLOCK)]
+    benchmark.extra_info["floats"] = columns.size
+
+    def kernel():
+        for block in blocks:
+            repr_chars(block) if formatter == "repr_chars" else list(map(repr, block.tolist()))
+
+    benchmark.pedantic(kernel, rounds=5, iterations=1)
 
 
 @pytest.mark.parametrize("parser", ["built", "cached"])
