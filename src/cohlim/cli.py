@@ -49,7 +49,10 @@ from cohlim.moments import MAX_PAIRING_ORDER, MIN_ORACLE_SAMPLES, build_q, mc_or
 from cohlim.open_system import envelopes
 
 SCHEMA_VERSION = "1"
-CSV_BLOCK = 256  # samples per block of `Run.write_draws` rows
+# Floats per block of `Run.write_csv` rows, in whole samples (rows, without
+# labels), at least one: 256 samples of the chi benchmark's 4 functions x 4
+# columns, every row of a 1001-time dynamics table.
+CSV_CELLS = 4096
 
 
 def _json_default(o):
@@ -112,21 +115,29 @@ def _label_chars(labels, encoding, errors):
     return chars, np.arange(len(chars))[:, None] < lengths
 
 
-def _draw_rows(labels, columns, start, stop):
-    """The bytes of the `Run.write_draws` rows of samples start..stop, with
-    the label cells `labels` of `_label_chars`.  Each field (sample number,
-    label, the floats of `repr_chars`, separators, line end) fills some
-    positions of one uint8 matrix, a row per CSV row, with a mask of the
-    bytes to keep; the matrices are built as their transposes, position by
-    row, and read in row order."""
-    b, c = stop - start, labels[0].shape[1]
-    chars, keep = repr_chars(np.concatenate([col[start:stop].ravel() for col in columns]))
-    chars, keep = chars.T.reshape(-1, len(columns), b, c), keep.T.reshape(-1, len(columns), b, c)
-    index, index_keep = _sample_chars(start, stop)
+def _table_rows(labels, columns, numbered, start, stop):
+    """The bytes of the `Run.write_csv` rows of samples start..stop, with
+    the label cells `labels` of `_label_chars` (or None).  Each field
+    (sample number, label, a float of `repr_chars`, an empty cell,
+    separators, line end) fills some positions of one uint8 matrix, position
+    by sample by label, with a mask of the bytes to keep, and is broadcast
+    over the samples or labels it does not vary with; the matrix is read in
+    row order."""
+    floats = [col[start:stop] for col in columns if col is not None]
+    b, c = floats[0].shape
+    chars, keep = repr_chars(np.concatenate([col.ravel() for col in floats]))
+    chars, keep = chars.T.reshape(-1, len(floats), b, c), keep.T.reshape(-1, len(floats), b, c)
+    cells = []
+    if numbered:
+        index, index_keep = _sample_chars(start, stop)
+        cells.append((index[:, :, None], index_keep[:, :, None]))
+    if labels is not None:
+        cells.append((labels[0][:, None], labels[1][:, None]))
+    float_cells = iter([(chars[:, j], keep[:, j]) for j in range(len(floats))])
+    empty = np.empty((0, 1, 1), dtype=np.uint8), True
+    cells += [empty if col is None else next(float_cells) for col in columns]
     comma = np.full((1, 1, 1), 44, dtype=np.uint8), True
-    fields = [(index[:, :, None], index_keep[:, :, None]), comma, (labels[0][:, None], labels[1][:, None])]
-    for j in range(len(columns)):
-        fields += [comma, (chars[:, j], keep[:, j])]
+    fields = [field for cell in cells for field in (comma, cell)][1:]
     fields.append((np.array([13, 10], dtype=np.uint8)[:, None, None], True))  # \r\n
     width = sum(len(f) for f, _ in fields)
     text = np.empty((width, b, c), dtype=np.uint8)
@@ -297,32 +308,29 @@ class Run:
     def check(self, name, value, tol, passed):
         self.assertions.append({"name": name, "value": value, "tol": tol, "pass": passed})
 
-    def write_csv(self, name, header, rows):
-        path = self.out_dir / name
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        self.outputs.append(path)
-
-    def write_draws(self, name, header, labels, columns):
-        """The CSV `write_csv` would write for the rows (sample, label, x_1..x_c),
-        sample-major over `labels`, with x_i from `columns[i]`, a float array of
-        shape (samples, len(labels)); byte for byte, but without the csv module
-        per field.  Each label is quoted once by csv.writer; a float's repr,
+    def write_csv(self, name, header, columns, labels=None, numbered=False):
+        """The CSV csv.writer writes for the rows ([sample,] [label,] x_1..x_n),
+        byte for byte, but without the csv module per row.  Each column is a
+        float array, one value per row; with `labels`, of shape (samples,
+        len(labels)), and the rows run sample-major over the labels, led by
+        the sample number if `numbered`.  A None column is an empty cell in
+        every row.  Each label is quoted once by csv.writer; a float's repr,
         which is what csv.writer writes, never needs quoting, and comes from
-        `repr_chars`.  The rows go out in blocks of CSV_BLOCK samples, so the
-        table never sits in memory as text; a failed write removes the
-        output, so no truncated table is left."""
+        `repr_chars`.  The rows go out in blocks of about CSV_CELLS floats,
+        so the table never sits in memory as text; a failed write removes
+        the output, so no truncated table is left."""
         path = self.out_dir / name
+        c = 1 if labels is None else len(labels)
+        columns = [None if col is None else np.asarray(col, dtype=float).reshape(-1, c) for col in columns]
+        n = next(len(col) for col in columns if col is not None)
+        block = max(1, CSV_CELLS // (c * sum(col is not None for col in columns)))
         try:
             with open(path, "w", newline="") as fh:
                 csv.writer(fh).writerow(header)
                 fh.flush()  # the rows go to the byte buffer beneath
-                cells = _label_chars(labels, fh.encoding, fh.errors)
-                n = len(columns[0])
-                for start in range(0, n, CSV_BLOCK):
-                    fh.buffer.write(_draw_rows(cells, columns, start, min(start + CSV_BLOCK, n)))
+                cells = None if labels is None else _label_chars(labels, fh.encoding, fh.errors)
+                for start in range(0, n, block):
+                    fh.buffer.write(_table_rows(cells, columns, numbered, start, min(start + block, n)))
         except BaseException:
             path.unlink(missing_ok=True)
             raise
@@ -352,25 +360,18 @@ def run_functional(run):
             fv = rarefied_functional(f, *run.rarefied)
         else:
             raise ConfigError("/kind", f"unknown functional kind {kind!r}")
-        rows.append(
-            [
-                f.label,
-                fv.value.real,
-                fv.value.imag,
-                fv.modulus,
-                fv.fock_exponent,
-                "" if fv.sigma_sq is None else fv.sigma_sq,
-                "" if fv.phase is None else fv.phase,
-            ]
-        )
+        rows.append((fv.value.real, fv.value.imag, fv.modulus, fv.fock_exponent, fv.sigma_sq, fv.phase))
         values[label] = fv.value
         # a state's value on a Weyl unitary has modulus at most 1
         tol = 1.0 + 1e-12
         run.check(f"modulus[{label}]", fv.modulus, tol, fv.modulus <= tol)
+    # one sample over the labels; a kind sets sigma_sq (phase) for every
+    # function or for none, and none is an empty column
     run.write_csv(
         "functional.csv",
         ["label", "re", "im", "modulus", "fock_exponent", "sigma_sq", "phase"],
-        rows,
+        [None if col[0] is None else [col] for col in zip(*rows)],
+        labels=[f.label for f in run.battery],
     )
     return values
 
@@ -386,7 +387,7 @@ def run_clt(run):
     draws = clt_sample(f, run.density, mu, m, run.rng("phases"))
     ks = ks_distance(draws, sigma)
     tol = run.tol("ks", 1.95 / math.sqrt(m))
-    run.write_csv("clt_draws.csv", ["draw"], [[x] for x in draws])
+    run.write_csv("clt_draws.csv", ["draw"], [draws])
     run.check("ks_distance", ks, tol, ks < tol)
     return {"ks_distance": ks, "sigma": sigma, "samples": m}
 
@@ -399,11 +400,12 @@ def run_chi(run):
     chis = sample_chi_gram(battery_gram(battery, run.density), run.mu2, m, run.rng("gram"))
     fock = np.array([fock_functional(f).value for f in battery])
     vals = fock * np.exp(1j * chis.real)
-    run.write_draws(
+    run.write_csv(
         "chi_samples.csv",
         ["sample", "label", "chi_re", "chi_im", "functional_re", "functional_im"],
-        [f.label for f in battery],
         [chis.real, chis.imag, vals.real, vals.imag],
+        labels=[f.label for f in battery],
+        numbered=True,
     )
     z = run.tol("z", 5.0)
     values = {}
@@ -491,12 +493,12 @@ def run_dynamics(run):
     ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:100:1"))
     sig = sigma_t(battery, rho, mu2, eps, ts)
     metric = uniformization_curve(battery, rho, sig)
-    rows = [[t, s, m] for t, s, m in zip(ts.tolist(), sig[:, 0].tolist(), metric.tolist())]
-    run.write_csv("dynamics.csv", ["t", "sigma_t", "metric"], rows)
+    run.write_csv("dynamics.csv", ["t", "sigma_t", "metric"], [ts, sig[:, 0], metric])
+    final = float(metric[-1])
     tol = run.tol("metric_final")
     if tol is not None:
-        run.check("final_metric", rows[-1][2], tol, rows[-1][2] < tol)
-    return {"final_t": float(ts[-1]), "final_metric": rows[-1][2]}
+        run.check("final_metric", final, tol, final < tol)
+    return {"final_t": float(ts[-1]), "final_metric": final}
 
 
 def run_decohere(run):
@@ -516,23 +518,23 @@ def run_decohere(run):
     re_chi = sample_chi_gram(battery_gram([g], run.density), 0.0, m, run.rng("gram"))[:, 0].real
     rate = sigma_mu_sq(g, run.density, 0.0)
     gaussian, decay = envelopes(dg, g, run.dispersion, ts, rate)
-    rows = []
+    mc = np.empty((len(ts), 3))  # mean re, mean im, stderr
     worst = 0.0
-    for t, gaussian_env, gamma_env in zip(ts.tolist(), gaussian.tolist(), decay.tolist()):
+    for i, (t, gaussian_env) in enumerate(zip(ts.tolist(), gaussian.tolist())):
         mc_vals = np.exp(-1j * t * dg * re_chi)
         mc_mean = complex(np.mean(mc_vals))
         mc_se = float(np.std(mc_vals.real, ddof=1) / math.sqrt(m))
-        rows.append([t, gaussian_env, gamma_env, mc_mean.real, mc_mean.imag, mc_se])
+        mc[i] = mc_mean.real, mc_mean.imag, mc_se
         if t > 0 and mc_se > 0:  # equal draws (dg = 0) give the envelope exactly
             worst = max(worst, abs(mc_mean.real - gaussian_env) / mc_se)
     run.write_csv(
         "decohere.csv",
         ["t", "envelope_gaussian", "envelope_gamma", "mc_mean_re", "mc_mean_im", "mc_stderr"],
-        rows,
+        [ts, gaussian, decay, *mc.T],
     )
     tol = run.tol("z", 5.0)
     run.check("envelope_z", worst, tol, worst < tol)
-    return {"element": [k, l], "gaussian_rate": rate, "rows": len(rows)}
+    return {"element": [k, l], "gaussian_rate": rate, "rows": len(ts)}
 
 
 def run_diverge(run):
@@ -575,11 +577,8 @@ def run_rarefied(run):
     gfun = run.battery[0]
     L_values = run.read("L_values", float, [100.0, 1000.0, 10000.0], each=True, above=0.0)
     limit = rarefied_functional(gfun, *run.rarefied)
-    rows = []
-    for L in L_values:
-        phase = rarefied_finite_volume_phase(gfun, *run.rarefied, L)
-        rows.append([L, phase, abs(phase - limit.phase)])
-    run.write_csv("rarefied.csv", ["L", "phase", "abs_error"], rows)
+    phases = np.array([rarefied_finite_volume_phase(gfun, *run.rarefied, L) for L in L_values])
+    run.write_csv("rarefied.csv", ["L", "phase", "abs_error"], [L_values, phases, np.abs(phases - limit.phase)])
     return {"limit_phase": limit.phase, "limit_value": limit.value}
 
 

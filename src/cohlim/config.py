@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from cohlim.circle_measure import PhaseMeasure
-from cohlim.dynamics import Dispersion
+from cohlim.dynamics import Dispersion, expi
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction
 
 
@@ -145,6 +145,15 @@ CLOSED_FORMS = {
 }
 
 
+def _wave(x: float, k) -> np.ndarray:
+    """e^{i x k}, as cos + i sin of x k written into one complex array: the
+    bits of np.exp(1j * x * k) on every grid tried, without a complex exp."""
+    k = np.asarray(k)
+    z = np.empty(k.shape, dtype=complex)
+    np.multiply(x, k, out=z.imag)
+    return expi(z)
+
+
 def _closed_form(obj: dict, pointer: str, d: int = 1) -> Callable[[np.ndarray], np.ndarray]:
     _require_object(obj, pointer)
     if d != 1:
@@ -164,14 +173,14 @@ def _closed_form(obj: dict, pointer: str, d: int = 1) -> Callable[[np.ndarray], 
         m = par["modulation"]
         # exp(i m k) = 1 at m = 0; otherwise it stays a second factor, since
         # one exp of the complex exponent rounds differently
-        return gauss if m == 0 else lambda k: gauss(k) * np.exp(1j * m * np.asarray(k))
+        return gauss if m == 0 else lambda k: gauss(k) * _wave(m, k)
 
     def in_band(k):
         return (np.asarray(k) >= par["lo"]) & (np.asarray(k) <= par["hi"])
 
     if name == "box":
         return lambda k: amp * in_band(k).astype(complex)
-    return lambda k: amp * np.exp(1j * par["x0"] * np.asarray(k)) * in_band(k)
+    return lambda k: amp * _wave(par["x0"], k) * in_band(k)
 
 
 def density_form(obj: dict, d: int = 1) -> Callable[[np.ndarray], np.ndarray]:

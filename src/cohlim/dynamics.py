@@ -38,8 +38,8 @@ class Dispersion:
 
 
 # Bytes of the one (t, distinct eps) block of cos and sin that the direct
-# level sum holds, however long the t-grid is: half for each.  The chirp-z
-# path does not use it.
+# level sum holds, however long the t-grid is (half for each), and the most
+# the chirp-z path's (functions, FFT length) buffer holds beyond one function.
 PHASE_BLOCK_BYTES = 512 * 1024
 
 # Levels are taken for a lattice eps_0 + n h when the lattice has at most
@@ -113,7 +113,7 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _expi(z: np.ndarray) -> np.ndarray:
+def expi(z: np.ndarray) -> np.ndarray:
     """The complex array `z` set to e^{i z.imag}, in place."""
     np.cos(z.imag, out=z.real)
     np.sin(z.imag, out=z.imag)
@@ -137,8 +137,8 @@ def _quadratic_phase(out: np.ndarray, x: np.ndarray, a: float, b: float, c0: flo
     rest.imag += c0
     np.multiply(x, x, out=out.imag)
     out.imag *= a_hi
-    _expi(out)
-    out *= _expi(rest)
+    expi(out)
+    out *= expi(rest)
     return out
 
 
@@ -174,7 +174,9 @@ def _chirp_level_sum(weights, levels, n, h, ts, step, c):
         e^{i c eps_q t_m} e^{i phi m^2/2} sum_j [w_j e^{i c h t0 j} e^{i phi j^2/2}] e^{-i phi (m-j)^2/2},
 
     a convolution done by FFT.  Every run and segment shares the kernel, and
-    the functions go one at a time through one reused buffer."""
+    the functions go through one reused (functions, FFT length) buffer, as
+    many at a time as PHASE_BLOCK_BYTES holds (at least one), one 2-d FFT
+    pair per run, segment and group of functions."""
     n_times, k = len(ts), weights.shape[1]
     m_len = int(n[-1]) + 1
     side = max(CHIRP_BLOCK, min(m_len, n_times))
@@ -191,7 +193,8 @@ def _chirp_level_sum(weights, levels, n, h, ts, step, c):
     runs = np.searchsorted(n, np.arange(0, m_len + block, block))  # the levels of each run
     pre = np.empty(block, dtype=complex)
     post = np.empty(seg, dtype=complex)
-    buf = np.empty(size, dtype=complex)
+    group = max(1, min(k, PHASE_BLOCK_BYTES // (16 * size)))
+    buf = np.empty((group, size), dtype=complex)
     out = np.zeros((n_times, k))
     for lo in range(0, n_times, seg):
         cnt = min(seg, n_times - lo)
@@ -204,16 +207,18 @@ def _chirp_level_sum(weights, levels, n, h, ts, step, c):
             eps_q = levels[0] + q * block * h
             _quadratic_phase(tail, offsets[:cnt], half_phi, c * eps_q * step, c * eps_q * t0)
             js = n[first:last] - q * block
-            for j in range(k):
-                buf.fill(0.0)
-                np.add.at(buf, js, weights[first:last, j])
-                buf[:block] *= pre
-                np.fft.fft(buf, out=buf)
-                buf *= kernel
-                np.fft.ifft(buf, out=buf)
-                head = buf[:cnt]
+            for j in range(0, k, group):
+                g = buf[: min(group, k - j)]
+                g.fill(0.0)
+                for row, w in zip(g, weights[first:last, j : j + group].T):
+                    np.add.at(row, js, w)  # 1-d: a (slice, js) index is several times slower
+                g[:, :block] *= pre
+                np.fft.fft(g, axis=-1, out=g)
+                g *= kernel
+                np.fft.ifft(g, axis=-1, out=g)
+                head = g[:, :cnt]
                 head *= tail
-                out[lo : lo + cnt, j] += head.real
+                out[lo : lo + cnt, j : j + group] += head.real.T
     return out
 
 
@@ -259,7 +264,8 @@ def sigma_t(
     Cells of equal dispersion are summed before the phase is applied, which
     is exact, and the t-dependent part is `level_sum` over the distinct eps
     values with c = 2.  So a uniform t-grid on lattice levels (the photon
-    dispersion in d = 1) costs one chirp-z transform per function; other
+    dispersion in d = 1) costs one chirp-z transform of the functions
+    together, a 2-d FFT over (function, time); other
     inputs (quadratic eps, d >= 2, sampled eps, a single time or an uneven
     grid) evaluate e^{2 i t eps} once per (t, distinct eps value) for the
     whole battery."""

@@ -9,11 +9,12 @@ roundings of that product come by integer arithmetic on hi, corrected by
 lo, and the shortest of them that reads back as x (within half the gap to
 x's neighbours) is taken: the shortest round-trip digits that `repr` takes
 from Gay's dtoa (mode 0), which among the shortest picks the nearest.
-Whatever cannot be certified goes to `repr` itself, so no byte differs from
-it: a rounding within 1e-9 of a digit tie or of x's rounding boundary, a
-power of two (whose neighbours are not equally far), a value next to a
-power of ten (where hi falls outside (1e16, 1e17)), and every value
-outside that range (±0, subnormals, inf, nan and the exponent forms).
+Whatever cannot be certified goes to `repr` itself, in one batch placed
+by one array assignment, so no byte differs from it: a rounding within
+1e-9 of a digit tie or of x's rounding boundary, a power of two (whose
+neighbours are not equally far), a value next to a power of ten (where hi
+falls outside (1e16, 1e17)), and every value outside that range (±0,
+subnormals, inf, nan and the exponent forms).
 
 The work is done on (position, element) arrays, so each numpy call runs
 over all elements at once; the matrices returned are their transposes.
@@ -129,15 +130,16 @@ def repr_chars(x):
     ea = _FIRST + np.maximum(decpt, 0)
     sb = _FIRST + decpt
     eb = _FIRST + np.maximum(ndig, decpt + 1)
-    # the rest: repr's own bytes at the bottom of the canvas, as the second window
+    # the rest: repr's own bytes, right-aligned in their canvas columns (the
+    # spaces above are not kept), as the second window
     neg = np.signbit(x) & fast
     slow = np.flatnonzero(~fast)
+    texts = list(map(repr, x[slow].tolist()))
+    padded = "".join([text.rjust(_ROWS) for text in texts]).encode()
+    canvas[:, slow] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _ROWS).T
     sa[slow] = ea[slow] = _FIRST
+    sb[slow] = _ROWS - np.fromiter(map(len, texts), dtype=np.int8, count=len(texts))
     eb[slow] = _ROWS
-    for i in slow:
-        text = np.frombuffer(repr(float(x[i])).encode(), dtype=np.uint8)
-        canvas[_ROWS - len(text) :, i] = text
-        sb[i] = _ROWS - len(text)
 
     a0, a1 = (sa.min(), ea.max()) if n else (0, 0)
     b0, b1 = (sb.min(), eb.max()) if n else (0, 0)

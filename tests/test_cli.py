@@ -198,6 +198,17 @@ def read_result(out_dir):
         return json.load(fh)
 
 
+def csv_writer_bytes(tmp_path, header, rows):
+    """The bytes csv.writer writes for `header` and then `rows`, one call per row."""
+    path = tmp_path / "expected.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+    return path.read_bytes()
+
+
 class TestConfigValidation:
     def test_deterministic_needs_no_seed(self):
         validate_config({"experiment": "functional"})
@@ -292,6 +303,20 @@ class TestBuilders:
                 fh.write(struct.pack("<dd", float(i), 0.0))
         f = build_test_function({"values_file": str(p), "label": "x"}, g)
         np.testing.assert_allclose(f.values, [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("grid", [GRID, {"d": 1, "R": 4.0, "N": 4096}, {"d": 1, "R": 8.0, "N": 32768}])
+    def test_closed_forms_have_the_bits_of_complex_exp(self, grid):
+        """e^{imk} and e^{i x0 k}, taken as cos + i sin, give the values the
+        complex exp gave, bit for bit, so every output keeps its bytes."""
+        g = build_grid(grid)
+        k = g.axis
+        for m in (0.5, -1.0, 2.0):
+            f = build_test_function({"name": "gaussian", "center": 0.5, "width": 0.7, "modulation": m}, g)
+            gauss = (1.0 + 0j) * np.exp(-((k - 0.5) ** 2) / (2.0 * 0.7**2))
+            assert np.array_equal((gauss * np.exp(1j * m * k)).view(np.uint64), f.values.view(np.uint64))
+        f = build_test_function({"name": "plane_wave", "x0": -0.7, "lo": -1.0, "hi": 2.0}, g)
+        wave = (1.0 + 0j) * np.exp(1j * -0.7 * k) * ((k >= -1.0) & (k <= 2.0))
+        assert np.array_equal(wave.view(np.uint64), f.values.view(np.uint64))
 
     def test_test_function_wrong_size(self, tmp_path):
         g = MomentumGrid(1, 2.0, 8)
@@ -490,7 +515,7 @@ class TestCliRuns:
 
         real_sampler = cli.sample_chi_gram
         monkeypatch.setattr(cli, "sample_chi_gram", recording_sampler)
-        monkeypatch.setattr(cli, "CSV_BLOCK", 64)
+        monkeypatch.setattr(cli, "CSV_CELLS", 1000)
         fns = [
             {"name": "gaussian", "label": label, "center": 0.5 * j, "modulation": 1.0 - j}
             for j, label in enumerate(labels)
@@ -501,38 +526,48 @@ class TestCliRuns:
         (chis,) = drawn
         run = cli.Run(cfg, tmp_path / "inputs")
         fock = [cli.fock_functional(f).value for f in run.battery]
-        expected = tmp_path / "expected.csv"
-        with open(expected, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample", "label", "chi_re", "chi_im", "functional_re", "functional_im"])
-            for i in range(chis.shape[0]):
-                for j, f in enumerate(run.battery):
-                    val = fock[j] * np.exp(1j * chis[i, j].real)
-                    writer.writerow([i, f.label, chis[i, j].real, chis[i, j].imag, val.real, val.imag])
-        assert (out / "chi_samples.csv").read_bytes() == expected.read_bytes()
+        rows = []
+        for i in range(chis.shape[0]):
+            for j, f in enumerate(run.battery):
+                val = fock[j] * np.exp(1j * chis[i, j].real)
+                rows.append([i, f.label, chis[i, j].real, chis[i, j].imag, val.real, val.imag])
+        header = ["sample", "label", "chi_re", "chi_im", "functional_re", "functional_im"]
+        assert (out / "chi_samples.csv").read_bytes() == csv_writer_bytes(tmp_path, header, rows)
 
     def test_draws_equal_csv_writer_on_special_floats(self, tmp_path, monkeypatch):
         """Floats that `repr_chars` hands to repr (zeros, subnormals, inf,
         nan, exponent forms, powers of two) and sample numbers across a
-        change of digit count keep write_draws equal to csv.writer."""
-        monkeypatch.setattr(cli, "CSV_BLOCK", 7)
+        change of digit count keep write_csv equal to csv.writer, in a
+        numbered, labelled table and in a plain one."""
+        monkeypatch.setattr(cli, "CSV_CELLS", 28)  # 7 samples of 2 labels x 2 columns
         special = [0.0, -0.0, 5e-324, -np.inf, np.inf, np.nan, 1e-5, -2.5e16, 0.5, -1024.0, 0.1, 1e15]
         first = np.resize(np.array(special), (12, 2))
         columns = [first, -first[::-1]]
         run = cli.Run({}, tmp_path / "o")
-        run.write_draws("t.csv", ["sample", "label", "a", "b"], ["x", "y"], columns)
-        expected = tmp_path / "expected.csv"
-        with open(expected, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample", "label", "a", "b"])
-            for i in range(12):
-                for j, label in enumerate(["x", "y"]):
-                    writer.writerow([i, label, float(columns[0][i, j]), float(columns[1][i, j])])
-        assert (tmp_path / "o" / "t.csv").read_bytes() == expected.read_bytes()
+        run.write_csv("t.csv", ["sample", "label", "a", "b"], columns, labels=["x", "y"], numbered=True)
+        rows = [
+            [i, label, float(columns[0][i, j]), float(columns[1][i, j])]
+            for i in range(12)
+            for j, label in enumerate(["x", "y"])
+        ]
+        expected = csv_writer_bytes(tmp_path, ["sample", "label", "a", "b"], rows)
+        assert (tmp_path / "o" / "t.csv").read_bytes() == expected
+        run.write_csv("p.csv", ["a", "b"], [col.ravel() for col in columns])
+        rows = [[float(a), float(b)] for a, b in zip(*[col.ravel() for col in columns])]
+        assert (tmp_path / "o" / "p.csv").read_bytes() == csv_writer_bytes(tmp_path, ["a", "b"], rows)
 
-    def test_failed_writer_raises_and_cleans_up(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, header, columns, labels",
+        [
+            pytest.param(
+                "chi_samples.csv", ["sample", "label", "a", "b"], [np.zeros((200, 1))] * 2, ["f"], id="chi"
+            ),
+            pytest.param("dynamics.csv", ["t", "sigma_t", "metric"], [np.zeros(200)] * 3, None, id="plain"),
+        ],
+    )
+    def test_failed_writer_raises_and_cleans_up(self, tmp_path, monkeypatch, name, header, columns, labels):
         """A block that raises, after earlier blocks were written, makes
-        write_draws raise; no partial output is left and none is listed."""
+        write_csv raise; no partial output is left and none is listed."""
         blocks = []
 
         def failing_rows(*args):
@@ -541,16 +576,126 @@ class TestCliRuns:
                 raise OSError("no space left")
             return real_rows(*args)
 
-        real_rows = cli._draw_rows
-        monkeypatch.setattr(cli, "_draw_rows", failing_rows)
-        monkeypatch.setattr(cli, "CSV_BLOCK", 64)
+        real_rows = cli._table_rows
+        monkeypatch.setattr(cli, "_table_rows", failing_rows)
+        monkeypatch.setattr(cli, "CSV_CELLS", 192)  # 64 or 96 rows a block
         run = cli.Run({}, tmp_path / "o")
-        columns = [np.zeros((200, 1))] * 2
         with pytest.raises(OSError):
-            run.write_draws("chi_samples.csv", ["sample", "label", "a", "b"], ["f"], columns)
+            run.write_csv(name, header, columns, labels=labels, numbered=labels is not None)
         assert len(blocks) == 2
         assert [p.name for p in (tmp_path / "o").iterdir()] == []
         assert run.outputs == []
+
+    @pytest.mark.parametrize("kind", ["fock", "nmode", "averaged", "rarefied"])
+    def test_functional_csv_matches_per_row_loop(self, tmp_path, kind):
+        """functional.csv equals the bytes csv.writer writes row by row, with
+        an empty cell for a sigma_sq or phase that the kind does not set."""
+        fns = [
+            GAUSS_F,
+            {"name": "gaussian", "label": 'a,"b', "center": 0.5, "modulation": -2.0},
+            {"name": "box", "label": "", "lo": 0.1, "hi": 0.9},
+            {"name": "plane_wave", "label": "χ", "x0": 0.7, "lo": -1.0, "hi": 2.0},
+        ]
+        rarefied = {key: CONFIGS["rarefied"][key] for key in ("alpha", "sigma", "a", "b")}
+        cfg = {
+            **CONFIGS["functional"],
+            "kind": kind,
+            "functions": fns,
+            "density": DENSITY,
+            "measure": {"kind": "uniform"},
+            "modes": [{"k": 0.3, "rho": 0.5, "theta": 0.2}, {"k": -1.1, "rho": 0.2}],
+            **rarefied,
+        }
+        out = tmp_path / "o"
+        assert cli.main(["functional", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        run = cli.Run(cfg, tmp_path / "inputs")
+        value = {
+            "fock": lambda f: cli.fock_functional(f),
+            "nmode": lambda f: cli.n_mode_functional(f, run.modes),
+            "averaged": lambda f: cli.phase_averaged_functional(f, run.density, run.measure),
+            "rarefied": lambda f: cli.rarefied_functional(f, *run.rarefied),
+        }[kind]
+        rows = []
+        for f in run.battery:
+            fv = value(f)
+            optional = ["" if v is None else v for v in (fv.sigma_sq, fv.phase)]
+            rows.append([f.label, fv.value.real, fv.value.imag, fv.modulus, fv.fock_exponent, *optional])
+        header = ["label", "re", "im", "modulus", "fock_exponent", "sigma_sq", "phase"]
+        assert (out / "functional.csv").read_bytes() == csv_writer_bytes(tmp_path, header, rows)
+        assert sum(row[5] == "" for row in rows) == (0 if kind == "averaged" else len(fns))
+
+    def test_clt_csv_matches_per_row_loop(self, tmp_path, monkeypatch):
+        drawn = []
+
+        def recording_sampler(*args):
+            drawn.append(real_sampler(*args))
+            return drawn[-1]
+
+        real_sampler = cli.clt_sample
+        monkeypatch.setattr(cli, "clt_sample", recording_sampler)
+        monkeypatch.setattr(cli, "CSV_CELLS", 100)
+        out = tmp_path / "o"
+        assert cli.main(["clt", "--config", write_cfg(tmp_path, CONFIGS["clt"]), "--out", str(out)]) == 0
+        (draws,) = drawn
+        expected = csv_writer_bytes(tmp_path, ["draw"], [[x] for x in draws])
+        assert (out / "clt_draws.csv").read_bytes() == expected
+
+    def test_dynamics_csv_matches_per_row_loop(self, tmp_path):
+        """dynamics.csv over a long t-grid, whose late metrics are below 1e-4
+        and so written in exponent form, equals csv.writer's bytes."""
+        cfg = {**CONFIGS["dynamics"], "t_grid": "0:100:0.1"}
+        out = tmp_path / "o"
+        assert cli.main(["dynamics", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        run = cli.Run(cfg, tmp_path / "inputs")
+        ts = parse_t_grid(cfg["t_grid"])
+        sig = sigma_t(run.battery, run.density, run.mu2, run.dispersion, ts)
+        metric = cli.uniformization_curve(run.battery, run.density, sig)
+        assert np.sum(metric < 1e-4) > 10
+        rows = [[t, s, m] for t, s, m in zip(ts.tolist(), sig[:, 0].tolist(), metric.tolist())]
+        expected = csv_writer_bytes(tmp_path, ["t", "sigma_t", "metric"], rows)
+        assert (out / "dynamics.csv").read_bytes() == expected
+
+    def test_decohere_csv_matches_per_row_loop(self, tmp_path, monkeypatch):
+        drawn = []
+
+        def recording_sampler(*args):
+            drawn.append(real_sampler(*args))
+            return drawn[-1]
+
+        real_sampler = cli.sample_chi_gram
+        monkeypatch.setattr(cli, "sample_chi_gram", recording_sampler)
+        cfg = {**CONFIGS["decohere"], "t_grid": "0:20:0.25"}
+        out = tmp_path / "o"
+        assert cli.main(["decohere", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        (chis,) = drawn
+        re_chi, m = chis[:, 0].real, len(chis)
+        run = cli.Run(cfg, tmp_path / "inputs")
+        g = build_test_function(cfg["form_factor"], run.grid)
+        ts = parse_t_grid(cfg["t_grid"])
+        rate = cli.sigma_mu_sq(g, run.density, 0.0)
+        dg = -1.0  # couplings[0] - couplings[1]
+        gaussian, decay = cli.envelopes(dg, g, run.dispersion, ts, rate)
+        rows = []
+        for t, gaussian_env, gamma_env in zip(ts.tolist(), gaussian.tolist(), decay.tolist()):
+            mc_vals = np.exp(-1j * t * dg * re_chi)
+            mc_mean = complex(np.mean(mc_vals))
+            mc_se = float(np.std(mc_vals.real, ddof=1) / math.sqrt(m))
+            rows.append([t, gaussian_env, gamma_env, mc_mean.real, mc_mean.imag, mc_se])
+        header = ["t", "envelope_gaussian", "envelope_gamma", "mc_mean_re", "mc_mean_im", "mc_stderr"]
+        assert (out / "decohere.csv").read_bytes() == csv_writer_bytes(tmp_path, header, rows)
+
+    def test_rarefied_csv_matches_per_row_loop(self, tmp_path):
+        cfg = {**CONFIGS["rarefied"], "L_values": [1.0, 10.0, 1000.0, 1e5, 1e7]}
+        out = tmp_path / "o"
+        assert cli.main(["rarefied", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        run = cli.Run(cfg, tmp_path / "inputs")
+        limit = cli.rarefied_functional(run.battery[0], *run.rarefied)
+        rows = []
+        for L in cfg["L_values"]:
+            phase = cli.rarefied_finite_volume_phase(run.battery[0], *run.rarefied, L)
+            rows.append([L, phase, abs(phase - limit.phase)])
+        expected = csv_writer_bytes(tmp_path, ["L", "phase", "abs_error"], rows)
+        assert (out / "rarefied.csv").read_bytes() == expected
 
 
 class TestCliContract:

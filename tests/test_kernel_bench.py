@@ -8,17 +8,21 @@ battery and on the `dynamics` one (32 768 cells x 3 functions), and `sigma_t`
 at the `dynamics`
 benchmark size (32 768 cells x 3 functions x 1001 times) on both of its
 paths: the photon dispersion takes the chirp-z level sum, the quadratic one
-the direct sum.  The output layer: `Run.write_draws` at the `chi` benchmark
-size (20 000 samples x 4 functions, 4 float columns), in one process; the
-float formatter `repr_chars` on those 320 000 floats, in the writer's
-blocks, beside plain `repr` on the same blocks; and `cli.main`'s parse plus
-config load on the `dynamics` benchmark config, with the parser built in
-each round and taken from the cache.
+the direct sum.  The output layer: `Run.write_csv` at the `chi` benchmark
+size (20 000 samples x 4 functions, 4 float columns), in one process, and
+on the `dynamics` benchmark's table (1001 times x 3 columns, about 30 % of
+the cells in exponent form) beside a per-row `csv.writer`; the float
+formatter `repr_chars` on 320 000 floats in the writer's blocks, chi draws
+and floats that all take its `repr` fallback, beside plain `repr` on the
+same blocks; and `cli.main`'s parse plus config load on the `dynamics`
+benchmark config, with the parser built in each round and taken from the
+cache.
 
 Deselected by default (`kernel_bench` marker); run with
 `PYTHONPATH=src python -m pytest -m kernel_bench tests/test_kernel_bench.py`.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -33,7 +37,7 @@ from cohlim.config import (
     load_config,
     parse_t_grid,
 )
-from cohlim.dynamics import sigma_t
+from cohlim.dynamics import sigma_t, uniformization_curve
 from cohlim.float_text import repr_chars
 from cohlim.functionals import fock_functional, variances
 from cohlim.ito_sampler import chi_gram_factor, sample_chi, sample_chi_gram
@@ -165,15 +169,51 @@ def test_sigma_t_kernel(benchmark, dynamics_inputs, form):
 def test_write_draws_kernel(benchmark, tmp_path):
     columns = list(np.random.default_rng(1).standard_normal((4, SAMPLES, 4)))
     header = ["sample", "label", "chi_re", "chi_im", "functional_re", "functional_im"]
-    args = ("chi_samples.csv", header, ["g0", "g1", "g2", "g3"], columns)
-    benchmark.pedantic(cli.Run({}, tmp_path).write_draws, args=args, rounds=3, iterations=1)
+    kwargs = {"labels": ["g0", "g1", "g2", "g3"], "numbered": True}
+    run = cli.Run({}, tmp_path)
+    benchmark.pedantic(run.write_csv, args=("chi_samples.csv", header, columns), kwargs=kwargs, rounds=3, iterations=1)
     assert len((tmp_path / "chi_samples.csv").read_text().splitlines()) == 1 + 4 * SAMPLES
 
 
+@pytest.fixture(scope="module")
+def dynamics_table(dynamics_inputs):
+    """The columns of the `dynamics` benchmark's dynamics.csv: t, sigma_t of
+    the first function and the uniformization metric at 1001 times."""
+    battery, rho = dynamics_inputs
+    ts = parse_t_grid("0:100:0.1")
+    sig = sigma_t(battery, rho, -1.0, build_dispersion({"form": "photon"}, rho.grid), ts)
+    return [ts, sig[:, 0], uniformization_curve(battery, rho, sig)]
+
+
+@pytest.mark.parametrize("writer", ["blocks", "csv_writer"])
+def test_write_table_kernel(benchmark, tmp_path, dynamics_table, writer):
+    header = ["t", "sigma_t", "metric"]
+    path = tmp_path / "dynamics.csv"
+
+    def per_row():
+        with open(path, "w", newline="") as fh:
+            out = csv.writer(fh)
+            out.writerow(header)
+            for row in zip(*(col.tolist() for col in dynamics_table)):
+                out.writerow(row)
+
+    def blocks():
+        cli.Run({}, tmp_path).write_csv(path.name, header, dynamics_table)
+
+    cells = np.concatenate(dynamics_table)
+    benchmark.extra_info["exponent_form"] = int(np.sum((cells != 0) & (np.abs(cells) < 1e-4)))
+    benchmark.pedantic(blocks if writer == "blocks" else per_row, rounds=20, iterations=1)
+    assert len(path.read_text().splitlines()) == 1 + len(dynamics_table[0])
+
+
 @pytest.mark.parametrize("formatter", ["repr_chars", "repr"])
-def test_float_format_kernel(benchmark, formatter):
-    columns = np.random.default_rng(1).standard_normal((4, SAMPLES, 4))
-    blocks = [columns[:, lo : lo + cli.CSV_BLOCK].ravel() for lo in range(0, SAMPLES, cli.CSV_BLOCK)]
+@pytest.mark.parametrize("values", ["chi", "fallback"])
+def test_float_format_kernel(benchmark, formatter, values):
+    """chi draws, or draws scaled by 1e-6: exponent forms, each of which
+    `repr_chars` hands to repr."""
+    columns = np.random.default_rng(1).standard_normal((4, SAMPLES, 4)) * (1e-6 if values == "fallback" else 1.0)
+    block = cli.CSV_CELLS // 16  # samples of the chi writer's blocks: 4 functions x 4 columns
+    blocks = [columns[:, lo : lo + block].ravel() for lo in range(0, SAMPLES, block)]
     benchmark.extra_info["floats"] = columns.size
 
     def kernel():
