@@ -1,19 +1,22 @@
-"""Probability measures on the circle and their Fourier moments.
+"""Probability measures on the circle, their Fourier moments and circle
+averages.
 
 Only the integer Fourier moments mu_hat(n) = int e^{-i n theta} dmu(theta)
 enter any infinite-volume formula; mu_hat(1) must vanish for the continuous
 mode limit to exist, and mu_hat(2) is the single parameter carried into the
-variance and squeeze formulas.
+variance and squeeze formulas.  This is the one module that reads how a
+measure is held.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+CIRCLE_NODES = 256  # midpoint nodes of a circle average under the uniform measure
 
 _WEIGHT_SLACK = 1e-9
 
@@ -24,86 +27,76 @@ class InadmissibleMeasureError(ValueError):
 
 @dataclass(frozen=True)
 class PhaseMeasure:
-    """Measure on [0, 2pi): uniform, finite atoms, or a gridded density.
+    """Measure on [0, 2pi): finite atoms (angle, weight), or the uniform
+    measure when `atoms` is None.  A gridded density is held as the atoms
+    of its periodic trapezoid rule (`from_density`).
 
-    Atom weights (or the density quadrature) must sum to 1 within 1e-9 at
-    construction; they are renormalized to machine precision, anything
-    further off is rejected.  Immutable, safe to share across workers.
+    Atom weights must sum to 1 within 1e-9 at construction; they are
+    renormalized to machine precision, anything further off is rejected.
     """
 
-    kind: str
     atoms: Optional[Tuple[Tuple[float, float], ...]] = None
-    density: Optional[np.ndarray] = field(default=None)
 
     def __post_init__(self):
-        if self.kind == "uniform":
+        if self.atoms is None:
             return
-        if self.kind == "atoms":
-            if not self.atoms:
-                raise ValueError("atoms measure needs at least one atom")
-            angles = np.mod([a for a, _ in self.atoms], TWO_PI)
-            weights = np.asarray([w for _, w in self.atoms], dtype=float)
-            if np.any(weights < 0):
-                raise ValueError("atom weights must be nonnegative")
-            total = weights.sum()
-            if abs(total - 1.0) > _WEIGHT_SLACK:
-                raise ValueError(f"atom weights sum to {total}, not 1")
-            weights = weights / total
-            object.__setattr__(
-                self, "atoms", tuple(zip(angles.tolist(), weights.tolist()))
-            )
-            return
-        if self.kind == "density":
-            vals = np.asarray(self.density, dtype=float)
-            if vals.ndim != 1 or len(vals) < 2:
-                raise ValueError("density needs at least 2 grid samples")
-            if np.any(vals < 0):
-                raise ValueError("density values must be nonnegative")
-            # periodic trapezoid rule on theta_j = 2 pi j / M
-            total = vals.sum() * TWO_PI / len(vals)
-            if abs(total - 1.0) > _WEIGHT_SLACK:
-                raise ValueError(f"density quadrature sums to {total}, not 1")
-            object.__setattr__(self, "density", vals / total)
-            return
-        raise ValueError(f"unknown measure kind {self.kind!r}")
+        if not self.atoms:
+            raise ValueError("atoms measure needs at least one atom")
+        angles = np.mod([a for a, _ in self.atoms], TWO_PI)
+        weights = np.asarray([w for _, w in self.atoms], dtype=float)
+        if np.any(weights < 0):
+            raise ValueError("atom weights must be nonnegative")
+        total = weights.sum()
+        if not abs(total - 1.0) <= _WEIGHT_SLACK:  # a NaN total is refused too
+            raise ValueError(f"atom weights sum to {total}, not 1")
+        weights = weights / total
+        object.__setattr__(
+            self, "atoms", tuple(zip(angles.tolist(), weights.tolist()))
+        )
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def uniform() -> "PhaseMeasure":
-        return PhaseMeasure("uniform")
+        return PhaseMeasure()
 
     @staticmethod
     def from_atoms(pairs: Sequence[Tuple[float, float]]) -> "PhaseMeasure":
-        return PhaseMeasure("atoms", atoms=tuple((float(a), float(w)) for a, w in pairs))
+        return PhaseMeasure(tuple((float(a), float(w)) for a, w in pairs))
 
     @staticmethod
     def from_density(values: Sequence[float]) -> "PhaseMeasure":
-        return PhaseMeasure("density", density=np.asarray(values, dtype=float))
+        """The periodic trapezoid rule of a density sampled at theta_j =
+        2 pi j / M: an atom of weight 2 pi values_j / M at each theta_j.
+        Needs M >= 2 nonnegative samples whose weights sum to 1."""
+        vals = np.asarray(values, dtype=float)
+        if vals.ndim != 1 or len(vals) < 2:
+            raise ValueError("density needs at least 2 grid samples")
+        m = len(vals)
+        return PhaseMeasure.from_atoms(zip(TWO_PI * np.arange(m) / m, TWO_PI * vals / m))
 
-    @staticmethod
-    def opposite_pair() -> "PhaseMeasure":
-        """(delta_{pi/2} + delta_{-pi/2}) / 2; mu_hat(1) = 0, mu_hat(2) = -1."""
-        return PhaseMeasure.from_atoms([(np.pi / 2, 0.5), (3 * np.pi / 2, 0.5)])
 
-    def grid_angles(self) -> np.ndarray:
-        assert self.kind == "density"
-        return TWO_PI * np.arange(len(self.density)) / len(self.density)
+def circle_average(mu: PhaseMeasure, integrand: Callable[[np.ndarray], np.ndarray]):
+    """int integrand(theta) dmu(theta), the integrand's last axis running
+    over the angles it is given: the exact sum over atoms, and for the
+    uniform measure the CIRCLE_NODES-point midpoint rule (spectrally
+    accurate for smooth integrands)."""
+    if mu.atoms is None:
+        theta = TWO_PI * (np.arange(CIRCLE_NODES) + 0.5) / CIRCLE_NODES
+        weights = np.full(CIRCLE_NODES, 1.0 / CIRCLE_NODES)
+    else:
+        theta, weights = np.array(mu.atoms).T
+    return np.sum(weights * integrand(theta), axis=-1)
 
 
 def fourier_moment(mu: PhaseMeasure, n: int) -> complex:
-    """mu_hat(n) = int e^{-i n theta} dmu(theta).  Total; |result| <= 1."""
+    """mu_hat(n) = int e^{-i n theta} dmu(theta).  Total; |result| <= 1;
+    exactly 1 at n = 0 and 0 for the uniform measure at n != 0."""
     if n == 0:
         return 1.0 + 0.0j
-    if mu.kind == "uniform":
+    if mu.atoms is None:
         return 0.0 + 0.0j
-    if mu.kind == "atoms":
-        return complex(
-            sum(w * np.exp(-1j * n * a) for a, w in mu.atoms)
-        )
-    theta = mu.grid_angles()
-    dtheta = TWO_PI / len(theta)
-    return complex(dtheta * np.sum(mu.density * np.exp(-1j * n * theta)))
+    return complex(circle_average(mu, lambda theta: np.exp(-1j * n * theta)))
 
 
 def check_mu2(mu2: complex) -> None:
@@ -119,21 +112,8 @@ def admissible(mu: PhaseMeasure) -> bool:
 
 
 def sample_phase(mu: PhaseMeasure, rng: np.random.Generator, size=None) -> np.ndarray:
-    """i.i.d. draws from mu.
-
-    For a gridded density the cell is drawn by its weight and the angle is
-    uniform within the cell, consistent with the trapezoid normalization.
-    """
-    if mu.kind == "uniform":
+    """i.i.d. draws from mu."""
+    if mu.atoms is None:
         return rng.uniform(0.0, TWO_PI, size=size)
-    if mu.kind == "atoms":
-        angles = np.array([a for a, _ in mu.atoms])
-        weights = np.array([w for _, w in mu.atoms])
-        idx = rng.choice(len(angles), size=size, p=weights)
-        return angles[idx]
-    m = len(mu.density)
-    dtheta = TWO_PI / m
-    probs = mu.density * dtheta
-    probs = probs / probs.sum()
-    idx = rng.choice(m, size=size, p=probs)
-    return (idx + rng.uniform(0.0, 1.0, size=np.shape(idx))) * dtheta % TWO_PI
+    angles, weights = np.array(mu.atoms).T
+    return angles[rng.choice(len(angles), size=size, p=weights)]

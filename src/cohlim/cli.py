@@ -192,7 +192,7 @@ class Run:
         return m
 
     def closed_form(self, key):
-        return cfgmod._closed_form(self.need(key), f"/{key}")
+        return cfgmod.closed_form(self.need(key), f"/{key}")
 
     def rng(self, sampler):
         """The run's seeded generator; `sampler` names what draws from it
@@ -355,7 +355,8 @@ def run_functional(run):
         elif kind == "nmode":
             fv = n_mode_functional(f, run.modes)
         elif kind == "averaged":
-            fv = phase_averaged_functional(f, run.density, run.admissible_measure())
+            run.admissible_measure()
+            fv = phase_averaged_functional(f, run.density, run.mu2)
         elif kind == "rarefied":
             fv = rarefied_functional(f, *run.rarefied)
         else:
@@ -380,7 +381,7 @@ def run_clt(run):
     mu = run.admissible_measure()
     f = run.battery[0]
     m = run.samples(2000, f.grid.n_cells)
-    sigma = math.sqrt(sigma_mu_sq(f, run.density, fourier_moment(mu, 2)))
+    sigma = math.sqrt(sigma_mu_sq(f, run.density, run.mu2))
     if sigma == 0:
         # the limit law N(0, 0) is a point mass, and no KS distance to it is defined
         raise ConfigError("/functions/0", "sigma_mu(f) = 0: the limit law is degenerate")

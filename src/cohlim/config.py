@@ -128,7 +128,9 @@ def build_measure(obj: dict) -> PhaseMeasure:
             return PhaseMeasure.from_atoms([numbers(pair) for pair in obj["atoms"]])
         if kind == "density":
             return PhaseMeasure.from_density(numbers(obj["values"]))
-        return PhaseMeasure(kind)  # "uniform"; any other kind is refused
+        if kind == "uniform":
+            return PhaseMeasure.uniform()
+        raise ValueError(f"unknown measure kind {kind!r}")
 
 
 def _require_object(obj, pointer: str) -> None:
@@ -154,7 +156,9 @@ def _wave(x: float, k) -> np.ndarray:
     return expi(z)
 
 
-def _closed_form(obj: dict, pointer: str, d: int = 1) -> Callable[[np.ndarray], np.ndarray]:
+def closed_form(obj: dict, pointer: str, d: int = 1) -> Callable[[np.ndarray], np.ndarray]:
+    """The named closed form `obj`, read at `pointer`, as a function of k;
+    one-dimensional only."""
     _require_object(obj, pointer)
     if d != 1:
         raise ConfigError(pointer, "named closed forms are one-dimensional")
@@ -187,7 +191,7 @@ def density_form(obj: dict, d: int = 1) -> Callable[[np.ndarray], np.ndarray]:
     """The closed form of the mode density at /density, real and nonnegative:
     a complex or negative `amplitude`, or a nonzero `modulation` (`x0`), is
     refused at its key."""
-    form = _closed_form(obj, "/density", d)
+    form = closed_form(obj, "/density", d)
     amp = number(obj.get("amplitude", 1.0), complex)
     if amp.imag != 0 or amp.real < 0:
         raise ConfigError(
@@ -215,7 +219,7 @@ def build_test_function(obj: dict, grid: MomentumGrid, pointer: str = "/function
             raise TypeError(f"label must be a string, got {label!r}")
         if "values_file" in obj:
             return TestFunction(grid, read_value_file(obj["values_file"], pointer), label=label)
-        return TestFunction.from_profile(grid, _closed_form(obj, pointer, grid.d), label=label)
+        return TestFunction.from_profile(grid, closed_form(obj, pointer, grid.d), label=label)
 
 
 def build_density(obj: dict, grid: MomentumGrid) -> ModeDensity:

@@ -17,11 +17,9 @@ import numpy as np
 
 from cohlim.circle_measure import (
     TWO_PI,
-    InadmissibleMeasureError,
     PhaseMeasure,
-    admissible,
     check_mu2,
-    fourier_moment,
+    circle_average,
 )
 from cohlim.mode_space import (
     ModeDensity,
@@ -32,7 +30,6 @@ from cohlim.mode_space import (
     same_grid,
 )
 
-CIRCLE_NODES = 256
 BOX_NODES = 16384  # midpoint nodes of the finite-box Fourier coefficients
 RAREFIED_NODES = 8192  # midpoint nodes of the rarefied-limit integral over [a, b]
 DIVERGENCE_FLOOR = 1e-12  # mode sums below this are left out of the slope fit
@@ -156,24 +153,19 @@ def sigma_mu_sq(f: TestFunction, rho: ModeDensity, mu2: complex) -> float:
 
 
 def phase_averaged_functional(
-    f: TestFunction, rho: ModeDensity, mu: PhaseMeasure
+    f: TestFunction, rho: ModeDensity, mu2: complex
 ) -> FunctionalValue:
-    """Continuous-mode limit of the phase-mixed functional:
-    Fock value times exp(-sigma_mu(f)^2 / 2).  Requires mu_hat(1) = 0.
+    """Continuous-mode limit of the phase-mixed functional of a measure with
+    mu_hat(1) = 0 and mu_hat(2) = mu2: Fock value times exp(-sigma_mu(f)^2 / 2).
     """
-    if not admissible(mu):
-        raise InadmissibleMeasureError(
-            f"mu_hat(1) = {fourier_moment(mu, 1):.3g} is nonzero: "
-            "the continuous mode limit diverges"
-        )
     fock = fock_functional(f)
-    sig = sigma_mu_sq(f, rho, fourier_moment(mu, 2))
+    sig = sigma_mu_sq(f, rho, mu2)
     return FunctionalValue(
         fock.value * math.exp(-sig / 2.0), fock.fock_exponent, sigma_sq=sig
     )
 
 
-# -- circle quadrature and the J0 cross-check --------------------------------
+# -- the J0 cross-check and the finite-N phase average -----------------------
 
 
 def bessel_j0(x: float) -> float:
@@ -195,25 +187,6 @@ def bessel_j0(x: float) -> float:
             return total
         if m > 10_000:
             raise ArithmeticError("J0 series failed to converge")
-
-
-def _circle_average(mu: PhaseMeasure, integrand: Callable[[np.ndarray], np.ndarray]):
-    """int integrand(theta) dmu(theta); exact sum for atoms, 256-node uniform
-    quadrature otherwise (spectrally accurate for smooth integrands)."""
-    if mu.kind == "atoms":
-        angles = np.array([a for a, _ in mu.atoms])
-        weights = np.array([w for _, w in mu.atoms])
-        return np.sum(weights * integrand(angles), axis=-1)
-    theta = TWO_PI * (np.arange(CIRCLE_NODES) + 0.5) / CIRCLE_NODES
-    if mu.kind == "uniform":
-        w = np.full(CIRCLE_NODES, 1.0 / CIRCLE_NODES)
-    else:
-        dens = np.interp(
-            theta, mu.grid_angles(), mu.density, period=TWO_PI
-        )
-        w = dens * TWO_PI / CIRCLE_NODES
-        w = w / w.sum()
-    return np.sum(w * integrand(theta), axis=-1)
 
 
 def discrete_phase_average_functional(
@@ -241,7 +214,7 @@ def discrete_phase_average_functional(
         arg = np.real(np.exp(-1j * theta)[None, :] * za[:, None])
         return np.exp(1j * arg)
 
-    factors = _circle_average(mu, integrand)
+    factors = circle_average(mu, integrand)
     prod = complex(np.prod(factors))
     return FunctionalValue(fock.value * prod, fock.fock_exponent)
 

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cohlim.circle_measure import PhaseMeasure, check_mu2
+from cohlim.circle_measure import PhaseMeasure, check_mu2, circle_average
 from cohlim.functionals import (
     CoherentModeSet,
     FunctionalValue,
-    _circle_average,
     fock_functional,
 )
 from cohlim.mode_space import ModeDensity, TestFunction, norm_sq_momentum, same_grid
@@ -106,7 +105,7 @@ def rep_expectation_n_mode(
         )
         return np.exp(-1j * arg)
 
-    factors = _circle_average(mu, integrand)
+    factors = circle_average(mu, integrand)
     return FunctionalValue(fock.value * complex(np.prod(factors)), fock.fock_exponent)
 
 

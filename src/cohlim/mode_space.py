@@ -89,8 +89,7 @@ class TestFunction:
 
     When `profile` is present, off-grid evaluation uses it; otherwise the
     nearest cell value is returned (O(spacing) error, documented behavior for
-    isolated coherent modes that sit off the lattice).  `with_values` keeps
-    the profile, rescaled, so that this one rule serves every function.
+    isolated coherent modes that sit off the lattice).
     """
 
     grid: MomentumGrid
@@ -116,8 +115,7 @@ class TestFunction:
         return TestFunction(grid, vals, profile=fn, label=label)
 
     def evaluate_at(self, k) -> np.ndarray:
-        """fhat at arbitrary momenta: the closed form if there is one (a
-        function made by `with_values` keeps its parent's, rescaled), else
+        """fhat at arbitrary momenta: the closed form if there is one, else
         the nearest cell."""
         pts = np.atleast_2d(np.asarray(k, dtype=float))
         if pts.shape[-1] != self.grid.d:
@@ -125,25 +123,6 @@ class TestFunction:
         if self.profile is not None:
             return np.asarray(self.profile(pts), dtype=complex).reshape(len(pts))
         return self.values[self.grid.nearest_index(pts)]
-
-    def with_values(self, values: np.ndarray) -> "TestFunction":
-        """The function with new samples.  A closed form carries over: the
-        new sample of the nearest cell plus the closed form's departure from
-        the old sample there, scaled by new/old.  So off-grid reads follow
-        the samples (-f reads -fhat, exactly on a cell centre and to
-        rounding off it), and where the old sample is 0 the new one is read."""
-        if self.profile is None:
-            return TestFunction(self.grid, values, label=self.label)
-        grid, profile, old = self.grid, self.profile, self.values
-
-        def rescaled(pts):
-            cell = grid.nearest_index(pts)
-            was, now = old[cell], new.values[cell]
-            ratio = np.divide(now, was, out=np.zeros_like(now), where=was != 0)
-            return now + (np.asarray(profile(pts), dtype=complex).reshape(len(cell)) - was) * ratio
-
-        new = TestFunction(self.grid, values, profile=rescaled, label=self.label)
-        return new
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from cohlim.circle_measure import PhaseMeasure
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, battery_gram
 from cohlim.moments import build_q
 
@@ -32,6 +33,31 @@ def gauss(grid):
 @pytest.fixture
 def rho(grid):
     return ModeDensity.from_profile(grid, lambda k: np.exp(-((k - 1.0) ** 2)))
+
+
+def opposite_pair():
+    """(delta_{pi/2} + delta_{-pi/2}) / 2; mu_hat(1) = 0, mu_hat(2) = -1."""
+    return PhaseMeasure.from_atoms([(np.pi / 2, 0.5), (3 * np.pi / 2, 0.5)])
+
+
+def with_values(f, values):
+    """f with new samples.  A closed form carries over: the new sample of the
+    nearest cell plus the closed form's departure from the old sample there,
+    scaled by new/old.  So off-grid reads follow the samples (-f reads -fhat,
+    exactly on a cell centre and to rounding off it), and where the old
+    sample is 0 the new one is read."""
+    if f.profile is None:
+        return TestFunction(f.grid, values, label=f.label)
+    grid, profile, old = f.grid, f.profile, f.values
+
+    def rescaled(pts):
+        cell = grid.nearest_index(pts)
+        was, now = old[cell], new.values[cell]
+        ratio = np.divide(now, was, out=np.zeros_like(now), where=was != 0)
+        return now + (np.asarray(profile(pts), dtype=complex).reshape(len(cell)) - was) * ratio
+
+    new = TestFunction(f.grid, values, profile=rescaled, label=f.label)
+    return new
 
 
 def make_battery(grid, n, rng=None):

@@ -27,7 +27,7 @@ from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, inner
 from cohlim.moments import permanent_moment, product_moment, wick_moment
 from cohlim.open_system import gamma, gamma_radial
 
-from conftest import ito_pair, make_battery, q_matrix
+from conftest import ito_pair, make_battery, opposite_pair, q_matrix, with_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,7 +62,7 @@ def test_criterion_1_ito_isometry():
 def test_criterion_2_clt_ks():
     grid, f, rho = std_setup()
     ok = True
-    for seed, mu in ((11, PhaseMeasure.uniform()), (12, PhaseMeasure.opposite_pair())):
+    for seed, mu in ((11, PhaseMeasure.uniform()), (12, opposite_pair())):
         draws = clt_sample(f, rho, mu, 2000, np.random.default_rng(seed))
         sig = math.sqrt(sigma_mu_sq(f, rho, fourier_moment(mu, 2)))
         ks = stats.kstest(draws, "norm", args=(0.0, sig)).statistic
@@ -88,12 +88,12 @@ def test_criterion_4_commuting_diagram():
     m = 10_000
     tol = 4.0 / math.sqrt(m)
     ok = True
-    for seed, mu in ((41, PhaseMeasure.uniform()), (42, PhaseMeasure.opposite_pair())):
+    for seed, mu in ((41, PhaseMeasure.uniform()), (42, opposite_pair())):
         mu2 = fourier_moment(mu, 2)
         chis = sample_chi(battery, rho, mu2, m, np.random.default_rng(seed))
         for j, f in enumerate(battery):
             mc = fock_functional(f).value * np.mean(np.exp(1j * chis[:, j].real))
-            closed = phase_averaged_functional(f, rho, mu).value
+            closed = phase_averaged_functional(f, rho, mu2).value
             ok = ok and abs(mc - closed) < tol
     verdict(4, "sampling commutes with averaging", ok)
 
@@ -216,13 +216,13 @@ def test_criterion_10_state_axioms():
     battery = make_battery(grid, 4, np.random.default_rng(1010))
     zero = TestFunction(grid, np.zeros(grid.n_cells))
     modes = CoherentModeSet([0.5, -1.0], [2.0, 1.0], [0.3, 1.1])
-    mu = PhaseMeasure.opposite_pair()
+    mu = opposite_pair()
     mu2 = fourier_moment(mu, 2)
 
     functionals = {
         "fock": lambda h: fock_functional(h).value,
         "n_mode": lambda h: n_mode_functional(h, modes).value,
-        "averaged": lambda h: phase_averaged_functional(h, rho, mu).value,
+        "averaged": lambda h: phase_averaged_functional(h, rho, mu2).value,
         # one sample omega, fixed by the seed
         "random": lambda h: random_functional(
             h, sample_chi([h], rho, mu2, 1, np.random.default_rng(1001))[0, 0]
@@ -239,13 +239,13 @@ def test_criterion_10_state_axioms():
         # normalization and conjugation axioms, exact
         ok = ok and E(zero) == 1.0
         for h in battery:
-            neg = h.with_values(-h.values)
+            neg = with_values(h, -h.values)
             ok = ok and E(neg) == np.conj(E(h))
         # positivity: the K x K Gram matrix is PSD up to round-off
         gram = np.empty((4, 4), dtype=complex)
         for a in range(4):
             for b in range(4):
-                diff = battery[a].with_values(battery[a].values - battery[b].values)
+                diff = with_values(battery[a], battery[a].values - battery[b].values)
                 gram[a, b] = (
                     np.exp(0.5j * symplectic(battery[a], battery[b])) * E(diff)
                 )

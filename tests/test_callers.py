@@ -1,5 +1,6 @@
-"""Every public module-level function or class under src/cohlim/ has a caller
-in src/cohlim/.
+"""Every public module-level function or class under src/cohlim/, and every
+public method of a public class, has a caller in src/cohlim/; and no module
+there reads another one's private name.
 
 A stdlib `ast` scan: a definition counts as called when its name is loaded,
 as a bare name or as an attribute, anywhere in src/cohlim outside the
@@ -47,23 +48,71 @@ def loads(node):
     )
 
 
+def public(node):
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+
+
 def public_definitions(trees):
-    """(module, def or class node) of every public module-level definition."""
+    """(module, name, def or class node) of every public module-level
+    definition, and (module, "Class.method", def node) of every public
+    method of a public class."""
     for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                yield module, node
+        for node in filter(public, tree.body):
+            yield module, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for method in filter(public, node.body):
+                    yield module, f"{node.name}.{method.name}", method
 
 
 def uncalled(trees):
-    """(module, name) of every public module-level definition in `trees`
-    (module name -> tree) whose name is loaded nowhere but inside itself."""
+    """(module, name) of every public definition in `trees` (module name ->
+    tree) whose name is loaded nowhere but inside itself."""
     total = sum((loads(tree) for tree in trees.values()), Counter())
     return [
-        (module, node.name)
-        for module, node in public_definitions(trees)
+        (module, name)
+        for module, name, node in public_definitions(trees)
         if total[node.name] == loads(node)[node.name]
     ]
+
+
+def private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def dotted(node):
+    """The dotted name ("a.b.c") of a chain of attribute reads on a bare
+    name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        owner = dotted(node.value)
+        return owner and f"{owner}.{node.attr}"
+    return None
+
+
+def private_reads(trees):
+    """(module, "other.name") of every private name of another module of
+    `trees` that a module imports, or reads as an attribute of that module."""
+    found = []
+    for module, tree in trees.items():
+        modules = {}  # local name -> the module of `trees` it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((a.asname or a.name, a.name) for a in node.names if a.name in trees)
+            elif isinstance(node, ast.ImportFrom):
+                source = node.module
+                for a in node.names:
+                    if f"{source}.{a.name}" in trees:
+                        modules[a.asname or a.name] = f"{source}.{a.name}"
+                    elif source in trees and source != module and private(a.name):
+                        found.append((module, f"{source}.{a.name}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and private(node.attr):
+                owner = dotted(node.value)
+                owner = modules.get(owner, owner)
+                if owner in trees and owner != module:
+                    found.append((module, f"{owner}.{node.attr}"))
+    return found
 
 
 UNCALLED = uncalled(LIBRARY)
@@ -81,7 +130,7 @@ def test_every_public_name_has_a_caller():
 
 @pytest.mark.parametrize("name", ORACLES)
 def test_oracle_is_defined_and_uncalled(name):
-    assert name in {node.name for _, node in public_definitions(LIBRARY)}, (
+    assert name in {qualname for _, qualname, _ in public_definitions(LIBRARY)}, (
         f"{name} is no longer defined; drop it from ORACLES"
     )
     assert name in {n for _, n in UNCALLED}, f"{name} now has a caller; drop it from ORACLES"
@@ -101,3 +150,41 @@ def test_scan_sees_a_dead_function():
         ),
     }
     assert uncalled(trees) == [("a", "dead"), ("b", "recursive")]
+
+
+def test_scan_sees_an_uncalled_method():
+    trees = {
+        "a": ast.parse(
+            "class Thing:\n"
+            "    def used(self):\n        pass\n"
+            "    def dead(self):\n        return self.used()\n"
+            "    def _private(self):\n        pass\n"
+            "class _Hidden:\n    def dead_but_hidden(self):\n        pass\n"
+        ),
+        "b": ast.parse("import a\na.Thing()\n"),
+    }
+    assert uncalled(trees) == [("a", "Thing.dead")]
+
+
+def test_no_module_reads_another_modules_private_name():
+    found = [f"{module} reads {name}" for module, name in private_reads(LIBRARY)]
+    assert not found, "; ".join(found)
+
+
+def test_private_scan_sees_imports_and_attributes():
+    trees = {
+        "p.a": ast.parse(
+            "import p.b\nimport p.b as bee\nfrom p import b as mod\n"
+            "from p.b import _hidden, shown\n"
+            "x = p.b._secret + bee._other + mod._third + mod.public + bee.__name__\n"
+            "_mine = 1\ny = _mine + x._field\n"
+        ),
+        "p.b": ast.parse("import p.a\n_secret = p.a._mine\n"),
+    }
+    assert sorted(private_reads(trees)) == [
+        ("p.a", "p.b._hidden"),
+        ("p.a", "p.b._other"),
+        ("p.a", "p.b._secret"),
+        ("p.a", "p.b._third"),
+        ("p.b", "p.a._mine"),
+    ]

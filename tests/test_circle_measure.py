@@ -10,15 +10,29 @@ from cohlim.circle_measure import (
     PhaseMeasure,
     admissible,
     check_mu2,
+    circle_average,
     fourier_moment,
     sample_phase,
 )
 from cohlim.config import build_measure
 
+from conftest import opposite_pair
+
+
+def cos2_density():
+    """(1 + 0.8 cos 2 theta) / 2 pi sampled at M = 8 angles: its trapezoid
+    atoms have mu_hat(1) = 0 and mu_hat(2) = 0.4."""
+    theta = TWO_PI * np.arange(8) / 8
+    return PhaseMeasure.from_density((1 + 0.8 * np.cos(2 * theta)) / TWO_PI)
+
+
+# a measure of each way to build one: uniform, atoms and a gridded density
+MEASURES = {"uniform": PhaseMeasure.uniform, "opposite_pair": opposite_pair, "cos2_density": cos2_density}
+
 
 class TestConstruction:
     def test_uniform(self):
-        assert PhaseMeasure.uniform().kind == "uniform"
+        assert PhaseMeasure.uniform().atoms is None
 
     def test_atoms_wrap_and_normalize(self):
         mu = PhaseMeasure.from_atoms([(-np.pi / 2, 0.5), (5 * np.pi / 2, 0.5)])
@@ -29,6 +43,8 @@ class TestConstruction:
     def test_atoms_reject_bad_total(self):
         with pytest.raises(ValueError, match="sum"):
             PhaseMeasure.from_atoms([(0.0, 0.7)])
+        with pytest.raises(ValueError, match="sum"):
+            PhaseMeasure.from_atoms([(0.0, float("nan")), (1.0, 0.5)])
 
     def test_atoms_reject_negative_weight(self):
         with pytest.raises(ValueError):
@@ -41,7 +57,9 @@ class TestConstruction:
     def test_density_normalization(self):
         vals = np.ones(64) / TWO_PI
         mu = PhaseMeasure.from_density(vals)
-        assert mu.density.sum() * TWO_PI / 64 == pytest.approx(1.0)
+        angles, weights = np.array(mu.atoms).T
+        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert angles == pytest.approx(TWO_PI * np.arange(64) / 64, abs=1e-15)
 
     def test_density_reject_negative(self):
         vals = np.ones(8) / TWO_PI
@@ -50,20 +68,21 @@ class TestConstruction:
             PhaseMeasure.from_density(vals)
 
     def test_json_roundtrip(self):
-        # each kind's JSON descriptor, read back by the config reader
+        # each measure's JSON descriptor, read back by the config reader
         for mu in (
             PhaseMeasure.uniform(),
-            PhaseMeasure.opposite_pair(),
+            opposite_pair(),
             PhaseMeasure.from_density(np.ones(16) / TWO_PI),
         ):
-            obj = {"kind": mu.kind}
-            if mu.kind == "atoms":
-                obj["atoms"] = [list(pair) for pair in mu.atoms]
-            if mu.kind == "density":
-                obj["values"] = mu.density.tolist()
+            obj = {"kind": "uniform"} if mu.atoms is None else {"kind": "atoms", "atoms": mu.atoms}
             back = build_measure(json.loads(json.dumps(obj)))
-            assert back.kind == mu.kind and back.atoms == mu.atoms
+            assert back.atoms == mu.atoms
             assert fourier_moment(back, 2) == pytest.approx(fourier_moment(mu, 2))
+
+    def test_density_descriptor(self):
+        vals = (1 + 0.8 * np.cos(2 * TWO_PI * np.arange(8) / 8)) / TWO_PI
+        back = build_measure({"kind": "density", "values": vals.tolist()})
+        assert back == cos2_density()
 
 
 @pytest.mark.parametrize("mu2", [0.0, -1.0, 1j, 1.0 + 1e-13, 0.6 + 0.8j])
@@ -79,7 +98,7 @@ def test_mu2_bound_refuses_outside(mu2):
 
 class TestFourierMoments:
     def test_zeroth_moment_is_one(self):
-        for mu in (PhaseMeasure.uniform(), PhaseMeasure.opposite_pair()):
+        for mu in (PhaseMeasure.uniform(), opposite_pair()):
             assert fourier_moment(mu, 0) == 1.0
 
     def test_uniform_moments_vanish(self):
@@ -93,7 +112,7 @@ class TestFourierMoments:
             assert fourier_moment(mu, n) == pytest.approx(np.exp(-1j * n * 0.7))
 
     def test_opposite_pair_moments(self):
-        mu = PhaseMeasure.opposite_pair()
+        mu = opposite_pair()
         assert abs(fourier_moment(mu, 1)) < 1e-15
         assert fourier_moment(mu, 2) == pytest.approx(-1.0, abs=1e-14)
 
@@ -124,7 +143,7 @@ class TestAdmissible:
         assert admissible(PhaseMeasure.uniform())
 
     def test_opposite_pair_admissible(self):
-        assert admissible(PhaseMeasure.opposite_pair())
+        assert admissible(opposite_pair())
 
     def test_point_mass_not_admissible(self):
         assert not admissible(PhaseMeasure.from_atoms([(0.0, 1.0)]))
@@ -138,7 +157,7 @@ class TestSampling:
         assert abs(np.mean(np.exp(1j * draws))) < 0.02
 
     def test_atoms_hit_only_atoms(self):
-        mu = PhaseMeasure.opposite_pair()
+        mu = opposite_pair()
         rng = np.random.default_rng(6)
         draws = sample_phase(mu, rng, size=1000)
         assert set(np.round(draws, 12)) <= {
@@ -154,3 +173,27 @@ class TestSampling:
         draws = sample_phase(mu, rng, size=40_000)
         emp = np.mean(np.exp(-1j * draws))
         assert emp == pytest.approx(fourier_moment(mu, 1), abs=0.02)
+
+
+class TestOneLaw:
+    """Moments, circle averages and draws of a measure follow one law: its
+    atoms (the trapezoid atoms for a density), or the uniform measure."""
+
+    @pytest.mark.parametrize("name", MEASURES)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_circle_average_is_the_fourier_moment(self, name, n):
+        mu = MEASURES[name]()
+        average = complex(circle_average(mu, lambda theta: np.exp(-1j * n * theta)))
+        assert abs(average - fourier_moment(mu, n)) <= 1e-12
+
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_draws_follow_the_fourier_moments(self, name):
+        mu = MEASURES[name]()
+        draws = sample_phase(mu, np.random.default_rng(9), size=20_000)
+        for n in (1, 2):
+            e = np.exp(-1j * n * draws)
+            mean, moment = np.mean(e), fourier_moment(mu, n)
+            # 5 standard errors per part; 1e-12 covers a part of zero variance
+            for part in (np.real, np.imag):
+                se = np.std(part(e), ddof=1) / np.sqrt(len(e))
+                assert abs(part(mean - moment)) <= 5 * se + 1e-12

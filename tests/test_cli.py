@@ -116,6 +116,25 @@ CONFIGS = {
     },
 }
 
+# The functional config of the phase-averaged limit, which reads a measure.
+FUNCTIONAL_AVERAGED = {
+    **CONFIGS["functional"],
+    "kind": "averaged",
+    "density": DENSITY,
+    "measure": {"kind": "uniform"},
+}
+# clt under the M = 8 trapezoid density (1 + 0.8 cos 2 theta) / 2 pi, with
+# mu_hat(2) = 0.4, and 20 000 draws.
+CLT_DENSITY = {
+    **CONFIGS["clt"],
+    "samples": 20_000,
+    "functions": [{"name": "gaussian", "label": "f", "width": 0.5}],
+    "measure": {
+        "kind": "density",
+        "values": [(1 + 0.8 * math.cos(2 * 2 * math.pi * j / 8)) / (2 * math.pi) for j in range(8)],
+    },
+}
+
 # The diverge config with a zero density: every mode sum vanishes.
 DIVERGE_ZERO = {**CONFIGS["diverge"], "density": {"name": "gaussian", "amplitude": 0}}
 # A narrow box fhat that the three coarsest grids miss: |S(N)| is 0 there, so
@@ -250,9 +269,9 @@ class TestBuilders:
         assert build_grid(GRID) == MomentumGrid(1, 4.0, 512)
 
     def test_measure_kinds(self):
-        assert build_measure({"kind": "uniform"}).kind == "uniform"
+        assert build_measure({"kind": "uniform"}).atoms is None
         mu = build_measure({"kind": "atoms", "atoms": [[0.0, 0.5], [3.14159, 0.5]]})
-        assert mu.kind == "atoms"
+        assert mu.atoms == ((0.0, 0.5), (3.14159, 0.5))
 
     @pytest.mark.parametrize(
         "measure",
@@ -364,6 +383,21 @@ class TestCliRuns:
         rc = cli.main(["clt", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "mu_hat_1 nonzero" in capsys.readouterr().err
+
+    def test_averaged_functional_rejects_inadmissible_measure(self, tmp_path, capsys):
+        body = {**FUNCTIONAL_AVERAGED, "measure": {"kind": "atoms", "atoms": [[0.0, 1.0]]}}
+        rc = cli.main(["functional", "--config", write_cfg(tmp_path, body), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: /measure: mu_hat_1 nonzero")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_clt_draws_follow_a_density_measure(self, tmp_path, seed):
+        # mu_hat(2) = 0.4 for the trapezoid atoms of this M = 8 density; draws
+        # of another law (mu_hat(2) = 0.255 - 0.255i for a uniform angle within
+        # each cell) miss the ks tolerance on seeds 2 and 3
+        cfg, out = write_cfg(tmp_path, {**CLT_DENSITY, "seed": seed}), tmp_path / "o"
+        assert cli.main(["clt", "--config", cfg, "--out", str(out)]) == 0
+        assert read_result(out)["assertions"][0]["pass"]
 
     def test_wrong_subcommand_for_config(self, tmp_path):
         cfg = write_cfg(tmp_path, CONFIGS["functional"])
@@ -612,7 +646,7 @@ class TestCliRuns:
         value = {
             "fock": lambda f: cli.fock_functional(f),
             "nmode": lambda f: cli.n_mode_functional(f, run.modes),
-            "averaged": lambda f: cli.phase_averaged_functional(f, run.density, run.measure),
+            "averaged": lambda f: cli.phase_averaged_functional(f, run.density, run.mu2),
             "rarefied": lambda f: cli.rarefied_functional(f, *run.rarefied),
         }[kind]
         rows = []
@@ -908,10 +942,11 @@ class TestCliContract:
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], "mu2": mu2}) == 2
         assert "/mu2:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("experiment", ["chi", "gns-check"])
+    @pytest.mark.parametrize("experiment", ["chi", "gns-check", "clt", "functional-averaged"])
     def test_mu2_disagreeing_with_measure_exits_2(self, tmp_path, capsys, experiment):
         # the uniform measure has mu_hat(2) = 0; mu2 = 0.5 would silently replace it
-        cfg = {**CONFIGS[experiment], "measure": {"kind": "uniform"}, "mu2": [0.5, 0.0]}
+        base = FUNCTIONAL_AVERAGED if experiment == "functional-averaged" else CONFIGS[experiment]
+        cfg = {**base, "measure": {"kind": "uniform"}, "mu2": [0.5, 0.0]}
         assert self.run_cli(tmp_path, cfg) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: /mu2: ") and "(0.5+0j)" in err and "0j" in err.split("mu_hat(2)")[1]

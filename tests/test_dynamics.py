@@ -15,7 +15,7 @@ from cohlim.dynamics import (
 from cohlim.functionals import CoherentModeSet, n_mode_functional, sigma_mu_sq, variances
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, inner
 
-from conftest import gaussian_setups, make_battery, unit_disk
+from conftest import gaussian_setups, make_battery, unit_disk, with_values
 
 
 class TestDispersion:
@@ -35,7 +35,7 @@ class TestDispersion:
 
 def evolve(f, eps, t):
     """The free evolution e^{i eps(k) t} fhat(k), pointwise on the cells."""
-    return f.with_values(np.exp(1j * eps.values * t) * f.values)
+    return with_values(f, np.exp(1j * eps.values * t) * f.values)
 
 
 class TestNModeEvolved:

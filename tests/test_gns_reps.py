@@ -24,7 +24,7 @@ from cohlim.gns_reps import (
 )
 from cohlim.mode_space import ModeDensity, norm_sq_momentum
 
-from conftest import gaussian_setups, make_battery, unit_disk
+from conftest import gaussian_setups, make_battery, unit_disk, with_values
 
 # real scalars zero or at least 1e-3 in modulus: products of subnormal
 # numbers carry no relative precision
@@ -70,9 +70,9 @@ class TestRTMaps:
     def test_real_linear_not_complex_linear(self, grid, rho, gauss):
         c = build_alpha_beta(rho, 0.5)
         rf = apply_R(gauss, rho, c)
-        r_if = apply_R(gauss.with_values(1j * gauss.values), rho, c)
+        r_if = apply_R(with_values(gauss, 1j * gauss.values), rho, c)
         # real scaling commutes ...
-        r_2f = apply_R(gauss.with_values(2.0 * gauss.values), rho, c)
+        r_2f = apply_R(with_values(gauss, 2.0 * gauss.values), rho, c)
         np.testing.assert_allclose(r_2f.values, 2.0 * rf.values)
         # ... complex scaling does not (beta term conjugates)
         assert not np.allclose(r_if.values, 1j * rf.values)
@@ -84,7 +84,7 @@ class TestRTMaps:
         _, battery, rho = setup
         f, g = battery[0], battery[-1]
         c = build_alpha_beta(rho, mu2)
-        combo = f.with_values(a * f.values + b * g.values)
+        combo = with_values(f, a * f.values + b * g.values)
         # rounding on the scale of the summands of a single cell
         scale = np.max(np.sqrt(1.0 + rho.values)) * (
             abs(a) * np.max(np.abs(f.values)) + abs(b) * np.max(np.abs(g.values))
@@ -139,7 +139,7 @@ class TestRepExpectations:
             assert abs(lhs - rhs) < 1e-9
 
     def test_averaged_uniform_equals_phase_average(self, gauss, rho):
-        mu = PhaseMeasure.uniform()
-        lhs = rep_expectation_averaged(gauss, rho, fourier_moment(mu, 2)).value
-        rhs = phase_averaged_functional(gauss, rho, mu).value
+        mu2 = fourier_moment(PhaseMeasure.uniform(), 2)
+        lhs = rep_expectation_averaged(gauss, rho, mu2).value
+        rhs = phase_averaged_functional(gauss, rho, mu2).value
         assert abs(lhs - rhs) < 1e-9

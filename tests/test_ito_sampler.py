@@ -28,7 +28,7 @@ from cohlim.mode_space import (
     norm_sq_momentum,
 )
 
-from conftest import gaussian_setups, ito_pair, make_battery, unit_disk
+from conftest import gaussian_setups, ito_pair, make_battery, unit_disk, with_values
 
 
 class TestIsometry:
@@ -48,7 +48,7 @@ class TestIsometry:
         assert abs(m) < 5 * se
 
     def test_linear_in_integrand(self, grid, gauss):
-        doubled = gauss.with_values(2.0 * gauss.values)
+        doubled = with_values(gauss, 2.0 * gauss.values)
         chi = sample_chi([gauss, doubled], *ito_pair(grid), 1, np.random.default_rng(1))[0]
         assert chi[1] == pytest.approx(2.0 * chi[0])
 
@@ -81,7 +81,7 @@ class TestCoefficients:
 class TestChi:
     def test_additive_in_f(self, grid, rho):
         f1, f2 = make_battery(grid, 2)
-        both = f1.with_values(f1.values + f2.values)
+        both = with_values(f1, f1.values + f2.values)
         chi = sample_chi([f1, f2, both], rho, 0.3, 1, np.random.default_rng(8))[0]
         assert chi[2] == pytest.approx(chi[0] + chi[1])
 
@@ -134,7 +134,7 @@ def _grid2_battery():
 def _collinear_battery(grid):
     f1, f2 = make_battery(grid, 2)
     # rank deficient: chi is complex-linear, so chi(2 f1 - i f2) is fixed by chi(f1), chi(f2)
-    return [f1, f2, f1.with_values(2.0 * f1.values - 1j * f2.values)]
+    return [f1, f2, with_values(f1, 2.0 * f1.values - 1j * f2.values)]
 
 
 class TestGramSampler:
@@ -169,7 +169,7 @@ class TestGramSampler:
         expect = np.array(
             [
                 [
-                    (sigma_mu_sq(fi.with_values(fi.values + fj.values), rho, mu2) - si - sj) / 2.0
+                    (sigma_mu_sq(with_values(fi, fi.values + fj.values), rho, mu2) - si - sj) / 2.0
                     for fj, sj in zip(fs, sig)
                 ]
                 for fi, si in zip(fs, sig)
@@ -187,7 +187,7 @@ class TestGramSampler:
         pol = np.array(
             [
                 [
-                    (sigma_mu_sq(fi.with_values(fi.values + fj.values), rho, mu2) - si - sj) / 2.0
+                    (sigma_mu_sq(with_values(fi, fi.values + fj.values), rho, mu2) - si - sj) / 2.0
                     for fj, sj in zip(fs, sig)
                 ]
                 for fi, si in zip(fs, sig)
@@ -268,7 +268,7 @@ class TestPsdFactor:
         assert chis.shape == (5, 0) and chis.dtype == complex
 
     def test_zero_function(self, rho, gauss):
-        zero = gauss.with_values(np.zeros_like(gauss.values))
+        zero = with_values(gauss, np.zeros_like(gauss.values))
         assert chi_gram_factor(battery_gram([zero], rho), 0.3 + 0.2j).shape == (0, 2)
         chis = sample_chi_gram(battery_gram([zero, zero], rho), 0.3 + 0.2j, 5, np.random.default_rng(0))
         assert chis.shape == (5, 2)

@@ -32,7 +32,7 @@ from cohlim.mode_space import (
 from cohlim.moments import permanent_moment
 from cohlim.open_system import envelopes, gamma
 
-from conftest import gaussian_setups, unit_disk
+from conftest import gaussian_setups, unit_disk, with_values
 
 
 class TestMomentumGrid:
@@ -116,7 +116,7 @@ class TestModeDensity:
 
 class TestInner:
     def test_conjugate_linear_first_slot(self, grid, gauss):
-        g2 = gauss.with_values(1j * gauss.values)
+        g2 = with_values(gauss, 1j * gauss.values)
         assert inner(g2, gauss) == pytest.approx(np.conj(1j) * inner(gauss, gauss))
 
     def test_matches_closed_form_gaussian(self):
@@ -126,7 +126,7 @@ class TestInner:
         assert inner(f, f).real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
     def test_cauchy_schwarz(self, grid, gauss, rho):
-        other = gauss.with_values(np.conj(gauss.values))
+        other = with_values(gauss, np.conj(gauss.values))
         lhs = abs(inner(other, gauss, rho)) ** 2
         rhs = inner(other, other, rho).real * inner(gauss, gauss, rho).real
         assert lhs <= rhs * (1 + 1e-12)
@@ -143,7 +143,7 @@ class TestInner:
         g = MomentumGrid(d=1, R=2.0, N=32)
         f1 = TestFunction.from_profile(g, lambda k: np.exp(-(k ** 2)))
         f2 = TestFunction.from_profile(g, lambda k: k * np.exp(-(k ** 2)))
-        combo = f1.with_values(a * f1.values + b * f2.values)
+        combo = with_values(f1, a * f1.values + b * f2.values)
         expect = a * inner(f1, f1) + b * inner(f1, f2)
         assert inner(f1, combo) == pytest.approx(expect, abs=1e-12)
 
@@ -235,9 +235,7 @@ GRID_TAKING = {
     "discrete_phase_average_functional": lambda a, b: discrete_phase_average_functional(
         a.f, b.rho, PhaseMeasure.uniform()
     ),
-    "phase_averaged_functional": lambda a, b: phase_averaged_functional(
-        a.f, b.rho, PhaseMeasure.uniform()
-    ),
+    "phase_averaged_functional": lambda a, b: phase_averaged_functional(a.f, b.rho, 0.3),
     "sigma_t": lambda a, b: sigma_t([a.f], a.rho, 0.3, b.eps, [1.0]),
     "uniformization_metric": lambda a, b: uniformization_metric([a.f], a.rho, 0.3, b.eps, 1.0),
     "uniformization_curve": lambda a, b: uniformization_curve([a.f], b.rho, np.zeros((2, 1))),

@@ -16,7 +16,7 @@ from cohlim.moments import (
     wick_moment,
 )
 
-from conftest import gaussian_setups, make_battery, q_matrix, unit_disk
+from conftest import gaussian_setups, make_battery, q_matrix, unit_disk, with_values
 
 
 def matching_sum(m, indices):
@@ -51,7 +51,7 @@ class TestQMatrix:
 
         # every entry of the one-product Q against the per-entry inner products
         def conj(h):
-            return h.with_values(np.conj(h.values))
+            return with_values(h, np.conj(h.values))
 
         p = len(fs)
         for mu2 in (0.0, 0.3 + 0.2j, -1.0):
@@ -85,7 +85,7 @@ class TestQMatrix:
         Q = q_matrix(fs, gs, rho, mu2).matrix
 
         def conj(h):
-            return h.with_values(np.conj(h.values))
+            return with_values(h, np.conj(h.values))
 
         norms = [math.sqrt(inner(h, h, rho).real) for h in battery]
         for i, hi in enumerate(battery):

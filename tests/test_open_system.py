@@ -9,6 +9,8 @@ from cohlim.ito_sampler import sample_chi
 from cohlim.mode_space import GridMismatchError, ModeDensity, MomentumGrid, TestFunction, inner
 from cohlim.open_system import EPS_MIN, _infrared_cells, envelopes, gamma, gamma_radial
 
+from conftest import with_values
+
 COUPLINGS = (0.0, 1.0, -0.5)  # the coupling eigenvalues of a three-level system
 
 
@@ -51,7 +53,7 @@ class TestGamma:
         assert gamma(t, g, eps) / t ** 2 == pytest.approx(target, rel=1e-5)
 
     def test_even_in_time_and_quadratic_in_coupling(self, g, eps):
-        doubled = g.with_values(2.0 * g.values)
+        doubled = with_values(g, 2.0 * g.values)
         for t in (0.3, 2.0, 17.0):
             assert gamma(-t, g, eps) == gamma(t, g, eps)
             assert gamma(t, doubled, eps) == pytest.approx(4.0 * gamma(t, g, eps), rel=1e-14)
