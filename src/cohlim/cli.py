@@ -41,6 +41,7 @@ from cohlim.functionals import (
     rarefied_finite_volume_phase,
     rarefied_functional,
     sigma_mu_sq,
+    variances,
 )
 from cohlim.gns_reps import rep_expectation_averaged, rep_expectation_n_mode
 from cohlim.ito_sampler import clt_sample, ks_distance, sample_chi_gram
@@ -191,9 +192,6 @@ class Run:
             raise ConfigError("/samples", f"{m} samples x {width} exceed the cap of {cap} entries")
         return m
 
-    def closed_form(self, key):
-        return cfgmod.closed_form(self.need(key), f"/{key}")
-
     def rng(self, sampler):
         """The run's seeded generator; `sampler` names what draws from it
         ("gram": chi from its exact Gram law, "phases": i.i.d. mode phases)
@@ -218,11 +216,8 @@ class Run:
 
     @cached_property
     def measure(self):
-        return cfgmod.build_measure(self.need("measure"))
-
-    def admissible_measure(self):
-        """The measure; refused unless mu_hat(1) = 0, else the mode limit diverges."""
-        mu = self.measure
+        """The phase measure; refused unless mu_hat(1) = 0, else the mode limit diverges."""
+        mu = cfgmod.build_measure(self.need("measure"))
         if not admissible(mu):
             raise ConfigError(
                 "/measure", f"mu_hat_1 nonzero ({fourier_moment(mu, 1):.3g}): limit diverges"
@@ -299,7 +294,7 @@ class Run:
     @cached_property
     def rarefied(self):
         """(alpha, sigma, a, b) of the zero-density limit."""
-        alpha = self.closed_form("alpha")
+        alpha = cfgmod.closed_form(self.need("alpha"), "/alpha")
         sigma, a, b = self.read("sigma", above=0.0), self.read("a"), self.read("b")
         if not a < b:
             raise ConfigError("/b", f"must exceed a = {a}, got {b}")
@@ -355,7 +350,6 @@ def run_functional(run):
         elif kind == "nmode":
             fv = n_mode_functional(f, run.modes)
         elif kind == "averaged":
-            run.admissible_measure()
             fv = phase_averaged_functional(f, run.density, run.mu2)
         elif kind == "rarefied":
             fv = rarefied_functional(f, *run.rarefied)
@@ -378,7 +372,7 @@ def run_functional(run):
 
 
 def run_clt(run):
-    mu = run.admissible_measure()
+    mu = run.measure
     f = run.battery[0]
     m = run.samples(2000, f.grid.n_cells)
     sigma = math.sqrt(sigma_mu_sq(f, run.density, run.mu2))
@@ -459,8 +453,6 @@ def run_gns_check(run):
     checks = []
     if rep == "averaged":
         rho, mu2 = run.density, run.mu2
-        if "measure" in run.cfg:
-            run.admissible_measure()
         for f, label in zip(run.battery, run.labels):
             lhs = rep_expectation_averaged(f, rho, mu2).value
             rhs = fock_functional(f).value * math.exp(-sigma_mu_sq(f, rho, mu2) / 2.0)
@@ -492,8 +484,9 @@ def run_gns_check(run):
 def run_dynamics(run):
     battery, rho, mu2, eps = run.battery, run.density, run.mu2, run.dispersion
     ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:100:1"))
-    sig = sigma_t(battery, rho, mu2, eps, ts)
-    metric = uniformization_curve(battery, rho, sig)
+    unif = variances(battery, rho, 0.0)
+    sig = sigma_t(battery, rho, mu2, eps, ts, unif)
+    metric = uniformization_curve(battery, unif, sig)
     run.write_csv("dynamics.csv", ["t", "sigma_t", "metric"], [ts, sig[:, 0], metric])
     final = float(metric[-1])
     tol = run.tol("metric_final")
@@ -545,17 +538,11 @@ def run_diverge(run):
     )
     with cfgmod.reading("/n_list"):
         cfgmod.check_cells(max(n_list) ** d)
-    f_form = run.closed_form("function")
-    rho_form = cfgmod.density_form(run.need("density"))
-
-    def radius(pts):
-        pts = np.asarray(pts)
-        return pts if d == 1 else np.linalg.norm(pts, axis=-1)
-
+    fn, density = run.need("function"), run.need("density")
+    grids = (cfgmod.build_grid({"d": d, "R": R, "N": n}) for n in sorted(n_list))
     fit = divergence_diagnostic(
-        lambda pts: f_form(radius(pts)),
-        lambda pts: rho_form(radius(pts)),
-        n_list, R, d,
+        (cfgmod.build_test_function(fn, grid, "/function"), cfgmod.build_density(density, grid))
+        for grid in grids
     )
     values = {
         "slope": fit.slope if fit.conclusive else None,

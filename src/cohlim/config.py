@@ -157,11 +157,11 @@ def _wave(x: float, k) -> np.ndarray:
 
 
 def closed_form(obj: dict, pointer: str, d: int = 1) -> Callable[[np.ndarray], np.ndarray]:
-    """The named closed form `obj`, read at `pointer`, as a function of k;
-    one-dimensional only."""
+    """The named closed form `obj`, read at `pointer`, as a profile on a grid:
+    a function of k in d = 1, the same form at |k| of points (..., d) in
+    d >= 2.  A nonzero `modulation` or `x0`, a shift in position space, has
+    no radial form, so d >= 2 refuses it at its key."""
     _require_object(obj, pointer)
-    if d != 1:
-        raise ConfigError(pointer, "named closed forms are one-dimensional")
     name = obj.get("name")
     if not isinstance(name, str) or name not in CLOSED_FORMS:
         raise ConfigError(pointer, f"unknown closed form {name!r}")
@@ -170,27 +170,33 @@ def closed_form(obj: dict, pointer: str, d: int = 1) -> Callable[[np.ndarray], n
         par = {key: number(obj.get(key, default)) for key, default in CLOSED_FORMS[name].items()}
         if par.get("width", 1.0) <= 0:
             raise ValueError(f"width must be positive, got {par['width']}")
-    if name == "gaussian":
-        def gauss(k):
-            return amp * np.exp(-((np.asarray(k) - par["center"]) ** 2) / (2.0 * par["width"] ** 2))
-
-        m = par["modulation"]
-        # exp(i m k) = 1 at m = 0; otherwise it stays a second factor, since
-        # one exp of the complex exponent rounds differently
-        return gauss if m == 0 else lambda k: gauss(k) * _wave(m, k)
+    for key in {"modulation", "x0"} & par.keys():
+        if d > 1 and par[key] != 0:
+            raise ConfigError(f"{pointer}/{key}", f"a shift has no radial form in d = {d}, got {obj[key]!r}")
 
     def in_band(k):
         return (np.asarray(k) >= par["lo"]) & (np.asarray(k) <= par["hi"])
 
-    if name == "box":
-        return lambda k: amp * in_band(k).astype(complex)
-    return lambda k: amp * _wave(par["x0"], k) * in_band(k)
+    def gauss(k):
+        return amp * np.exp(-((np.asarray(k) - par["center"]) ** 2) / (2.0 * par["width"] ** 2))
+
+    if name == "gaussian":
+        m = par["modulation"]
+        # exp(i m k) = 1 at m = 0; otherwise it stays a second factor, since
+        # one exp of the complex exponent rounds differently
+        form = gauss if m == 0 else lambda k: gauss(k) * _wave(m, k)
+    elif name == "box":
+        form = lambda k: amp * in_band(k).astype(complex)
+    else:
+        form = lambda k: amp * _wave(par["x0"], k) * in_band(k)
+    return form if d == 1 else lambda pts: form(np.linalg.norm(pts, axis=-1))
 
 
-def density_form(obj: dict, d: int = 1) -> Callable[[np.ndarray], np.ndarray]:
-    """The closed form of the mode density at /density, real and nonnegative:
-    a complex or negative `amplitude`, or a nonzero `modulation` (`x0`), is
-    refused at its key."""
+def density_form(obj: dict, d: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The closed form of the mode density at /density as a profile on a
+    d-dimensional grid (radial in d >= 2, as `closed_form`), real and
+    nonnegative: a complex or negative `amplitude`, or a nonzero
+    `modulation` (`x0`), is refused at its key."""
     form = closed_form(obj, "/density", d)
     amp = number(obj.get("amplitude", 1.0), complex)
     if amp.imag != 0 or amp.real < 0:
@@ -230,7 +236,7 @@ def build_density(obj: dict, grid: MomentumGrid) -> ModeDensity:
             if np.any(values.imag != 0):
                 raise ConfigError("/density/values_file", "a density is real: every im column must be 0")
             return ModeDensity(grid, values.real)
-        return ModeDensity(grid, density_form(obj, grid.d)(grid.axis))
+        return ModeDensity.from_profile(grid, density_form(obj, grid.d))
 
 
 def build_dispersion(obj: dict, grid: MomentumGrid) -> Dispersion:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -254,6 +254,7 @@ def sigma_t(
     mu2: complex,
     eps: Dispersion,
     ts: np.ndarray,
+    base: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Time-evolved variance integral
     int rho (|fhat|^2 + Re{e^{2 i t eps} mu_hat(2) fhat^2}) dk
@@ -268,7 +269,8 @@ def sigma_t(
     together, a 2-d FFT over (function, time); other
     inputs (quadratic eps, d >= 2, sampled eps, a single time or an uneven
     grid) evaluate e^{2 i t eps} once per (t, distinct eps value) for the
-    whole battery."""
+    whole battery.  The t-independent part `base`, variances(battery, rho,
+    0.0), is formed here unless the caller already holds it."""
     check_mu2(mu2)
     same_grid(rho, eps, *battery)
     order, starts, levels = _eps_levels(eps.values)
@@ -276,7 +278,7 @@ def sigma_t(
     # mu_hat(2) int rho fhat^2 over the cells of each level, one function at a
     # time through one reused buffer to keep the peak memory low
     weights = np.empty((len(levels), len(battery)), dtype=complex)
-    base = variances(battery, rho, 0.0)  # the t-independent part
+    base = variances(battery, rho, 0.0) if base is None else base
     sq = np.empty(len(order), dtype=complex)
     for j, g in enumerate(battery):
         np.take(g.values, order, out=sq, mode="clip")  # "raise" would buffer a copy
@@ -310,11 +312,12 @@ def uniformization_metric(
 
 
 def uniformization_curve(
-    battery: Sequence[TestFunction], rho: ModeDensity, sigma: np.ndarray
+    battery: Sequence[TestFunction], unif: np.ndarray, sigma: np.ndarray
 ) -> np.ndarray:
-    """uniformization_metric at every time of a grid, from the table
-    sigma = sigma_t(battery, rho, mu2, eps, ts) of shape (len(ts), len(battery))."""
+    """uniformization_metric at every time of a grid, from the uniform-phase
+    variances unif = variances(battery, rho, 0.0) and the table sigma =
+    sigma_t(battery, rho, mu2, eps, ts, unif) of shape (len(ts), len(battery))."""
     if not battery:
         raise ValueError("battery must be nonempty")
     fock = np.array([fock_functional(f).value.real for f in battery])
-    return _gap(fock, sigma, variances(battery, rho, 0.0)).max(axis=1)
+    return _gap(fock, sigma, unif).max(axis=1)

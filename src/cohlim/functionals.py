@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from cohlim.circle_measure import (
 )
 from cohlim.mode_space import (
     ModeDensity,
-    MomentumGrid,
     TestFunction,
     finite_volume_coefficients,
     norm_sq_momentum,
@@ -231,39 +230,29 @@ class DivergenceFit:
     conclusive: bool
 
 
-def divergence_diagnostic(
-    f_profile: Callable,
-    rho_profile: Callable,
-    n_list: Sequence[int],
-    R: float,
-    d: int = 1,
-) -> DivergenceFit:
+def divergence_diagnostic(pairs: Iterable[tuple[TestFunction, ModeDensity]]) -> DivergenceFit:
     """Growth exponent of the mode sum with every phase fixed at 0
 
         S(N) = (2R/N)^{d/2} sum_j sqrt(2 rho(k_j)) fhat(k_j)
 
-    as N grows; for generic smooth positive data |S(N)| ~ N^{d/2}.  The fit
-    uses only the N with |S(N)| >= DIVERGENCE_FLOOR; with fewer than 4 of
-    them (e.g. rho = 0, an odd fhat against an even rho, or a narrow fhat
-    that the coarse grids miss) the fit is inconclusive and its slope NaN.
+    of each built (f, rho) pair, in the order given, as N grows; for
+    generic smooth positive data |S(N)| ~ N^{d/2}.  The fit uses only the N
+    with |S(N)| >= DIVERGENCE_FLOOR; with fewer than 4 of them (e.g. rho = 0,
+    an odd fhat against an even rho, or a narrow fhat that the coarse grids
+    miss) the fit is inconclusive and its slope NaN.
     """
-    n_list = sorted(int(n) for n in n_list)
-    if len(n_list) < MIN_FIT_POINTS:
+    ns, mags = [], []
+    for f, rho in pairs:
+        grid = same_grid(f, rho)
+        ns.append(grid.N)
+        mags.append(abs(grid.spacing ** (grid.d / 2.0) * np.sum(np.sqrt(2.0 * rho.values) * f.values)))
+    if len(mags) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} grid sizes for a slope fit")
-    mags = []
-    for n in n_list:
-        grid = MomentumGrid(d=d, R=R, N=n)
-        pts = grid.points() if d > 1 else grid.points()[:, 0]
-        rho_v = np.asarray(rho_profile(pts), dtype=float)
-        f_v = np.asarray(f_profile(pts), dtype=complex)
-        s = (2.0 * R / n) ** (d / 2.0) * np.sum(np.sqrt(2.0 * rho_v) * f_v)
-        mags.append(abs(s))
     mags = np.array(mags)
     fitted = mags >= DIVERGENCE_FLOOR
     if np.count_nonzero(fitted) < MIN_FIT_POINTS:
         return DivergenceFit(float("nan"), mags, False)
-    ns = np.array(n_list, dtype=float)[fitted]
-    slope = np.polyfit(np.log(ns), np.log(mags[fitted]), 1)[0]
+    slope = np.polyfit(np.log(np.array(ns, dtype=float)[fitted]), np.log(mags[fitted]), 1)[0]
     return DivergenceFit(float(slope), mags, True)
 
 

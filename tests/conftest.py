@@ -35,6 +35,14 @@ def rho(grid):
     return ModeDensity.from_profile(grid, lambda k: np.exp(-((k - 1.0) ** 2)))
 
 
+def built_pairs(f_profile, rho_profile, n_list, d=1, R=4.0):
+    """The (f, rho) pairs of the profiles on the grid over [-R, R]^d of each
+    N of `n_list`, in that order: the input of `divergence_diagnostic`."""
+    for n in n_list:
+        grid = MomentumGrid(d=d, R=R, N=n)
+        yield TestFunction.from_profile(grid, f_profile), ModeDensity.from_profile(grid, rho_profile)
+
+
 def opposite_pair():
     """(delta_{pi/2} + delta_{-pi/2}) / 2; mu_hat(1) = 0, mu_hat(2) = -1."""
     return PhaseMeasure.from_atoms([(np.pi / 2, 0.5), (3 * np.pi / 2, 0.5)])

@@ -27,7 +27,7 @@ from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, inner
 from cohlim.moments import permanent_moment, product_moment, wick_moment
 from cohlim.open_system import gamma, gamma_radial
 
-from conftest import ito_pair, make_battery, opposite_pair, q_matrix, with_values
+from conftest import built_pairs, ito_pair, make_battery, opposite_pair, q_matrix, with_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -164,18 +164,19 @@ def test_criterion_7_uniformization():
 
 def test_criterion_8_divergence_rates():
     fit1 = divergence_diagnostic(
-        lambda k: np.exp(-(k ** 2) / 2.0),
-        lambda k: np.exp(-(k ** 2)),
-        [64, 128, 256, 512, 1024],
-        4.0,
-        d=1,
+        built_pairs(
+            lambda k: np.exp(-(k ** 2) / 2.0),
+            lambda k: np.exp(-(k ** 2)),
+            [64, 128, 256, 512, 1024],
+        )
     )
     fit2 = divergence_diagnostic(
-        lambda p: np.exp(-np.sum(p ** 2, axis=-1) / 2.0),
-        lambda p: np.exp(-np.sum(p ** 2, axis=-1)),
-        [16, 24, 32, 48, 64],
-        4.0,
-        d=2,
+        built_pairs(
+            lambda p: np.exp(-np.sum(p ** 2, axis=-1) / 2.0),
+            lambda p: np.exp(-np.sum(p ** 2, axis=-1)),
+            [16, 24, 32, 48, 64],
+            d=2,
+        )
     )
     ok = (
         fit1.conclusive

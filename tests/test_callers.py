@@ -2,6 +2,9 @@
 public method of a public class, has a caller in src/cohlim/; and no module
 there reads another one's private name.
 
+A last scan keeps one way to put a profile on a grid: only `config` and
+`mode_space` construct a `MomentumGrid` or call a `from_profile`.
+
 A stdlib `ast` scan: a definition counts as called when its name is loaded,
 as a bare name or as an attribute, anywhere in src/cohlim outside the
 definition itself.  It catches library code that only the tests use.  The
@@ -188,3 +191,38 @@ def test_private_scan_sees_imports_and_attributes():
         ("p.a", "p.b._third"),
         ("p.b", "p.a._mine"),
     ]
+
+
+# The modules that may construct a MomentumGrid or call from_profile: every
+# other module takes grids, functions and densities built from a config.
+GRID_BUILDERS = {"cohlim.config", "cohlim.mode_space"}
+
+
+def grid_builds(trees):
+    """(module, name) of every call, bare or as an attribute, of MomentumGrid
+    or of a from_profile in `trees`, by name."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("MomentumGrid", "from_profile"):
+                    found.append((module, name))
+    return found
+
+
+def test_only_the_config_builders_put_a_profile_on_a_grid():
+    found = [f"{module} calls {name}" for module, name in grid_builds(LIBRARY) if module not in GRID_BUILDERS]
+    assert not found, "; ".join(found)
+
+
+def test_build_scan_sees_grids_and_profiles():
+    trees = {
+        "a": ast.parse(
+            "from m import MomentumGrid, TestFunction\n"
+            "g = MomentumGrid(1, 2.0, 4)\nf = TestFunction.from_profile(g, abs)\n"
+            "h = m.MomentumGrid\nx = f.profile(g)\n"
+        ),
+    }
+    assert grid_builds(trees) == [("a", "MomentumGrid"), ("a", "from_profile")]

@@ -25,6 +25,7 @@ from cohlim.config import (
     validate_config,
 )
 from cohlim.dynamics import sigma_t, uniformization_metric
+from cohlim.functionals import variances
 from cohlim.mode_space import MomentumGrid
 
 GRID = {"d": 1, "R": 4.0, "N": 512}
@@ -143,6 +144,30 @@ DIVERGE_NARROW = {
     "experiment": "diverge",
     "function": {"name": "box", "lo": 0.001, "hi": 0.02},
     "density": {"name": "gaussian", "center": 0.0, "width": 1.0},
+}
+
+# Parameters of each named form, none of them a shift, for the radial tests.
+RADIAL_PARAMETERS = {
+    "gaussian": {"center": 0.5, "width": 0.8},
+    "box": {"lo": 0.5, "hi": 2.0},
+    "plane_wave": {"lo": -0.5, "hi": 2.5},
+}
+# Named-form configs on a d = 3 grid, where every named form is radial: each
+# function is a gaussian in |k| without modulation.
+GRID_3D = {"d": 3, "R": 4.0, "N": 16}
+RADIAL_F = {"name": "gaussian", "label": "f", "center": 0.5}
+NAMED_3D = {
+    "functional": {
+        **CONFIGS["functional"],
+        "kind": "nmode",
+        "grid": GRID_3D,
+        "functions": [RADIAL_F],
+        "modes": [{"k": [0.5, 0.0, -0.5], "rho": 0.3}],
+    },
+    "gns-check": {**CONFIGS["gns-check"], "grid": GRID_3D, "functions": [RADIAL_F]},
+    "chi": {**CONFIGS["chi"], "grid": GRID_3D, "functions": [RADIAL_F]},
+    "dynamics": {**CONFIGS["dynamics"], "grid": GRID_3D},
+    "decohere": {**CONFIGS["decohere"], "grid": GRID_3D},
 }
 
 # Malformed or out-of-range values tried in place of every key of every
@@ -336,6 +361,18 @@ class TestBuilders:
         f = build_test_function({"name": "plane_wave", "x0": -0.7, "lo": -1.0, "hi": 2.0}, g)
         wave = (1.0 + 0j) * np.exp(1j * -0.7 * k) * ((k >= -1.0) & (k <= 2.0))
         assert np.array_equal(wave.view(np.uint64), f.values.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("name", cfgmod.CLOSED_FORMS)
+    def test_named_form_is_radial(self, name, d):
+        """In d >= 2 each named form is its 1-d form at |k|: on the cells and,
+        through `evaluate_at`, off the grid."""
+        obj = {"name": name, "amplitude": [0.5, -1.0], **RADIAL_PARAMETERS[name]}
+        grid = build_grid({"d": d, "R": 3.0, "N": 12})
+        f, form = build_test_function(obj, grid), cfgmod.closed_form(obj, "/functions")
+        assert np.array_equal(f.values, form(np.linalg.norm(grid.points(), axis=-1)))
+        off = np.random.default_rng(d).uniform(-3.0, 3.0, (50, d))
+        assert np.array_equal(f.evaluate_at(off), form(np.linalg.norm(off, axis=-1)))
 
     def test_test_function_wrong_size(self, tmp_path):
         g = MomentumGrid(1, 2.0, 8)
@@ -682,8 +719,9 @@ class TestCliRuns:
         assert cli.main(["dynamics", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
         run = cli.Run(cfg, tmp_path / "inputs")
         ts = parse_t_grid(cfg["t_grid"])
-        sig = sigma_t(run.battery, run.density, run.mu2, run.dispersion, ts)
-        metric = cli.uniformization_curve(run.battery, run.density, sig)
+        unif = variances(run.battery, run.density, 0.0)
+        sig = sigma_t(run.battery, run.density, run.mu2, run.dispersion, ts, unif)
+        metric = cli.uniformization_curve(run.battery, unif, sig)
         assert np.sum(metric < 1e-4) > 10
         rows = [[t, s, m] for t, s, m in zip(ts.tolist(), sig[:, 0].tolist(), metric.tolist())]
         expected = csv_writer_bytes(tmp_path, ["t", "sigma_t", "metric"], rows)
@@ -1059,10 +1097,23 @@ class TestCliContract:
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], **changes}) == 2
         assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
 
+    @pytest.mark.parametrize("experiment", ["chi", "moments", "dynamics"])
+    def test_point_mass_measure_exits_2(self, tmp_path, capsys, experiment):
+        # mu_hat(1) = 1: the mode limit diverges, so the measure is refused
+        # even where only its mu_hat(2) is read
+        cfg = {k: v for k, v in CONFIGS[experiment].items() if k != "mu2"}
+        assert self.run_cli(tmp_path, {**cfg, "measure": {"kind": "atoms", "atoms": [[0, 1]]}}) == 2
+        assert capsys.readouterr().err.startswith("error: /measure: mu_hat_1 nonzero")
+        assert not (tmp_path / "o" / "result.json").exists()
+
+    def test_averaged_functional_takes_mu2_without_measure(self, tmp_path):
+        cfg = {k: v for k, v in FUNCTIONAL_AVERAGED.items() if k != "measure"}
+        assert self.run_cli(tmp_path, {**cfg, "mu2": [-1.0, 0.0]}) == 0
+        assert read_result(tmp_path / "o")["pass"]
+
     @pytest.mark.parametrize("atoms", [[[0, True]], [["1.5", "1"]]])
     def test_lenient_measure_exits_2(self, tmp_path, capsys, atoms):
-        # chi takes mu_hat(2) from a measure without asking for mu_hat(1) = 0,
-        # so only the strict reader refuses these
+        # the strict reader refuses these before mu_hat(1) is formed
         cfg = {k: v for k, v in CONFIGS["chi"].items() if k != "mu2"}
         assert self.run_cli(tmp_path, {**cfg, "measure": {"kind": "atoms", "atoms": atoms}}) == 2
         assert "/measure:" in capsys.readouterr().err
@@ -1084,6 +1135,31 @@ class TestCliContract:
         monkeypatch.setattr(cfgmod, "MAX_T_POINTS", 50)
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], **changes}, *flags) == 2
         assert f"{pointer}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, changes, pointer",
+        [
+            ("functional", {"functions": [GAUSS_F]}, "/functions/0/modulation"),
+            ("functional", {"functions": [{"name": "plane_wave", "x0": 0.5}]}, "/functions/0/x0"),
+            ("diverge", {"function": {"name": "gaussian", "modulation": -1.0}}, "/function/modulation"),
+            ("diverge", {"function": {"name": "plane_wave", "x0": 0.5}}, "/function/x0"),
+        ],
+    )
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shift_in_d_above_1_exits_2(self, tmp_path, capsys, experiment, changes, pointer, d):
+        # a shift in position space has no radial form
+        if experiment == "functional":
+            sizes = {"grid": {**GRID_3D, "d": d}}
+        else:
+            sizes = {"d": d, "n_list": [8, 12, 16, 24]}
+        assert self.run_cli(tmp_path, {**CONFIGS[experiment], **sizes, **changes}) == 2
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+        assert not (tmp_path / "o" / "result.json").exists()
+
+    @pytest.mark.parametrize("experiment", NAMED_3D)
+    def test_named_forms_run_in_three_dimensions(self, tmp_path, experiment):
+        assert self.run_cli(tmp_path, NAMED_3D[experiment]) == 0
+        assert read_result(tmp_path / "o")["pass"]
 
     def test_degenerate_clt_limit_exits_2(self, tmp_path, capsys):
         # real f and mu_hat(2) = -1 give sigma_mu(f) = 0: the limit law is a

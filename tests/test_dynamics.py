@@ -215,21 +215,23 @@ class TestSigmaTGrid:
     def test_curve_exactly_zero_at_zero_mu2(self, d):
         battery, rho, eps = _grid_case(d, "photon")
         ts = np.linspace(0.0, 30.0, 41)
-        curve = uniformization_curve(battery, rho, sigma_t(battery, rho, 0.0, eps, ts))
+        unif = variances(battery, rho, 0.0)
+        curve = uniformization_curve(battery, unif, sigma_t(battery, rho, 0.0, eps, ts, unif))
         assert curve.shape == ts.shape
         assert np.all(curve == 0.0)
 
     def test_curve_matches_scalar_metric(self):
         battery, rho, eps = _grid_case(1, "photon")
         ts = np.linspace(0.0, 20.0, 21)
-        curve = uniformization_curve(battery, rho, sigma_t(battery, rho, -1.0, eps, ts))
+        unif = variances(battery, rho, 0.0)
+        curve = uniformization_curve(battery, unif, sigma_t(battery, rho, -1.0, eps, ts, unif))
         for t, value in zip(ts, curve):
             scalar = uniformization_metric(battery, rho, -1.0, eps, float(t))
             assert value == pytest.approx(scalar, rel=1e-12, abs=1e-15)
 
-    def test_curve_rejects_empty_battery(self, rho):
+    def test_curve_rejects_empty_battery(self):
         with pytest.raises(ValueError):
-            uniformization_curve([], rho, np.zeros((3, 0)))
+            uniformization_curve([], np.zeros(0), np.zeros((3, 0)))
 
 
 def _sorted_levels(eps):

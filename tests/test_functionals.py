@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import j0 as scipy_j0
 
 from cohlim.circle_measure import PhaseMeasure, circle_average, fourier_moment
+from cohlim.config import build_density, build_grid, build_test_function, closed_form, density_form
 from cohlim.functionals import (
     CoherentModeSet,
     bessel_j0,
@@ -23,7 +24,7 @@ from cohlim.functionals import (
 )
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction
 
-from conftest import gaussian_setups, make_battery, opposite_pair, unit_disk, with_values
+from conftest import built_pairs, gaussian_setups, make_battery, opposite_pair, unit_disk, with_values
 
 
 class TestFockFunctional:
@@ -325,33 +326,30 @@ class TestBessel:
 class TestDivergenceDiagnostic:
     def test_generic_growth_one_dimensional(self):
         fit = divergence_diagnostic(
-            lambda k: np.exp(-(k ** 2) / 2.0),
-            lambda k: np.exp(-(k ** 2)),
-            [64, 128, 256, 512, 1024],
-            4.0,
-            d=1,
+            built_pairs(
+                lambda k: np.exp(-(k ** 2) / 2.0),
+                lambda k: np.exp(-(k ** 2)),
+                [64, 128, 256, 512, 1024],
+            )
         )
         assert fit.conclusive
         assert fit.slope == pytest.approx(0.5, abs=0.05)
 
     def test_generic_growth_two_dimensional(self):
         fit = divergence_diagnostic(
-            lambda p: np.exp(-np.sum(p ** 2, axis=-1) / 2.0),
-            lambda p: np.exp(-np.sum(p ** 2, axis=-1)),
-            [16, 24, 32, 48, 64],
-            4.0,
-            d=2,
+            built_pairs(
+                lambda p: np.exp(-np.sum(p ** 2, axis=-1) / 2.0),
+                lambda p: np.exp(-np.sum(p ** 2, axis=-1)),
+                [16, 24, 32, 48, 64],
+                d=2,
+            )
         )
         assert fit.conclusive
         assert fit.slope == pytest.approx(1.0, abs=0.1)
 
     def test_vanishing_sum_is_inconclusive(self):
         fit = divergence_diagnostic(
-            lambda k: np.exp(-(k ** 2)),
-            lambda k: np.zeros(np.shape(k)),
-            [64, 128, 256, 512],
-            4.0,
-            d=1,
+            built_pairs(lambda k: np.exp(-(k ** 2)), lambda k: np.zeros(np.shape(k)), [64, 128, 256, 512])
         )
         assert not fit.conclusive
 
@@ -363,17 +361,33 @@ class TestDivergenceDiagnostic:
 
         f = lambda k: np.exp(-(k ** 2) / 2.0)
         n_list = [64, 128, 256, 512, 1024]
-        fit = divergence_diagnostic(f, rho({64}), n_list, 4.0, d=1)
+        fit = divergence_diagnostic(built_pairs(f, rho({64}), n_list))
         assert fit.conclusive and fit.magnitudes[0] == 0.0
         assert fit.slope == pytest.approx(0.5, abs=0.05)
-        fit = divergence_diagnostic(f, rho({64, 128}), n_list, 4.0, d=1)
+        fit = divergence_diagnostic(built_pairs(f, rho({64, 128}), n_list))
         assert not fit.conclusive and np.isnan(fit.slope)
 
     def test_needs_enough_grid_sizes(self):
-        with pytest.raises(ValueError):
-            divergence_diagnostic(
-                lambda k: k, lambda k: k, [64, 128], 4.0
-            )
+        gauss = lambda k: np.exp(-(k ** 2))
+        with pytest.raises(ValueError, match="at least 4 grid sizes"):
+            divergence_diagnostic(built_pairs(gauss, gauss, [64, 128]))
+
+    @pytest.mark.parametrize(
+        "d, n_list", [(1, [64, 96, 128, 256]), (2, [16, 24, 32, 48]), (3, [8, 12, 16, 24])]
+    )
+    def test_built_pairs_give_the_bits_of_the_mode_sum(self, d, n_list):
+        """Pairs from the config builders give |S(N)| bit for bit as the
+        profiles' formula (2R/N)^{d/2} sum sqrt(2 rho(|k|)) fhat(|k|) (k
+        itself in d = 1) evaluated at the cell centres."""
+        f_obj = {"name": "gaussian", "center": 0.3, "width": 0.9, "amplitude": [1.0, 0.5]}
+        rho_obj = {"name": "box", "lo": -0.5, "hi": 2.5, "amplitude": 0.7}
+        grids = [build_grid({"d": d, "R": 3.5, "N": n}) for n in n_list]
+        fit = divergence_diagnostic((build_test_function(f_obj, g), build_density(rho_obj, g)) for g in grids)
+        f_form, rho_form = closed_form(f_obj, "/function"), density_form(rho_obj, 1)
+        for grid, n, magnitude in zip(grids, n_list, fit.magnitudes):
+            k = grid.axis if d == 1 else np.linalg.norm(grid.points(), axis=-1)
+            s = (2.0 * 3.5 / n) ** (d / 2.0) * np.sum(np.sqrt(2.0 * rho_form(k)) * f_form(k))
+            assert magnitude == abs(s)
 
 
 class TestRarefied:

@@ -181,8 +181,9 @@ def dynamics_table(dynamics_inputs):
     the first function and the uniformization metric at 1001 times."""
     battery, rho = dynamics_inputs
     ts = parse_t_grid("0:100:0.1")
-    sig = sigma_t(battery, rho, -1.0, build_dispersion({"form": "photon"}, rho.grid), ts)
-    return [ts, sig[:, 0], uniformization_curve(battery, rho, sig)]
+    unif = variances(battery, rho, 0.0)
+    sig = sigma_t(battery, rho, -1.0, build_dispersion({"form": "photon"}, rho.grid), ts, unif)
+    return [ts, sig[:, 0], uniformization_curve(battery, unif, sig)]
 
 
 @pytest.mark.parametrize("writer", ["blocks", "csv_writer"])

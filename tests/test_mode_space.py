@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cohlim.circle_measure import PhaseMeasure
 from cohlim.config import build_grid
-from cohlim.dynamics import Dispersion, sigma_t, uniformization_curve, uniformization_metric
+from cohlim.dynamics import Dispersion, sigma_t, uniformization_metric
 from cohlim.functionals import (
     discrete_phase_average_functional,
     phase_averaged_functional,
@@ -238,7 +238,6 @@ GRID_TAKING = {
     "phase_averaged_functional": lambda a, b: phase_averaged_functional(a.f, b.rho, 0.3),
     "sigma_t": lambda a, b: sigma_t([a.f], a.rho, 0.3, b.eps, [1.0]),
     "uniformization_metric": lambda a, b: uniformization_metric([a.f], a.rho, 0.3, b.eps, 1.0),
-    "uniformization_curve": lambda a, b: uniformization_curve([a.f], b.rho, np.zeros((2, 1))),
     "gamma": lambda a, b: gamma(1.0, a.f, b.eps),
     "envelopes": lambda a, b: envelopes(1.0, a.f, b.eps, [1.0], 0.3),
     "sample_chi": lambda a, b: sample_chi([a.f], b.rho, 0.3, 2, np.random.default_rng(0)),
