@@ -44,7 +44,7 @@ from cohlim.functionals import (
     variances,
 )
 from cohlim.gns_reps import rep_expectation_averaged, rep_expectation_n_mode
-from cohlim.ito_sampler import clt_sample, ks_distance, sample_chi_gram
+from cohlim.ito_sampler import clt_sample, ks_distance, random_functional, sample_chi_gram
 from cohlim.mode_space import battery_gram
 from cohlim.moments import MAX_PAIRING_ORDER, MIN_ORACLE_SAMPLES, build_q, mc_oracle, wick_moment
 from cohlim.open_system import envelopes
@@ -258,9 +258,9 @@ class Run:
 
     @cached_property
     def labels(self):
-        """The key of each battery function in result.json: its label, or f<j>
-        when that is empty.  Two equal keys are refused, as the later
-        function's values would replace the earlier one's."""
+        """The name of each battery function in result.json and in every CSV:
+        its label, or f<j> when that is empty.  Two equal keys are refused,
+        as the later function's values would replace the earlier one's."""
         keys = {}
         for j, f in enumerate(self.battery):
             key = f.label or f"f{j}"
@@ -366,7 +366,7 @@ def run_functional(run):
         "functional.csv",
         ["label", "re", "im", "modulus", "fock_exponent", "sigma_sq", "phase"],
         [None if col[0] is None else [col] for col in zip(*rows)],
-        labels=[f.label for f in run.battery],
+        labels=run.labels,
     )
     return values
 
@@ -393,13 +393,12 @@ def run_chi(run):
     battery, labels = run.battery, run.labels
     m = run.samples(1000, len(battery))
     chis = sample_chi_gram(battery_gram(battery, run.density), run.mu2, m, run.rng("gram"))
-    fock = np.array([fock_functional(f).value for f in battery])
-    vals = fock * np.exp(1j * chis.real)
+    vals = random_functional(battery, chis)
     run.write_csv(
         "chi_samples.csv",
         ["sample", "label", "chi_re", "chi_im", "functional_re", "functional_im"],
         [chis.real, chis.imag, vals.real, vals.imag],
-        labels=[f.label for f in battery],
+        labels=labels,
         numbered=True,
     )
     z = run.tol("z", 5.0)
@@ -455,7 +454,7 @@ def run_gns_check(run):
         rho, mu2 = run.density, run.mu2
         for f, label in zip(run.battery, run.labels):
             lhs = rep_expectation_averaged(f, rho, mu2).value
-            rhs = fock_functional(f).value * math.exp(-sigma_mu_sq(f, rho, mu2) / 2.0)
+            rhs = phase_averaged_functional(f, rho, mu2).value
             checks.append((label, lhs, rhs))
     elif rep == "nmode":
         modes = run.modes

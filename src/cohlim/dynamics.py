@@ -304,10 +304,10 @@ def uniformization_metric(
     if not battery:
         raise ValueError("battery must be nonempty")
     worst = 0.0
-    for f, unif in zip(battery, variances(battery, rho, 0.0)):
+    for f, unif in zip(battery, variances(battery, rho, 0.0)[:, None]):
         fock = fock_functional(f).value.real
-        sig_t = sigma_t([f], rho, mu2, eps, [t])[0, 0]
-        worst = max(worst, float(_gap(fock, sig_t, unif)))
+        sig_t = sigma_t([f], rho, mu2, eps, [t], unif)[0, 0]
+        worst = max(worst, float(_gap(fock, sig_t, unif[0])))
     return worst
 
 

@@ -15,12 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from cohlim.circle_measure import (
-    TWO_PI,
-    PhaseMeasure,
-    check_mu2,
-    circle_average,
-)
+from cohlim.circle_measure import TWO_PI, check_mu2
 from cohlim.mode_space import (
     ModeDensity,
     TestFunction,
@@ -164,7 +159,7 @@ def phase_averaged_functional(
     )
 
 
-# -- the J0 cross-check and the finite-N phase average -----------------------
+# -- the J0 cross-check ------------------------------------------------------
 
 
 def bessel_j0(x: float) -> float:
@@ -186,36 +181,6 @@ def bessel_j0(x: float) -> float:
             return total
         if m > 10_000:
             raise ArithmeticError("J0 series failed to converge")
-
-
-def discrete_phase_average_functional(
-    f: TestFunction, rho: ModeDensity, mu: PhaseMeasure
-) -> FunctionalValue:
-    """Finite-N product of per-mode circle averages (any mu, admissible or
-    not):
-
-        Fock(f) * prod_j int dmu(theta) e^{i Re e^{-i theta} z_j},
-
-    with z_j = sqrt(2 rho(k_j) dk) fhat(k_j).  Converges to the
-    phase-averaged functional as N grows when mu_hat(1) = 0; for uniform mu
-    each factor equals J0(|z_j|).
-    """
-    grid = same_grid(f, rho)
-    fock = fock_functional(f)
-    z = np.sqrt(2.0 * rho.values * grid.cell_volume) * f.values
-    active = np.abs(z) > 0
-    if not np.any(active):
-        return fock
-    za = z[active]
-
-    def integrand(theta):
-        # shape (n_active, n_nodes)
-        arg = np.real(np.exp(-1j * theta)[None, :] * za[:, None])
-        return np.exp(1j * arg)
-
-    factors = circle_average(mu, integrand)
-    prod = complex(np.prod(factors))
-    return FunctionalValue(fock.value * prod, fock.fock_exponent)
 
 
 # -- diagnostics -------------------------------------------------------------

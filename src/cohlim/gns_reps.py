@@ -9,10 +9,9 @@ value of the pair (Rf, Tf) is evaluated with the plain momentum norm, under
 which |Rf|^2 + |Tf|^2 = |fhat|^2 + 2 sigma^2 holds pointwise exactly; the
 result is then rescaled to the repo Fock convention once, through the
 mu_hat(2) = 0 closed-form identity.  See the README convention note.  The
-random representation's cyclic-vector value is the sampled functional
-`ito_sampler.random_functional`, Fock(f) e^{i Re chi(f)} at one sample omega
-of the Brownian fields (a seeded row of `ito_sampler.sample_chi`), so it has
-no separate realization here.
+random representation is realized in `ito_sampler`: its cyclic-vector value
+at a sample omega of the Brownian fields is `random_functional`,
+Fock(f) e^{i Re chi(f)}, for a row of chi draws.
 """
 
 from __future__ import annotations
@@ -84,26 +83,24 @@ def apply_T(f: TestFunction, rho: ModeDensity, coeffs: SqueezeCoefficients) -> T
 def rep_expectation_n_mode(
     f: TestFunction, modes: CoherentModeSet, mu: PhaseMeasure | None = None
 ) -> FunctionalValue:
-    """Cyclic-vector value of the N-mode representation with the phase
-    factor averaged over the circle (uniform by default):
+    """Cyclic-vector value of the N-mode representation: `n_mode_functional`
+    averaged over i.i.d. phases from any mu (uniform by default),
 
-        Fock(f) * prod_j int dmu e^{-i sqrt(2 rho_j)(cos th Re fhat(k_j)
-                                               + sin th Im fhat(k_j))}.
+        Fock(f) * prod_j int dmu(theta) e^{i Re e^{-i theta} z_j},
 
-    For uniform mu each factor is J0(sqrt(2 rho_j) |fhat(k_j)|); an empty
-    mode set gives the Fock value.
+    with z_j = sqrt(2 rho_j) fhat(k_j), skipping modes with z_j = 0.  For
+    uniform mu each factor is J0(|z_j|).  With the grid cells as modes
+    (rho_j = rho(k_j) dk) it tends to the phase-averaged functional as the
+    grid refines when mu_hat(1) = 0.
     """
     mu = mu or PhaseMeasure.uniform()
     fock = fock_functional(f)
-    fhat = f.evaluate_at(modes.k)
-    amps = np.sqrt(2.0 * modes.rho)
+    z = np.sqrt(2.0 * modes.rho) * f.evaluate_at(modes.k)
+    z = z[np.abs(z) > 0]
 
     def integrand(theta):
-        arg = amps[:, None] * (
-            np.cos(theta)[None, :] * fhat.real[:, None]
-            + np.sin(theta)[None, :] * fhat.imag[:, None]
-        )
-        return np.exp(-1j * arg)
+        # shape (modes, angles)
+        return np.exp(1j * np.real(np.exp(-1j * theta)[None, :] * z[:, None]))
 
     factors = circle_average(mu, integrand)
     return FunctionalValue(fock.value * complex(np.prod(factors)), fock.fock_exponent)

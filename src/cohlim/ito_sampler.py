@@ -11,11 +11,12 @@ the same law's covariance, read from the battery Gram of `battery_gram`, and
 formed, factored and applied with numpy's own loops (np.einsum without
 `optimize`) rather than BLAS: products this small gain nothing from BLAS,
 whose first threaded call leaves a second thread spinning for the rest of
-the process.  A sample omega of the fields is the
-one row of `sample_chi(fs, rho, mu2, 1, np.random.default_rng(seed))`: its
-increments depend only on the seed and the grid, not on the battery, so for a
-fixed seed chi is linear in f.  Integrands are deterministic, so no
-stochastic-calculus semantics beyond the isometry are needed.
+the process.  A sample omega of the fields is a row of draws, and
+`random_functional` gives the random representation's value there; a row of
+`sample_chi(fs, rho, mu2, 1, np.random.default_rng(seed))` depends only on
+the seed and the grid, so for a fixed seed chi is linear in f.  Integrands
+are deterministic, so no stochastic-calculus semantics beyond the isometry
+are needed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from cohlim.circle_measure import (
     check_mu2,
     sample_phase,
 )
-from cohlim.functionals import FunctionalValue, fock_functional
+from cohlim.functionals import fock_functional
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, same_grid
 
 # Below this margin in 1 + Re mu_hat(2) the generic coefficient formulas
@@ -72,12 +73,12 @@ def build_coefficients(rho: ModeDensity, mu2: complex) -> CoefficientPair:
     return CoefficientPair(rho.grid, s1, s2.astype(complex))
 
 
-def random_functional(f: TestFunction, chi: complex) -> FunctionalValue:
-    """Fock(f) * e^{i Re chi} for a sampled chi = chi(f); the modulus is
-    exactly the Fock value."""
-    fock = fock_functional(f)
-    phase = float(np.real(chi))
-    return FunctionalValue(fock.value * np.exp(1j * phase), fock.fock_exponent, phase=phase)
+def random_functional(battery: Sequence[TestFunction], chis: np.ndarray) -> np.ndarray:
+    """E_omega(f_j) = Fock(f_j) e^{i Re chi_ij}, the random functional of each
+    function of `battery` at each sample omega_i of a (samples, K) table of
+    chi draws: shape (samples, K).  Its modulus is exactly the Fock value."""
+    fock = np.array([fock_functional(f).value for f in battery])
+    return fock * np.exp(1j * chis.real)
 
 
 def _chi_matrix(fs: Sequence[TestFunction], coeffs: CoefficientPair) -> np.ndarray:

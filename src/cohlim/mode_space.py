@@ -56,16 +56,18 @@ class MomentumGrid:
 
     def points(self) -> np.ndarray:
         """All cell centers, shape (N^d, d), flat C order over the axes."""
-        if self.d == 1:
-            return self.axis[:, None]
-        grids = np.meshgrid(*([self.axis] * self.d), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        pts = np.empty((self.N,) * self.d + (self.d,))
+        for i, axis in enumerate(np.ix_(*[self.axis] * self.d)):
+            pts[..., i] = axis
+        return pts.reshape(self.n_cells, self.d)
 
     def radii(self) -> np.ndarray:
-        """Euclidean norm |k_j| of every cell center, shape (N^d,)."""
+        """Euclidean norm |k_j| of every cell center, shape (N^d,), from the
+        squared axes summed by broadcasting, without forming the points."""
         if self.d == 1:
             return np.abs(self.axis)
-        return np.linalg.norm(self.points(), axis=1)
+        total = sum(axis ** 2 for axis in np.ix_(*[self.axis] * self.d))
+        return np.sqrt(total, out=total).ravel()
 
     def nearest_index(self, k: np.ndarray) -> np.ndarray:
         """Flat index of the cell whose center is closest to each point.

@@ -226,8 +226,8 @@ def test_criterion_10_state_axioms():
         "averaged": lambda h: phase_averaged_functional(h, rho, mu2).value,
         # one sample omega, fixed by the seed
         "random": lambda h: random_functional(
-            h, sample_chi([h], rho, mu2, 1, np.random.default_rng(1001))[0, 0]
-        ).value,
+            [h], sample_chi([h], rho, mu2, 1, np.random.default_rng(1001))
+        )[0, 0],
     }
 
     def symplectic(a, b):

@@ -117,6 +117,12 @@ CONFIGS = {
     },
 }
 
+# The CONFIGS entries that finish with no assertion, each with its reason.
+UNASSERTED = {
+    "dynamics": "asserts only the metric_final tolerance, which its config does not set",
+    "rarefied": "writes its convergence table and asserts no rate",
+}
+
 # The functional config of the phase-averaged limit, which reads a measure.
 FUNCTIONAL_AVERAGED = {
     **CONFIGS["functional"],
@@ -599,9 +605,9 @@ class TestCliRuns:
         fock = [cli.fock_functional(f).value for f in run.battery]
         rows = []
         for i in range(chis.shape[0]):
-            for j, f in enumerate(run.battery):
+            for j, label in enumerate(run.labels):
                 val = fock[j] * np.exp(1j * chis[i, j].real)
-                rows.append([i, f.label, chis[i, j].real, chis[i, j].imag, val.real, val.imag])
+                rows.append([i, label, chis[i, j].real, chis[i, j].imag, val.real, val.imag])
         header = ["sample", "label", "chi_re", "chi_im", "functional_re", "functional_im"]
         assert (out / "chi_samples.csv").read_bytes() == csv_writer_bytes(tmp_path, header, rows)
 
@@ -687,10 +693,10 @@ class TestCliRuns:
             "rarefied": lambda f: cli.rarefied_functional(f, *run.rarefied),
         }[kind]
         rows = []
-        for f in run.battery:
+        for f, label in zip(run.battery, run.labels):
             fv = value(f)
             optional = ["" if v is None else v for v in (fv.sigma_sq, fv.phase)]
-            rows.append([f.label, fv.value.real, fv.value.imag, fv.modulus, fv.fock_exponent, *optional])
+            rows.append([label, fv.value.real, fv.value.imag, fv.modulus, fv.fock_exponent, *optional])
         header = ["label", "re", "im", "modulus", "fock_exponent", "sigma_sq", "phase"]
         assert (out / "functional.csv").read_bytes() == csv_writer_bytes(tmp_path, header, rows)
         assert sum(row[5] == "" for row in rows) == (0 if kind == "averaged" else len(fns))
@@ -889,6 +895,31 @@ class TestCliContract:
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], "functions": fns}) == 2
         assert capsys.readouterr().err.startswith("error: /functions/1: ")
         assert not (tmp_path / "o" / "result.json").exists()
+
+    @pytest.mark.parametrize("experiment, table", [("functional", "functional.csv"), ("chi", "chi_samples.csv")])
+    def test_csv_labels_are_the_result_keys(self, tmp_path, experiment, table):
+        # two unlabelled functions are keyed f0 and f1 in result.json, and
+        # the label column of the CSV names them the same way
+        fns, k = [], build_grid(GRID).axis
+        for j in range(2):
+            path = tmp_path / f"v{j}.bin"
+            path.write_bytes(np.column_stack([np.exp(-((k - j) ** 2)), np.zeros_like(k)]).astype("<f8").tobytes())
+            fns.append({"values_file": str(path)})
+        assert self.run_cli(tmp_path, {**CONFIGS[experiment], "functions": fns}) == 0
+        with open(tmp_path / "o" / table) as fh:
+            labels = [row["label"] for row in csv.DictReader(fh)]
+        keys = list(read_result(tmp_path / "o")["values"])
+        assert keys == ["f0", "f1"]
+        assert labels == keys * (len(labels) // 2)
+
+    @pytest.mark.parametrize("experiment", sorted(CONFIGS))
+    def test_every_experiment_asserts(self, tmp_path, experiment):
+        # an experiment with no assertion passes whatever it computes; an
+        # allow-listed one that starts asserting fails here too, so the list
+        # only shrinks
+        assert self.run_cli(tmp_path, CONFIGS[experiment]) == 0
+        asserted = bool(read_result(tmp_path / "o")["assertions"])
+        assert asserted != (experiment in UNASSERTED), UNASSERTED.get(experiment, "no assertion")
 
     @pytest.mark.parametrize("experiment", ["clt", "chi", "moments", "decohere"])
     def test_stochastic_requires_seed(self, tmp_path, capsys, experiment):

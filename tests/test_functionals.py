@@ -11,7 +11,6 @@ from cohlim.config import build_density, build_grid, build_test_function, closed
 from cohlim.functionals import (
     CoherentModeSet,
     bessel_j0,
-    discrete_phase_average_functional,
     divergence_diagnostic,
     finite_volume_functional,
     fock_functional,
@@ -22,9 +21,18 @@ from cohlim.functionals import (
     sigma_mu_sq,
     variances,
 )
+from cohlim.gns_reps import rep_expectation_n_mode
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction
 
 from conftest import built_pairs, gaussian_setups, make_battery, opposite_pair, unit_disk, with_values
+
+
+def cell_modes(rho):
+    """The grid cells of rho as coherent modes of density rho(k_j) dk, all
+    phases 0: the N-mode phase average over them is the finite-N product of
+    per-cell circle averages."""
+    grid = rho.grid
+    return CoherentModeSet(grid.points(), rho.values * grid.cell_volume, np.zeros(grid.n_cells))
 
 
 class TestFockFunctional:
@@ -288,7 +296,7 @@ class TestPhaseAveraged:
             )
             r = ModeDensity.from_profile(g, lambda k: np.exp(-((k - 1.0) ** 2)))
             limit = phase_averaged_functional(f, r, fourier_moment(mu, 2)).value
-            disc = discrete_phase_average_functional(f, r, mu).value
+            disc = rep_expectation_n_mode(f, cell_modes(r), mu).value
             errs.append(abs(disc - limit))
         # the J0 quartic term contributes O(1/N): each 4x refinement should
         # cut the error by about 4
@@ -299,7 +307,7 @@ class TestPhaseAveraged:
     def test_discrete_product_allows_inadmissible_measures(self, gauss, rho):
         # the finite-N product is well defined even when the limit diverges
         mu = PhaseMeasure.from_atoms([(0.0, 1.0)])
-        fv = discrete_phase_average_functional(gauss, rho, mu)
+        fv = rep_expectation_n_mode(gauss, cell_modes(rho), mu)
         assert np.isfinite(fv.value.real)
 
 

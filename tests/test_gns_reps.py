@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -121,15 +122,38 @@ class TestRepExpectations:
         assert rep_expectation_n_mode(gauss, CoherentModeSet([], [], [])).value == fock_functional(gauss).value
 
     def test_n_mode_point_mass_recovers_fixed_phase(self, gauss):
-        # a point mass averages nothing: the value is a fixed-phase n-mode
-        # functional (the averaging convention carries e^{-i...}, so the
-        # equivalent fixed phase is theta0 + pi)
+        # a point mass averages nothing: the value is the n-mode functional
+        # with every phase at theta0
         theta0 = 0.8
         mu = PhaseMeasure.from_atoms([(theta0, 1.0)])
-        modes = CoherentModeSet([0.5], [2.0], [0.3])
+        modes = CoherentModeSet([0.5, -1.0], [2.0, 1.0], [0.3, 1.1])
         fv = rep_expectation_n_mode(gauss, modes, mu)
-        fixed = replace(modes, theta=[theta0 + math.pi])
-        assert fv.value == pytest.approx(n_mode_functional(gauss, fixed).value)
+        fixed = replace(modes, theta=[theta0, theta0])
+        assert fv.value == pytest.approx(n_mode_functional(gauss, fixed).value, abs=1e-14)
+
+    def test_n_mode_is_the_average_of_n_mode_functional(self, gauss):
+        # three atoms at 0, 2pi/3, 4pi/3 (mu_hat(1) = 0, mu_hat(3) = 1) on two
+        # modes: the explicit mean of n_mode_functional over the 9 phase
+        # pairs, a value with imaginary part -0.11, so the conjugate misses
+        angles = [2 * math.pi * j / 3 for j in range(3)]
+        mu = PhaseMeasure.from_atoms([(a, 1 / 3) for a in angles])
+        modes = CoherentModeSet([0.0, 0.5], [1.5, 1.0], [0.0, 0.0])
+        mean = np.mean(
+            [
+                n_mode_functional(gauss, replace(modes, theta=list(pair))).value
+                for pair in itertools.product(angles, repeat=2)
+            ]
+        )
+        assert abs(mean.imag) > 0.1
+        assert abs(rep_expectation_n_mode(gauss, modes, mu).value - mean) < 1e-14
+
+    def test_n_mode_skips_modes_where_fhat_vanishes(self, gauss):
+        # a mode of zero density is skipped: the value is that of the other
+        # modes alone, bit for bit
+        modes = CoherentModeSet([0.5, -1.0], [2.0, 0.0], [0.0, 0.0])
+        one = CoherentModeSet([0.5], [2.0], [0.0])
+        mu = PhaseMeasure.from_atoms([(0.1, 0.3), (2.0, 0.7)])
+        assert rep_expectation_n_mode(gauss, modes, mu).value == rep_expectation_n_mode(gauss, one, mu).value
 
     @pytest.mark.parametrize("mu2", [0.0, 0.5, -1.0, 0.6j])
     def test_averaged_matches_closed_form(self, grid, rho, mu2):

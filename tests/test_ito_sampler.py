@@ -277,9 +277,13 @@ class TestPsdFactor:
 
 class TestRandomFunctional:
     def test_modulus_is_fock(self, grid, rho, gauss):
-        chi = sample_chi([gauss], rho, 0.0, 1, np.random.default_rng(21))[0, 0]
-        fv = random_functional(gauss, chi)
-        assert fv.modulus == pytest.approx(fock_functional(gauss).modulus)
+        # one value per draw and function: Fock(f_j) e^{i Re chi_ij}
+        battery = [gauss, with_values(gauss, 0.5 * gauss.values)]
+        chis = sample_chi(battery, rho, 0.3, 3, np.random.default_rng(21))
+        vals = random_functional(battery, chis)
+        for j, f in enumerate(battery):
+            assert np.array_equal(vals[:, j], fock_functional(f).value * np.exp(1j * chis[:, j].real))
+            np.testing.assert_allclose(np.abs(vals[:, j]), fock_functional(f).modulus, rtol=1e-15)
 
     def test_mean_recovers_averaged_value(self, fine_grid):
         f = TestFunction.from_profile(

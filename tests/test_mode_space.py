@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from cohlim.circle_measure import PhaseMeasure
 from cohlim.config import build_grid
 from cohlim.dynamics import Dispersion, sigma_t, uniformization_metric
-from cohlim.functionals import (
-    discrete_phase_average_functional,
-    phase_averaged_functional,
-    sigma_mu_sq,
-    variances,
-)
+from cohlim.functionals import phase_averaged_functional, sigma_mu_sq, variances
 from cohlim.gns_reps import apply_R, apply_T, build_alpha_beta, rep_expectation_averaged
 from cohlim.ito_sampler import clt_sample, sample_chi
 from cohlim.mode_space import (
@@ -52,9 +47,14 @@ class TestMomentumGrid:
         assert pts.shape == (144, 2)
         assert pts.min() >= -3.0 and pts.max() <= 3.0
 
-    def test_radii_match_points(self):
-        g = MomentumGrid(d=3, R=2.0, N=5)
-        np.testing.assert_allclose(g.radii(), np.linalg.norm(g.points(), axis=1))
+    @pytest.mark.parametrize("d, N", [(1, 7), (2, 2), (2, 33), (3, 5), (3, 16)])
+    def test_coordinates_have_the_bits_of_the_meshgrid_stack(self, d, N):
+        # points and radii are filled without meshgrid copies, and keep the
+        # bits of the stacked meshgrid and of the norm of its rows
+        g = MomentumGrid(d=d, R=3.7, N=N)
+        stacked = np.stack([a.ravel() for a in np.meshgrid(*([g.axis] * d), indexing="ij")], axis=-1)
+        assert np.array_equal(g.points(), stacked)
+        assert np.array_equal(g.radii(), np.linalg.norm(stacked, axis=1))
 
     def test_nearest_index_roundtrip(self):
         g = MomentumGrid(d=2, R=3.0, N=12)
@@ -232,9 +232,6 @@ GRID_TAKING = {
     "inner_weight": lambda a, b: inner(a.f, a.f, b.rho),
     "sigma_mu_sq": lambda a, b: sigma_mu_sq(a.f, b.rho, 0.3),
     "variances": lambda a, b: variances([a.f, b.f], a.rho, 0.3),
-    "discrete_phase_average_functional": lambda a, b: discrete_phase_average_functional(
-        a.f, b.rho, PhaseMeasure.uniform()
-    ),
     "phase_averaged_functional": lambda a, b: phase_averaged_functional(a.f, b.rho, 0.3),
     "sigma_t": lambda a, b: sigma_t([a.f], a.rho, 0.3, b.eps, [1.0]),
     "uniformization_metric": lambda a, b: uniformization_metric([a.f], a.rho, 0.3, b.eps, 1.0),
