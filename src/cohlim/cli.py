@@ -192,6 +192,13 @@ class Run:
             raise ConfigError("/samples", f"{m} samples x {width} exceed the cap of {cap} entries")
         return m
 
+    def refuse(self, reason, *keys):
+        """Exit 2 at the first of `keys` that the config gives: a key this
+        run would not read, and so would silently ignore."""
+        for key in keys:
+            if key in self.cfg:
+                raise ConfigError(f"/{key}", reason)
+
     def rng(self, sampler):
         """The run's seeded generator; `sampler` names what draws from it
         ("gram": chi from its exact Gram law, "phases": i.i.d. mode phases)
@@ -460,6 +467,7 @@ def run_gns_check(run):
         modes = run.modes
         if not len(modes.rho):
             raise ConfigError("/modes", "rep nmode needs at least one mode")
+        run.refuse("rep nmode averages its modes over uniform phases only", "measure", "mu2")
         for f, label in zip(run.battery, run.labels):
             lhs = rep_expectation_n_mode(f, modes).value
             fhat = f.evaluate_at(modes.k)
@@ -495,9 +503,12 @@ def run_dynamics(run):
 
 
 def run_decohere(run):
-    """Exact dephasing of one density-matrix element.  The Monte Carlo mean
-    over chi draws must match the Gaussian envelope within z standard
-    errors at every t > 0."""
+    """Exact dephasing of one density-matrix element: its Gaussian and Gamma
+    envelopes over the t-grid, in closed form, under the uniform phase
+    measure (mu_hat(2) = 0).  It asserts nothing itself: the Gaussian
+    envelope is the characteristic function of the law of Re chi(g), which
+    `chi` asserts."""
+    run.refuse("the envelopes of decohere are those of the uniform phase measure", "measure", "mu2")
     g = cfgmod.build_test_function(run.need("form_factor"), run.grid, "/form_factor")
     couplings = run.read("couplings", each=True, min_count=2)
     element = run.read("element", int, [0, 1], each=True)
@@ -505,28 +516,10 @@ def run_decohere(run):
     if not (len(element) == 2 and all(0 <= i < n for i in element) and element[0] != element[1]):
         raise ConfigError("/element", f"expected two distinct levels in 0..{n - 1}, got {element}")
     k, l = element
-    dg = couplings[k] - couplings[l]
     ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:2:0.1"))
-    m = run.samples(10_000, 1)
-    re_chi = sample_chi_gram(battery_gram([g], run.density), 0.0, m, run.rng("gram"))[:, 0].real
     rate = sigma_mu_sq(g, run.density, 0.0)
-    gaussian, decay = envelopes(dg, g, run.dispersion, ts, rate)
-    mc = np.empty((len(ts), 3))  # mean re, mean im, stderr
-    worst = 0.0
-    for i, (t, gaussian_env) in enumerate(zip(ts.tolist(), gaussian.tolist())):
-        mc_vals = np.exp(-1j * t * dg * re_chi)
-        mc_mean = complex(np.mean(mc_vals))
-        mc_se = float(np.std(mc_vals.real, ddof=1) / math.sqrt(m))
-        mc[i] = mc_mean.real, mc_mean.imag, mc_se
-        if t > 0 and mc_se > 0:  # equal draws (dg = 0) give the envelope exactly
-            worst = max(worst, abs(mc_mean.real - gaussian_env) / mc_se)
-    run.write_csv(
-        "decohere.csv",
-        ["t", "envelope_gaussian", "envelope_gamma", "mc_mean_re", "mc_mean_im", "mc_stderr"],
-        [ts, gaussian, decay, *mc.T],
-    )
-    tol = run.tol("z", 5.0)
-    run.check("envelope_z", worst, tol, worst < tol)
+    gaussian, decay = envelopes(couplings[k] - couplings[l], g, run.dispersion, ts, rate)
+    run.write_csv("decohere.csv", ["t", "envelope_gaussian", "envelope_gamma"], [ts, gaussian, decay])
     return {"element": [k, l], "gaussian_rate": rate, "rows": len(ts)}
 
 
@@ -586,7 +579,7 @@ EXPERIMENTS = {
     "moments": (run_moments, ("seed", "samples", "pq")),
     "gns-check": (run_gns_check, ("rep",)),
     "dynamics": (run_dynamics, ("t_grid",)),
-    "decohere": (run_decohere, ("seed", "samples", "t_grid")),
+    "decohere": (run_decohere, ("t_grid",)),
     "diverge": (run_diverge, ()),
     "rarefied": (run_rarefied, ()),
 }

@@ -163,24 +163,27 @@ def phase_averaged_functional(
 
 
 def bessel_j0(x: float) -> float:
-    """J0 by its power series sum_m (-1)^m (x/2)^{2m} / (m!)^2.
+    """J0 by its power series sum_m (-1)^m (x/2)^{2m} / (m!)^2, to about 1e-16.
 
-    Converges for all x; terms are summed until they drop below 1e-18 of the
-    running value.  Independent of the circle-quadrature route by design.
+    The terms reach about e^|x| and cancel, so a float sum would lose
+    e^|x| eps (0.1 at x = 40); the series is summed in `decimal` with
+    20 + 0.44|x| digits instead, until a term drops below 1e-18.  The cost
+    grows as x^2: about 0.6 ms at x = 200 and 7 s at x = 1e4.  Independent
+    of the circle-quadrature route by design.
     """
+    import decimal  # on first use: at import it would add ~0.45 MB RSS to every CLI run
+
     x = float(x)
-    term = 1.0
-    total = 1.0
-    m = 0
-    q = (x / 2.0) ** 2
-    while True:
-        m += 1
-        term *= -q / (m * m)
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            return total
-        if m > 10_000:
-            raise ArithmeticError("J0 series failed to converge")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 20 + int(0.44 * abs(x))
+        q = (decimal.Decimal(x) / 2) ** 2
+        term = total = decimal.Decimal(1)
+        m = 0
+        while abs(term) >= decimal.Decimal("1e-18"):
+            m += 1
+            term *= -q / (m * m)
+            total += term
+        return float(total)
 
 
 # -- diagnostics -------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import struct
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cohlim.config import (
 from cohlim.dynamics import sigma_t, uniformization_metric
 from cohlim.functionals import variances
 from cohlim.mode_space import MomentumGrid
+from cohlim.moments import MIN_ORACLE_SAMPLES
 
 GRID = {"d": 1, "R": 4.0, "N": 512}
 DENSITY = {"name": "gaussian", "center": 1.0, "width": 0.70710678}
@@ -87,8 +89,6 @@ CONFIGS = {
     },
     "decohere": {
         "experiment": "decohere",
-        "seed": 7,
-        "samples": 2000,
         "grid": GRID,
         "density": DENSITY,
         "dispersion": {"form": "photon"},
@@ -121,6 +121,22 @@ CONFIGS = {
 UNASSERTED = {
     "dynamics": "asserts only the metric_final tolerance, which its config does not set",
     "rarefied": "writes its convergence table and asserts no rate",
+    "decohere": "writes closed-form envelopes only; chi asserts the law of Re chi they rest on",
+}
+
+# The experiments whose row offers --seed, and those whose row offers --samples.
+SEEDED = sorted(name for name, (_, keys) in cli.EXPERIMENTS.items() if "seed" in keys)
+SAMPLED = sorted(name for name, (_, keys) in cli.EXPERIMENTS.items() if "samples" in keys)
+# For each CONFIGS entry of an experiment in SAMPLED: the fewest samples it
+# accepts, and the draw-table entries per sample (grid cells for clt, the
+# functions drawn for chi and moments).
+SAMPLE_BOUNDS = {"clt": (2, GRID["N"]), "chi": (2, 1), "moments": (MIN_ORACLE_SAMPLES, 2)}
+
+# The gns-check config of the N-mode representation: two modes, no phase measure.
+GNS_NMODE = {
+    **{k: v for k, v in CONFIGS["gns-check"].items() if k != "mu2"},
+    "rep": "nmode",
+    "modes": [{"k": 0.5, "rho": 0.3}, {"k": -1.0, "rho": 0.2}],
 }
 
 # The functional config of the phase-averaged limit, which reads a measure.
@@ -216,8 +232,9 @@ def with_value(cfg, path, value):
 
 # (config, path, value) for every CONFIGS key, then for every nested value:
 # grid fields, descriptor parameters, list entries, tolerances and the
-# measures' atoms and values (the bool and string weights among them).  The
-# top-level cases come first so that their test ids keep their positions.
+# measures' atoms and values (the bool and string weights among them).  A
+# list or object value is named by its JSON in the test id, not by its
+# position, so that the ids stay put when a config gains or loses a key.
 MALFORMED_CASES = (
     [(name, key, value) for name, cfg in CONFIGS.items() for key in cfg for value in MALFORMED]
     + [
@@ -495,11 +512,23 @@ class TestCliRuns:
         assert cli.main(["decohere", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "decohere.csv") as fh:
             rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["t", "envelope_gaussian", "envelope_gamma"]
         assert float(rows[0]["envelope_gaussian"]) == 1.0
         assert float(rows[-1]["envelope_gaussian"]) < 1.0
         record = read_result(out)
-        assert [a["name"] for a in record["assertions"]] == ["envelope_z"]
-        assert record["pass"] and record["assertions"][0]["pass"]
+        # deterministic: no draws, so no rng block and no seed
+        assert record["assertions"] == [] and record["pass"]
+        assert "rng" not in record and record["seed"] is None
+        assert set(record["values"]) == {"element", "gaussian_rate", "rows"}
+
+    @pytest.mark.parametrize("rho", [312.5, 800.0])
+    def test_gns_check_nmode_strong_mode(self, tmp_path, rho):
+        # one mode at k = 0, where fhat = 1: J0 at x = 25 and x = 40, where an
+        # alternating float series is off by 5e-9 and 0.1
+        cfg = {**GNS_NMODE, "modes": [{"k": 0.0, "rho": rho}]}
+        out = tmp_path / "o"
+        assert cli.main(["gns-check", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        assert read_result(out)["values"]["checks"][0]["residual"] < 1e-12
 
     def test_diverge_slope(self, tmp_path):
         cfg = write_cfg(tmp_path, CONFIGS["diverge"])
@@ -733,33 +762,18 @@ class TestCliRuns:
         expected = csv_writer_bytes(tmp_path, ["t", "sigma_t", "metric"], rows)
         assert (out / "dynamics.csv").read_bytes() == expected
 
-    def test_decohere_csv_matches_per_row_loop(self, tmp_path, monkeypatch):
-        drawn = []
-
-        def recording_sampler(*args):
-            drawn.append(real_sampler(*args))
-            return drawn[-1]
-
-        real_sampler = cli.sample_chi_gram
-        monkeypatch.setattr(cli, "sample_chi_gram", recording_sampler)
+    def test_decohere_csv_matches_per_row_loop(self, tmp_path):
         cfg = {**CONFIGS["decohere"], "t_grid": "0:20:0.25"}
         out = tmp_path / "o"
         assert cli.main(["decohere", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
-        (chis,) = drawn
-        re_chi, m = chis[:, 0].real, len(chis)
         run = cli.Run(cfg, tmp_path / "inputs")
         g = build_test_function(cfg["form_factor"], run.grid)
         ts = parse_t_grid(cfg["t_grid"])
         rate = cli.sigma_mu_sq(g, run.density, 0.0)
         dg = -1.0  # couplings[0] - couplings[1]
         gaussian, decay = cli.envelopes(dg, g, run.dispersion, ts, rate)
-        rows = []
-        for t, gaussian_env, gamma_env in zip(ts.tolist(), gaussian.tolist(), decay.tolist()):
-            mc_vals = np.exp(-1j * t * dg * re_chi)
-            mc_mean = complex(np.mean(mc_vals))
-            mc_se = float(np.std(mc_vals.real, ddof=1) / math.sqrt(m))
-            rows.append([t, gaussian_env, gamma_env, mc_mean.real, mc_mean.imag, mc_se])
-        header = ["t", "envelope_gaussian", "envelope_gamma", "mc_mean_re", "mc_mean_im", "mc_stderr"]
+        rows = list(zip(ts.tolist(), gaussian.tolist(), decay.tolist()))
+        header = ["t", "envelope_gaussian", "envelope_gamma"]
         assert (out / "decohere.csv").read_bytes() == csv_writer_bytes(tmp_path, header, rows)
 
     def test_rarefied_csv_matches_per_row_loop(self, tmp_path):
@@ -801,6 +815,21 @@ class TestCliContract:
                 assert exc.value.code == 2
         args = cli.parser().parse_args([experiment, "--config", "c.json"])
         assert set(vars(args)) == {"command", "config", "out", *keys}
+
+    def test_readme_flag_table_is_the_experiment_table(self):
+        # each row of the README's | flag | experiments | table names the
+        # flags that exactly its experiments offer, and every flag has a row
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| flag | experiments |\n| --- | --- |\n")[1].split("\n\n")[0]
+        rows = {}
+        for line in table.splitlines():
+            flags, names = (cell.replace("`", "").split(", ") for cell in line.strip("| ").split(" | "))
+            rows.update({flag: sorted(names) for flag in flags})
+        offered = {}
+        for key in cli.FLAGS:
+            names = [name for name, (_, keys) in cli.EXPERIMENTS.items() if key in keys]
+            offered["--" + key.replace("_", "-")] = sorted(names)
+        assert rows == offered
 
     def test_flag_of_another_row_exits_2(self, tmp_path, capsys):
         # a deterministic run takes no seed, so --seed is no flag of dynamics
@@ -921,7 +950,7 @@ class TestCliContract:
         asserted = bool(read_result(tmp_path / "o")["assertions"])
         assert asserted != (experiment in UNASSERTED), UNASSERTED.get(experiment, "no assertion")
 
-    @pytest.mark.parametrize("experiment", ["clt", "chi", "moments", "decohere"])
+    @pytest.mark.parametrize("experiment", SEEDED)
     def test_stochastic_requires_seed(self, tmp_path, capsys, experiment):
         # the seed may come from the config or from --seed
         cfg = {k: v for k, v in CONFIGS[experiment].items() if k != "seed"}
@@ -955,26 +984,15 @@ class TestCliContract:
         assert self.run_cli(tmp_path, cfg) == 2
         assert f"/{key}:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "experiment, samples",
-        [("moments", 999), ("chi", 1), ("clt", 1), ("decohere", 1)],
-    )
+    @pytest.mark.parametrize("experiment, samples", [(name, SAMPLE_BOUNDS[name][0] - 1) for name in SAMPLED])
     def test_too_few_samples_exits_2(self, tmp_path, capsys, experiment, samples):
         assert self.run_cli(tmp_path, CONFIGS[experiment], "--samples", str(samples)) == 2
         assert "/samples:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "experiment, samples",
-        [
-            ("clt", cfgmod.MAX_CELLS // GRID["N"] + 1),
-            ("chi", cfgmod.MAX_CELLS + 1),
-            ("moments", cfgmod.MAX_CELLS // 2 + 1),
-            ("decohere", cfgmod.MAX_CELLS + 1),
-            ("clt", 10**12),
-            ("chi", 10**12),
-            ("moments", 10**12),
-            ("decohere", 10**12),
-        ],
+        [(name, cfgmod.MAX_CELLS // SAMPLE_BOUNDS[name][1] + 1) for name in SAMPLED]
+        + [(name, 10**12) for name in SAMPLED],
     )
     def test_draw_table_above_cap_exits_2(self, tmp_path, capsys, experiment, samples):
         # the smallest count over the cap, then one whose table would need terabytes
@@ -1028,7 +1046,8 @@ class TestCliContract:
         cfg = {**CONFIGS[experiment], "measure": {"kind": "atoms", "atoms": atoms}, "mu2": [-1.0, 0.0]}
         assert self.run_cli(tmp_path, cfg) == 0
 
-    @pytest.mark.parametrize("experiment, samples", [("chi", "abc"), ("chi", 2.5), ("decohere", 500.5)])
+    @pytest.mark.parametrize("samples", ["abc", 2.5])
+    @pytest.mark.parametrize("experiment", SAMPLED)
     def test_non_integer_samples_exits_2(self, tmp_path, capsys, experiment, samples):
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], "samples": samples}) == 2
         assert "/samples:" in capsys.readouterr().err
@@ -1066,7 +1085,11 @@ class TestCliContract:
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], key: value}) == 2
         assert f"{pointer}:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("experiment, key, value", MALFORMED_CASES)
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        MALFORMED_CASES,
+        ids=lambda v: json.dumps(v) if isinstance(v, (list, dict)) else None,
+    )
     def test_malformed_value_never_raises(self, tmp_path, capsys, experiment, key, value):
         base = FUZZ_BASES[experiment]
         path = write_cfg(tmp_path, with_value(base, key, value))
@@ -1224,6 +1247,27 @@ class TestCliContract:
         cfg = {**CONFIGS["gns-check"], "rep": "nmode", **modes}
         assert self.run_cli(tmp_path, cfg) == 2
         assert capsys.readouterr().err.startswith("error: /modes: rep nmode needs at least one mode")
+
+    @pytest.mark.parametrize(
+        "base, key, value",
+        [
+            # atoms at 0 and pi: mu_hat(1) = 0, mu_hat(2) = 1
+            ("decohere", "measure", [[0, 0.5], [math.pi, 0.5]]),
+            ("decohere", "mu2", 0.9),
+            # atoms at 0, 2pi/3 and 4pi/3: mu_hat(1) = 0, mu_hat(3) = 1
+            ("gns-check-nmode", "measure", [[2 * math.pi * j / 3, 1 / 3] for j in range(3)]),
+            ("gns-check-nmode", "mu2", [0.5, 0.0]),
+        ],
+        ids=["decohere-measure", "decohere-mu2", "gns-check-nmode-measure", "gns-check-nmode-mu2"],
+    )
+    def test_unread_phase_measure_exits_2(self, tmp_path, capsys, base, key, value):
+        # decohere and the N-mode representation average over uniform phases
+        # only, so a measure or mu2 that they would silently ignore is refused
+        value = {"kind": "atoms", "atoms": value} if key == "measure" else value
+        cfg = {**(GNS_NMODE if base == "gns-check-nmode" else CONFIGS[base]), key: value}
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert capsys.readouterr().err.startswith(f"error: /{key}: ")
+        assert not (tmp_path / "o" / "result.json").exists()
 
     def test_override_flag_enters_digest(self, tmp_path):
         fns = CONFIGS["moments"]["functions"] * 2
