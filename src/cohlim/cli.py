@@ -156,8 +156,7 @@ class Run:
 
     def __init__(self, cfg: dict, out_dir):
         self.cfg = cfg
-        self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.out_dir = Path(out_dir)  # made by the first write
         self.assertions = []
         self.outputs = []
         self._rng = None
@@ -321,6 +320,7 @@ class Run:
         `repr_chars`.  The rows go out in blocks of about CSV_CELLS floats,
         so the table never sits in memory as text; a failed write removes
         the output, so no truncated table is left."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         c = 1 if labels is None else len(labels)
         columns = [None if col is None else np.asarray(col, dtype=float).reshape(-1, c) for col in columns]
@@ -339,6 +339,7 @@ class Run:
         self.outputs.append(path)
 
     def write_json(self, name, obj):
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         with open(path, "w") as fh:
             json.dump(obj, fh, indent=2, default=_json_default)

@@ -124,6 +124,20 @@ UNASSERTED = {
     "decohere": "writes closed-form envelopes only; chi asserts the law of Re chi they rest on",
 }
 
+# A key that each experiment requires, one or two per experiment.
+REQUIRED_KEYS = [
+    ("functional", "grid"),
+    ("clt", "measure"),
+    ("chi", "density"),
+    ("moments", "density"),
+    ("gns-check", "density"),
+    ("dynamics", "density"),
+    ("decohere", "couplings"),
+    ("decohere", "form_factor"),
+    ("diverge", "function"),
+    ("rarefied", "alpha"),
+]
+
 # The experiments whose row offers --seed, and those whose row offers --samples.
 SEEDED = sorted(name for name, (_, keys) in cli.EXPERIMENTS.items() if "seed" in keys)
 SAMPLED = sorted(name for name, (_, keys) in cli.EXPERIMENTS.items() if "samples" in keys)
@@ -964,25 +978,21 @@ class TestCliContract:
         fns = [{"name": "gaussian"}, {"name": "gaussian"}]
         assert self.run_cli(tmp_path, {**CONFIGS["moments"], "functions": fns}) == 0
 
-    @pytest.mark.parametrize(
-        "experiment, key",
-        [
-            ("functional", "grid"),
-            ("clt", "measure"),
-            ("chi", "density"),
-            ("moments", "density"),
-            ("gns-check", "density"),
-            ("dynamics", "density"),
-            ("decohere", "couplings"),
-            ("decohere", "form_factor"),
-            ("diverge", "function"),
-            ("rarefied", "alpha"),
-        ],
-    )
+    @pytest.mark.parametrize("experiment, key", REQUIRED_KEYS)
     def test_missing_key_exits_2(self, tmp_path, capsys, experiment, key):
         cfg = {k: v for k, v in CONFIGS[experiment].items() if k != key}
         assert self.run_cli(tmp_path, cfg) == 2
         assert f"/{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, key", REQUIRED_KEYS)
+    def test_config_error_leaves_no_output_directory(self, tmp_path, experiment, key):
+        # the --out directory is made by the first write, so a run refused at
+        # a config key leaves nothing behind, as an argparse error does
+        cfg = {k: v for k, v in CONFIGS[experiment].items() if k != key}
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert not (tmp_path / "o").exists()
+        assert self.run_cli(tmp_path, CONFIGS[experiment]) == 0
+        assert (tmp_path / "o" / "result.json").exists()
 
     @pytest.mark.parametrize("experiment, samples", [(name, SAMPLE_BOUNDS[name][0] - 1) for name in SAMPLED])
     def test_too_few_samples_exits_2(self, tmp_path, capsys, experiment, samples):
@@ -1268,6 +1278,7 @@ class TestCliContract:
         assert self.run_cli(tmp_path, cfg) == 2
         assert capsys.readouterr().err.startswith(f"error: /{key}: ")
         assert not (tmp_path / "o" / "result.json").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_override_flag_enters_digest(self, tmp_path):
         fns = CONFIGS["moments"]["functions"] * 2

@@ -319,6 +319,12 @@ class TestBessel:
         # with digits to spare it holds J0 to 1e-12 absolute
         assert bessel_j0(x) == pytest.approx(float(scipy_j0(x)), abs=1e-12)
 
+    @pytest.mark.parametrize("x", [0.5, 25.0, 40.0, 200.0])
+    def test_even(self, x):
+        # the digits are sized by |x|: a negative argument sums the same series
+        assert bessel_j0(-x) == bessel_j0(x)
+        assert bessel_j0(-x) == pytest.approx(float(scipy_j0(-x)), abs=1e-12)
+
     @pytest.mark.parametrize("amp", [0.0, 0.3, 1.0, 2.0, 4.5])
     def test_quadrature_matches_series(self, amp):
         # int (dtheta/2pi) e^{-i(a cos + b sin)} = J0(amplitude) for
