@@ -10,13 +10,14 @@ measure is held.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-CIRCLE_NODES = 256  # midpoint nodes of a circle average under the uniform measure
+CIRCLE_NODES = 256  # fewest midpoint nodes of a circle average under the uniform measure
 
 _WEIGHT_SLACK = 1e-9
 
@@ -76,14 +77,22 @@ class PhaseMeasure:
         return PhaseMeasure.from_atoms(zip(TWO_PI * np.arange(m) / m, TWO_PI * vals / m))
 
 
-def circle_average(mu: PhaseMeasure, integrand: Callable[[np.ndarray], np.ndarray]):
+def circle_nodes(radius: float) -> int:
+    """Midpoint nodes that average e^{i Re e^{-i theta} z} over uniform
+    theta, for every |z| <= radius, to rounding: the rule's error is about
+    2 |J_n(|z|)|, below 2e-18 for n >= |z| + 12 |z|^(1/3).  At least
+    CIRCLE_NODES."""
+    return max(CIRCLE_NODES, math.ceil(radius + 12.0 * radius ** (1.0 / 3.0)))
+
+
+def circle_average(mu: PhaseMeasure, integrand: Callable[[np.ndarray], np.ndarray], nodes: int = CIRCLE_NODES):
     """int integrand(theta) dmu(theta), the integrand's last axis running
     over the angles it is given: the exact sum over atoms, and for the
-    uniform measure the CIRCLE_NODES-point midpoint rule (spectrally
-    accurate for smooth integrands)."""
+    uniform measure the `nodes`-point midpoint rule (spectrally accurate
+    for smooth integrands)."""
     if mu.atoms is None:
-        theta = TWO_PI * (np.arange(CIRCLE_NODES) + 0.5) / CIRCLE_NODES
-        weights = np.full(CIRCLE_NODES, 1.0 / CIRCLE_NODES)
+        theta = TWO_PI * (np.arange(nodes) + 0.5) / nodes
+        weights = np.full(nodes, 1.0 / nodes)
     else:
         theta, weights = np.array(mu.atoms).T
     return np.sum(weights * integrand(theta), axis=-1)

@@ -21,6 +21,7 @@ import sys
 import time
 from functools import cache, cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from cohlim.functionals import (
     phase_averaged_functional,
     rarefied_finite_volume_phase,
     rarefied_functional,
+    rarefied_mode_count,
     sigma_mu_sq,
     variances,
 )
@@ -191,12 +193,35 @@ class Run:
             raise ConfigError("/samples", f"{m} samples x {width} exceed the cap of {cap} entries")
         return m
 
-    def refuse(self, reason, *keys):
-        """Exit 2 at the first of `keys` that the config gives: a key this
-        run would not read, and so would silently ignore."""
-        for key in keys:
-            if key in self.cfg:
-                raise ConfigError(f"/{key}", reason)
+    @cached_property
+    def variant(self):
+        """The kind or rep of a run whose experiment declares its reads per
+        value of one key (`Variants`), else None; a value that declares no
+        reads exits 2 at that key."""
+        reads = EXPERIMENTS[self.cfg["experiment"]][1]
+        if not isinstance(reads, Variants):
+            return None
+        value = self.cfg.get(reads.key, reads.default)
+        if not (isinstance(value, str) and value in reads.keys):
+            raise ConfigError(f"/{reads.key}", f"unknown {reads.key} {value!r}; use {' | '.join(reads.keys)}")
+        return value
+
+    @cached_property
+    def reads(self):
+        """The keys the run's experiment reads, with its kind or rep."""
+        reads = EXPERIMENTS[self.cfg["experiment"]][1]
+        return reads if self.variant is None else (reads.key, *reads.keys[self.variant])
+
+    def refuse_unread(self):
+        """Exit 2 at the first config key, then the first `tolerances` name,
+        that the run does not read, and so would silently ignore.  Every
+        config may hold `experiment` and `tolerances` themselves."""
+        name = self.cfg["experiment"]
+        if self.variant is not None:
+            name += f" {self.reads[0]} {self.variant}"  # the first key read is the kind or rep
+        for key in [*self.cfg, *(f"tolerances/{t}" for t in self.cfg.get("tolerances", {}))]:
+            if key not in {"experiment", "tolerances", *self.reads}:
+                raise ConfigError(f"/{key}", f"not read by {name}, which reads {', '.join(self.reads)}")
 
     def rng(self, sampler):
         """The run's seeded generator; `sampler` names what draws from it
@@ -288,6 +313,7 @@ class Run:
         d, ks, rhos, thetas = self.grid.d, [], [], []
         with cfgmod.reading("/modes"):
             for i, m in enumerate(self.cfg.get("modes", [])):
+                cfgmod.only_keys(m, f"/modes/{i}", ("k", "rho", "theta"))
                 k = m["k"] if isinstance(m["k"], list) else [m["k"]]
                 with cfgmod.reading(f"/modes/{i}/k"):
                     if len(k) != d:
@@ -299,7 +325,9 @@ class Run:
 
     @cached_property
     def rarefied(self):
-        """(alpha, sigma, a, b) of the zero-density limit."""
+        """(alpha, sigma, a, b) of the zero-density limit, which is taken in d = 1."""
+        if self.grid.d != 1:
+            raise ConfigError("/grid/d", f"the rarefied limit is taken in d = 1, got {self.grid.d}")
         alpha = cfgmod.closed_form(self.need("alpha"), "/alpha")
         sigma, a, b = self.read("sigma", above=0.0), self.read("a"), self.read("b")
         if not a < b:
@@ -350,19 +378,15 @@ class Run:
 
 
 def run_functional(run):
-    kind = run.cfg.get("kind", "fock")
+    value = {
+        "fock": fock_functional,
+        "nmode": lambda f: n_mode_functional(f, run.modes),
+        "averaged": lambda f: phase_averaged_functional(f, run.density, run.mu2),
+        "rarefied": lambda f: rarefied_functional(f, *run.rarefied),
+    }[run.variant]
     rows, values = [], {}
     for f, label in zip(run.battery, run.labels):
-        if kind == "fock":
-            fv = fock_functional(f)
-        elif kind == "nmode":
-            fv = n_mode_functional(f, run.modes)
-        elif kind == "averaged":
-            fv = phase_averaged_functional(f, run.density, run.mu2)
-        elif kind == "rarefied":
-            fv = rarefied_functional(f, *run.rarefied)
-        else:
-            raise ConfigError("/kind", f"unknown functional kind {kind!r}")
+        fv = value(f)
         rows.append((fv.value.real, fv.value.imag, fv.modulus, fv.fock_exponent, fv.sigma_sq, fv.phase))
         values[label] = fv.value
         # a state's value on a Weyl unitary has modulus at most 1
@@ -456,7 +480,7 @@ def run_moments(run):
 
 
 def run_gns_check(run):
-    rep = run.cfg.get("rep", "averaged")
+    rep = run.variant
     checks = []
     if rep == "averaged":
         rho, mu2 = run.density, run.mu2
@@ -464,19 +488,16 @@ def run_gns_check(run):
             lhs = rep_expectation_averaged(f, rho, mu2).value
             rhs = phase_averaged_functional(f, rho, mu2).value
             checks.append((label, lhs, rhs))
-    elif rep == "nmode":
+    else:
         modes = run.modes
         if not len(modes.rho):
             raise ConfigError("/modes", "rep nmode needs at least one mode")
-        run.refuse("rep nmode averages its modes over uniform phases only", "measure", "mu2")
         for f, label in zip(run.battery, run.labels):
             lhs = rep_expectation_n_mode(f, modes).value
             fhat = f.evaluate_at(modes.k)
             j0s = [bessel_j0(math.sqrt(2.0 * r) * abs(v)) for r, v in zip(modes.rho, fhat)]
             rhs = fock_functional(f).value * np.prod(j0s)
             checks.append((label, lhs, rhs))
-    else:
-        raise ConfigError("/rep", f"unknown representation {rep!r}; use nmode or averaged")
     tol = run.tol("residual", 1e-9)
     values = {"rep": rep, "checks": []}
     for label, lhs, rhs in checks:
@@ -509,7 +530,6 @@ def run_decohere(run):
     measure (mu_hat(2) = 0).  It asserts nothing itself: the Gaussian
     envelope is the characteristic function of the law of Re chi(g), which
     `chi` asserts."""
-    run.refuse("the envelopes of decohere are those of the uniform phase measure", "measure", "mu2")
     g = cfgmod.build_test_function(run.need("form_factor"), run.grid, "/form_factor")
     couplings = run.read("couplings", each=True, min_count=2)
     element = run.read("element", int, [0, 1], each=True)
@@ -555,8 +575,13 @@ def run_diverge(run):
 
 
 def run_rarefied(run):
-    gfun = run.battery[0]
     L_values = run.read("L_values", float, [100.0, 1000.0, 10000.0], each=True, above=0.0)
+    _, sigma, a, b = run.rarefied
+    for i, L in enumerate(L_values):
+        n = rarefied_mode_count(sigma, a, b, L)
+        if n > cfgmod.MAX_CELLS:
+            raise ConfigError(f"/L_values/{i}", f"{n} modes at L = {L:g} exceed the cap of {cfgmod.MAX_CELLS}")
+    gfun = run.battery[0]
     limit = rarefied_functional(gfun, *run.rarefied)
     phases = np.array([rarefied_finite_volume_phase(gfun, *run.rarefied, L) for L in L_values])
     run.write_csv("rarefied.csv", ["L", "phase", "abs_error"], [L_values, phases, np.abs(phases - limit.phase)])
@@ -572,18 +597,65 @@ FLAGS = {
     "t_grid": (str, "start:stop:step"),
 }
 
-# The one list of experiments: each subcommand's handler and the FLAGS it offers.
+
+class Variants(NamedTuple):
+    """The reads of an experiment that differ with the value of one config
+    key: that key, its default, and the keys read with each value."""
+
+    key: str
+    default: str
+    keys: dict
+
+
+BATTERY = ("grid", "functions")
+PHASES = ("density", "mu2", "measure")  # Run.mu2 reads measure and mu2
+RAREFIED = ("alpha", "sigma", "a", "b")
+
+# The one list of experiments: each subcommand's handler and the config keys
+# it reads, a tolerance as "tolerances/<name>", with `experiment` and
+# `tolerances` themselves beside them in every config.  Its flags are the
+# keys of FLAGS among them; a run refuses any other key (Run.refuse_unread).
 EXPERIMENTS = {
-    "functional": (run_functional, ()),
-    "clt": (run_clt, ("seed", "samples")),
-    "chi": (run_chi, ("seed", "samples")),
-    "moments": (run_moments, ("seed", "samples", "pq")),
-    "gns-check": (run_gns_check, ("rep",)),
-    "dynamics": (run_dynamics, ("t_grid",)),
-    "decohere": (run_decohere, ("t_grid",)),
-    "diverge": (run_diverge, ()),
-    "rarefied": (run_rarefied, ()),
+    "functional": (
+        run_functional,
+        Variants(
+            "kind",
+            "fock",
+            {
+                "fock": BATTERY,
+                "nmode": (*BATTERY, "modes"),
+                "averaged": (*BATTERY, *PHASES),
+                "rarefied": (*BATTERY, *RAREFIED),
+            },
+        ),
+    ),
+    "clt": (run_clt, ("seed", "samples", *BATTERY, *PHASES, "tolerances/ks")),
+    "chi": (run_chi, ("seed", "samples", *BATTERY, *PHASES, "tolerances/z")),
+    "moments": (run_moments, ("seed", "samples", "pq", *BATTERY, *PHASES, "tolerances/z")),
+    "gns-check": (
+        run_gns_check,
+        Variants(
+            "rep",
+            "averaged",
+            {
+                "averaged": (*BATTERY, *PHASES, "tolerances/residual"),
+                "nmode": (*BATTERY, "modes", "tolerances/residual"),
+            },
+        ),
+    ),
+    "dynamics": (run_dynamics, ("t_grid", *BATTERY, *PHASES, "dispersion", "tolerances/metric_final")),
+    "decohere": (run_decohere, ("t_grid", "grid", "density", "dispersion", "form_factor", "couplings", "element")),
+    "diverge": (run_diverge, ("d", "R", "n_list", "function", "density", "tolerances/slope")),
+    "rarefied": (run_rarefied, (*BATTERY, *RAREFIED, "L_values")),
 }
+
+
+def experiment_keys(name) -> set:
+    """Every key the experiment reads, of any kind or rep."""
+    reads = EXPERIMENTS[name][1]
+    if isinstance(reads, Variants):
+        return {reads.key, *(key for keys in reads.keys.values() for key in keys)}
+    return set(reads)
 
 
 def run_experiment(cfg: dict, out_dir) -> dict:
@@ -591,6 +663,7 @@ def run_experiment(cfg: dict, out_dir) -> dict:
     started = time.perf_counter()
     run = Run(cfg, out_dir)
     handler, _ = EXPERIMENTS[cfg["experiment"]]
+    run.refuse_unread()
     values = handler(run)
     record = {
         "schema": SCHEMA_VERSION,
@@ -614,19 +687,20 @@ def run_experiment(cfg: dict, out_dir) -> dict:
 @cache
 def parser() -> argparse.ArgumentParser:
     """The `cohlim` parser, built once per process: one subcommand per
-    experiment, offering the override flags of its row."""
+    experiment, offering the override flags of the keys it reads."""
     top = argparse.ArgumentParser(
         prog="cohlim",
         description="Seeded, reproducible experiments on infinite-volume coherent states.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (_, keys) in sorted(EXPERIMENTS.items()):
+    for name in sorted(EXPERIMENTS):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        for key in keys:
-            kind, help_text = FLAGS[key]
-            p.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text)
+        keys = experiment_keys(name)
+        for key, (kind, help_text) in FLAGS.items():
+            if key in keys:
+                p.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text)
     return top
 
 

@@ -107,7 +107,7 @@ def config_digest(cfg: dict) -> str:
 
 
 def build_grid(obj: dict) -> MomentumGrid:
-    _require_object(obj, "/grid")
+    only_keys(obj, "/grid", ("d", "R", "N"))
     with reading("/grid"):
         grid = MomentumGrid(number(obj["d"], int), number(obj["R"]), number(obj["N"], int))
         check_cells(grid.n_cells)
@@ -125,10 +125,13 @@ def build_measure(obj: dict) -> PhaseMeasure:
     with reading("/measure"):
         kind = obj["kind"]
         if kind == "atoms":
+            only_keys(obj, "/measure", ("kind", "atoms"))
             return PhaseMeasure.from_atoms([numbers(pair) for pair in obj["atoms"]])
         if kind == "density":
+            only_keys(obj, "/measure", ("kind", "values"))
             return PhaseMeasure.from_density(numbers(obj["values"]))
         if kind == "uniform":
+            only_keys(obj, "/measure", ("kind",))
             return PhaseMeasure.uniform()
         raise ValueError(f"unknown measure kind {kind!r}")
 
@@ -136,6 +139,15 @@ def build_measure(obj: dict) -> PhaseMeasure:
 def _require_object(obj, pointer: str) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(pointer, f"expected an object, got {obj!r}")
+
+
+def only_keys(obj: dict, pointer: str, keys) -> None:
+    """Refuse, at its pointer, the first key of the object `obj` that is not
+    one of `keys`: no builder reads it, so it would be silently ignored."""
+    _require_object(obj, pointer)
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{pointer}/{key}", f"not read here, where the keys are {', '.join(keys)}")
 
 
 # Named closed forms and the defaults of their real parameters; each also
@@ -156,15 +168,18 @@ def _wave(x: float, k) -> np.ndarray:
     return expi(z)
 
 
-def closed_form(obj: dict, pointer: str, d: int = 1) -> Callable[[np.ndarray], np.ndarray]:
+def closed_form(obj: dict, pointer: str, d: int = 1, also=()) -> Callable[[np.ndarray], np.ndarray]:
     """The named closed form `obj`, read at `pointer`, as a profile on a grid:
     a function of k in d = 1, the same form at |k| of points (..., d) in
     d >= 2.  A nonzero `modulation` or `x0`, a shift in position space, has
-    no radial form, so d >= 2 refuses it at its key."""
+    no radial form, so d >= 2 refuses it at its key.  Its keys are `name`,
+    `amplitude`, the form's parameters and those of `also`, which the
+    caller reads."""
     _require_object(obj, pointer)
     name = obj.get("name")
     if not isinstance(name, str) or name not in CLOSED_FORMS:
         raise ConfigError(pointer, f"unknown closed form {name!r}")
+    only_keys(obj, pointer, ("name", "amplitude", *CLOSED_FORMS[name], *also))
     with reading(pointer):
         amp = number(obj.get("amplitude", 1.0), complex)
         par = {key: number(obj.get(key, default)) for key, default in CLOSED_FORMS[name].items()}
@@ -224,14 +239,17 @@ def build_test_function(obj: dict, grid: MomentumGrid, pointer: str = "/function
         if not isinstance(label, str):
             raise TypeError(f"label must be a string, got {label!r}")
         if "values_file" in obj:
+            # a name without a label is the label
+            only_keys(obj, pointer, ("values_file", "label", "name"))
             return TestFunction(grid, read_value_file(obj["values_file"], pointer), label=label)
-        return TestFunction.from_profile(grid, closed_form(obj, pointer, grid.d), label=label)
+        return TestFunction.from_profile(grid, closed_form(obj, pointer, grid.d, ("label",)), label=label)
 
 
 def build_density(obj: dict, grid: MomentumGrid) -> ModeDensity:
     _require_object(obj, "/density")
     with reading("/density"):
         if "values_file" in obj:
+            only_keys(obj, "/density", ("values_file",))
             values = read_value_file(obj["values_file"], "/density")
             if np.any(values.imag != 0):
                 raise ConfigError("/density/values_file", "a density is real: every im column must be 0")
@@ -241,6 +259,8 @@ def build_density(obj: dict, grid: MomentumGrid) -> ModeDensity:
 
 def build_dispersion(obj: dict, grid: MomentumGrid) -> Dispersion:
     form = obj.get("form", "photon") if isinstance(obj, dict) else obj
+    if isinstance(obj, dict):
+        only_keys(obj, "/dispersion", ("form", "values") if form == "samples" else ("form",))
     if form == "photon":
         return Dispersion.photon(grid)
     if form == "quadratic":

@@ -250,6 +250,20 @@ def rarefied_functional(
     return FunctionalValue(fock.value * np.exp(1j * phase), fock.fock_exponent, phase=phase)
 
 
+def _rarefied_lattice(sigma: float, a: float, b: float, L: float) -> tuple[int, int]:
+    """(s, n): of the modes j = 0..n of the box of size L, every s-th is populated."""
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    return max(1, int(round(math.sqrt(L) / (sigma * math.pi * (b - a))))), int(L / math.pi)
+
+
+def rarefied_mode_count(sigma: float, a: float, b: float, L: float) -> int:
+    """How many modes `rarefied_finite_volume_phase` populates at L, about
+    sigma (b - a) sqrt(L), found without building them."""
+    s, n_total = _rarefied_lattice(sigma, a, b, L)
+    return n_total // s + 1
+
+
 def rarefied_finite_volume_phase(
     g: TestFunction,
     alpha_profile: Callable[[np.ndarray], np.ndarray],
@@ -264,10 +278,7 @@ def rarefied_finite_volume_phase(
 
     Converges to sqrt(2) sigma Re int_a^b conj(alpha) ghat dk as L grows.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    s = max(1, int(round(math.sqrt(L) / (sigma * math.pi * (b - a)))))
-    n_total = int(L / math.pi)
+    s, n_total = _rarefied_lattice(sigma, a, b, L)
     js = np.arange(0, n_total + 1, s)
     ks = a + js * math.pi * (b - a) / L
     ks = ks[ks <= b + 1e-12]

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cohlim.circle_measure import PhaseMeasure, check_mu2, circle_average
+from cohlim.circle_measure import PhaseMeasure, check_mu2, circle_average, circle_nodes
+from cohlim.config import MAX_CELLS
 from cohlim.functionals import (
     CoherentModeSet,
     FunctionalValue,
@@ -89,21 +90,30 @@ def rep_expectation_n_mode(
         Fock(f) * prod_j int dmu(theta) e^{i Re e^{-i theta} z_j},
 
     with z_j = sqrt(2 rho_j) fhat(k_j), skipping modes with z_j = 0.  For
-    uniform mu each factor is J0(|z_j|).  With the grid cells as modes
-    (rho_j = rho(k_j) dk) it tends to the phase-averaged functional as the
-    grid refines when mu_hat(1) = 0.
+    uniform mu each factor is J0(|z_j|), averaged on the `circle_nodes` of
+    max |z_j|; the modes go in blocks of at most MAX_CELLS (mode, angle)
+    entries, and a mode that needs more angles than that is refused.  With the grid cells as modes (rho_j = rho(k_j) dk) it tends
+    to the phase-averaged functional as the grid refines when mu_hat(1) = 0.
     """
     mu = mu or PhaseMeasure.uniform()
     fock = fock_functional(f)
     z = np.sqrt(2.0 * modes.rho) * f.evaluate_at(modes.k)
     z = z[np.abs(z) > 0]
+    nodes = circle_nodes(float(np.max(np.abs(z), initial=0.0)))
+    angles = nodes if mu.atoms is None else len(mu.atoms)
+    if angles > MAX_CELLS:
+        raise ValueError(f"{angles} angles per mode exceed the cap of {MAX_CELLS}")
+    block = MAX_CELLS // angles
 
-    def integrand(theta):
-        # shape (modes, angles)
-        return np.exp(1j * np.real(np.exp(-1j * theta)[None, :] * z[:, None]))
+    def product(zs):
+        def integrand(theta):
+            # shape (modes, angles)
+            return np.exp(1j * np.real(np.exp(-1j * theta)[None, :] * zs[:, None]))
 
-    factors = circle_average(mu, integrand)
-    return FunctionalValue(fock.value * complex(np.prod(factors)), fock.fock_exponent)
+        return np.prod(circle_average(mu, integrand, nodes))
+
+    value = np.prod([product(z[i : i + block]) for i in range(0, len(z), block)])
+    return FunctionalValue(fock.value * complex(value), fock.fock_exponent)
 
 
 def rep_expectation_averaged(

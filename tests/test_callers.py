@@ -2,8 +2,10 @@
 public method of a public class, has a caller in src/cohlim/; and no module
 there reads another one's private name.
 
-A last scan keeps one way to put a profile on a grid: only `config` and
-`mode_space` construct a `MomentumGrid` or call a `from_profile`.
+A scan keeps one way to put a profile on a grid: only `config` and
+`mode_space` construct a `MomentumGrid` or call a `from_profile`.  A last
+one holds every experiment handler in `cli` to the config keys its
+`EXPERIMENTS` row declares.
 
 A stdlib `ast` scan: a definition counts as called when its name is loaded,
 as a bare name or as an attribute, anywhere in src/cohlim outside the
@@ -224,3 +226,50 @@ def test_build_scan_sees_grids_and_profiles():
         ),
     }
     assert grid_builds(trees) == [("a", "MomentumGrid"), ("a", "from_profile")]
+
+
+# The calls through which a handler reads a config key, its first argument,
+# each with the name it is declared by: a tolerance as "tolerances/<name>".
+KEY_READS = {"run.need": "{}", "run.read": "{}", "run.cfg.get": "{}", "run.tol": "tolerances/{}"}
+
+
+def handler_reads(node):
+    """The declared name of every string key that the function `node`
+    passes to one of KEY_READS, in every branch, run or not."""
+    return [
+        KEY_READS[dotted(call.func)].format(call.args[0].value)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and dotted(call.func) in KEY_READS
+        and call.args
+        and isinstance(call.args[0], ast.Constant)
+        and isinstance(call.args[0].value, str)
+    ]
+
+
+def test_handlers_read_only_declared_keys():
+    # the recording test of test_cli sees only the branches its configs run
+    from cohlim import cli
+
+    handlers = {node.name: node for node in LIBRARY["cohlim.cli"].body if isinstance(node, ast.FunctionDef)}
+    found = [
+        f"{handler.__name__} reads {key}, which {name} does not declare"
+        for name, (handler, _) in cli.EXPERIMENTS.items()
+        for key in handler_reads(handlers[handler.__name__])
+        if key not in cli.experiment_keys(name)
+    ]
+    assert not found, "; ".join(found)
+
+
+def test_key_scan_sees_every_read():
+    tree = ast.parse(
+        "def run_x(run):\n"
+        "    if run.cfg.get('kind') == 'a':\n"
+        "        return run.tol('z', 5.0) + run.read('samples', int, 10)\n"
+        "    run.need('grid')\n"
+        "    run.cfg['seed']\n"
+        "    run.read(name)\n"
+        "    other.need('density')\n"
+    )
+    # a subscript, a key held in a name and another object's call are not seen
+    assert sorted(handler_reads(tree.body[0])) == ["grid", "kind", "samples", "tolerances/z"]

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohlim.circle_measure import (
+    CIRCLE_NODES,
     TWO_PI,
     PhaseMeasure,
     admissible,
     check_mu2,
     circle_average,
+    circle_nodes,
     fourier_moment,
     sample_phase,
 )
@@ -197,3 +199,17 @@ class TestOneLaw:
             for part in (np.real, np.imag):
                 se = np.std(part(e), ddof=1) / np.sqrt(len(e))
                 assert abs(part(mean - moment)) <= 5 * se + 1e-12
+
+
+@pytest.mark.parametrize("radius", [0.0, 1.0, 50.0, 141.0, 300.0, 1000.0, 3000.0, 1e4, 1e5])
+def test_circle_nodes_resolve_the_bessel_aliasing(radius):
+    """The midpoint rule of n nodes averages e^{i Re e^{-i theta} z} to
+    J0(|z|) + 2 sum_m i^{mn} J_{mn}(|z|) cos(mn arg z); at the nodes of
+    `circle_nodes` the aliased terms are below 2e-18 at every |z| up to
+    the radius, and no fewer than CIRCLE_NODES are used."""
+    from scipy.special import jv
+
+    n = circle_nodes(radius)
+    assert n >= CIRCLE_NODES and (radius > 150 or n == CIRCLE_NODES)
+    x = np.linspace(0.0, radius, 200)
+    assert np.max(2.0 * np.abs(jv(n, x))) < 2e-18

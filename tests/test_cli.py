@@ -138,17 +138,18 @@ REQUIRED_KEYS = [
     ("rarefied", "alpha"),
 ]
 
-# The experiments whose row offers --seed, and those whose row offers --samples.
-SEEDED = sorted(name for name, (_, keys) in cli.EXPERIMENTS.items() if "seed" in keys)
-SAMPLED = sorted(name for name, (_, keys) in cli.EXPERIMENTS.items() if "samples" in keys)
+# The experiments that read a seed, and those that read a sample count.
+SEEDED = sorted(name for name in cli.EXPERIMENTS if "seed" in cli.experiment_keys(name))
+SAMPLED = sorted(name for name in cli.EXPERIMENTS if "samples" in cli.experiment_keys(name))
 # For each CONFIGS entry of an experiment in SAMPLED: the fewest samples it
 # accepts, and the draw-table entries per sample (grid cells for clt, the
 # functions drawn for chi and moments).
 SAMPLE_BOUNDS = {"clt": (2, GRID["N"]), "chi": (2, 1), "moments": (MIN_ORACLE_SAMPLES, 2)}
 
-# The gns-check config of the N-mode representation: two modes, no phase measure.
+# The gns-check config of the N-mode representation: two modes, and neither a
+# density nor a phase measure, which it does not read.
 GNS_NMODE = {
-    **{k: v for k, v in CONFIGS["gns-check"].items() if k != "mu2"},
+    **{k: v for k, v in CONFIGS["gns-check"].items() if k not in ("density", "mu2")},
     "rep": "nmode",
     "modes": [{"k": 0.5, "rho": 0.3}, {"k": -1.0, "rho": 0.2}],
 }
@@ -160,6 +161,74 @@ FUNCTIONAL_AVERAGED = {
     "density": DENSITY,
     "measure": {"kind": "uniform"},
 }
+# Every CONFIGS entry, and a config of each other kind or rep.
+VARIANTS = {
+    **CONFIGS,
+    "functional-nmode": {**CONFIGS["functional"], "kind": "nmode", "modes": GNS_NMODE["modes"]},
+    "functional-averaged": FUNCTIONAL_AVERAGED,
+    "functional-rarefied": {
+        **CONFIGS["functional"],
+        "kind": "rarefied",
+        **{key: CONFIGS["rarefied"][key] for key in ("alpha", "sigma", "a", "b")},
+    },
+    "gns-check-nmode": GNS_NMODE,
+}
+
+
+class RecordingConfig(dict):
+    """A config that notes each key looked up in it, present or not, and
+    each name looked up in its `tolerances` as "tolerances/<name>"."""
+
+    def __init__(self, cfg, seen, prefix=""):
+        super().__init__(cfg)
+        self.seen, self.prefix = seen, prefix
+
+    def _note(self, key, value):
+        self.seen.add(self.prefix + key)
+        if key == "tolerances" and not self.prefix and isinstance(value, dict):
+            return RecordingConfig(value, self.seen, "tolerances/")
+        return value
+
+    def __getitem__(self, key):
+        return self._note(key, super().__getitem__(key))
+
+    def get(self, key, default=None):
+        return self._note(key, super().get(key, default))
+
+    def __contains__(self, key):
+        self._note(key, None)
+        return super().__contains__(key)
+
+
+def recorded_reads(cfg, out_dir):
+    """The keys (and tolerance names) that cfg's handler and the Run it
+    reads through look up while running cfg, beside `experiment` and
+    `tolerances` themselves; and the keys the run declares."""
+    seen = set()
+    run = cli.Run(RecordingConfig(cfg, seen), out_dir)
+    cli.EXPERIMENTS[cfg["experiment"]][0](run)
+    return seen - {"experiment", "tolerances"}, set(run.reads)
+
+
+def key_table():
+    """The README's table of the keys each experiment reads, as EXPERIMENTS
+    declares them: a row per kind or rep, and each key that a flag sets
+    followed by that flag."""
+    rows = ["| experiment | keys it reads |", "| --- | --- |"]
+    for name, (_, reads) in cli.EXPERIMENTS.items():
+        if isinstance(reads, cli.Variants):
+            variants = [
+                (f" {reads.key} `{value}`" + (" (default)" if value == reads.default else ""), (reads.key, *keys))
+                for value, keys in reads.keys.items()
+            ]
+        else:
+            variants = [("", reads)]
+        for variant, keys in variants:
+            cells = [f"`{key}`" + (f" (`--{key.replace('_', '-')}`)" if key in cli.FLAGS else "") for key in keys]
+            rows.append(f"| `{name}`{variant} | {', '.join(cells)} |")
+    return "\n".join(rows) + "\n"
+
+
 # clt under the M = 8 trapezoid density (1 + 0.8 cos 2 theta) / 2 pi, with
 # mu_hat(2) = 0.4, and 20 000 draws.
 CLT_DENSITY = {
@@ -535,10 +604,11 @@ class TestCliRuns:
         assert "rng" not in record and record["seed"] is None
         assert set(record["values"]) == {"element", "gaussian_rate", "rows"}
 
-    @pytest.mark.parametrize("rho", [312.5, 800.0])
+    @pytest.mark.parametrize("rho", [312.5, 800.0, 45_000.0, 500_000.0])
     def test_gns_check_nmode_strong_mode(self, tmp_path, rho):
         # one mode at k = 0, where fhat = 1: J0 at x = 25 and x = 40, where an
-        # alternating float series is off by 5e-9 and 0.1
+        # alternating float series is off by 5e-9 and 0.1, and at x = 300
+        # and 1000, where a fixed 256-node circle rule was off by 0.1
         cfg = {**GNS_NMODE, "modes": [{"k": 0.0, "rho": rho}]}
         out = tmp_path / "o"
         assert cli.main(["gns-check", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
@@ -716,16 +786,14 @@ class TestCliRuns:
             {"name": "box", "label": "", "lo": 0.1, "hi": 0.9},
             {"name": "plane_wave", "label": "χ", "x0": 0.7, "lo": -1.0, "hi": 2.0},
         ]
-        rarefied = {key: CONFIGS["rarefied"][key] for key in ("alpha", "sigma", "a", "b")}
-        cfg = {
-            **CONFIGS["functional"],
-            "kind": kind,
-            "functions": fns,
-            "density": DENSITY,
-            "measure": {"kind": "uniform"},
-            "modes": [{"k": 0.3, "rho": 0.5, "theta": 0.2}, {"k": -1.1, "rho": 0.2}],
-            **rarefied,
+        # the keys that this kind reads beside the battery
+        reads = {
+            "fock": {},
+            "nmode": {"modes": [{"k": 0.3, "rho": 0.5, "theta": 0.2}, {"k": -1.1, "rho": 0.2}]},
+            "averaged": {"density": DENSITY, "measure": {"kind": "uniform"}},
+            "rarefied": {key: CONFIGS["rarefied"][key] for key in ("alpha", "sigma", "a", "b")},
         }
+        cfg = {**CONFIGS["functional"], "kind": kind, "functions": fns, **reads[kind]}
         out = tmp_path / "o"
         assert cli.main(["functional", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
         run = cli.Run(cfg, tmp_path / "inputs")
@@ -817,7 +885,8 @@ class TestCliContract:
 
     @pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
     def test_subcommand_offers_the_flags_of_its_row(self, experiment):
-        _, keys = cli.EXPERIMENTS[experiment]
+        # the flags of the keys the experiment reads, of any kind or rep
+        keys = cli.experiment_keys(experiment) & cli.FLAGS.keys()
         for key, (kind, _) in cli.FLAGS.items():
             argv = [experiment, "--config", "c.json", "--" + key.replace("_", "-"), "1"]
             if key in keys:
@@ -830,20 +899,42 @@ class TestCliContract:
         args = cli.parser().parse_args([experiment, "--config", "c.json"])
         assert set(vars(args)) == {"command", "config", "out", *keys}
 
-    def test_readme_flag_table_is_the_experiment_table(self):
-        # each row of the README's | flag | experiments | table names the
-        # flags that exactly its experiments offer, and every flag has a row
+    def test_readme_key_table_is_the_experiment_table(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        table = readme.split("| flag | experiments |\n| --- | --- |\n")[1].split("\n\n")[0]
-        rows = {}
-        for line in table.splitlines():
-            flags, names = (cell.replace("`", "").split(", ") for cell in line.strip("| ").split(" | "))
-            rows.update({flag: sorted(names) for flag in flags})
-        offered = {}
-        for key in cli.FLAGS:
-            names = [name for name, (_, keys) in cli.EXPERIMENTS.items() if key in keys]
-            offered["--" + key.replace("_", "-")] = sorted(names)
-        assert rows == offered
+        assert key_table() in readme
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_run_reads_its_declared_keys(self, tmp_path, name):
+        # a key read but not declared would be refused whenever a config
+        # gives it, and a key declared but read by no config may be one that
+        # no handler reads at all
+        seen, declared = recorded_reads(VARIANTS[name], tmp_path / "o")
+        assert seen <= declared, f"read but not declared: {sorted(seen - declared)}"
+        assert declared <= seen, f"declared but read by no config: {sorted(declared - seen)}"
+
+    def test_recording_sees_absent_keys(self, tmp_path):
+        seen = set()
+        run = cli.Run(RecordingConfig(CONFIGS["dynamics"], seen), tmp_path)
+        assert run.cfg.get("t_gird") is None and run.tol("metric_finall") is None
+        assert {"t_gird", "tolerances/metric_finall"} <= seen
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_undeclared_key_exits_2(self, tmp_path, capsys, name):
+        # every key that some experiment reads and this one does not (such as
+        # the seed of a deterministic run), then a key that none reads and a
+        # tolerance that this one does not read: at the parent a misspelt
+        # t_gird ran the default t-grid, and a metric_finall tolerance
+        # passed dynamics with no assertion at all
+        cfg = VARIANTS[name]
+        read = set(cli.Run(cfg, tmp_path).reads)
+        others = {key for experiment in cli.EXPERIMENTS for key in cli.experiment_keys(experiment)} - read
+        changes = [({key: 1}, f"/{key}") for key in sorted(others) if "/" not in key]
+        tols = {**cfg.get("tolerances", {}), "metric_finall": 0.5}
+        changes += [({"t_gird": "0:5:0.1"}, "/t_gird"), ({"tolerances": tols}, "/tolerances/metric_finall")]
+        for change, pointer in changes:
+            assert self.run_cli(tmp_path, {**cfg, **change}) == 2, pointer
+            assert capsys.readouterr().err.startswith(f"error: {pointer}: not read by "), pointer
+            assert not (tmp_path / "o").exists()
 
     def test_flag_of_another_row_exits_2(self, tmp_path, capsys):
         # a deterministic run takes no seed, so --seed is no flag of dynamics
@@ -1131,7 +1222,8 @@ class TestCliContract:
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, experiment, changes, pointer):
-        assert self.run_cli(tmp_path, {**CONFIGS[experiment], **changes}) == 2
+        base = GNS_NMODE if changes.get("rep") == "nmode" else CONFIGS[experiment]
+        assert self.run_cli(tmp_path, {**base, **changes}) == 2
         assert f"{pointer}:" in capsys.readouterr().err
 
     def test_mode_momentum_may_be_a_number_in_one_dimension(self, tmp_path):
@@ -1191,6 +1283,8 @@ class TestCliContract:
             ("decohere", {}, ("--t-grid", "0:100:1"), "/t_grid"),
             # 3 x 512 cells: refused before the malformed third function is built
             ("chi", {"functions": [GAUSS_F, GAUSS_F, {**GAUSS_F, "label": [0]}]}, (), "/functions"),
+            # at the real cap too: 1.1e8 modes, more than 4.5 GB, never built
+            ("rarefied", {"L_values": [1000.0, 1e16]}, (), "/L_values/1"),
         ],
     )
     def test_oversized_exits_2(self, tmp_path, capsys, monkeypatch, experiment, changes, flags, pointer):
@@ -1225,6 +1319,65 @@ class TestCliContract:
         assert self.run_cli(tmp_path, NAMED_3D[experiment]) == 0
         assert read_result(tmp_path / "o")["pass"]
 
+    @pytest.mark.parametrize("name", ["rarefied", "functional-rarefied"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rarefied_in_d_above_1_exits_2(self, tmp_path, capsys, name, d):
+        # the zero-density limit is taken in d = 1; a radial battery builds fine
+        cfg = {**VARIANTS[name], "grid": {"d": d, "R": 4.0, "N": 16}, "functions": [RADIAL_F]}
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert capsys.readouterr().err.startswith("error: /grid/d: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "name, path, pointer",
+        [
+            ("functional", "functions/0/widht", "/functions/0/widht"),
+            ("functional", "grid/n", "/grid/n"),
+            ("clt", "measure/atoms", "/measure/atoms"),
+            ("clt+atoms", "measure/values", "/measure/values"),
+            ("clt+density", "measure/atoms", "/measure/atoms"),
+            ("chi", "density/label", "/density/label"),
+            ("dynamics", "dispersion/values", "/dispersion/values"),
+            ("decohere", "form_factor/lo", "/form_factor/lo"),
+            ("diverge", "function/x0", "/function/x0"),
+            ("rarefied", "alpha/label", "/alpha/label"),
+            ("functional-nmode", "modes/1/phase", "/modes/1/phase"),
+            ("gns-check-nmode", "modes/0/rho_", "/modes/0/rho_"),
+        ],
+    )
+    def test_unread_nested_key_exits_2(self, tmp_path, capsys, name, path, pointer):
+        # each builder reads its own keys; `{"name": "gaussian", "widht": 0.25}`
+        # got width 1 and `grid.n` was ignored
+        cfg = with_value({**FUZZ_BASES, **VARIANTS}[name], path, 0.25)
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: not read here")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, obj, pointer",
+        [
+            ("functions", {"values_file": "f.bin", "center": 1.0}, "/functions/0/center"),
+            ("density", {"values_file": "f.bin", "label": "rho"}, "/density/label"),
+        ],
+    )
+    def test_unread_key_beside_a_values_file_exits_2(self, tmp_path, capsys, key, obj, pointer):
+        (tmp_path / "f.bin").write_bytes(struct.pack("<dd", 1.0, 0.0) * GRID["N"])
+        obj = {**obj, "values_file": str(tmp_path / "f.bin")}
+        cfg = {**CONFIGS["chi"], key: [obj] if key == "functions" else obj}
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert capsys.readouterr().err.startswith(f"error: {pointer}: not read here")
+        # without the unread key each runs, a named values_file function among them
+        obj.pop(pointer.rsplit("/", 1)[1])
+        named = {**obj, "name": "g"} if key == "functions" else obj
+        assert self.run_cli(tmp_path, {**cfg, key: [named] if key == "functions" else named}) == 0
+
+    @pytest.mark.parametrize(
+        "dispersion", [{"form": "quadratic", "values": [1.0]}, {"form": "samples", "values": [1.0] * 512, "lo": 0}]
+    )
+    def test_unread_dispersion_key_exits_2(self, tmp_path, capsys, dispersion):
+        assert self.run_cli(tmp_path, {**CONFIGS["dynamics"], "dispersion": dispersion}) == 2
+        assert capsys.readouterr().err.startswith("error: /dispersion/")
+
     def test_degenerate_clt_limit_exits_2(self, tmp_path, capsys):
         # real f and mu_hat(2) = -1 give sigma_mu(f) = 0: the limit law is a
         # point mass, against which no KS distance is defined
@@ -1254,7 +1407,7 @@ class TestCliContract:
 
     @pytest.mark.parametrize("modes", [{}, {"modes": []}], ids=["absent", "empty"])
     def test_gns_check_nmode_without_modes_exits_2(self, tmp_path, capsys, modes):
-        cfg = {**CONFIGS["gns-check"], "rep": "nmode", **modes}
+        cfg = {**{k: v for k, v in GNS_NMODE.items() if k != "modes"}, **modes}
         assert self.run_cli(tmp_path, cfg) == 2
         assert capsys.readouterr().err.startswith("error: /modes: rep nmode needs at least one mode")
 

@@ -18,6 +18,7 @@ from cohlim.functionals import (
     phase_averaged_functional,
     rarefied_finite_volume_phase,
     rarefied_functional,
+    rarefied_mode_count,
     sigma_mu_sq,
     variances,
 )
@@ -430,3 +431,18 @@ class TestRarefied:
     def test_rejects_nonpositive_sigma(self, gauss):
         with pytest.raises(ValueError):
             rarefied_functional(gauss, lambda k: k, 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("L", [1.0, 10.0, 1000.0, 1e5, 1e7])
+    def test_mode_count_is_the_modes_built(self, L):
+        # the count the CLI caps is the count of momenta the phase is summed over
+        g = MomentumGrid(d=1, R=4.0, N=1024)
+        ghat = TestFunction.from_profile(g, lambda k: np.exp(-((k - 1.0) ** 2)))
+        built = []
+
+        def alpha(k):
+            built.append(len(k))
+            return np.exp(-((k - 1.0) ** 2))
+
+        rarefied_finite_volume_phase(ghat, alpha, 0.7, 0.2, 1.8, L)
+        assert built == [rarefied_mode_count(0.7, 0.2, 1.8, L)]
+        assert rarefied_mode_count(0.7, 0.2, 1.8, 1e16) > 1e8
