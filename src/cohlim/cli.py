@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cohlim import config as cfgmod
-from cohlim.circle_measure import admissible, check_mu2, fourier_moment
+from cohlim.circle_measure import admissible, check_mu2, circle_nodes, fourier_moment
 from cohlim.config import ConfigError
 from cohlim.dynamics import sigma_t, uniformization_curve
 from cohlim.float_text import repr_chars
@@ -45,7 +45,7 @@ from cohlim.functionals import (
     sigma_mu_sq,
     variances,
 )
-from cohlim.gns_reps import rep_expectation_averaged, rep_expectation_n_mode
+from cohlim.gns_reps import mode_amplitudes, rep_expectation_averaged, rep_expectation_n_mode
 from cohlim.ito_sampler import clt_sample, ks_distance, random_functional, sample_chi_gram
 from cohlim.mode_space import battery_gram
 from cohlim.moments import MAX_PAIRING_ORDER, MIN_ORACLE_SAMPLES, build_q, mc_oracle, wick_moment
@@ -492,6 +492,14 @@ def run_gns_check(run):
         modes = run.modes
         if not len(modes.rho):
             raise ConfigError("/modes", "rep nmode needs at least one mode")
+        # refuse a mode too strong to average before any mode is averaged
+        for f in run.battery:
+            for i, z in enumerate(mode_amplitudes(f, modes)):
+                if circle_nodes(abs(z)) > cfgmod.MAX_CELLS:
+                    raise ConfigError(
+                        f"/modes/{i}/rho",
+                        f"|z| = {abs(z):.6g} needs more than {cfgmod.MAX_CELLS} circle nodes",
+                    )
         for f, label in zip(run.battery, run.labels):
             lhs = rep_expectation_n_mode(f, modes).value
             fhat = f.evaluate_at(modes.k)

@@ -8,12 +8,20 @@ binary column file of (re, im) pairs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
+
+# CPython's built-in SHA-256, the module hashlib itself falls back to without
+# OpenSSL, so digests are the same bits: importing hashlib would map OpenSSL's
+# libcrypto (about 3.6 MB RSS) into every run just to hash a small config.
+if sys.version_info >= (3, 12):
+    from _sha2 import sha256
+else:
+    from _sha256 import sha256
 
 import numpy as np
 
@@ -100,7 +108,7 @@ def validate_config(cfg: dict) -> None:
 def config_digest(cfg: dict) -> str:
     """Stable digest: canonical JSON (sorted keys) hashed with sha256."""
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 # -- descriptor builders -----------------------------------------------------

@@ -81,6 +81,12 @@ def apply_T(f: TestFunction, rho: ModeDensity, coeffs: SqueezeCoefficients) -> T
     return TestFunction(f.grid, vals, label=f"T[{f.label}]")
 
 
+def mode_amplitudes(f: TestFunction, modes: CoherentModeSet) -> np.ndarray:
+    """z_j = sqrt(2 rho_j) fhat(k_j) of each mode: its factor in the
+    N-mode value is the phase average of e^{i Re e^{-i theta} z_j}."""
+    return np.sqrt(2.0 * modes.rho) * f.evaluate_at(modes.k)
+
+
 def rep_expectation_n_mode(
     f: TestFunction, modes: CoherentModeSet, mu: PhaseMeasure | None = None
 ) -> FunctionalValue:
@@ -97,7 +103,7 @@ def rep_expectation_n_mode(
     """
     mu = mu or PhaseMeasure.uniform()
     fock = fock_functional(f)
-    z = np.sqrt(2.0 * modes.rho) * f.evaluate_at(modes.k)
+    z = mode_amplitudes(f, modes)
     z = z[np.abs(z) > 0]
     nodes = circle_nodes(float(np.max(np.abs(z), initial=0.0)))
     angles = nodes if mu.atoms is None else len(mu.atoms)

@@ -1,6 +1,7 @@
 import argparse
 import copy
 import csv
+import hashlib
 import json
 import math
 import os
@@ -348,6 +349,11 @@ def read_result(out_dir):
         return json.load(fh)
 
 
+def canonical_json(cfg) -> bytes:
+    """The config as inputs_digest hashes it: sorted keys, no spaces."""
+    return json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+
+
 def csv_writer_bytes(tmp_path, header, rows):
     """The bytes csv.writer writes for `header` and then `rows`, one call per row."""
     path = tmp_path / "expected.csv"
@@ -367,6 +373,13 @@ class TestConfigValidation:
         a = {"experiment": "functional", "grid": GRID}
         b = {"grid": dict(GRID), "experiment": "functional"}
         assert config_digest(a) == config_digest(b)
+
+    @pytest.mark.parametrize("name", [*CONFIGS, "non-ascii-label"])
+    def test_digest_is_sha256_of_canonical_json(self, name):
+        # the digest is hashlib's sha256, so inputs_digest is the same
+        # whichever SHA-256 implementation computes it
+        cfg = CONFIGS.get(name) or {**CONFIGS["functional"], "functions": [{**GAUSS_F, "label": "χ(f) café"}]}
+        assert config_digest(cfg) == hashlib.sha256(canonical_json(cfg)).hexdigest()
 
     def test_load_rejects_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -1411,6 +1424,19 @@ class TestCliContract:
         assert self.run_cli(tmp_path, cfg) == 2
         assert capsys.readouterr().err.startswith("error: /modes: rep nmode needs at least one mode")
 
+    def test_gns_check_nmode_too_strong_mode_exits_2(self, tmp_path, capsys, monkeypatch):
+        # at k = 0, rho = 2e14: |z| = 2e7 needs more than MAX_CELLS circle
+        # nodes; refused before any mode is averaged or any J0 is summed
+        def never(*args):
+            raise AssertionError("called before the modes were checked")
+
+        monkeypatch.setattr(cli, "rep_expectation_n_mode", never)
+        monkeypatch.setattr(cli, "bessel_j0", never)
+        cfg = {**GNS_NMODE, "modes": [GNS_NMODE["modes"][0], {"k": 0.0, "rho": 2e14}]}
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert capsys.readouterr().err.startswith("error: /modes/1/rho: |z| = 2e+07 needs more than")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "base, key, value",
         [
@@ -1432,6 +1458,12 @@ class TestCliContract:
         assert capsys.readouterr().err.startswith(f"error: /{key}: ")
         assert not (tmp_path / "o" / "result.json").exists()
         assert not (tmp_path / "o").exists()
+
+    def test_override_flag_digest_is_sha256_of_canonical_json(self, tmp_path):
+        cfg = CONFIGS["dynamics"]
+        assert self.run_cli(tmp_path, cfg, "--t-grid", "0:4:2") == 0
+        expected = hashlib.sha256(canonical_json({**cfg, "t_grid": "0:4:2"})).hexdigest()
+        assert read_result(tmp_path / "o")["inputs_digest"] == expected
 
     def test_override_flag_enters_digest(self, tmp_path):
         fns = CONFIGS["moments"]["functions"] * 2

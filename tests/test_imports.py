@@ -1,11 +1,18 @@
 """Every name a module under src/cohlim/ or tests/ imports is used in it,
-and the CLI runs without importing scipy.
+and each experiment loads only the modules it needs.
 
 A stdlib `ast` scan: an imported name counts as used when it appears as a
 name anywhere in the module (annotations included) or is listed in
-`__all__`.  It catches the imports a deletion leaves behind.  scipy costs
-about a second at start-up, so the CLI needs only numpy and the standard
-library; the tests use scipy as an independent oracle.
+`__all__`.  It catches the imports a deletion leaves behind.
+
+Each `CONFIGS` experiment then runs in a fresh interpreter.  None may load
+scipy, which costs about a second at start-up: the CLI needs only numpy and
+the standard library, and the tests use scipy as an independent oracle.  The
+deterministic experiments (no `seed` key) may load neither numpy.random nor
+OpenSSL's `_hashlib`, which maps libcrypto (about 3.6 MB RSS): the inputs
+digest is CPython's built-in SHA-256.  The seeded ones do load numpy.random,
+and through it `_hashlib` (numpy.random imports `secrets`, which imports
+`hmac` and `hashlib`); that they load numpy.random shows the check sees it.
 """
 
 import ast
@@ -17,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from cohlim import cli
 from test_cli import CONFIGS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,14 +69,15 @@ CLI_RUN = """
 import json, sys
 from cohlim import cli
 rc = cli.main(sys.argv[1:])
-print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([rc, sorted(sys.modules)]))
 """
 
 
-def test_cli_runs_without_scipy(tmp_path):
-    cfg = tmp_path / "clt.json"
-    cfg.write_text(json.dumps(CONFIGS["clt"]))
-    argv = ["clt", "--config", str(cfg), "--out", str(tmp_path / "o")]
+@pytest.mark.parametrize("experiment", sorted(CONFIGS))
+def test_cli_import_graph(tmp_path, experiment):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIGS[experiment]))
+    argv = [experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]
     proc = subprocess.run(
         [sys.executable, "-c", CLI_RUN, *argv],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -77,6 +86,10 @@ def test_cli_runs_without_scipy(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    rc, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
     assert rc == 0
-    assert scipy_modules == []
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    if "seed" in cli.experiment_keys(experiment):
+        assert "numpy.random" in modules
+    else:
+        assert [m for m in modules if m in ("_hashlib", "numpy.random")] == []
