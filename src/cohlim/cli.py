@@ -185,8 +185,10 @@ class Run:
 
     def samples(self, default, width, minimum=2):
         """The sample count; the default minimum is the two draws var(ddof=1)
-        needs.  A draw table of more than MAX_CELLS entries, `width` per
-        sample, is refused before anything is drawn."""
+        needs.  More than MAX_CELLS drawn entries, `width` per sample, are
+        refused before anything is drawn.  The cap bounds the draws and the
+        (samples, K) table that `chi` holds for its CSV; `moments` reduces
+        its draws block by block and holds one product per sample."""
         m = self.read("samples", int, default, least=minimum)
         if m * width > cfgmod.MAX_CELLS:
             cap = cfgmod.MAX_CELLS

@@ -6,11 +6,12 @@ chi(f) = int dB1 S1 fhat + i int dB2 S2 fhat is realized on grid cells exactly
 as the simple-function construction: each cell carries an independent
 N(0, dk) increment of each Brownian field and the Ito integral is the plain
 cell sum, which `sample_chi` forms from the integrand matrix W of
-`_chi_matrix`.  `sample_chi_gram` draws from a pivoted Cholesky factor of
-the same law's covariance, read from the battery Gram of `battery_gram`, and
-formed, factored and applied with numpy's own loops (np.einsum without
-`optimize`) rather than BLAS: products this small gain nothing from BLAS,
-whose first threaded call leaves a second thread spinning for the rest of
+`_chi_matrix`.  `sample_chi_gram` draws, in small blocks
+(`chi_gram_blocks`), from a pivoted Cholesky factor of the same law's
+covariance, read from the battery Gram of `battery_gram`, and formed,
+factored and applied with numpy's own loops (np.einsum without `optimize`)
+rather than BLAS: products this small gain nothing from BLAS, whose first
+threaded call leaves a second thread spinning for the rest of
 the process.  A sample omega of the fields is a row of draws, and
 `random_functional` gives the random representation's value there; a row of
 `sample_chi(fs, rho, mu2, 1, np.random.default_rng(seed))` depends only on
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +45,10 @@ BRANCH_MARGIN = 1e-9
 # largest diagonal entry
 PIVOT_TOL = 1e-14
 CHI_CHUNK = 2000  # draws of `sample_chi` per block of cell increments
+# float64 entries per array of a `chi_gram_blocks` block (64 KiB).  Larger
+# blocks lose the memory gain: 100 `moments` runs at 16 functions peaked
+# 0.7 MB higher in RSS with 256 KiB blocks and 1.5 MB with 512 KiB ones
+GRAM_BLOCK = 8192
 CLT_CHUNK = 512  # draws of `clt_sample` per block of mode phases
 
 
@@ -175,6 +180,32 @@ def chi_gram_factor(gram: tuple[np.ndarray, np.ndarray], mu2: complex) -> np.nda
     return psd_factor(np.block([[plus.real, -minus.imag], [-minus.imag.T, minus.real]]))
 
 
+def chi_gram_blocks(
+    gram: tuple[np.ndarray, np.ndarray],
+    mu2: complex,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> Iterator[np.ndarray]:
+    """The draws of `sample_chi_gram`, yielded in consecutive (rows, K)
+    complex blocks.
+
+    A block is one `standard_normal((rows, r))` call times
+    `chi_gram_factor`; rows is GRAM_BLOCK // 2K, at least one, so that the
+    normals, their product and the block each hold at most GRAM_BLOCK
+    float64 entries.  The normals are the same stream as one whole-table
+    call and each entry is the same dot product, so the blocks stack to the
+    whole table bit for bit.  Nothing is factored or drawn before the first
+    block is asked for.
+    """
+    r = chi_gram_factor(gram, mu2)
+    k = len(gram[0])
+    rows = max(1, GRAM_BLOCK // max(1, 2 * k))
+    for lo in range(0, n_samples, rows):
+        z = rng.standard_normal((min(rows, n_samples - lo), r.shape[0]))
+        x = np.einsum("ij,jk->ik", z, r)
+        yield x[:, :k] + 1j * x[:, k:]
+
+
 def sample_chi_gram(
     gram: tuple[np.ndarray, np.ndarray],
     mu2: complex,
@@ -186,12 +217,16 @@ def sample_chi_gram(
     On a fixed grid (Re chi, Im chi) is a 2K-dimensional Gaussian, so each
     draw is one standard normal r-vector times `chi_gram_factor`: O(n K^2)
     after the O(N K^2) Gram, instead of 2 n N cell increments.  Returns
-    shape (n_samples, K), complex; the RNG stream differs from `sample_chi`.
+    shape (n_samples, K), complex, filled from the blocks of
+    `chi_gram_blocks`, so the table is the only array that grows with
+    n_samples; the RNG stream differs from `sample_chi`.
     """
-    r = chi_gram_factor(gram, mu2)
-    x = np.einsum("ij,jk->ik", rng.standard_normal((n_samples, r.shape[0])), r)
-    k = len(gram[0])
-    return x[:, :k] + 1j * x[:, k:]
+    out = np.empty((n_samples, len(gram[0])), dtype=complex)
+    done = 0
+    for block in chi_gram_blocks(gram, mu2, n_samples, rng):
+        out[done : done + len(block)] = block
+        done += len(block)
+    return out
 
 
 # -- finite-N central limit diagnostics --------------------------------------

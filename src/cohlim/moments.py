@@ -14,11 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from cohlim.ito_sampler import sample_chi_gram
+from cohlim.ito_sampler import chi_gram_blocks
 from cohlim.mode_space import ModeDensity, TestFunction, inner
 
 MAX_PAIRING_ORDER = 24  # 2^12 - 1 pair subsets, a few small products each; larger is refused
@@ -143,23 +143,38 @@ class MomentEstimate:
         return abs(self.value - target) / self.stderr
 
 
-def product_moment(chis: np.ndarray, p: int, q: int) -> MomentEstimate:
-    """MC mean of 2^{-(p+q)/2} chi_1..chi_p conj(chi_{p+1})..conj(chi_{p+q})
-    over the rows of `chis` (draws x battery, at least p+q columns), with a
-    delete-one jackknife standard error."""
-    n_samples = chis.shape[0]
+def _enough_samples(n_samples: int) -> None:
     if n_samples < MIN_ORACLE_SAMPLES:
         raise ValueError(
             f"need at least {MIN_ORACLE_SAMPLES} samples for a stable error bar"
         )
+
+
+def product_moment(blocks: Iterable[np.ndarray], p: int, q: int) -> MomentEstimate:
+    """MC mean of 2^{-(p+q)/2} chi_1..chi_p conj(chi_{p+1})..conj(chi_{p+q})
+    over the draws, with a delete-one jackknife standard error.
+
+    `blocks` yields consecutive (draws, battery) blocks of chi draws, each
+    with at least p+q columns; a whole table is one block, `[chis]`.  Each
+    block is reduced to its row products as it comes, so only one complex
+    product per draw is held, and the products do not depend on how the
+    draws are split into blocks."""
+    prods = []
+    for chis in blocks:
+        # out of place: numpy runs an in-place product of one-element arrays
+        # through another loop than the vector one, whose last bits can differ
+        prod = np.ones(len(chis), dtype=complex)
+        for i in range(p):
+            prod = prod * chis[:, i]
+        for j in range(q):
+            prod = prod * np.conj(chis[:, p + j])
+        prods.append(prod * 2.0 ** (-(p + q) / 2.0))
+    n_samples = sum(map(len, prods))
+    _enough_samples(n_samples)
     if p + q == 0:
         return MomentEstimate(1.0 + 0.0j, 0.0)
-    prod = np.ones(n_samples, dtype=complex)
-    for i in range(p):
-        prod *= chis[:, i]
-    for j in range(q):
-        prod *= np.conj(chis[:, p + j])
-    prod *= 2.0 ** (-(p + q) / 2.0)
+    prod = np.concatenate(prods)
+    del prods
     mean = complex(np.mean(prod))
     loo = (np.sum(prod) - prod) / (n_samples - 1)
     dev = loo - mean
@@ -177,6 +192,11 @@ def mc_oracle(
     rng: np.random.Generator,
 ) -> MomentEstimate:
     """`product_moment` of chi drawn from its exact law over the Gram's
-    battery f_1..f_p, g_1..g_q.  Arbitrates every closed-form normalization."""
-    chis = sample_chi_gram(gram, mu2, n_samples, rng)
-    return product_moment(chis, p, chis.shape[1] - p)
+    battery f_1..f_p, g_1..g_q.  Arbitrates every closed-form normalization.
+
+    The draws come in the blocks of `chi_gram_blocks` and are reduced as
+    they come, so beside the one complex product per draw only a block is
+    held.  Too few samples are refused before `rng` is touched."""
+    _enough_samples(n_samples)
+    blocks = chi_gram_blocks(gram, mu2, n_samples, rng)
+    return product_moment(blocks, p, len(gram[0]) - p)

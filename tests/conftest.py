@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from cohlim import ito_sampler
 from cohlim.circle_measure import PhaseMeasure
+from cohlim.ito_sampler import chi_gram_factor
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, battery_gram
 from cohlim.moments import build_q
 
@@ -132,6 +134,21 @@ def ito_pair(grid):
 def q_matrix(fs, gs, rho, mu2):
     """`build_q` of a*(f_1)..a*(f_p) a(g_1)..a(g_q) from the Gram of fs + gs."""
     return build_q(battery_gram(list(fs) + list(gs), rho), len(fs), mu2)
+
+
+def whole_chi_table(gram, mu2, n_samples, rng):
+    """The Gram-law draws as one table: all n_samples x r normals from one
+    `standard_normal` call, times `chi_gram_factor` in one np.einsum.  The
+    reference that the blocks of `chi_gram_blocks` must stack to."""
+    r = chi_gram_factor(gram, mu2)
+    x = np.einsum("ij,jk->ik", rng.standard_normal((n_samples, r.shape[0])), r)
+    k = len(gram[0])
+    return x[:, :k] + 1j * x[:, k:]
+
+
+def set_gram_block_rows(monkeypatch, rows, n_fns):
+    """Make `chi_gram_blocks` draw `rows` rows per block over n_fns functions."""
+    monkeypatch.setattr(ito_sampler, "GRAM_BLOCK", rows * max(1, 2 * n_fns))
 
 
 SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"

@@ -107,13 +107,13 @@ def test_criterion_5_quasifree_moments():
     for seed, (p, q) in ((51, (1, 1)), (52, (2, 0)), (53, (0, 2)), (54, (2, 2)), (55, (3, 1))):
         fs, gs = battery[:p], battery[p : p + q]
         closed = wick_moment(q_matrix(fs, gs, rho, mu2))
-        est = product_moment(sample_chi(fs + gs, rho, mu2, m, np.random.default_rng(seed)), p, q)
+        est = product_moment([sample_chi(fs + gs, rho, mu2, m, np.random.default_rng(seed))], p, q)
         ok = ok and est.z_score(closed) < 5.0
     # odd orders vanish: closed form exactly, MC within noise
     for seed, (p, q) in ((56, (1, 0)), (57, (2, 1))):
         fs, gs = battery[:p], battery[p : p + q]
         assert wick_moment(q_matrix(fs, gs, rho, mu2)) == 0.0
-        est = product_moment(sample_chi(fs + gs, rho, mu2, m, np.random.default_rng(seed)), p, q)
+        est = product_moment([sample_chi(fs + gs, rho, mu2, m, np.random.default_rng(seed))], p, q)
         ok = ok and est.z_score(0.0) < 5.0
     # permanent route at mu_hat(2) = 0
     q0 = q_matrix(battery[:2], battery[2:4], rho, 0.0)

@@ -18,7 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 GUARDED = {
-    "ito_sampler": ("_chi_matrix", "psd_factor", "chi_gram_factor", "sample_chi_gram"),
+    "ito_sampler": ("_chi_matrix", "psd_factor", "chi_gram_factor", "chi_gram_blocks", "sample_chi_gram"),
     "mode_space": ("battery_gram",),
     "moments": ("build_q",),
 }

@@ -11,6 +11,7 @@ from cohlim.circle_measure import InadmissibleMeasureError, PhaseMeasure
 from cohlim.functionals import fock_functional, sigma_mu_sq
 from cohlim.ito_sampler import (
     build_coefficients,
+    chi_gram_blocks,
     chi_gram_factor,
     clt_sample,
     ks_distance,
@@ -28,7 +29,15 @@ from cohlim.mode_space import (
     norm_sq_momentum,
 )
 
-from conftest import gaussian_setups, ito_pair, make_battery, unit_disk, with_values
+from conftest import (
+    gaussian_setups,
+    ito_pair,
+    make_battery,
+    set_gram_block_rows,
+    unit_disk,
+    whole_chi_table,
+    with_values,
+)
 
 
 class TestIsometry:
@@ -228,6 +237,24 @@ class TestGramSampler:
         ref = sample_chi(fs, rho, 0.2, 7, np.random.default_rng(0))
         assert fast.shape == ref.shape == (7, n_fns)
         assert fast.dtype == ref.dtype
+
+    @pytest.mark.parametrize("rows", [1, 7, 51])
+    @pytest.mark.parametrize("n_fns", [0, 1, 3])
+    def test_blocks_stack_to_whole_table(self, grid, rho, gauss, monkeypatch, rows, n_fns):
+        # 50 draws: 7-row blocks leave a short last one, 51 rows is one block;
+        # a zero function makes the factor rank deficient (r < 2K)
+        fs = [with_values(gauss, np.zeros_like(gauss.values))] + make_battery(grid, n_fns - 1)
+        gram = battery_gram(fs[:n_fns], rho)
+        drawn = np.random.default_rng(8)
+        whole = whole_chi_table(gram, 0.3 + 0.2j, 50, drawn).tobytes()
+        set_gram_block_rows(monkeypatch, rows, n_fns)
+        rng = np.random.default_rng(8)
+        blocks = list(chi_gram_blocks(gram, 0.3 + 0.2j, 50, rng))
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == whole
+        assert rng.bit_generator.state == drawn.bit_generator.state
+        table = sample_chi_gram(gram, 0.3 + 0.2j, 50, np.random.default_rng(8))
+        assert table.shape == (50, n_fns) and table.tobytes() == whole
 
     def test_grid_mismatch_raises(self, rho, gauss):
         other = TestFunction.from_profile(MomentumGrid(d=1, R=4.0, N=128), lambda k: np.exp(-k ** 2))

@@ -1,22 +1,22 @@
-"""Kernel microbenchmarks: the chi samplers at the `chi` benchmark size
-(20 000 draws x 4 functions x 4096 cells), the battery Gram (G, T) and the
-factor of the chi law read from it at the `chi` and `moments` sizes (4 and
-16 functions on 4096 cells), `build_q` + `wick_moment` at moment orders 16
-and 24 on a precomputed Gram, the Fock and sigma_mu^2 quadratures
-(`fock_functional` per function and `variances` of the battery) on the `chi`
-battery and on the `dynamics` one (32 768 cells x 3 functions), and `sigma_t`
-at the `dynamics`
-benchmark size (32 768 cells x 3 functions x 1001 times) on both of its
-paths: the photon dispersion takes the chirp-z level sum, the quadratic one
-the direct sum.  The output layer: `Run.write_csv` at the `chi` benchmark
-size (20 000 samples x 4 functions, 4 float columns), in one process, and
-on the `dynamics` benchmark's table (1001 times x 3 columns, about 30 % of
-the cells in exponent form) beside a per-row `csv.writer`; the float
-formatter `repr_chars` on 320 000 floats in the writer's blocks, chi draws
-and floats that all take its `repr` fallback, beside plain `repr` on the
-same blocks; and `cli.main`'s parse plus config load on the `dynamics`
-benchmark config, with the parser built in each round and taken from the
-cache.
+"""Kernel microbenchmarks: the chi samplers at the `chi` benchmark size (20 000
+draws x 4 functions x 4096 cells), the battery Gram (G, T) and the factor of
+the chi law read from it at the `chi` and `moments` sizes (4 and 16
+functions on 4096 cells), `build_q` + `wick_moment` at moment orders 16 and
+24 on a precomputed Gram, the Monte Carlo oracle `mc_oracle` at the
+`moments` benchmark size (16 functions, 4000 draws, p = q = 8), the Fock and
+sigma_mu^2 quadratures (`fock_functional` per function and `variances` of
+the battery) on the `chi` battery and on the `dynamics` one (32 768 cells x
+3 functions), and `sigma_t` at the `dynamics` benchmark size (32 768 cells x
+3 functions x 1001 times) on both of its paths: the photon dispersion takes
+the chirp-z level sum, the quadratic one the direct sum.  The output layer:
+`Run.write_csv` at the `chi` benchmark size (20 000 samples x 4 functions, 4
+float columns), in one process, and on the `dynamics` benchmark's table
+(1001 times x 3 columns, about 30 % of the cells in exponent form) beside a
+per-row `csv.writer`; the float formatter `repr_chars` on 320 000 floats in
+the writer's blocks, chi draws and floats that all take its `repr` fallback,
+beside plain `repr` on the same blocks; and `cli.main`'s parse plus config
+load on the `dynamics` benchmark config, with the parser built in each round
+and taken from the cache.
 
 Deselected by default (`kernel_bench` marker); run with
 `PYTHONPATH=src python -m pytest -m kernel_bench tests/test_kernel_bench.py`.
@@ -42,7 +42,7 @@ from cohlim.float_text import repr_chars
 from cohlim.functionals import fock_functional, variances
 from cohlim.ito_sampler import chi_gram_factor, sample_chi, sample_chi_gram
 from cohlim.mode_space import battery_gram
-from cohlim.moments import build_q, wick_moment
+from cohlim.moments import build_q, mc_oracle, wick_moment
 
 pytestmark = pytest.mark.kernel_bench
 
@@ -155,6 +155,13 @@ def test_wick_moment_kernel(benchmark, order):
 
     value = benchmark.pedantic(kernel, rounds=3, iterations=1)
     assert np.isfinite(value)
+
+
+def test_mc_oracle_kernel(benchmark):
+    gram = battery_gram(*gram_inputs(16))
+    rng = np.random.default_rng(1)
+    est = benchmark.pedantic(mc_oracle, args=(gram, 8, MU2, 4000, rng), rounds=20, iterations=1)
+    assert np.isfinite(est.value) and est.stderr > 0
 
 
 @pytest.mark.parametrize("form", ["photon", "quadratic"], ids=["chirp", "direct"])

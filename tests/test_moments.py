@@ -1,22 +1,32 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohlim.mode_space import battery_gram, inner
+from cohlim.mode_space import ModeDensity, battery_gram, inner
 from cohlim.moments import (
     MAX_PAIRING_ORDER,
     QMatrix,
     mc_oracle,
     permanent,
     permanent_moment,
+    product_moment,
     wick_moment,
 )
 
-from conftest import gaussian_setups, make_battery, q_matrix, unit_disk, with_values
+from conftest import (
+    gaussian_setups,
+    make_battery,
+    q_matrix,
+    set_gram_block_rows,
+    unit_disk,
+    whole_chi_table,
+    with_values,
+)
 
 
 def matching_sum(m, indices):
@@ -215,5 +225,44 @@ class TestMcOracle:
 
     def test_refuses_small_sample(self, setup):
         fs, gs, rho = setup
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            mc_oracle(battery_gram([fs[0], gs[0]], rho), 1, 0.0, 10, np.random.default_rng(0))
+            mc_oracle(battery_gram([fs[0], gs[0]], rho), 1, 0.0, 10, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    @pytest.mark.parametrize("rows", [1, 7, 333, 1001])
+    @pytest.mark.parametrize("p, q", [(0, 0), (1, 1), (2, 1)])
+    def test_blocks_match_whole_table(self, setup, monkeypatch, rows, p, q):
+        # 1000 draws: 7-row blocks leave a short last one, 333-row blocks a
+        # one-row last one, and 1001 rows is one block
+        fs, gs, rho = setup
+        gram = battery_gram(fs[:p] + gs[:q], rho)
+        table = whole_chi_table(gram, 0.3 + 0.2j, 1000, np.random.default_rng(4))
+        whole = product_moment([table], p, q)
+        # the row products as the whole-table oracle formed them, in place
+        prod = np.ones(1000, dtype=complex)
+        for i in range(p):
+            prod *= table[:, i]
+        for j in range(q):
+            prod *= np.conj(table[:, p + j])
+        prod *= 2.0 ** (-(p + q) / 2.0)
+        assert repr(whole.value) == repr(complex(np.mean(prod)))
+        set_gram_block_rows(monkeypatch, rows, p + q)
+        est = mc_oracle(gram, p, 0.3 + 0.2j, 1000, np.random.default_rng(4))
+        assert (repr(est.value), repr(est.stderr)) == (repr(whole.value), repr(whole.stderr))
+        if p + q == 0:
+            assert est.value == 1.0 and est.stderr == 0.0
+
+    def test_traced_peak_is_linear_in_draws(self, fine_grid):
+        # the `moments` benchmark's 16 functions at ten times its draws;
+        # drawing the whole (draws, 2K) table first traces 19.7 MiB here
+        rho = ModeDensity.from_profile(fine_grid, lambda k: np.exp(-((k - 0.5) ** 2)))
+        gram = battery_gram(make_battery(fine_grid, 16), rho)
+        n_samples = 40_000
+        tracemalloc.start()
+        try:
+            mc_oracle(gram, 8, 0.3 + 0.2j, n_samples, np.random.default_rng(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20 + 100 * n_samples
