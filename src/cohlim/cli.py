@@ -37,6 +37,7 @@ from cohlim.functionals import (
     bessel_j0,
     divergence_diagnostic,
     fock_functional,
+    mode_amplitudes,
     n_mode_functional,
     phase_averaged_functional,
     rarefied_finite_volume_phase,
@@ -45,7 +46,7 @@ from cohlim.functionals import (
     sigma_mu_sq,
     variances,
 )
-from cohlim.gns_reps import mode_amplitudes, rep_expectation_averaged, rep_expectation_n_mode
+from cohlim.gns_reps import rep_expectation_averaged, rep_expectation_n_mode
 from cohlim.ito_sampler import clt_sample, ks_distance, random_functional, sample_chi_gram
 from cohlim.mode_space import battery_gram
 from cohlim.moments import MAX_PAIRING_ORDER, MIN_ORACLE_SAMPLES, build_q, mc_oracle, wick_moment
@@ -274,10 +275,16 @@ class Run:
         return 0.0 + 0.0j
 
     @cached_property
-    def battery(self):
+    def entries(self):
+        """The config's `functions`, not yet built: a non-empty list."""
         fns = self.cfg.get("functions", [])
         if not (isinstance(fns, list) and fns):
             raise ConfigError("/functions", f"expected a non-empty list, got {fns!r}")
+        return fns
+
+    @cached_property
+    def battery(self):
+        fns = self.entries
         # the samplers hold a cells x functions matrix; refuse it before building any function
         if len(fns) * self.grid.n_cells > cfgmod.MAX_CELLS:
             raise ConfigError(
@@ -288,6 +295,14 @@ class Run:
             cfgmod.build_test_function(obj, self.grid, f"/functions/{i}")
             for i, obj in enumerate(fns)
         ]
+
+    @cached_property
+    def function(self):
+        """The one function of an experiment that reads one; a second exits 2
+        at /functions/1 before any function is built."""
+        if len(self.entries) > 1:
+            raise ConfigError("/functions/1", f"{self.cfg['experiment']} reads one function, /functions/0")
+        return self.battery[0]
 
     @cached_property
     def labels(self):
@@ -311,11 +326,14 @@ class Run:
 
     @cached_property
     def modes(self):
-        """The coherent modes; each momentum k has one component per grid axis."""
+        """The coherent modes; each momentum k has one component per grid axis.
+        Only `functional` reads a phase theta: `gns-check` averages the
+        phases, so there a theta exits 2 at its key."""
         d, ks, rhos, thetas = self.grid.d, [], [], []
+        keys = ("k", "rho", "theta") if self.cfg["experiment"] == "functional" else ("k", "rho")
         with cfgmod.reading("/modes"):
             for i, m in enumerate(self.cfg.get("modes", [])):
-                cfgmod.only_keys(m, f"/modes/{i}", ("k", "rho", "theta"))
+                cfgmod.only_keys(m, f"/modes/{i}", keys)
                 k = m["k"] if isinstance(m["k"], list) else [m["k"]]
                 with cfgmod.reading(f"/modes/{i}/k"):
                     if len(k) != d:
@@ -407,7 +425,7 @@ def run_functional(run):
 
 def run_clt(run):
     mu = run.measure
-    f = run.battery[0]
+    f = run.function
     m = run.samples(2000, f.grid.n_cells)
     sigma = math.sqrt(sigma_mu_sq(f, run.density, run.mu2))
     if sigma == 0:
@@ -494,19 +512,17 @@ def run_gns_check(run):
         modes = run.modes
         if not len(modes.rho):
             raise ConfigError("/modes", "rep nmode needs at least one mode")
+        amplitudes = [np.abs(mode_amplitudes(f, modes)) for f in run.battery]
         # refuse a mode too strong to average before any mode is averaged
-        for f in run.battery:
-            for i, z in enumerate(mode_amplitudes(f, modes)):
-                if circle_nodes(abs(z)) > cfgmod.MAX_CELLS:
+        for zs in amplitudes:
+            for i, z in enumerate(zs):
+                if circle_nodes(z) > cfgmod.MAX_CELLS:
                     raise ConfigError(
-                        f"/modes/{i}/rho",
-                        f"|z| = {abs(z):.6g} needs more than {cfgmod.MAX_CELLS} circle nodes",
+                        f"/modes/{i}/rho", f"|z| = {z:.6g} needs more than {cfgmod.MAX_CELLS} circle nodes"
                     )
-        for f, label in zip(run.battery, run.labels):
+        for f, label, zs in zip(run.battery, run.labels, amplitudes):
             lhs = rep_expectation_n_mode(f, modes).value
-            fhat = f.evaluate_at(modes.k)
-            j0s = [bessel_j0(math.sqrt(2.0 * r) * abs(v)) for r, v in zip(modes.rho, fhat)]
-            rhs = fock_functional(f).value * np.prod(j0s)
+            rhs = fock_functional(f).value * np.prod([bessel_j0(z) for z in zs])
             checks.append((label, lhs, rhs))
     tol = run.tol("residual", 1e-9)
     values = {"rep": rep, "checks": []}
@@ -521,8 +537,12 @@ def run_gns_check(run):
 
 
 def run_dynamics(run):
-    battery, rho, mu2, eps = run.battery, run.density, run.mu2, run.dispersion
     ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:100:1"))
+    # sigma_t and the metric hold a few (T, K) tables: refuse them before building any function
+    if len(ts) * len(run.entries) > cfgmod.MAX_CELLS:
+        cap = cfgmod.MAX_CELLS
+        raise ConfigError("/t_grid", f"{len(ts)} times x {len(run.entries)} functions exceed the cap of {cap}")
+    battery, rho, mu2, eps = run.battery, run.density, run.mu2, run.dispersion
     unif = variances(battery, rho, 0.0)
     sig = sigma_t(battery, rho, mu2, eps, ts, unif)
     metric = uniformization_curve(battery, unif, sig)
@@ -591,7 +611,7 @@ def run_rarefied(run):
         n = rarefied_mode_count(sigma, a, b, L)
         if n > cfgmod.MAX_CELLS:
             raise ConfigError(f"/L_values/{i}", f"{n} modes at L = {L:g} exceed the cap of {cfgmod.MAX_CELLS}")
-    gfun = run.battery[0]
+    gfun = run.function
     limit = rarefied_functional(gfun, *run.rarefied)
     phases = np.array([rarefied_finite_volume_phase(gfun, *run.rarefied, L) for L in L_values])
     run.write_csv("rarefied.csv", ["L", "phase", "abs_error"], [L_values, phases, np.abs(phases - limit.phase)])

@@ -266,9 +266,9 @@ def build_density(obj: dict, grid: MomentumGrid) -> ModeDensity:
 
 
 def build_dispersion(obj: dict, grid: MomentumGrid) -> Dispersion:
-    form = obj.get("form", "photon") if isinstance(obj, dict) else obj
-    if isinstance(obj, dict):
-        only_keys(obj, "/dispersion", ("form", "values") if form == "samples" else ("form",))
+    _require_object(obj, "/dispersion")
+    form = obj.get("form", "photon")
+    only_keys(obj, "/dispersion", ("form", "values") if form == "samples" else ("form",))
     if form == "photon":
         return Dispersion.photon(grid)
     if form == "quadratic":

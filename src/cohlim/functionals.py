@@ -74,16 +74,28 @@ def fock_functional(f: TestFunction) -> FunctionalValue:
     return FunctionalValue(complex(math.exp(-exponent)), exponent)
 
 
+def mode_amplitudes(f: TestFunction, modes: CoherentModeSet) -> np.ndarray:
+    """z_j = sqrt(2 rho_j) fhat(k_j) of each mode: its factor in the
+    N-mode value is e^{i Re e^{-i theta_j} z_j}."""
+    return np.sqrt(2.0 * modes.rho) * f.evaluate_at(modes.k)
+
+
+def cell_amplitudes(f: TestFunction, rho: ModeDensity) -> np.ndarray:
+    """z_j = sqrt(2 rho_j) fhat(k_j) of the grid cells as modes, with
+    rho_j = rho(k_j) dk, from the samples of f and rho."""
+    grid = same_grid(f, rho)
+    return np.sqrt(2.0 * grid.cell_volume * rho.values) * f.values
+
+
 def n_mode_functional(f: TestFunction, modes: CoherentModeSet) -> FunctionalValue:
     """Fock value times the pure phase
-    exp(i * Re sum_j e^{-i theta_j} sqrt(2 rho_j) fhat(k_j)).
+    exp(i * Re sum_j e^{-i theta_j} z_j) of the `mode_amplitudes` z_j.
     """
     fock = fock_functional(f)
     if not len(modes.rho):
         return fock
-    fhat = f.evaluate_at(modes.k)
-    amps = np.sqrt(2.0 * modes.rho)
-    phase = float(np.sum(np.real(np.exp(-1j * modes.theta) * amps * fhat)))
+    z = mode_amplitudes(f, modes)
+    phase = float(np.sum(np.real(np.exp(-1j * modes.theta) * z)))
     return FunctionalValue(fock.value * np.exp(1j * phase), fock.fock_exponent, phase=phase)
 
 
@@ -203,7 +215,7 @@ class DivergenceFit:
 def divergence_diagnostic(pairs: Iterable[tuple[TestFunction, ModeDensity]]) -> DivergenceFit:
     """Growth exponent of the mode sum with every phase fixed at 0
 
-        S(N) = (2R/N)^{d/2} sum_j sqrt(2 rho(k_j)) fhat(k_j)
+        S(N) = (2R/N)^{d/2} sum_j sqrt(2 rho(k_j)) fhat(k_j) = sum_j `cell_amplitudes`
 
     of each built (f, rho) pair, in the order given, as N grows; for
     generic smooth positive data |S(N)| ~ N^{d/2}.  The fit uses only the N
@@ -213,9 +225,8 @@ def divergence_diagnostic(pairs: Iterable[tuple[TestFunction, ModeDensity]]) -> 
     """
     ns, mags = [], []
     for f, rho in pairs:
-        grid = same_grid(f, rho)
-        ns.append(grid.N)
-        mags.append(abs(grid.spacing ** (grid.d / 2.0) * np.sum(np.sqrt(2.0 * rho.values) * f.values)))
+        ns.append(f.grid.N)
+        mags.append(abs(np.sum(cell_amplitudes(f, rho))))
     if len(mags) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} grid sizes for a slope fit")
     mags = np.array(mags)

@@ -27,6 +27,7 @@ from cohlim.functionals import (
     CoherentModeSet,
     FunctionalValue,
     fock_functional,
+    mode_amplitudes,
 )
 from cohlim.mode_space import ModeDensity, TestFunction, norm_sq_momentum, same_grid
 
@@ -81,12 +82,6 @@ def apply_T(f: TestFunction, rho: ModeDensity, coeffs: SqueezeCoefficients) -> T
     return TestFunction(f.grid, vals, label=f"T[{f.label}]")
 
 
-def mode_amplitudes(f: TestFunction, modes: CoherentModeSet) -> np.ndarray:
-    """z_j = sqrt(2 rho_j) fhat(k_j) of each mode: its factor in the
-    N-mode value is the phase average of e^{i Re e^{-i theta} z_j}."""
-    return np.sqrt(2.0 * modes.rho) * f.evaluate_at(modes.k)
-
-
 def rep_expectation_n_mode(
     f: TestFunction, modes: CoherentModeSet, mu: PhaseMeasure | None = None
 ) -> FunctionalValue:
@@ -95,11 +90,12 @@ def rep_expectation_n_mode(
 
         Fock(f) * prod_j int dmu(theta) e^{i Re e^{-i theta} z_j},
 
-    with z_j = sqrt(2 rho_j) fhat(k_j), skipping modes with z_j = 0.  For
+    over the `mode_amplitudes` z_j, skipping modes with z_j = 0.  For
     uniform mu each factor is J0(|z_j|), averaged on the `circle_nodes` of
     max |z_j|; the modes go in blocks of at most MAX_CELLS (mode, angle)
-    entries, and a mode that needs more angles than that is refused.  With the grid cells as modes (rho_j = rho(k_j) dk) it tends
-    to the phase-averaged functional as the grid refines when mu_hat(1) = 0.
+    entries, and a mode that needs more angles than that is refused.  With
+    the grid cells as modes (`cell_amplitudes`) it tends to the
+    phase-averaged functional as the grid refines when mu_hat(1) = 0.
     """
     mu = mu or PhaseMeasure.uniform()
     fock = fock_functional(f)

@@ -35,7 +35,7 @@ from cohlim.circle_measure import (
     check_mu2,
     sample_phase,
 )
-from cohlim.functionals import fock_functional
+from cohlim.functionals import cell_amplitudes, fock_functional
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, same_grid
 
 # Below this margin in 1 + Re mu_hat(2) the generic coefficient formulas
@@ -232,13 +232,6 @@ def sample_chi_gram(
 # -- finite-N central limit diagnostics --------------------------------------
 
 
-def _mode_amplitudes(f: TestFunction, rho: ModeDensity) -> np.ndarray:
-    """z_j = (2R)^{d/2} sqrt(2 rho(k_j)) fhat(k_j): the per-mode complex
-    amplitude whose phase-rotated real part is the CLT summand."""
-    grid = same_grid(f, rho)
-    return (2.0 * grid.R) ** (grid.d / 2.0) * np.sqrt(2.0 * rho.values) * f.values
-
-
 def clt_sample(
     f: TestFunction,
     rho: ModeDensity,
@@ -247,23 +240,21 @@ def clt_sample(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Independent draws of N^{-d/2} sum_j xi_j with
-    xi_j = Re e^{-i theta_j} z_j and theta_j i.i.d. from mu.
+    xi_j = Re e^{-i theta_j} (2R)^{d/2} sqrt(2 rho(k_j)) fhat(k_j) and
+    theta_j i.i.d. from mu: the sum of Re e^{-i theta_j} z_j over the
+    `cell_amplitudes` z_j.
 
     Converges in distribution to N(0, sigma_mu(f)^2) as the grid refines.
     """
     if not admissible(mu):
         raise InadmissibleMeasureError("mu_hat(1) must vanish for the CLT limit")
-    z = _mode_amplitudes(f, rho)
-    grid = f.grid
-    scale = grid.N ** (-grid.d / 2.0)
+    z = cell_amplitudes(f, rho)
     out = np.empty(n_draws)
     done = 0
     while done < n_draws:
         m = min(CLT_CHUNK, n_draws - done)
-        theta = sample_phase(mu, rng, size=(m, grid.n_cells))
-        out[done : done + m] = scale * np.sum(
-            np.real(np.exp(-1j * theta) * z[None, :]), axis=1
-        )
+        theta = sample_phase(mu, rng, size=(m, len(z)))
+        out[done : done + m] = np.sum(np.real(np.exp(-1j * theta) * z[None, :]), axis=1)
         done += m
     return out
 

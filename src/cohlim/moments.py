@@ -152,7 +152,9 @@ def _enough_samples(n_samples: int) -> None:
 
 def product_moment(blocks: Iterable[np.ndarray], p: int, q: int) -> MomentEstimate:
     """MC mean of 2^{-(p+q)/2} chi_1..chi_p conj(chi_{p+1})..conj(chi_{p+q})
-    over the draws, with a delete-one jackknife standard error.
+    over the draws, with the standard error of that mean,
+    sqrt(sum_i |x_i - mean|^2 / (n (n - 1))) over the n products x_i (the
+    delete-one jackknife of a mean, in closed form).
 
     `blocks` yields consecutive (draws, battery) blocks of chi draws, each
     with at least p+q columns; a whole table is one block, `[chis]`.  Each
@@ -171,17 +173,12 @@ def product_moment(blocks: Iterable[np.ndarray], p: int, q: int) -> MomentEstima
         prods.append(prod * 2.0 ** (-(p + q) / 2.0))
     n_samples = sum(map(len, prods))
     _enough_samples(n_samples)
-    if p + q == 0:
-        return MomentEstimate(1.0 + 0.0j, 0.0)
     prod = np.concatenate(prods)
     del prods
     mean = complex(np.mean(prod))
-    loo = (np.sum(prod) - prod) / (n_samples - 1)
-    dev = loo - mean
-    var_jack = (n_samples - 1) / n_samples * np.sum(
-        dev.real ** 2 + dev.imag ** 2
-    )
-    return MomentEstimate(mean, math.sqrt(var_jack))
+    dev = prod - mean
+    var = np.sum(dev.real ** 2 + dev.imag ** 2) / (n_samples * (n_samples - 1))
+    return MomentEstimate(mean, math.sqrt(var))
 
 
 def mc_oracle(

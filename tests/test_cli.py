@@ -407,6 +407,32 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             parse_t_grid("0,1,2")
 
+    @pytest.mark.parametrize("spec", ["0:1:0", "0:1:-0.5", "0:0:0"])
+    def test_parse_t_grid_rejects_a_step_not_above_0(self, spec):
+        # a step of 0 would never reach stop
+        with pytest.raises(ConfigError, match="^/t_grid: .*need a finite step > 0"):
+            parse_t_grid(spec)
+
+    @pytest.mark.parametrize(
+        "experiment, path, pointer",
+        [
+            ("diverge", "R", "/R"),
+            ("chi", "mu2/0", "/mu2"),
+            ("dynamics", "grid/R", "/grid"),
+            ("functional", "functions/0/width", "/functions/0"),
+            ("decohere", "couplings/1", "/couplings"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, experiment, path, pointer, value):
+        # json.load reads NaN and Infinity as floats; the strict reader refuses them
+        cfg_path = write_cfg(tmp_path, with_value(CONFIGS[experiment], path, value))
+        assert load_config(cfg_path)
+        assert cli.main([experiment, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pointer}: ") and "expected a finite number" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestBuilders:
     def test_grid_roundtrip(self):
@@ -601,6 +627,45 @@ class TestCliRuns:
             metric = uniformization_metric(battery, rho, mu2, eps, float(t))
             assert float(row["sigma_t"]) == pytest.approx(s, rel=1e-12, abs=1e-15)
             assert float(row["metric"]) == pytest.approx(metric, rel=1e-12, abs=1e-15)
+
+    def test_dynamics_asserts_final_metric_under_its_tolerance(self, tmp_path):
+        cfg = CONFIGS["dynamics"]
+        assert cli.main(["dynamics", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+        final = read_result(tmp_path / "o")["values"]["final_metric"]
+        assert final > 0
+        for tol, code in ((2 * final, 0), (final / 2, 1), (final, 1)):
+            run_cfg = write_cfg(tmp_path, {**cfg, "tolerances": {"metric_final": tol}})
+            assert cli.main(["dynamics", "--config", run_cfg, "--out", str(tmp_path / "o")]) == code
+            record = read_result(tmp_path / "o")
+            assert record["assertions"] == [{"name": "final_metric", "value": final, "tol": tol, "pass": code == 0}]
+            assert record["pass"] == (code == 0)
+
+    def test_dynamics_quadratic_dispersion(self, tmp_path):
+        # {"form": "quadratic"} is eps = k^2 on the cell centres
+        cfg = {**CONFIGS["dynamics"], "dispersion": {"form": "quadratic"}}
+        out = tmp_path / "o"
+        assert cli.main(["dynamics", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        run = cli.Run(cfg, tmp_path / "inputs")
+        assert np.array_equal(run.dispersion.values, run.grid.axis ** 2)
+        with open(out / "dynamics.csv") as fh:
+            column = [float(row["sigma_t"]) for row in csv.DictReader(fh)]
+        ts = parse_t_grid(cfg["t_grid"])
+        expected = sigma_t(run.battery, run.density, run.mu2, run.dispersion, ts)[:, 0]
+        np.testing.assert_allclose(column, expected, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("experiment", ["chi", "gns-check", "dynamics"])
+    def test_mu2_defaults_to_0(self, tmp_path, experiment):
+        # without mu2 or measure a run reads mu_hat(2) = 0, the uniform measure's
+        cfg = {k: v for k, v in CONFIGS[experiment].items() if k != "mu2"}
+        assert cli.Run(cfg, tmp_path).mu2 == 0
+        values = []
+        for changes in ({}, {"mu2": [0.0, 0.0]}):
+            run_dir = tmp_path / str(len(values))
+            run_dir.mkdir()
+            path = write_cfg(run_dir, {**cfg, **changes})
+            assert cli.main([experiment, "--config", path, "--out", str(run_dir / "o")]) == 0
+            values.append(read_result(run_dir / "o")["values"])
+        assert values[0] == values[1]
 
     def test_decohere_time_series(self, tmp_path):
         cfg = write_cfg(tmp_path, CONFIGS["decohere"])
@@ -1390,6 +1455,65 @@ class TestCliContract:
     def test_unread_dispersion_key_exits_2(self, tmp_path, capsys, dispersion):
         assert self.run_cli(tmp_path, {**CONFIGS["dynamics"], "dispersion": dispersion}) == 2
         assert capsys.readouterr().err.startswith("error: /dispersion/")
+
+    def test_moments_with_fewer_functions_than_its_order_exits_2(self, tmp_path, capsys):
+        assert self.run_cli(tmp_path, CONFIGS["moments"], "--pq", "2,1") == 2
+        assert capsys.readouterr().err.startswith("error: /functions: need at least p+q=3 functions")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment", ["clt", "rarefied"])
+    def test_second_function_of_a_one_function_experiment_exits_2(self, tmp_path, capsys, experiment):
+        # clt and rarefied read /functions/0 only; the second entry is
+        # malformed, so it is refused before it is built
+        fns = [*CONFIGS[experiment]["functions"], {"name": "gaussian", "label": "h", "width": "x"}]
+        assert self.run_cli(tmp_path, {**CONFIGS[experiment], "functions": fns}) == 2
+        assert capsys.readouterr().err.startswith(f"error: /functions/1: {experiment} reads one function")
+        assert not (tmp_path / "o").exists()
+
+    def test_gns_check_nmode_theta_exits_2(self, tmp_path, capsys):
+        # the N-mode representation averages over the phases, so a fixed
+        # theta would be read and ignored; functional --kind nmode reads it
+        modes = [GNS_NMODE["modes"][0], {**GNS_NMODE["modes"][1], "theta": 1.234}]
+        assert self.run_cli(tmp_path, {**GNS_NMODE, "modes": modes}) == 2
+        assert capsys.readouterr().err.startswith("error: /modes/1/theta: not read here")
+        assert not (tmp_path / "o").exists()
+        values = []
+        for theta in (0.0, 1.234):
+            modes = [GNS_NMODE["modes"][0], {**GNS_NMODE["modes"][1], "theta": theta}]
+            assert self.run_cli(tmp_path, {**VARIANTS["functional-nmode"], "modes": modes}) == 0
+            values.append(read_result(tmp_path / "o")["values"]["f"])
+        assert values[0] != values[1]
+
+    @pytest.mark.parametrize("experiment", ["dynamics", "decohere"])
+    @pytest.mark.parametrize("dispersion", ["quadratic", "photon", ["quadratic"]])
+    def test_dispersion_not_an_object_exits_2(self, tmp_path, capsys, experiment, dispersion):
+        assert self.run_cli(tmp_path, {**CONFIGS[experiment], "dispersion": dispersion}) == 2
+        assert capsys.readouterr().err.startswith("error: /dispersion: expected an object")
+        assert not (tmp_path / "o").exists()
+
+    def test_time_by_function_table_above_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        # sigma_t and the metric hold (T, K) tables: 10^6 times x 17
+        # functions exceed the 2^24 cap, and are refused before the
+        # malformed last function is built or any sigma_t is formed
+        def never(*args):
+            raise AssertionError("called before the t-grid was checked")
+
+        monkeypatch.setattr(cli, "sigma_t", never)
+        fns = [{**CONFIGS["dynamics"]["functions"][0], "label": f"f{i}"} for i in range(16)]
+        cfg = {**CONFIGS["dynamics"], "functions": [*fns, {"name": "box", "lo": "x"}]}
+        assert self.run_cli(tmp_path, cfg, "--t-grid", "0:999999:1") == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: /t_grid: 1000000 times x 17 functions exceed the cap of {cfgmod.MAX_CELLS}"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_time_by_function_table_at_cap_runs(self, tmp_path, monkeypatch):
+        # with the cap lowered to 1024 entries: 512 times x 2 functions run, 513 do not
+        monkeypatch.setattr(cfgmod, "MAX_CELLS", 1024)
+        fns = [{"name": "gaussian", "label": "f"}, {"name": "gaussian", "label": "g", "center": 1.0}]
+        cfg = {**CONFIGS["dynamics"], "grid": {"d": 1, "R": 4.0, "N": 64}, "functions": fns}
+        assert self.run_cli(tmp_path, cfg, "--t-grid", "0:511:1") == 0
+        assert self.run_cli(tmp_path, cfg, "--t-grid", "0:512:1") == 2
 
     def test_degenerate_clt_limit_exits_2(self, tmp_path, capsys):
         # real f and mu_hat(2) = -1 give sigma_mu(f) = 0: the limit law is a

@@ -394,8 +394,8 @@ class TestDivergenceDiagnostic:
     )
     def test_built_pairs_give_the_bits_of_the_mode_sum(self, d, n_list):
         """Pairs from the config builders give |S(N)| bit for bit as the
-        profiles' formula (2R/N)^{d/2} sum sqrt(2 rho(|k|)) fhat(|k|) (k
-        itself in d = 1) evaluated at the cell centres."""
+        profiles' formula sum sqrt(2 (2R/N)^d rho(|k|)) fhat(|k|) (k itself
+        in d = 1) evaluated at the cell centres."""
         f_obj = {"name": "gaussian", "center": 0.3, "width": 0.9, "amplitude": [1.0, 0.5]}
         rho_obj = {"name": "box", "lo": -0.5, "hi": 2.5, "amplitude": 0.7}
         grids = [build_grid({"d": d, "R": 3.5, "N": n}) for n in n_list]
@@ -403,7 +403,7 @@ class TestDivergenceDiagnostic:
         f_form, rho_form = closed_form(f_obj, "/function"), density_form(rho_obj, 1)
         for grid, n, magnitude in zip(grids, n_list, fit.magnitudes):
             k = grid.axis if d == 1 else np.linalg.norm(grid.points(), axis=-1)
-            s = (2.0 * 3.5 / n) ** (d / 2.0) * np.sum(np.sqrt(2.0 * rho_form(k)) * f_form(k))
+            s = np.sum(np.sqrt(2.0 * (2.0 * 3.5 / n) ** d * rho_form(k)) * f_form(k))
             assert magnitude == abs(s)
 
 

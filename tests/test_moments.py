@@ -253,6 +253,19 @@ class TestMcOracle:
         if p + q == 0:
             assert est.value == 1.0 and est.stderr == 0.0
 
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 1)])
+    def test_stderr_is_the_delete_one_jackknife(self, setup, p, q):
+        # the jackknife of a mean is the standard error of the mean: its
+        # delete-one means deviate from the mean by (mean - x_i)/(n - 1)
+        fs, gs, rho = setup
+        table = whole_chi_table(battery_gram(fs[:p] + gs[:q], rho), 0.3 + 0.2j, 1000, np.random.default_rng(6))
+        est = product_moment([table], p, q)
+        prod = np.prod(table[:, :p], axis=1) * np.prod(np.conj(table[:, p:]), axis=1) * 2.0 ** (-(p + q) / 2.0)
+        n = len(prod)
+        loo = np.array([(np.sum(prod) - x) / (n - 1) for x in prod])
+        jack = math.sqrt((n - 1) / n * np.sum(np.abs(loo - np.mean(loo)) ** 2))
+        assert est.stderr == pytest.approx(jack, rel=1e-12)
+
     def test_traced_peak_is_linear_in_draws(self, fine_grid):
         # the `moments` benchmark's 16 functions at ten times its draws;
         # drawing the whole (draws, 2K) table first traces 19.7 MiB here
