@@ -26,12 +26,13 @@ from typing import NamedTuple
 import numpy as np
 
 from cohlim import config as cfgmod
-from cohlim.circle_measure import admissible, check_mu2, circle_nodes, fourier_moment
+from cohlim.circle_measure import admissible, check_mu2, fourier_moment
 from cohlim.config import ConfigError
 from cohlim.dynamics import sigma_t, uniformization_curve
 from cohlim.float_text import repr_chars
 from cohlim.functionals import (
     DIVERGENCE_FLOOR,
+    MAX_J0_ARGUMENT,
     MIN_FIT_POINTS,
     CoherentModeSet,
     bessel_j0,
@@ -179,21 +180,19 @@ class Run:
             return (cfgmod.numbers if each else cfgmod.number)(value, kind, **bounds)
 
     def tol(self, name, default=None):
-        """tolerances[name], or `default` when it is absent."""
+        """tolerances[name], a number > 0, or `default` when it is absent."""
         tols = self.cfg.get("tolerances", {})
         with cfgmod.reading(f"/tolerances/{name}"):
-            return cfgmod.number(tols[name]) if name in tols else default
+            return cfgmod.number(tols[name], above=0.0) if name in tols else default
 
     def samples(self, default, width, minimum=2):
         """The sample count; the default minimum is the two draws var(ddof=1)
         needs.  More than MAX_CELLS drawn entries, `width` per sample, are
-        refused before anything is drawn.  The cap bounds the draws and the
-        (samples, K) table that `chi` holds for its CSV; `moments` reduces
-        its draws block by block and holds one product per sample."""
+        refused before any function is built.  The cap bounds the draws and
+        the (samples, K) table that `chi` holds for its CSV; `moments`
+        reduces its draws block by block and holds one product per sample."""
         m = self.read("samples", int, default, least=minimum)
-        if m * width > cfgmod.MAX_CELLS:
-            cap = cfgmod.MAX_CELLS
-            raise ConfigError("/samples", f"{m} samples x {width} exceed the cap of {cap} entries")
+        cfgmod.cap("/samples", m * width, cfgmod.MAX_CELLS, f"{m} samples x {width} entries")
         return m
 
     @cached_property
@@ -217,14 +216,18 @@ class Run:
 
     def refuse_unread(self):
         """Exit 2 at the first config key, then the first `tolerances` name,
-        that the run does not read, and so would silently ignore.  Every
-        config may hold `experiment` and `tolerances` themselves."""
+        that the run does not read, and so would silently ignore; then at
+        the first tolerance that is not a number > 0.  Every config may hold
+        `experiment` and `tolerances` themselves."""
         name = self.cfg["experiment"]
         if self.variant is not None:
             name += f" {self.reads[0]} {self.variant}"  # the first key read is the kind or rep
-        for key in [*self.cfg, *(f"tolerances/{t}" for t in self.cfg.get("tolerances", {}))]:
+        tols = self.cfg.get("tolerances", {})
+        for key in [*self.cfg, *(f"tolerances/{t}" for t in tols)]:
             if key not in {"experiment", "tolerances", *self.reads}:
                 raise ConfigError(f"/{key}", f"not read by {name}, which reads {', '.join(self.reads)}")
+        for t in tols:
+            self.tol(t)
 
     def rng(self, sampler):
         """The run's seeded generator; `sampler` names what draws from it
@@ -284,13 +287,9 @@ class Run:
 
     @cached_property
     def battery(self):
-        fns = self.entries
-        # the samplers hold a cells x functions matrix; refuse it before building any function
-        if len(fns) * self.grid.n_cells > cfgmod.MAX_CELLS:
-            raise ConfigError(
-                "/functions",
-                f"{len(fns)} functions x {self.grid.n_cells} cells exceed the cap of {cfgmod.MAX_CELLS}",
-            )
+        fns, n = self.entries, self.grid.n_cells
+        # the samplers hold a cells x functions matrix
+        cfgmod.cap("/functions", len(fns) * n, cfgmod.MAX_CELLS, f"{len(fns)} functions x {n} cells")
         return [
             cfgmod.build_test_function(obj, self.grid, f"/functions/{i}")
             for i, obj in enumerate(fns)
@@ -424,9 +423,9 @@ def run_functional(run):
 
 
 def run_clt(run):
+    m = run.samples(2000, run.grid.n_cells)
     mu = run.measure
     f = run.function
-    m = run.samples(2000, f.grid.n_cells)
     sigma = math.sqrt(sigma_mu_sq(f, run.density, run.mu2))
     if sigma == 0:
         # the limit law N(0, 0) is a point mass, and no KS distance to it is defined
@@ -442,8 +441,8 @@ def run_clt(run):
 def run_chi(run):
     """Re chi(f) ~ N(0, sigma_mu(f)^2): the sample mean and variance of each
     function's draws are checked against that law at z standard errors."""
+    m = run.samples(1000, len(run.entries))
     battery, labels = run.battery, run.labels
-    m = run.samples(1000, len(battery))
     chis = sample_chi_gram(battery_gram(battery, run.density), run.mu2, m, run.rng("gram"))
     vals = random_functional(battery, chis)
     run.write_csv(
@@ -475,13 +474,11 @@ def run_chi(run):
 
 def run_moments(run):
     p, q = cfgmod.parse_orders(run.cfg.get("pq", "1,1"))
-    if p + q > MAX_PAIRING_ORDER:
-        raise ConfigError("/pq", f"moment order p+q={p+q} is above the cap {MAX_PAIRING_ORDER}")
-    battery = run.battery
-    if p + q > len(battery):
+    cfgmod.cap("/pq", p + q, MAX_PAIRING_ORDER, f"moment orders p+q = {p + q}")
+    if p + q > len(run.entries):
         raise ConfigError("/functions", f"need at least p+q={p+q} functions")
     m = run.samples(10_000, p + q, MIN_ORACLE_SAMPLES)
-    gram = battery_gram(battery[: p + q], run.density)
+    gram = battery_gram(run.battery[: p + q], run.density)
     closed = wick_moment(build_q(gram, p, run.mu2))
     est = mc_oracle(gram, p, run.mu2, m, run.rng("gram"))
     z = est.z_score(closed)
@@ -513,13 +510,9 @@ def run_gns_check(run):
         if not len(modes.rho):
             raise ConfigError("/modes", "rep nmode needs at least one mode")
         amplitudes = [np.abs(mode_amplitudes(f, modes)) for f in run.battery]
-        # refuse a mode too strong to average before any mode is averaged
-        for zs in amplitudes:
-            for i, z in enumerate(zs):
-                if circle_nodes(z) > cfgmod.MAX_CELLS:
-                    raise ConfigError(
-                        f"/modes/{i}/rho", f"|z| = {z:.6g} needs more than {cfgmod.MAX_CELLS} circle nodes"
-                    )
+        # one J0 costs about |z|^3: refuse a mode too strong before any mode is averaged
+        for i, z in enumerate(np.max(amplitudes, axis=0)):
+            cfgmod.cap(f"/modes/{i}/rho", z, MAX_J0_ARGUMENT, f"amplitudes up to |z| = {z:.6g}")
         for f, label, zs in zip(run.battery, run.labels, amplitudes):
             lhs = rep_expectation_n_mode(f, modes).value
             rhs = fock_functional(f).value * np.prod([bessel_j0(z) for z in zs])
@@ -538,10 +531,9 @@ def run_gns_check(run):
 
 def run_dynamics(run):
     ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:100:1"))
-    # sigma_t and the metric hold a few (T, K) tables: refuse them before building any function
-    if len(ts) * len(run.entries) > cfgmod.MAX_CELLS:
-        cap = cfgmod.MAX_CELLS
-        raise ConfigError("/t_grid", f"{len(ts)} times x {len(run.entries)} functions exceed the cap of {cap}")
+    # sigma_t and the metric hold a few (T, K) tables
+    t, k = len(ts), len(run.entries)
+    cfgmod.cap("/t_grid", t * k, cfgmod.MAX_CELLS, f"{t} times x {k} functions")
     battery, rho, mu2, eps = run.battery, run.density, run.mu2, run.dispersion
     unif = variances(battery, rho, 0.0)
     sig = sigma_t(battery, rho, mu2, eps, ts, unif)
@@ -560,6 +552,7 @@ def run_decohere(run):
     measure (mu_hat(2) = 0).  It asserts nothing itself: the Gaussian
     envelope is the characteristic function of the law of Re chi(g), which
     `chi` asserts."""
+    ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:2:0.1"))
     g = cfgmod.build_test_function(run.need("form_factor"), run.grid, "/form_factor")
     couplings = run.read("couplings", each=True, min_count=2)
     element = run.read("element", int, [0, 1], each=True)
@@ -567,7 +560,6 @@ def run_decohere(run):
     if not (len(element) == 2 and all(0 <= i < n for i in element) and element[0] != element[1]):
         raise ConfigError("/element", f"expected two distinct levels in 0..{n - 1}, got {element}")
     k, l = element
-    ts = cfgmod.parse_t_grid(run.cfg.get("t_grid", "0:2:0.1"))
     rate = sigma_mu_sq(g, run.density, 0.0)
     gaussian, decay = envelopes(couplings[k] - couplings[l], g, run.dispersion, ts, rate)
     run.write_csv("decohere.csv", ["t", "envelope_gaussian", "envelope_gamma"], [ts, gaussian, decay])
@@ -579,8 +571,8 @@ def run_diverge(run):
     n_list = run.read(
         "n_list", int, [64, 128, 256, 512, 1024], each=True, min_count=MIN_FIT_POINTS, least=2
     )
-    with cfgmod.reading("/n_list"):
-        cfgmod.check_cells(max(n_list) ** d)
+    cells = max(n_list) ** d
+    cfgmod.cap("/n_list", cells, cfgmod.MAX_CELLS, f"{cells} grid cells")
     fn, density = run.need("function"), run.need("density")
     grids = (cfgmod.build_grid({"d": d, "R": R, "N": n}) for n in sorted(n_list))
     fit = divergence_diagnostic(
@@ -609,8 +601,7 @@ def run_rarefied(run):
     _, sigma, a, b = run.rarefied
     for i, L in enumerate(L_values):
         n = rarefied_mode_count(sigma, a, b, L)
-        if n > cfgmod.MAX_CELLS:
-            raise ConfigError(f"/L_values/{i}", f"{n} modes at L = {L:g} exceed the cap of {cfgmod.MAX_CELLS}")
+        cfgmod.cap(f"/L_values/{i}", n, cfgmod.MAX_CELLS, f"{n} modes at L = {L:g}")
     gfun = run.function
     limit = rarefied_functional(gfun, *run.rarefied)
     phases = np.array([rarefied_finite_volume_phase(gfun, *run.rarefied, L) for L in L_values])

@@ -27,7 +27,7 @@ import numpy as np
 
 from cohlim.circle_measure import PhaseMeasure
 from cohlim.dynamics import Dispersion, expi
-from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction
+from cohlim.mode_space import MAX_CELLS, ModeDensity, MomentumGrid, TestFunction
 
 
 class ConfigError(ValueError):
@@ -84,10 +84,15 @@ def numbers(values, kind=float, min_count=0, **bounds) -> list:
     return [number(v, kind, **bounds) for v in values]
 
 
-# Size caps, checked before anything is allocated: grid cells (2^24 float64
-# values are 128 MiB per array) and t-grid points.
-MAX_CELLS = 2 ** 24
-MAX_T_POINTS = 10 ** 6
+MAX_T_POINTS = 10 ** 6  # points of a t-grid; MAX_CELLS bounds grids and tables
+
+
+def cap(pointer: str, count, limit, what: str) -> None:
+    """The one size refusal: a `count` above `limit` exits 2 at `pointer`,
+    `what` naming the count.  Callers work the count out from config
+    entries and the grid, before anything it bounds is built."""
+    if count > limit:
+        raise ConfigError(pointer, f"{what} exceed the cap of {limit}")
 
 
 def load_config(path) -> dict:
@@ -118,14 +123,8 @@ def build_grid(obj: dict) -> MomentumGrid:
     only_keys(obj, "/grid", ("d", "R", "N"))
     with reading("/grid"):
         grid = MomentumGrid(number(obj["d"], int), number(obj["R"]), number(obj["N"], int))
-        check_cells(grid.n_cells)
-        return grid
-
-
-def check_cells(n_cells: int) -> None:
-    """Refuse a grid of more than MAX_CELLS cells before anything is allocated."""
-    if n_cells > MAX_CELLS:
-        raise ValueError(f"{n_cells} grid cells exceed the cap of {MAX_CELLS}")
+    cap("/grid", grid.n_cells, MAX_CELLS, f"{grid.n_cells} grid cells")
+    return grid
 
 
 def build_measure(obj: dict) -> PhaseMeasure:
@@ -286,11 +285,10 @@ def parse_t_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(x) for x in str(spec).split(":"))
         if not (0 < step < math.inf and start <= stop and math.isfinite(stop - start)):
             raise ValueError("need a finite step > 0 and finite start <= stop")
-        # the slack keeps a stop that lies on the grid despite rounding in the ratio
-        n = np.floor((stop - start) / step + 1e-9)
-        if n + 1 > MAX_T_POINTS:
-            raise ValueError(f"{n + 1:.3g} time points exceed the cap of {MAX_T_POINTS}")
-        return start + step * np.arange(int(n) + 1)
+    # the slack keeps a stop that lies on the grid despite rounding in the ratio
+    n = np.floor((stop - start) / step + 1e-9) + 1
+    cap("/t_grid", n, MAX_T_POINTS, f"{n:.0f} time points")
+    return start + step * np.arange(int(n))
 
 
 def parse_orders(spec: str) -> tuple:

@@ -174,6 +174,10 @@ def phase_averaged_functional(
 # -- the J0 cross-check ------------------------------------------------------
 
 
+# The largest |x| that `bessel_j0` is given: about 0.8 s for one J0 there (2 vCPUs).
+MAX_J0_ARGUMENT = 5000
+
+
 def bessel_j0(x: float) -> float:
     """J0 by its power series sum_m (-1)^m (x/2)^{2m} / (m!)^2, to about 1e-16.
 

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from cohlim.circle_measure import PhaseMeasure, check_mu2, circle_average, circle_nodes
-from cohlim.config import MAX_CELLS
 from cohlim.functionals import (
     CoherentModeSet,
     FunctionalValue,
     fock_functional,
     mode_amplitudes,
 )
-from cohlim.mode_space import ModeDensity, TestFunction, norm_sq_momentum, same_grid
+from cohlim.mode_space import MAX_CELLS, ModeDensity, TestFunction, norm_sq_momentum, same_grid
 
 _BETA_CUTOFF = 1e-14  # below this |mu_hat(2)| the beta prefactor is a removable 0/0
 

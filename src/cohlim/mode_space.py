@@ -16,6 +16,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+# Cells of the largest grid, and entries of the largest table sized like one
+# (2^24 float64 values are 128 MiB per array).
+MAX_CELLS = 2 ** 24
+
 
 class GridMismatchError(ValueError):
     """Operands live on different momentum grids."""

@@ -3,9 +3,11 @@ public method of a public class, has a caller in src/cohlim/; and no module
 there reads another one's private name.
 
 A scan keeps one way to put a profile on a grid: only `config` and
-`mode_space` construct a `MomentumGrid` or call a `from_profile`.  A last
-one holds every experiment handler in `cli` to the config keys its
-`EXPERIMENTS` row declares.
+`mode_space` construct a `MomentumGrid` or call a `from_profile`.  Another
+holds every experiment handler in `cli` to the config keys its
+`EXPERIMENTS` row declares.  Two keep one size-cap rule, `config.cap`: `cli`
+compares nothing with a `MAX_` cap itself, and no library module but `cli`
+imports `config`.
 
 A stdlib `ast` scan: a definition counts as called when its name is loaded,
 as a bare name or as an attribute, anywhere in src/cohlim outside the
@@ -273,3 +275,70 @@ def test_key_scan_sees_every_read():
     )
     # a subscript, a key held in a name and another object's call are not seen
     assert sorted(handler_reads(tree.body[0])) == ["grid", "kind", "samples", "tolerances/z"]
+
+
+def cap_comparisons(tree):
+    """The line of every comparison in `tree` with an operand that loads a
+    name starting MAX_, bare or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(name.startswith("MAX_") for side in (node.left, *node.comparators) for name in loads(side))
+    ]
+
+
+def test_cli_compares_no_size_with_a_cap():
+    # such a refusal would bypass config.cap, the one size-cap rule
+    lines = cap_comparisons(LIBRARY["cohlim.cli"])
+    assert not lines, f"cli.py compares with a MAX_ cap itself at lines {lines}; call config.cap"
+
+
+def test_cap_scan_sees_comparisons():
+    tree = ast.parse(
+        "if m * w > cfgmod.MAX_CELLS:\n    pass\n"
+        "ok = MAX_T_POINTS >= n\n"
+        "x = 0 < p + q <= limit(MAX_PAIRING_ORDER)\n"
+        "cap('/pq', p + q, MAX_PAIRING_ORDER, 'p+q')\n"
+        "y = n > LIMIT\n"
+    )
+    assert cap_comparisons(tree) == [1, 3, 4]
+
+
+def config_importers(trees):
+    """Every module of `trees` (in package `cohlim`) that imports
+    cohlim.config, in any import form, relative ones among them."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                source = ".".join(filter(None, ["cohlim" if node.level else None, node.module]))
+                names = [source, *(f"{source}.{a.name}" for a in node.names)]
+            else:
+                continue
+            if "cohlim.config" in names:
+                found.append(module)
+    return found
+
+
+def test_only_cli_imports_config():
+    # the library takes grids, functions and densities, never a config
+    found = [module for module in config_importers(LIBRARY) if module != "cohlim.cli"]
+    assert not found, f"modules that import cohlim.config: {', '.join(found)}"
+
+
+def test_config_scan_sees_every_import_form():
+    forms = [
+        "import cohlim.config",
+        "import cohlim.config as c",
+        "from cohlim import config",
+        "from cohlim.config import MAX_CELLS",
+        "from . import config",
+        "from .config import cap",
+        "def f():\n    from cohlim.config import reading",
+        "import cohlim.mode_space\nfrom cohlim import functionals\nfrom .mode_space import MAX_CELLS",
+    ]
+    trees = {f"m{i}": ast.parse(source) for i, source in enumerate(forms)}
+    assert config_importers(trees) == [f"m{i}" for i in range(7)]

@@ -146,6 +146,13 @@ SAMPLED = sorted(name for name in cli.EXPERIMENTS if "samples" in cli.experiment
 # accepts, and the draw-table entries per sample (grid cells for clt, the
 # functions drawn for chi and moments).
 SAMPLE_BOUNDS = {"clt": (2, GRID["N"]), "chi": (2, 1), "moments": (MIN_ORACLE_SAMPLES, 2)}
+# (experiment, name) of each tolerance an experiment reads.
+TOLERANCES = [
+    (name, key.removeprefix("tolerances/"))
+    for name in sorted(cli.EXPERIMENTS)
+    for key in sorted(cli.experiment_keys(name))
+    if key.startswith("tolerances/")
+]
 
 # The gns-check config of the N-mode representation: two modes, and neither a
 # density nor a phase measure, which it does not read.
@@ -338,6 +345,18 @@ MALFORMED_CASES = (
 )
 
 
+@pytest.fixture
+def unbuildable(monkeypatch):
+    """Fail the test when any function or density is built: the refusal
+    under test must come before anything is built."""
+
+    def never(*args):
+        raise AssertionError("a function or density was built before the refusal")
+
+    monkeypatch.setattr(cfgmod, "build_test_function", never)
+    monkeypatch.setattr(cfgmod, "build_density", never)
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -468,6 +487,10 @@ class TestBuilders:
         for spec in (f"0:{cfgmod.MAX_T_POINTS}:1", "0:1e10:1"):
             with pytest.raises(ConfigError, match="^/t_grid:"):
                 parse_t_grid(spec)
+        # a well-formed grid that is too long is refused for its length alone
+        with pytest.raises(ConfigError) as refused:
+            parse_t_grid("0:1e7:1")
+        assert str(refused.value) == "/t_grid: 10000001 time points exceed the cap of 1000000"
 
     def test_value_file_roundtrip(self, tmp_path):
         vals = np.arange(6, dtype=float).reshape(3, 2)
@@ -1168,6 +1191,7 @@ class TestCliContract:
         assert self.run_cli(tmp_path, CONFIGS[experiment], "--samples", str(samples)) == 2
         assert "/samples:" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("unbuildable")
     @pytest.mark.parametrize(
         "experiment, samples",
         [(name, cfgmod.MAX_CELLS // SAMPLE_BOUNDS[name][1] + 1) for name in SAMPLED]
@@ -1178,7 +1202,16 @@ class TestCliContract:
         assert self.run_cli(tmp_path, CONFIGS[experiment], "--samples", str(samples)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: /samples: ") and "Traceback" not in err
-        assert not (tmp_path / "o" / "result.json").exists()
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.usefixtures("unbuildable")
+    @pytest.mark.parametrize("experiment, name", TOLERANCES)
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_tolerance_not_above_0_exits_2(self, tmp_path, capsys, experiment, name, value):
+        # refused with the unread keys
+        assert self.run_cli(tmp_path, {**CONFIGS[experiment], "tolerances": {name: value}}) == 2
+        assert capsys.readouterr().err == f"error: /tolerances/{name}: must be > 0.0, got {value}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("pq", ["2,x", "-1,2", "3"])
     def test_bad_pq_exits_2(self, tmp_path, capsys, pq):
@@ -1352,6 +1385,7 @@ class TestCliContract:
         assert self.run_cli(tmp_path, {**cfg, "measure": {"kind": "atoms", "atoms": atoms}}) == 2
         assert "/measure:" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("unbuildable")
     @pytest.mark.parametrize(
         "experiment, changes, flags, pointer",
         [
@@ -1371,6 +1405,7 @@ class TestCliContract:
         monkeypatch.setattr(cfgmod, "MAX_T_POINTS", 50)
         assert self.run_cli(tmp_path, {**CONFIGS[experiment], **changes}, *flags) == 2
         assert f"{pointer}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "experiment, changes, pointer",
@@ -1456,6 +1491,7 @@ class TestCliContract:
         assert self.run_cli(tmp_path, {**CONFIGS["dynamics"], "dispersion": dispersion}) == 2
         assert capsys.readouterr().err.startswith("error: /dispersion/")
 
+    @pytest.mark.usefixtures("unbuildable")
     def test_moments_with_fewer_functions_than_its_order_exits_2(self, tmp_path, capsys):
         assert self.run_cli(tmp_path, CONFIGS["moments"], "--pq", "2,1") == 2
         assert capsys.readouterr().err.startswith("error: /functions: need at least p+q=3 functions")
@@ -1549,8 +1585,8 @@ class TestCliContract:
         assert capsys.readouterr().err.startswith("error: /modes: rep nmode needs at least one mode")
 
     def test_gns_check_nmode_too_strong_mode_exits_2(self, tmp_path, capsys, monkeypatch):
-        # at k = 0, rho = 2e14: |z| = 2e7 needs more than MAX_CELLS circle
-        # nodes; refused before any mode is averaged or any J0 is summed
+        # at k = 0, rho = 2e14: |z| = 2e7, where one J0 would take years;
+        # refused before any mode is averaged or any J0 is summed
         def never(*args):
             raise AssertionError("called before the modes were checked")
 
@@ -1558,8 +1594,23 @@ class TestCliContract:
         monkeypatch.setattr(cli, "bessel_j0", never)
         cfg = {**GNS_NMODE, "modes": [GNS_NMODE["modes"][0], {"k": 0.0, "rho": 2e14}]}
         assert self.run_cli(tmp_path, cfg) == 2
-        assert capsys.readouterr().err.startswith("error: /modes/1/rho: |z| = 2e+07 needs more than")
+        err = capsys.readouterr().err
+        assert err == "error: /modes/1/rho: amplitudes up to |z| = 2e+07 exceed the cap of 5000\n"
         assert not (tmp_path / "o").exists()
+
+    def test_gns_check_nmode_mode_at_the_j0_bound(self, tmp_path, capsys, monkeypatch):
+        # with the bound lowered to |z| = 50, a mode at k = 0 of |z| = 51
+        # exits 2 before any J0 is summed, and one of |z| = 49 runs
+        j0, calls = cli.bessel_j0, []
+        monkeypatch.setattr(cli, "MAX_J0_ARGUMENT", 50)
+        monkeypatch.setattr(cli, "bessel_j0", lambda x: calls.append(x) or j0(x))
+        cfg = {**GNS_NMODE, "modes": [GNS_NMODE["modes"][0], {"k": 0.0, "rho": 51 ** 2 / 2}]}
+        assert self.run_cli(tmp_path, cfg) == 2
+        assert capsys.readouterr().err.startswith("error: /modes/1/rho: amplitudes up to |z| = 51 exceed")
+        assert calls == [] and not (tmp_path / "o").exists()
+        cfg = {**GNS_NMODE, "modes": [GNS_NMODE["modes"][0], {"k": 0.0, "rho": 49 ** 2 / 2}]}
+        assert self.run_cli(tmp_path, cfg) == 0
+        assert calls[-1] == 49.0
 
     @pytest.mark.parametrize(
         "base, key, value",
