@@ -26,7 +26,14 @@ from typing import NamedTuple
 import numpy as np
 
 from cohlim import config as cfgmod
-from cohlim.circle_measure import admissible, check_mu2, fourier_moment
+from cohlim.circle_measure import (
+    admissible,
+    check_mu2,
+    circle_angles,
+    circle_average,
+    fourier_moment,
+    log_phase_product,
+)
 from cohlim.config import ConfigError
 from cohlim.dynamics import sigma_t, uniformization_curve
 from cohlim.float_text import repr_chars
@@ -36,6 +43,7 @@ from cohlim.functionals import (
     MIN_FIT_POINTS,
     CoherentModeSet,
     bessel_j0,
+    cell_amplitudes,
     divergence_diagnostic,
     fock_functional,
     mode_amplitudes,
@@ -48,7 +56,7 @@ from cohlim.functionals import (
     variances,
 )
 from cohlim.gns_reps import rep_expectation_averaged, rep_expectation_n_mode
-from cohlim.ito_sampler import clt_sample, ks_distance, random_functional, sample_chi_gram
+from cohlim.ito_sampler import random_functional, sample_chi_gram
 from cohlim.mode_space import battery_gram
 from cohlim.moments import MAX_PAIRING_ORDER, MIN_ORACLE_SAMPLES, build_q, mc_oracle, wick_moment
 from cohlim.open_system import envelopes
@@ -58,6 +66,9 @@ SCHEMA_VERSION = "1"
 # labels), at least one: 256 samples of the chi benchmark's 4 functions x 4
 # columns, every row of a 1001-time dynamics table.
 CSV_CELLS = 4096
+# The s-grid of `clt`, in units of 1/sigma_mu(f): 31 points from 0 to 6,
+# where the limit's e^{-s^2 sigma^2 / 2} has fallen to e^{-18}.
+CLT_S = np.linspace(0.0, 6.0, 31)
 
 
 def _json_default(o):
@@ -229,17 +240,16 @@ class Run:
         for t in tols:
             self.tol(t)
 
-    def rng(self, sampler):
-        """The run's seeded generator; `sampler` names what draws from it
-        ("gram": chi from its exact Gram law, "phases": i.i.d. mode phases)
-        and enters result.json with the seed and bit generator."""
+    def rng(self):
+        """The run's seeded generator, which draws chi from its exact Gram
+        law ("gram" in result.json, with the seed and bit generator)."""
         if self._rng is None:
             with cfgmod.reading("/seed"):
                 self._rng = np.random.default_rng(self.read("seed", int))
             self.rng_provenance = {
                 "seed": self.cfg["seed"],
                 "bit_generator": type(self._rng.bit_generator).__name__,
-                "sampler": sampler,
+                "sampler": "gram",
             }
         return self._rng
 
@@ -285,15 +295,20 @@ class Run:
             raise ConfigError("/functions", f"expected a non-empty list, got {fns!r}")
         return fns
 
-    @cached_property
-    def battery(self):
-        fns, n = self.entries, self.grid.n_cells
-        # the samplers hold a cells x functions matrix
-        cfgmod.cap("/functions", len(fns) * n, cfgmod.MAX_CELLS, f"{len(fns)} functions x {n} cells")
+    def build(self, entries):
+        """The test functions of `entries`, the first of the config's
+        `functions`, built once their cells are within the cap: the
+        samplers hold a cells x functions matrix."""
+        n = self.grid.n_cells
+        cfgmod.cap("/functions", len(entries) * n, cfgmod.MAX_CELLS, f"{len(entries)} functions x {n} cells")
         return [
             cfgmod.build_test_function(obj, self.grid, f"/functions/{i}")
-            for i, obj in enumerate(fns)
+            for i, obj in enumerate(entries)
         ]
+
+    @cached_property
+    def battery(self):
+        return self.build(self.entries)
 
     @cached_property
     def function(self):
@@ -423,19 +438,41 @@ def run_functional(run):
 
 
 def run_clt(run):
-    m = run.samples(2000, run.grid.n_cells)
-    mu = run.measure
-    f = run.function
+    """The exact finite-N law of sum_j X_j, X_j = Re e^{-i theta_j} z_j over
+    the `cell_amplitudes`: its characteristic function phi_N on CLT_S / sigma
+    (`log_phase_product`), the limit's Gaussian G and G's Edgeworth form in
+    the cumulants kappa3, kappa4 of the X_j.  It asserts
+    max |phi_N - Edgeworth| <= tolerances.edgeworth * max |phi_N - G|."""
+    mu, f = run.measure, run.function
     sigma = math.sqrt(sigma_mu_sq(f, run.density, run.mu2))
     if sigma == 0:
-        # the limit law N(0, 0) is a point mass, and no KS distance to it is defined
+        # the limit law N(0, 0) is a point mass, and sigma sets the s-grid
         raise ConfigError("/functions/0", "sigma_mu(f) = 0: the limit law is degenerate")
-    draws = clt_sample(f, run.density, mu, m, run.rng("phases"))
-    ks = ks_distance(draws, sigma)
-    tol = run.tol("ks", 1.95 / math.sqrt(m))
-    run.write_csv("clt_draws.csv", ["draw"], [draws])
-    run.check("ks_distance", ks, tol, ks < tol)
-    return {"ks_distance": ks, "sigma": sigma, "samples": m}
+    z = cell_amplitudes(f, run.density)
+    s = CLT_S / sigma
+    angles = circle_angles(mu, s[-1] * float(np.max(np.abs(z))))
+    what = f"{len(s)} points x {len(z)} cells x {angles} angles"
+    cfgmod.cap("/grid", len(s) * len(z) * angles, cfgmod.MAX_CELLS, what)
+    phi = np.exp(log_phase_product(mu, z, s))
+
+    def powers(theta):
+        x = np.real(np.exp(-1j * theta) * z[:, None])
+        return np.stack([x * x, x * x * x, x * x * x * x])  # products, as ** calls pow
+
+    m2, m3, m4 = circle_average(mu, powers)
+    kappa3, kappa4 = float(np.sum(m3)), float(np.sum(m4 - 3.0 * m2 ** 2))
+    gauss = np.exp(-0.5 * CLT_S ** 2)
+    edgeworth = gauss * (1.0 + (1j * s) ** 3 * kappa3 / 6.0 + s ** 4 * kappa4 / 24.0)
+    run.write_csv(
+        "clt.csv",
+        ["s", "phi_re", "phi_im", "gaussian", "edgeworth_re", "edgeworth_im"],
+        [s, phi.real, phi.imag, gauss, edgeworth.real, edgeworth.imag],
+    )
+    gap = float(np.max(np.abs(phi - gauss)))
+    residual = float(np.max(np.abs(phi - edgeworth)))
+    tol = run.tol("edgeworth", 0.25) * gap
+    run.check("edgeworth_residual", residual, tol, residual <= tol)
+    return {"sigma": sigma, "kappa3": kappa3, "kappa4": kappa4, "gaussian_gap": gap, "edgeworth_residual": residual}
 
 
 def run_chi(run):
@@ -443,7 +480,7 @@ def run_chi(run):
     function's draws are checked against that law at z standard errors."""
     m = run.samples(1000, len(run.entries))
     battery, labels = run.battery, run.labels
-    chis = sample_chi_gram(battery_gram(battery, run.density), run.mu2, m, run.rng("gram"))
+    chis = sample_chi_gram(battery_gram(battery, run.density), run.mu2, m, run.rng())
     vals = random_functional(battery, chis)
     run.write_csv(
         "chi_samples.csv",
@@ -478,9 +515,9 @@ def run_moments(run):
     if p + q > len(run.entries):
         raise ConfigError("/functions", f"need at least p+q={p+q} functions")
     m = run.samples(10_000, p + q, MIN_ORACLE_SAMPLES)
-    gram = battery_gram(run.battery[: p + q], run.density)
+    gram = battery_gram(run.build(run.entries[: p + q]), run.density)
     closed = wick_moment(build_q(gram, p, run.mu2))
-    est = mc_oracle(gram, p, run.mu2, m, run.rng("gram"))
+    est = mc_oracle(gram, p, run.mu2, m, run.rng())
     z = est.z_score(closed)
     values = {
         "p": p,
@@ -650,7 +687,7 @@ EXPERIMENTS = {
             },
         ),
     ),
-    "clt": (run_clt, ("seed", "samples", *BATTERY, *PHASES, "tolerances/ks")),
+    "clt": (run_clt, (*BATTERY, *PHASES, "tolerances/edgeworth")),
     "chi": (run_chi, ("seed", "samples", *BATTERY, *PHASES, "tolerances/z")),
     "moments": (run_moments, ("seed", "samples", "pq", *BATTERY, *PHASES, "tolerances/z")),
     "gns-check": (

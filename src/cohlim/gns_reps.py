@@ -21,14 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cohlim.circle_measure import PhaseMeasure, check_mu2, circle_average, circle_nodes
+from cohlim.circle_measure import PhaseMeasure, check_mu2, log_phase_product
 from cohlim.functionals import (
     CoherentModeSet,
     FunctionalValue,
     fock_functional,
     mode_amplitudes,
 )
-from cohlim.mode_space import MAX_CELLS, ModeDensity, TestFunction, norm_sq_momentum, same_grid
+from cohlim.mode_space import ModeDensity, TestFunction, norm_sq_momentum, same_grid
 
 _BETA_CUTOFF = 1e-14  # below this |mu_hat(2)| the beta prefactor is a removable 0/0
 
@@ -89,31 +89,15 @@ def rep_expectation_n_mode(
 
         Fock(f) * prod_j int dmu(theta) e^{i Re e^{-i theta} z_j},
 
-    over the `mode_amplitudes` z_j, skipping modes with z_j = 0.  For
-    uniform mu each factor is J0(|z_j|), averaged on the `circle_nodes` of
-    max |z_j|; the modes go in blocks of at most MAX_CELLS (mode, angle)
-    entries, and a mode that needs more angles than that is refused.  With
-    the grid cells as modes (`cell_amplitudes`) it tends to the
+    over the `mode_amplitudes` z_j, skipping modes with z_j = 0: the
+    `log_phase_product` at s = 1.  For uniform mu each factor is J0(|z_j|).
+    With the grid cells as modes (`cell_amplitudes`) it tends to the
     phase-averaged functional as the grid refines when mu_hat(1) = 0.
     """
     mu = mu or PhaseMeasure.uniform()
     fock = fock_functional(f)
     z = mode_amplitudes(f, modes)
-    z = z[np.abs(z) > 0]
-    nodes = circle_nodes(float(np.max(np.abs(z), initial=0.0)))
-    angles = nodes if mu.atoms is None else len(mu.atoms)
-    if angles > MAX_CELLS:
-        raise ValueError(f"{angles} angles per mode exceed the cap of {MAX_CELLS}")
-    block = MAX_CELLS // angles
-
-    def product(zs):
-        def integrand(theta):
-            # shape (modes, angles)
-            return np.exp(1j * np.real(np.exp(-1j * theta)[None, :] * zs[:, None]))
-
-        return np.prod(circle_average(mu, integrand, nodes))
-
-    value = np.prod([product(z[i : i + block]) for i in range(0, len(z), block)])
+    value = np.exp(log_phase_product(mu, z[np.abs(z) > 0], [1.0])[0])
     return FunctionalValue(fock.value * complex(value), fock.fock_exponent)
 
 

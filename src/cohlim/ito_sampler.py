@@ -1,6 +1,5 @@
 """Random-phase machinery: the complex Gaussian chi(f), its exact Gram-law
-sampler, sampled random functionals and the finite-N central-limit
-diagnostics.
+sampler and sampled random functionals.
 
 chi(f) = int dB1 S1 fhat + i int dB2 S2 fhat is realized on grid cells exactly
 as the simple-function construction: each cell carries an independent
@@ -28,14 +27,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from cohlim.circle_measure import (
-    InadmissibleMeasureError,
-    PhaseMeasure,
-    admissible,
-    check_mu2,
-    sample_phase,
-)
-from cohlim.functionals import cell_amplitudes, fock_functional
+from cohlim.circle_measure import check_mu2
+from cohlim.functionals import fock_functional
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, same_grid
 
 # Below this margin in 1 + Re mu_hat(2) the generic coefficient formulas
@@ -49,7 +42,6 @@ CHI_CHUNK = 2000  # draws of `sample_chi` per block of cell increments
 # blocks lose the memory gain: 100 `moments` runs at 16 functions peaked
 # 0.7 MB higher in RSS with 256 KiB blocks and 1.5 MB with 512 KiB ones
 GRAM_BLOCK = 8192
-CLT_CHUNK = 512  # draws of `clt_sample` per block of mode phases
 
 
 @dataclass(frozen=True)
@@ -228,48 +220,3 @@ def sample_chi_gram(
         done += len(block)
     return out
 
-
-# -- finite-N central limit diagnostics --------------------------------------
-
-
-def clt_sample(
-    f: TestFunction,
-    rho: ModeDensity,
-    mu: PhaseMeasure,
-    n_draws: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Independent draws of N^{-d/2} sum_j xi_j with
-    xi_j = Re e^{-i theta_j} (2R)^{d/2} sqrt(2 rho(k_j)) fhat(k_j) and
-    theta_j i.i.d. from mu: the sum of Re e^{-i theta_j} z_j over the
-    `cell_amplitudes` z_j.
-
-    Converges in distribution to N(0, sigma_mu(f)^2) as the grid refines.
-    """
-    if not admissible(mu):
-        raise InadmissibleMeasureError("mu_hat(1) must vanish for the CLT limit")
-    z = cell_amplitudes(f, rho)
-    out = np.empty(n_draws)
-    done = 0
-    while done < n_draws:
-        m = min(CLT_CHUNK, n_draws - done)
-        theta = sample_phase(mu, rng, size=(m, len(z)))
-        out[done : done + m] = np.sum(np.real(np.exp(-1j * theta) * z[None, :]), axis=1)
-        done += m
-    return out
-
-
-def ks_distance(draws: np.ndarray, sigma: float) -> float:
-    """Exact one-sample Kolmogorov-Smirnov distance sup_x |F_n(x) - F(x)|
-    of `draws` (at least one) to N(0, sigma^2), sigma > 0.
-
-    F_n jumps at the sorted draws x_1 <= ... <= x_n, so the supremum is
-    max_i max(i/n - F(x_i), F(x_i) - (i-1)/n), with
-    F(x) = erfc(-x / (sigma sqrt 2)) / 2 (erfc keeps the far left tail
-    accurate)."""
-    x = np.sort(np.asarray(draws, dtype=float))
-    n = len(x)
-    scale = -1.0 / (sigma * math.sqrt(2.0))
-    cdf = np.array([0.5 * math.erfc(scale * v) for v in x.tolist()])
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))

@@ -11,10 +11,11 @@ import math
 import numpy as np
 from scipy import stats
 
-from cohlim.circle_measure import PhaseMeasure, fourier_moment
+from cohlim.circle_measure import PhaseMeasure, fourier_moment, log_phase_product
 from cohlim.dynamics import Dispersion, uniformization_metric
 from cohlim.functionals import (
     CoherentModeSet,
+    cell_amplitudes,
     divergence_diagnostic,
     fock_functional,
     n_mode_functional,
@@ -22,12 +23,13 @@ from cohlim.functionals import (
     sigma_mu_sq,
 )
 from cohlim.gns_reps import rep_expectation_averaged
-from cohlim.ito_sampler import clt_sample, random_functional, sample_chi
+from cohlim.ito_sampler import random_functional, sample_chi
 from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, inner
 from cohlim.moments import permanent_moment, product_moment, wick_moment
 from cohlim.open_system import gamma, gamma_radial
 
 from conftest import built_pairs, ito_pair, make_battery, opposite_pair, q_matrix, with_values
+from oracles import clt_sample
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,13 +62,22 @@ def test_criterion_1_ito_isometry():
 
 
 def test_criterion_2_clt_ks():
+    # draws of the N-mode phase sum over the grid cells: their KS distance
+    # to the Gaussian limit, and their empirical characteristic function
+    # against the exact finite-N law of `log_phase_product` at five s, within
+    # 5 standard errors sqrt((1 - |phi|^2) / m) of the mean of e^{isX}
     grid, f, rho = std_setup()
+    m, z = 2000, cell_amplitudes(f, rho)
     ok = True
     for seed, mu in ((11, PhaseMeasure.uniform()), (12, opposite_pair())):
-        draws = clt_sample(f, rho, mu, 2000, np.random.default_rng(seed))
+        draws = clt_sample(f, rho, mu, m, np.random.default_rng(seed))
         sig = math.sqrt(sigma_mu_sq(f, rho, fourier_moment(mu, 2)))
         ks = stats.kstest(draws, "norm", args=(0.0, sig)).statistic
-        ok = ok and ks < 1.95 / math.sqrt(2000)
+        ok = ok and ks < 1.95 / math.sqrt(m)
+        s = np.array([0.5, 1.0, 1.5, 2.0, 3.0]) / sig
+        exact = np.exp(log_phase_product(mu, z, s))
+        empirical = np.mean(np.exp(1j * s[:, None] * draws), axis=1)
+        ok = ok and bool(np.all(np.abs(empirical - exact) <= 5.0 * np.sqrt((1.0 - np.abs(exact) ** 2) / m)))
     verdict(2, "finite-mode central limit", ok)
 
 

@@ -7,7 +7,8 @@ A scan keeps one way to put a profile on a grid: only `config` and
 holds every experiment handler in `cli` to the config keys its
 `EXPERIMENTS` row declares.  Two keep one size-cap rule, `config.cap`: `cli`
 compares nothing with a `MAX_` cap itself, and no library module but `cli`
-imports `config`.
+imports `config`.  One keeps how a phase measure is held in
+`circle_measure`: no other module reads a measure's `atoms`.
 
 A stdlib `ast` scan: a definition counts as called when its name is loaded,
 as a bare name or as an attribute, anywhere in src/cohlim outside the
@@ -342,3 +343,30 @@ def test_config_scan_sees_every_import_form():
     ]
     trees = {f"m{i}": ast.parse(source) for i, source in enumerate(forms)}
     assert config_importers(trees) == [f"m{i}" for i in range(7)]
+
+
+def atoms_reads(trees):
+    """(module, line) of every read of an attribute named `atoms` in `trees`."""
+    return [
+        (module, node.lineno)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "atoms"
+    ]
+
+
+def test_only_circle_measure_reads_atoms():
+    # every other module averages over a measure through circle_measure
+    found = [f"{module} line {line}" for module, line in atoms_reads(LIBRARY) if module != "cohlim.circle_measure"]
+    assert not found, f"reads of a measure's atoms outside circle_measure: {', '.join(found)}"
+
+
+def test_atoms_scan_sees_every_read():
+    tree = ast.parse(
+        "angles = mu.atoms\n"
+        "if run.measure.atoms is None:\n    pass\n"
+        "n = len(getattr(mu, 'atoms'))\n"
+        "k = obj['atoms']\n"
+    )
+    # a subscript and a getattr are not attribute reads
+    assert atoms_reads({"m": tree}) == [("m", 1), ("m", 2)]

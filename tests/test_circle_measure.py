@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohlim import circle_measure
 from cohlim.circle_measure import (
     CIRCLE_NODES,
     TWO_PI,
@@ -14,11 +16,15 @@ from cohlim.circle_measure import (
     circle_average,
     circle_nodes,
     fourier_moment,
-    sample_phase,
+    log_phase_product,
 )
 from cohlim.config import build_measure
+from cohlim.functionals import CoherentModeSet, cell_amplitudes, fock_functional, variances
+from cohlim.gns_reps import rep_expectation_n_mode
+from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction
 
 from conftest import opposite_pair
+from oracles import sample_phase
 
 
 def cos2_density():
@@ -201,15 +207,127 @@ class TestOneLaw:
                 assert abs(part(mean - moment)) <= 5 * se + 1e-12
 
 
-@pytest.mark.parametrize("radius", [0.0, 1.0, 50.0, 141.0, 300.0, 1000.0, 3000.0, 1e4, 1e5])
+@pytest.mark.parametrize(
+    "radius", [0.0, 1.0, 25.0, 27.7, 35.0, 50.0, 141.0, 300.0, 1000.0, 3000.0, 1e4, 1e5]
+)
 def test_circle_nodes_resolve_the_bessel_aliasing(radius):
     """The midpoint rule of n nodes averages e^{i Re e^{-i theta} z} to
     J0(|z|) + 2 sum_m i^{mn} J_{mn}(|z|) cos(mn arg z); at the nodes of
     `circle_nodes` the aliased terms are below 2e-18 at every |z| up to
-    the radius, and no fewer than CIRCLE_NODES are used."""
+    the radius, and no fewer than CIRCLE_NODES are used, which is the count
+    up to |z| = 25.7.  27.7 is where |z| + 12 |z|^(1/3) nodes fell short."""
     from scipy.special import jv
 
     n = circle_nodes(radius)
-    assert n >= CIRCLE_NODES and (radius > 150 or n == CIRCLE_NODES)
+    assert n >= CIRCLE_NODES and (radius > 25 or n == CIRCLE_NODES)
     x = np.linspace(0.0, radius, 200)
     assert np.max(2.0 * np.abs(jv(n, x))) < 2e-18
+
+
+def test_circle_nodes_match_j0():
+    # the uniform average of e^{i x cos theta} on the circle_nodes of x
+    from scipy.special import j0
+
+    x = np.linspace(0.0, 40.0, 401)
+    rule = [circle_average(PhaseMeasure.uniform(), lambda t: np.exp(1j * v * np.cos(t)), circle_nodes(v)) for v in x]
+    assert np.max(np.abs(np.array(rule) - j0(x))) <= 4e-15
+
+
+def clt_amplitudes():
+    """f, rho and the `cell_amplitudes` of the `clt` CLI config: a modulated
+    gaussian f against a gaussian density on 512 cells over [-4, 4]."""
+    grid = MomentumGrid(d=1, R=4.0, N=512)
+    f = TestFunction.from_profile(grid, lambda k: np.exp(-(k ** 2) / 2.0) * np.exp(1j * k))
+    rho = ModeDensity.from_profile(grid, lambda k: np.exp(-((k - 1.0) ** 2) / (2 * 0.70710678 ** 2)))
+    return f, rho, cell_amplitudes(f, rho)
+
+
+THREE_ATOMS = [(2 * math.pi * j / 3, 1 / 3) for j in range(3)]
+
+
+class TestLogPhaseProduct:
+    @pytest.mark.parametrize("strong", [False, True], ids=["clt", "strong"])
+    def test_uniform_is_the_j0_product(self, strong):
+        # the clt CLI config on its s-grid, then 40 modes up to |z| = 12 at
+        # s up to 2, whose factors J0(s |z|) are negative too
+        from scipy.special import j0
+
+        if strong:
+            rng = np.random.default_rng(3)
+            z, s = rng.uniform(0.0, 12.0, 40) * np.exp(1j * rng.uniform(0.0, TWO_PI, 40)), np.linspace(0.0, 2.0, 31)
+        else:
+            f, rho, z = clt_amplitudes()
+            s = np.linspace(0.0, 6.0, 31) / math.sqrt(variances([f], rho, 0.0)[0])
+        factors = j0(s[:, None] * np.abs(z))
+        assert np.any(factors < 0) == strong
+        reference = np.sum(np.log(factors.astype(complex)), axis=1)
+        # compared through exp of the difference, as the log of a negative
+        # factor may take either branch; each factor is held to rounding,
+        # 1e-15, which near a zero of J0 is a large share of it
+        error = np.abs(np.exp(log_phase_product(PhaseMeasure.uniform(), z, s) - reference) - 1.0)
+        assert np.all(error <= 1e-13 + 1e-15 * np.sum(1.0 / np.abs(factors), axis=1))
+        assert strong or np.max(error) <= 1e-13
+
+    @pytest.mark.parametrize("atoms", [THREE_ATOMS, [(0.3, 0.25), (2.0, 0.35), (4.4, 0.4)]])
+    def test_atoms_are_the_explicit_means(self, atoms):
+        z = np.array([0.8 + 0.3j, -1.2j, 2.5, 0.1 - 0.4j])
+        s = np.array([0.0, 0.4, 1.0, 2.7])
+        mean = np.prod(
+            [sum(w * np.exp(1j * s * (np.exp(-1j * a) * zj).real) for a, w in atoms) for zj in z], axis=0
+        )
+        value = np.exp(log_phase_product(PhaseMeasure.from_atoms(atoms), z, s))
+        assert np.max(np.abs(value - mean)) <= 1e-14
+
+    def test_empty_and_zero_modes_give_1(self):
+        assert np.array_equal(log_phase_product(PhaseMeasure.uniform(), [], [0.0, 2.0]), [0.0, 0.0])
+        assert np.array_equal(log_phase_product(PhaseMeasure.uniform(), [0.0, 0.0], [1.0]), [0.0])
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "atoms"])
+    @pytest.mark.parametrize(
+        "rows, blocks",
+        [(2, [(1, 2)] * 14 + [(1, 1)] * 7), (15, [(3, 5), (3, 5), (1, 5)])],
+        ids=["modes", "points"],
+    )
+    def test_blocks_hold_at_most_max_cells(self, monkeypatch, uniform, rows, blocks):
+        # 5 modes x 7 points with room for `rows` (point, mode) rows of 64
+        # angles or 3 atoms: blocks of 2, 2 and 1 modes, one point each, or
+        # of all 5 modes and 3, 3 and 1 points; the value of one block to rounding
+        mu = PhaseMeasure.uniform() if uniform else PhaseMeasure.from_atoms(THREE_ATOMS)
+        z = np.array([0.8 + 0.3j, -1.2j, 2.5, 0.1 - 0.4j, 1.7 + 1.0j])
+        s = np.linspace(0.0, 3.0, 7)
+        whole = log_phase_product(mu, z, s)
+        angles = 64 if uniform else 3
+        shapes, average = [], circle_measure.circle_average
+
+        def recording_average(mu, integrand, nodes):
+            def recorded(theta):
+                values = integrand(theta)
+                shapes.append(values.shape)
+                return values
+
+            return average(mu, recorded, nodes)
+
+        monkeypatch.setattr(circle_measure, "MAX_CELLS", rows * angles + 1)
+        monkeypatch.setattr(circle_measure, "circle_average", recording_average)
+        assert np.max(np.abs(log_phase_product(mu, z, s) - whole)) <= 1e-14
+        assert shapes == [(*block, angles) for block in blocks]
+        monkeypatch.setattr(circle_measure, "MAX_CELLS", angles - 1)
+        with pytest.raises(ValueError, match="angles per mode exceed the cap"):
+            log_phase_product(mu, z, s)
+
+    @pytest.mark.parametrize("mu", [PhaseMeasure.uniform(), PhaseMeasure.from_atoms(THREE_ATOMS)], ids=["uniform", "atoms"])
+    def test_at_s_1_is_the_n_mode_value(self, mu):
+        f, _, _ = clt_amplitudes()
+        modes = CoherentModeSet([0.5, -1.0, 0.0], [2.0, 1.0, 0.5], [0.0] * 3)
+        z = np.sqrt(2.0 * modes.rho) * f.evaluate_at(modes.k)
+        value = fock_functional(f).value * np.exp(log_phase_product(mu, z, [1.0])[0])
+        assert rep_expectation_n_mode(f, modes, mu).value == value
+
+    @pytest.mark.parametrize("name", MEASURES)
+    def test_second_moments_sum_to_the_variance(self, name):
+        # sum_j int X_j^2 dmu, X_j = Re e^{-i theta} z_j, is sigma_mu(f)^2
+        mu = MEASURES[name]()
+        f, rho, z = clt_amplitudes()
+        second = np.sum(circle_average(mu, lambda theta: np.real(np.exp(-1j * theta) * z[:, None]) ** 2))
+        sigma_sq = variances([f], rho, fourier_moment(mu, 2))[0]
+        assert abs(second - sigma_sq) <= 1e-14 * sigma_sq

@@ -26,8 +26,9 @@ from cohlim.config import (
     read_value_file,
     validate_config,
 )
+from cohlim.circle_measure import log_phase_product
 from cohlim.dynamics import sigma_t, uniformization_metric
-from cohlim.functionals import variances
+from cohlim.functionals import cell_amplitudes, variances
 from cohlim.mode_space import MomentumGrid
 from cohlim.moments import MIN_ORACLE_SAMPLES
 
@@ -45,8 +46,6 @@ CONFIGS = {
     },
     "clt": {
         "experiment": "clt",
-        "seed": 11,
-        "samples": 500,
         "grid": GRID,
         "measure": {"kind": "uniform"},
         "density": DENSITY,
@@ -143,9 +142,8 @@ REQUIRED_KEYS = [
 SEEDED = sorted(name for name in cli.EXPERIMENTS if "seed" in cli.experiment_keys(name))
 SAMPLED = sorted(name for name in cli.EXPERIMENTS if "samples" in cli.experiment_keys(name))
 # For each CONFIGS entry of an experiment in SAMPLED: the fewest samples it
-# accepts, and the draw-table entries per sample (grid cells for clt, the
-# functions drawn for chi and moments).
-SAMPLE_BOUNDS = {"clt": (2, GRID["N"]), "chi": (2, 1), "moments": (MIN_ORACLE_SAMPLES, 2)}
+# accepts, and the draw-table entries per sample (the functions drawn).
+SAMPLE_BOUNDS = {"chi": (2, 1), "moments": (MIN_ORACLE_SAMPLES, 2)}
 # (experiment, name) of each tolerance an experiment reads.
 TOLERANCES = [
     (name, key.removeprefix("tolerances/"))
@@ -238,15 +236,23 @@ def key_table():
 
 
 # clt under the M = 8 trapezoid density (1 + 0.8 cos 2 theta) / 2 pi, with
-# mu_hat(2) = 0.4, and 20 000 draws.
+# mu_hat(2) = 0.4.
 CLT_DENSITY = {
     **CONFIGS["clt"],
-    "samples": 20_000,
     "functions": [{"name": "gaussian", "label": "f", "width": 0.5}],
     "measure": {
         "kind": "density",
         "values": [(1 + 0.8 * math.cos(2 * 2 * math.pi * j / 8)) / (2 * math.pi) for j in range(8)],
     },
+}
+
+# clt under three atoms at 0, 2pi/3 and 4pi/3 (mu_hat(3) = 1) with an
+# unmodulated f: kappa3 is then far from 0, and the gap to the Gaussian is
+# ten times that of CONFIGS["clt"].
+CLT_ATOMS = {
+    **CONFIGS["clt"],
+    "functions": [{"name": "gaussian", "label": "f"}],
+    "measure": {"kind": "atoms", "atoms": [[2 * math.pi * j / 3, 1 / 3] for j in range(3)]},
 }
 
 # The diverge config with a zero density: every mode sum vanishes.
@@ -573,17 +579,23 @@ class TestCliRuns:
         assert env["usable_cpus"] == (len(affinity(0)) if affinity else 1)
 
     def test_clt_pass_and_reproducible(self, tmp_path):
+        # deterministic: a rerun writes the same bytes, and nothing is drawn
         cfg = write_cfg(tmp_path, CONFIGS["clt"])
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert cli.main(["clt", "--config", cfg, "--out", str(out1)]) == 0
         assert cli.main(["clt", "--config", cfg, "--out", str(out2)]) == 0
         r1, r2 = read_result(out1), read_result(out2)
-        assert r1["values"]["ks_distance"] == r2["values"]["ks_distance"]
-        assert r1["inputs_digest"] == r2["inputs_digest"]
-        assert r1["rng"] == {"seed": 11, "bit_generator": "PCG64", "sampler": "phases"}
+        assert r1["values"] == r2["values"] and r1["inputs_digest"] == r2["inputs_digest"]
+        assert (out1 / "clt.csv").read_bytes() == (out2 / "clt.csv").read_bytes()
+        assert r1["seed"] is None and "rng" not in r1
+        assert [a["name"] for a in r1["assertions"]] == ["edgeworth_residual"]
+        # the finite-N gap to the Gaussian, nearly all of it the kappa4 term
+        values = r1["values"]
+        assert 1e-3 < values["gaussian_gap"] < 1.5e-3
+        assert values["edgeworth_residual"] < 0.01 * values["gaussian_gap"]
 
     def test_clt_rejects_inadmissible_measure(self, tmp_path, capsys):
-        body = {**CONFIGS["clt"], "seed": 1, "measure": {"kind": "atoms", "atoms": [[0.0, 1.0]]}}
+        body = {**CONFIGS["clt"], "measure": {"kind": "atoms", "atoms": [[0.0, 1.0]]}}
         cfg = write_cfg(tmp_path, body)
         rc = cli.main(["clt", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -595,14 +607,33 @@ class TestCliRuns:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: /measure: mu_hat_1 nonzero")
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_clt_draws_follow_a_density_measure(self, tmp_path, seed):
-        # mu_hat(2) = 0.4 for the trapezoid atoms of this M = 8 density; draws
-        # of another law (mu_hat(2) = 0.255 - 0.255i for a uniform angle within
-        # each cell) miss the ks tolerance on seeds 2 and 3
-        cfg, out = write_cfg(tmp_path, {**CLT_DENSITY, "seed": seed}), tmp_path / "o"
+    def test_clt_follows_a_density_measure(self, tmp_path):
+        # sigma_mu is that of mu_hat(2) = 0.4, the trapezoid atoms' value for
+        # this M = 8 density, and kappa3, kappa4 account for the gap
+        cfg, out = write_cfg(tmp_path, CLT_DENSITY), tmp_path / "o"
         assert cli.main(["clt", "--config", cfg, "--out", str(out)]) == 0
-        assert read_result(out)["assertions"][0]["pass"]
+        record = read_result(out)
+        run = cli.Run(CLT_DENSITY, tmp_path / "inputs")
+        assert record["values"]["sigma"] ** 2 == pytest.approx(variances([run.function], run.density, 0.4)[0], rel=1e-12)
+        assert record["values"]["edgeworth_residual"] < 0.01 * record["values"]["gaussian_gap"]
+
+    @pytest.mark.parametrize("name, cut", [("clt", "kappa4"), ("clt-atoms", "kappa3")])
+    def test_clt_fails_without_a_cumulant(self, tmp_path, monkeypatch, name, cut):
+        # a mutation: with kappa4 left out the gap of the uniform measure is
+        # unexplained, and with kappa3 left out that of three atoms, whose
+        # mu_hat(3) = 1; each passes with both
+        cfg = {"clt": CONFIGS["clt"], "clt-atoms": CLT_ATOMS}[name]
+        out, average = tmp_path / "o", cli.circle_average
+        assert cli.main(["clt", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+
+        def cut_average(mu, integrand):
+            m2, m3, m4 = average(mu, integrand)
+            return (m2, 0.0 * m3, m4) if cut == "kappa3" else (m2, m3, 3.0 * m2 ** 2)
+
+        monkeypatch.setattr(cli, "circle_average", cut_average)
+        assert cli.main(["clt", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+        values = read_result(out)["values"]
+        assert values["edgeworth_residual"] > 0.9 * values["gaussian_gap"]
 
     def test_wrong_subcommand_for_config(self, tmp_path):
         cfg = write_cfg(tmp_path, CONFIGS["functional"])
@@ -616,6 +647,21 @@ class TestCliRuns:
         record = read_result(out)
         assert record["values"]["z_score"] < 5.0
         assert record["rng"] == {"seed": 3, "bit_generator": "PCG64", "sampler": "gram"}
+
+    def test_moments_builds_only_the_functions_of_its_order(self, tmp_path, monkeypatch):
+        # --pq 1,1 on 16 functions builds the first two, with the values of
+        # the two-function config; the rest are neither built nor capped
+        built, build = [], cfgmod.build_test_function
+        monkeypatch.setattr(cfgmod, "build_test_function", lambda *args: built.append(args[2]) or build(*args))
+        extra = [{"name": "gaussian", "label": f"h{j}", "center": j / 8} for j in range(14)]
+        wide = {**CONFIGS["moments"], "functions": CONFIGS["moments"]["functions"] + extra}
+        values = []
+        for cfg in (wide, CONFIGS["moments"]):
+            out = tmp_path / str(len(cfg["functions"]))
+            assert cli.main(["moments", "--config", write_cfg(tmp_path, cfg), "--out", str(out), "--pq", "1,1"]) == 0
+            values.append(read_result(out)["values"])
+        assert built == ["/functions/0", "/functions/1"] * 2
+        assert values[0] == values[1]
 
     def test_gns_check_averaged(self, tmp_path):
         cfg = write_cfg(tmp_path, CONFIGS["gns-check"])
@@ -914,20 +960,29 @@ class TestCliRuns:
         assert sum(row[5] == "" for row in rows) == (0 if kind == "averaged" else len(fns))
 
     def test_clt_csv_matches_per_row_loop(self, tmp_path, monkeypatch):
-        drawn = []
+        # the table of phi_N, the Gaussian and the Edgeworth form at each s,
+        # written in blocks of 20 rows
+        written, write = [], cli.Run.write_csv
 
-        def recording_sampler(*args):
-            drawn.append(real_sampler(*args))
-            return drawn[-1]
+        def recording_write(run, name, header, columns, **kwargs):
+            written.append((header, columns))
+            return write(run, name, header, columns, **kwargs)
 
-        real_sampler = cli.clt_sample
-        monkeypatch.setattr(cli, "clt_sample", recording_sampler)
+        monkeypatch.setattr(cli.Run, "write_csv", recording_write)
         monkeypatch.setattr(cli, "CSV_CELLS", 100)
         out = tmp_path / "o"
-        assert cli.main(["clt", "--config", write_cfg(tmp_path, CONFIGS["clt"]), "--out", str(out)]) == 0
-        (draws,) = drawn
-        expected = csv_writer_bytes(tmp_path, ["draw"], [[x] for x in draws])
-        assert (out / "clt_draws.csv").read_bytes() == expected
+        assert cli.main(["clt", "--config", write_cfg(tmp_path, CLT_ATOMS), "--out", str(out)]) == 0
+        ((header, columns),) = written
+        assert header == ["s", "phi_re", "phi_im", "gaussian", "edgeworth_re", "edgeworth_im"]
+        s, phi_re, phi_im, gauss = columns[:4]
+        sigma = read_result(out)["values"]["sigma"]
+        assert np.array_equal(s, cli.CLT_S / sigma) and np.array_equal(gauss, np.exp(-0.5 * cli.CLT_S ** 2))
+        run = cli.Run(CLT_ATOMS, tmp_path / "inputs")
+        phi = np.exp(log_phase_product(run.measure, cell_amplitudes(run.function, run.density), s))
+        assert np.array_equal(phi_re, phi.real) and np.array_equal(phi_im, phi.imag)
+        rows = [list(row) for row in zip(*(np.asarray(col).tolist() for col in columns))]
+        assert len(rows) == 31
+        assert (out / "clt.csv").read_bytes() == csv_writer_bytes(tmp_path, header, rows)
 
     def test_dynamics_csv_matches_per_row_loop(self, tmp_path):
         """dynamics.csv over a long t-grid, whose late metrics are below 1e-4
@@ -1076,10 +1131,11 @@ class TestCliContract:
         assert built == ["cohlim", *(f"cohlim {name}" for name in sorted(cli.EXPERIMENTS))]
 
     def test_override_does_not_outlive_its_call(self, tmp_path):
-        for flags, seed, samples in ((("--seed", "9", "--samples", "300"), 9, 300), ((), 11, 500)):
-            assert self.run_cli(tmp_path, CONFIGS["clt"], *flags) == 0
-            record = read_result(tmp_path / "o")
-            assert (record["seed"], record["values"]["samples"]) == (seed, samples)
+        for flags, seed, samples in ((("--seed", "9", "--samples", "300"), 9, 300), ((), 5, 200)):
+            assert self.run_cli(tmp_path, CONFIGS["chi"], *flags) == 0
+            with open(tmp_path / "o" / "chi_samples.csv") as fh:
+                rows = len(fh.readlines()) - 1
+            assert (read_result(tmp_path / "o")["seed"], rows) == (seed, samples)
 
     @pytest.mark.parametrize("experiment", ["chi", "diverge"])
     @pytest.mark.parametrize(
@@ -1553,12 +1609,24 @@ class TestCliContract:
 
     def test_degenerate_clt_limit_exits_2(self, tmp_path, capsys):
         # real f and mu_hat(2) = -1 give sigma_mu(f) = 0: the limit law is a
-        # point mass, against which no KS distance is defined
+        # point mass, and no s-grid is scaled by its width
         measure = {"kind": "atoms", "atoms": [[math.pi / 2, 0.5], [3 * math.pi / 2, 0.5]]}
         cfg = {**CONFIGS["clt"], "measure": measure, "functions": [{"name": "gaussian", "label": "f"}]}
         assert self.run_cli(tmp_path, cfg) == 2
         assert "/functions/0:" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "clt_draws.csv").exists()
+        assert not (tmp_path / "o").exists()
+
+    def test_clt_above_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 31 points x 512 cells x 64 angles: at the cap clt runs, one entry
+        # below it is refused before the phase product is formed
+        entries = len(cli.CLT_S) * GRID["N"] * 64
+        monkeypatch.setattr(cfgmod, "MAX_CELLS", entries)
+        assert self.run_cli(tmp_path, CONFIGS["clt"]) == 0
+        monkeypatch.setattr(cfgmod, "MAX_CELLS", entries - 1)
+        monkeypatch.setattr(cli, "log_phase_product", lambda *args: pytest.fail("formed above the cap"))
+        assert self.run_cli(tmp_path, CONFIGS["clt"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: /grid: 31 points x 512 cells x 64 angles exceed the cap of {entries - 1}\n"
 
     def test_missing_values_file_exits_2(self, tmp_path, capsys):
         fns = [{"values_file": str(tmp_path / "missing.bin")}]

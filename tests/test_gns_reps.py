@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohlim import gns_reps
+from cohlim import circle_measure
 from cohlim.circle_measure import PhaseMeasure, fourier_moment
 from cohlim.functionals import (
     CoherentModeSet,
@@ -158,13 +158,14 @@ class TestRepExpectations:
 
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "atoms"])
     def test_n_mode_blocks_hold_at_most_max_cells(self, gauss, monkeypatch, uniform):
-        # five modes in blocks of two (mode, angle) rows of 256 angles or
-        # three atoms: the same value as in one block, to rounding
+        # five modes at s = 1 in blocks of two (mode, angle) rows of 64 angles
+        # or three atoms, in `log_phase_product`: the same value as in one
+        # block, to rounding
         mu = PhaseMeasure.uniform() if uniform else PhaseMeasure.from_atoms([(0.1, 0.3), (2.0, 0.5), (4.0, 0.2)])
         modes = CoherentModeSet([0.5, -1.0, 0.0, 1.5, -0.3], [2.0, 1.0, 0.5, 3.0, 1.5], [0.0] * 5)
         whole = rep_expectation_n_mode(gauss, modes, mu).value
-        angles = 256 if uniform else 3
-        shapes, average = [], gns_reps.circle_average
+        angles = 64 if uniform else 3
+        shapes, average = [], circle_measure.circle_average
 
         def recording_average(mu, integrand, nodes):
             def recorded(theta):
@@ -174,11 +175,11 @@ class TestRepExpectations:
 
             return average(mu, recorded, nodes)
 
-        monkeypatch.setattr(gns_reps, "MAX_CELLS", 2 * angles + 1)
-        monkeypatch.setattr(gns_reps, "circle_average", recording_average)
+        monkeypatch.setattr(circle_measure, "MAX_CELLS", 2 * angles + 1)
+        monkeypatch.setattr(circle_measure, "circle_average", recording_average)
         assert rep_expectation_n_mode(gauss, modes, mu).value == pytest.approx(whole, abs=1e-15)
-        assert shapes == [(2, angles), (2, angles), (1, angles)]
-        monkeypatch.setattr(gns_reps, "MAX_CELLS", angles - 1)
+        assert shapes == [(1, 2, angles), (1, 2, angles), (1, 1, angles)]
+        monkeypatch.setattr(circle_measure, "MAX_CELLS", angles - 1)
         with pytest.raises(ValueError, match="angles per mode exceed the cap"):
             rep_expectation_n_mode(gauss, modes, mu)
 

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cohlim import ito_sampler
-from cohlim.circle_measure import InadmissibleMeasureError, PhaseMeasure
+from cohlim.circle_measure import PhaseMeasure
 from cohlim.functionals import fock_functional, sigma_mu_sq
 from cohlim.ito_sampler import (
     build_coefficients,
     chi_gram_blocks,
     chi_gram_factor,
-    clt_sample,
-    ks_distance,
     psd_factor,
     random_functional,
     sample_chi,
@@ -38,6 +36,7 @@ from conftest import (
     whole_chi_table,
     with_values,
 )
+from oracles import InadmissibleMeasureError, clt_sample, ks_distance
 
 
 class TestIsometry:

@@ -8,7 +8,10 @@ sigma_mu^2 quadratures (`fock_functional` per function and `variances` of
 the battery) on the `chi` battery and on the `dynamics` one (32 768 cells x
 3 functions), and `sigma_t` at the `dynamics` benchmark size (32 768 cells x
 3 functions x 1001 times) on both of its paths: the photon dispersion takes
-the chirp-z level sum, the quadratic one the direct sum.  The output layer:
+the chirp-z level sum, the quadratic one the direct sum.  The finite-N phase
+product `log_phase_product` at the `clt` size (31 s-points x 512 cells, s up
+to 6 / sigma), under the uniform measure (64 circle nodes) and under three
+atoms.  The output layer:
 `Run.write_csv` at the `chi` benchmark size (20 000 samples x 4 functions, 4
 float columns), in one process, and on the `dynamics` benchmark's table
 (1001 times x 3 columns, about 30 % of the cells in exponent form) beside a
@@ -25,10 +28,13 @@ Deselected by default (`kernel_bench` marker); run with
 import csv
 import json
 
+import math
+
 import numpy as np
 import pytest
 
 from cohlim import cli
+from cohlim.circle_measure import PhaseMeasure, log_phase_product
 from cohlim.config import (
     build_density,
     build_dispersion,
@@ -39,7 +45,7 @@ from cohlim.config import (
 )
 from cohlim.dynamics import sigma_t, uniformization_curve
 from cohlim.float_text import repr_chars
-from cohlim.functionals import fock_functional, variances
+from cohlim.functionals import cell_amplitudes, fock_functional, variances
 from cohlim.ito_sampler import chi_gram_factor, sample_chi, sample_chi_gram
 from cohlim.mode_space import battery_gram
 from cohlim.moments import build_q, mc_oracle, wick_moment
@@ -171,6 +177,20 @@ def test_sigma_t_kernel(benchmark, dynamics_inputs, form):
     ts = parse_t_grid("0:100:0.1")
     table = benchmark.pedantic(sigma_t, args=(battery, rho, -1.0, eps, ts), rounds=3, iterations=1)
     assert table.shape == (len(ts), len(battery))
+
+
+@pytest.mark.parametrize("measure", ["uniform", "atoms"])
+def test_log_phase_product_kernel(benchmark, measure):
+    grid = build_grid({"d": 1, "R": 4.0, "N": 512})
+    rho = build_density({"name": "gaussian", "center": 1.0, "width": 0.70710678}, grid)
+    f = build_test_function({"name": "gaussian", "modulation": 1.0}, grid)
+    z = cell_amplitudes(f, rho)
+    s = np.linspace(0.0, 6.0, 31) / math.sqrt(variances([f], rho, 0.0)[0])
+    mu = PhaseMeasure.uniform() if measure == "uniform" else PhaseMeasure.from_atoms(
+        [(2 * math.pi * j / 3, 1 / 3) for j in range(3)]
+    )
+    logs = benchmark.pedantic(log_phase_product, args=(mu, z, s), rounds=20, iterations=1)
+    assert logs.shape == (31,) and np.all(logs.real <= 1e-12)
 
 
 def test_write_draws_kernel(benchmark, tmp_path):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from cohlim.circle_measure import PhaseMeasure
 from cohlim.config import build_grid
 from cohlim.dynamics import Dispersion, sigma_t, uniformization_metric
-from cohlim.functionals import phase_averaged_functional, sigma_mu_sq, variances
+from cohlim.functionals import cell_amplitudes, phase_averaged_functional, sigma_mu_sq, variances
 from cohlim.gns_reps import apply_R, apply_T, build_alpha_beta, rep_expectation_averaged
-from cohlim.ito_sampler import clt_sample, sample_chi
+from cohlim.ito_sampler import sample_chi
 from cohlim.mode_space import (
     GridMismatchError,
     ModeDensity,
@@ -28,6 +28,7 @@ from cohlim.moments import permanent_moment
 from cohlim.open_system import envelopes, gamma
 
 from conftest import gaussian_setups, unit_disk, with_values
+from oracles import clt_sample
 
 
 class TestMomentumGrid:
@@ -240,6 +241,7 @@ GRID_TAKING = {
     "sample_chi": lambda a, b: sample_chi([a.f], b.rho, 0.3, 2, np.random.default_rng(0)),
     "battery_gram": lambda a, b: battery_gram([a.f, b.f], a.rho),
     "battery_gram_weight": lambda a, b: battery_gram([a.f], b.rho),
+    "cell_amplitudes": lambda a, b: cell_amplitudes(a.f, b.rho),
     "clt_sample": lambda a, b: clt_sample(a.f, b.rho, PhaseMeasure.uniform(), 2, np.random.default_rng(0)),
     "permanent_moment": lambda a, b: permanent_moment([a.f], [a.f], b.rho),
     "apply_R": lambda a, b: apply_R(a.f, a.rho, b.squeeze),
