@@ -32,6 +32,8 @@ from cohlim.functionals import cell_amplitudes, variances
 from cohlim.mode_space import MomentumGrid
 from cohlim.moments import MIN_ORACLE_SAMPLES
 
+from oracles import clt_sample, ks_distance
+
 GRID = {"d": 1, "R": 4.0, "N": 512}
 DENSITY = {"name": "gaussian", "center": 1.0, "width": 0.70710678}
 GAUSS_F = {"name": "gaussian", "label": "f", "modulation": 1.0}
@@ -616,6 +618,24 @@ class TestCliRuns:
         run = cli.Run(CLT_DENSITY, tmp_path / "inputs")
         assert record["values"]["sigma"] ** 2 == pytest.approx(variances([run.function], run.density, 0.4)[0], rel=1e-12)
         assert record["values"]["edgeworth_residual"] < 0.01 * record["values"]["gaussian_gap"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_clt_draws_follow_a_density_measure(self, tmp_path, seed):
+        # Monte Carlo draws of the phase sum under this M = 8 density: within
+        # the old ks tolerance 1.95 / sqrt(m) of N(0, sigma^2) at the run's
+        # sigma, and their empirical characteristic function within 5
+        # standard errors sqrt((1 - |phi|^2) / m) of clt.csv's exact phi_N
+        cfg, out, m = write_cfg(tmp_path, CLT_DENSITY), tmp_path / "o", 500
+        assert cli.main(["clt", "--config", cfg, "--out", str(out)]) == 0
+        run = cli.Run(CLT_DENSITY, tmp_path / "inputs")
+        draws = clt_sample(run.function, run.density, run.measure, m, np.random.default_rng(seed))
+        assert ks_distance(draws, read_result(out)["values"]["sigma"]) < 1.95 / math.sqrt(m)
+        with open(out / "clt.csv", newline="") as fh:
+            table = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+        s = np.array([row["s"] for row in table])
+        exact = np.array([row["phi_re"] + 1j * row["phi_im"] for row in table])
+        empirical = np.mean(np.exp(1j * s[:, None] * draws), axis=1)
+        assert np.all(np.abs(empirical - exact) <= 5.0 * np.sqrt((1.0 - np.abs(exact) ** 2) / m))
 
     @pytest.mark.parametrize("name, cut", [("clt", "kappa4"), ("clt-atoms", "kappa3")])
     def test_clt_fails_without_a_cumulant(self, tmp_path, monkeypatch, name, cut):
