@@ -22,6 +22,7 @@ from cohlim.mode_space import MAX_CELLS
 
 TWO_PI = 2.0 * np.pi
 CIRCLE_NODES = 64  # fewest midpoint nodes of a circle average under the uniform measure
+PRODUCT_BLOCK = 2 ** 16  # (s, mode, angle) entries of one `log_phase_product` block
 
 _WEIGHT_SLACK = 1e-9
 
@@ -135,14 +136,15 @@ def log_phase_product(mu: PhaseMeasure, z, s) -> np.ndarray:
     factor's principal log, as the product underflows, so its exp is the
     product on any branch.  Under uniform mu a factor is J0(s |z_j|), the
     mean of cos(s Re e^{-i theta} z_j) on the `circle_nodes` of max s |z_j|.
-    The (s, mode, angle) entries go in blocks of at most MAX_CELLS; a mode
-    that needs more angles than that is refused."""
+    The (s, mode, angle) entries go in blocks of at most PRODUCT_BLOCK, whole
+    rows of modes while one fits (one mode of more angles is a block alone);
+    a mode that needs more than MAX_CELLS angles is refused."""
     z, s = np.asarray(z, dtype=complex), np.asarray(s, dtype=float)
     angles = circle_angles(mu, float(np.max(np.abs(s), initial=0.0) * np.max(np.abs(z), initial=0.0)))
     if angles > MAX_CELLS:
         raise ValueError(f"{angles} angles per mode exceed the cap of {MAX_CELLS}")
-    modes = max(1, min(len(z), MAX_CELLS // angles))
-    points = max(1, MAX_CELLS // (modes * angles))
+    modes = max(1, min(len(z), PRODUCT_BLOCK // angles))
+    points = max(1, PRODUCT_BLOCK // (modes * angles))
     out = np.zeros(len(s), dtype=complex)
     for i in range(0, len(z), modes):
         zs = z[i : i + modes, None]

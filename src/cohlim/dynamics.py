@@ -38,8 +38,9 @@ class Dispersion:
 
 
 # Bytes of the one (t, distinct eps) block of cos and sin that the direct
-# level sum holds, however long the t-grid is (half for each), and the most
-# the chirp-z path's (functions, FFT length) buffer holds beyond one function.
+# level sum holds, however long the t-grid is (half for each), and of the
+# sin^2 block of `open_system.gamma`; also the most the chirp-z path's
+# (functions, FFT length) buffer holds beyond one function.
 PHASE_BLOCK_BYTES = 512 * 1024
 
 # Levels are taken for a lattice eps_0 + n h when the lattice has at most
@@ -59,7 +60,7 @@ SNAP_ULPS = 8
 CHIRP_BLOCK = 2048
 
 
-def _eps_levels(values: np.ndarray):
+def eps_levels(values: np.ndarray):
     """Group the cells by dispersion value: the cell order that sorts
     `values`, the start of each run of equal values in that order, and the
     distinct values themselves."""
@@ -225,7 +226,7 @@ def _chirp_level_sum(weights, levels, n, h, ts, step, c):
 def level_sum(weights: np.ndarray, levels: np.ndarray, ts: np.ndarray, c: float) -> np.ndarray:
     """Re sum_l weights[l, j] e^{i c levels[l] t} at every t of `ts`, for
     every column j of the complex (len(levels), K) `weights`: shape
-    (len(ts), K).  `levels` are distinct and ascending, as `_eps_levels`
+    (len(ts), K).  `levels` are distinct and ascending, as `eps_levels`
     gives them.
 
     When `ts` is uniform and the levels lie on a lattice eps_0 + n h of at
@@ -273,7 +274,7 @@ def sigma_t(
     0.0), is formed here unless the caller already holds it."""
     check_mu2(mu2)
     same_grid(rho, eps, *battery)
-    order, starts, levels = _eps_levels(eps.values)
+    order, starts, levels = eps_levels(eps.values)
     rho_sorted = rho.values[order]
     # mu_hat(2) int rho fhat^2 over the cells of each level, one function at a
     # time through one reused buffer to keep the peak memory low

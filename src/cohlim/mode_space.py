@@ -166,16 +166,6 @@ def same_grid(*objs) -> MomentumGrid:
     return grid
 
 
-def inner(g: TestFunction, f: TestFunction, weight: Optional[ModeDensity] = None) -> complex:
-    """<g | w f> = dk * sum conj(ghat) * w * fhat, with w = rho or 1.
-
-    Conjugate-linear in the first argument.
-    """
-    grid = same_grid(g, f) if weight is None else same_grid(g, f, weight)
-    w = 1.0 if weight is None else weight.values
-    return complex(grid.cell_volume * np.sum(np.conj(g.values) * w * f.values))
-
-
 def battery_gram(fs: Sequence[TestFunction], rho: ModeDensity) -> tuple[np.ndarray, np.ndarray]:
     """(G, T) of a battery f_1..f_K: the sesquilinear G_ij = <f_i | rho f_j>
     and the bilinear T_ij = dk * sum rho f_i f_j, both read from the one real

@@ -4,8 +4,7 @@ Vacuum expectations of normal-ordered creation/annihilation products are
 Wick/Isserlis pairing sums over the block matrix Q built from the two-point
 data (mu_hat(2), rho), i.e. the hafnian haf(Q), read from the battery Gram that
 also fixes the chi law of the Monte Carlo oracle.  `wick_moment` computes it by
-power traces in O(n^3 2^{n/2}) up to order MAX_PAIRING_ORDER = 24;
-`permanent_moment` (Ryser) is the independent mu_hat(2) = 0 check, and the
+power traces in O(n^3 2^{n/2}) up to order MAX_PAIRING_ORDER = 24, and the
 oracle (products of sampled chi) is the tie-breaker for any normalization.
 """
 
@@ -14,12 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from cohlim.ito_sampler import chi_gram_blocks
-from cohlim.mode_space import ModeDensity, TestFunction, inner
 
 MAX_PAIRING_ORDER = 24  # 2^12 - 1 pair subsets, a few small products each; larger is refused
 MIN_ORACLE_SAMPLES = 1000  # fewest draws mc_oracle accepts for its error bar
@@ -101,35 +99,6 @@ def wick_moment(Q: QMatrix) -> complex:
         terms.append((-1) ** (m - size) * c[:, m])
     terms = np.concatenate(terms)
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
-
-
-def permanent(c: np.ndarray) -> complex:
-    """Permanent by Ryser inclusion-exclusion, O(2^p * p)."""
-    p = c.shape[0]
-    if p == 0:
-        return 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    for mask in range(1, 2 ** p):
-        bits = [(mask >> i) & 1 for i in range(p)]
-        k = sum(bits)
-        cols = np.array(bits, dtype=bool)
-        rows = np.prod(np.sum(c[:, cols], axis=1))
-        total += (-1) ** k * rows
-    return (-1) ** p * total
-
-
-def permanent_moment(
-    fs: Sequence[TestFunction], gs: Sequence[TestFunction], rho: ModeDensity
-) -> complex:
-    """The mu_hat(2) = 0 special case: 0 when p != q, otherwise
-    sum over permutations of prod <g_{sigma(j)} | rho f_j> = perm(C)."""
-    p, q = len(fs), len(gs)
-    if p != q:
-        return 0.0 + 0.0j
-    if p > 10:
-        raise ValueError("permanent capped at p = 10")
-    C = np.array([[inner(gi, fj, rho) for fj in fs] for gi in gs], dtype=complex)
-    return permanent(C)
 
 
 @dataclass(frozen=True)

@@ -6,35 +6,45 @@ element a phase e^{-i (E_k - E_l) t}; its modulus decays by two envelopes
 that depend only on the coupling difference g_k - g_l: the
 zero-temperature-like Gamma(t) factor and (after averaging over the random
 phase carried by Re chi(g)) a Gaussian-in-time factor whose rate is
-|sqrt(rho) ghat|_2^2.
+|sqrt(rho) ghat|_2^2.  Gamma takes a whole t-grid at once, summed over the
+dispersion levels that `dynamics.sigma_t` also groups the cells into.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-from cohlim.dynamics import Dispersion
+from cohlim.dynamics import PHASE_BLOCK_BYTES, Dispersion, eps_levels
 from cohlim.mode_space import TestFunction, same_grid
 
 EPS_MIN = 1e-8  # infrared cutoff: cells with eps below this are excluded
 GAMMA_RADIAL_NODES = 400_000  # midpoint nodes of gamma_radial over [0, r_max]
 
 
-def _infrared_cells(g: TestFunction, eps: Dispersion) -> tuple[np.ndarray, np.ndarray]:
-    """|ghat|^2 and eps over the cells at or above the infrared cutoff."""
-    same_grid(g, eps)
-    mask = eps.values >= EPS_MIN
-    return np.abs(g.values[mask]) ** 2, eps.values[mask]
-
-
-def gamma(t: float, g: TestFunction, eps: Dispersion) -> float:
+def gamma(ts: np.ndarray, g: TestFunction, eps: Dispersion) -> np.ndarray:
     """Dephasing integral 2 int |ghat|^2 sin^2(eps t / 2) / eps^2 dk >= 0
-    over the cutoff cells."""
-    g2, ev = _infrared_cells(g, eps)
-    return float(2.0 * g.grid.cell_volume * np.sum(g2 * np.sin(ev * t / 2.0) ** 2 / ev ** 2))
+    over the cells with eps >= EPS_MIN, at every t of the 1-d `ts`: shape
+    (len(ts),).  Each `eps_levels` level eps_l gives one weight
+    w_l = sum |ghat|^2 / eps_l^2, and 2 dk sum_l w_l sin^2(eps_l t / 2) is
+    summed in (t, level) blocks of PHASE_BLOCK_BYTES: nonnegative terms,
+    where dk sum_l w_l (1 - cos(eps_l t)) would cancel at small eps t."""
+    same_grid(g, eps)
+    ts = np.asarray(ts, dtype=float)
+    order, starts, levels = eps_levels(eps.values)
+    weights = np.add.reduceat(np.abs(g.values[order]) ** 2, starts)
+    keep = levels >= EPS_MIN
+    weights, half = weights[keep] / levels[keep] ** 2, levels[keep] / 2.0
+    per_block = max(1, PHASE_BLOCK_BYTES // (8 * max(1, len(half))))
+    out = np.empty(len(ts))
+    for lo in range(0, len(ts), per_block):
+        block = np.multiply.outer(ts[lo : lo + per_block], half)
+        np.sin(block, out=block)
+        block *= block
+        block *= weights
+        out[lo : lo + per_block] = block.sum(axis=1)  # pairwise along the levels
+    return 2.0 * g.grid.cell_volume * out
 
 
 def gamma_radial(
@@ -57,15 +67,12 @@ def envelopes(
     dg: float, g: TestFunction, eps: Dispersion, ts: np.ndarray, rate: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two decay factors of an element whose levels' couplings differ
-    by `dg`, at each time of `ts`:
+    by `dg`, at each time of the 1-d `ts`:
 
         Gaussian  exp(-t^2 dg^2 rate / 2),
         Gamma     exp(-dg^2 Gamma(t) / 2).
 
     `rate` is int rho |ghat|^2 for the reservoir average and 0 for a single
-    sample.  Each factor is a scalar `math.exp`, so a t-grid gives the same
-    bits as one time at a time."""
-    ts = np.asarray(ts, dtype=float).tolist()
-    gaussian = [math.exp(-0.5 * t * t * dg * dg * rate) for t in ts]
-    decay = [math.exp(-0.5 * dg * dg * gamma(t, g, eps)) for t in ts]
-    return np.array(gaussian), np.array(decay)
+    sample."""
+    ts = np.asarray(ts, dtype=float)
+    return np.exp(-0.5 * ts * ts * dg * dg * rate), np.exp(-0.5 * dg * dg * gamma(ts, g, eps))

@@ -39,7 +39,6 @@ LIBRARY = {
 
 ORACLES = {
     "sample_chi": "the cell-level Ito sum, the reference for the Gram-law sampler",
-    "permanent_moment": "the mu_hat(2) = 0 check of the hafnian",
     "gamma_radial": "the radial d = 3 Gamma(t) of acceptance criterion 9",
     "finite_volume_functional": "the finite-box reference for the N-mode limit",
 }

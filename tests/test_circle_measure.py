@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,9 +290,10 @@ class TestLogPhaseProduct:
         ids=["modes", "points"],
     )
     def test_blocks_hold_at_most_max_cells(self, monkeypatch, uniform, rows, blocks):
-        # 5 modes x 7 points with room for `rows` (point, mode) rows of 64
-        # angles or 3 atoms: blocks of 2, 2 and 1 modes, one point each, or
-        # of all 5 modes and 3, 3 and 1 points; the value of one block to rounding
+        # 5 modes x 7 points with PRODUCT_BLOCK room for `rows` (point, mode)
+        # rows of 64 angles or 3 atoms: blocks of 2, 2 and 1 modes, one point
+        # each, or of all 5 modes and 3, 3 and 1 points; the value of one block
+        # to rounding.  A MAX_CELLS below one mode's angles refuses the call
         mu = PhaseMeasure.uniform() if uniform else PhaseMeasure.from_atoms(THREE_ATOMS)
         z = np.array([0.8 + 0.3j, -1.2j, 2.5, 0.1 - 0.4j, 1.7 + 1.0j])
         s = np.linspace(0.0, 3.0, 7)
@@ -307,13 +309,31 @@ class TestLogPhaseProduct:
 
             return average(mu, recorded, nodes)
 
-        monkeypatch.setattr(circle_measure, "MAX_CELLS", rows * angles + 1)
+        monkeypatch.setattr(circle_measure, "PRODUCT_BLOCK", rows * angles + 1)
         monkeypatch.setattr(circle_measure, "circle_average", recording_average)
         assert np.max(np.abs(log_phase_product(mu, z, s) - whole)) <= 1e-14
         assert shapes == [(*block, angles) for block in blocks]
         monkeypatch.setattr(circle_measure, "MAX_CELLS", angles - 1)
         with pytest.raises(ValueError, match="angles per mode exceed the cap"):
             log_phase_product(mu, z, s)
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "atoms"])
+    def test_memory_does_not_grow_with_the_modes(self, uniform):
+        # the clt s-grid on 2048 cells, 64 angles or 3 atoms per mode:
+        # 31 x 2048 x 64 entries, 31 MiB of float64 in one block
+        mu = PhaseMeasure.uniform() if uniform else PhaseMeasure.from_atoms(THREE_ATOMS)
+        grid = MomentumGrid(d=1, R=4.0, N=2048)
+        f = TestFunction.from_profile(grid, lambda k: np.exp(-(k ** 2) / 2.0) * np.exp(1j * k))
+        rho = ModeDensity.from_profile(grid, lambda k: np.exp(-((k - 1.0) ** 2) / (2 * 0.70710678 ** 2)))
+        z = cell_amplitudes(f, rho)
+        s = np.linspace(0.0, 6.0, 31) / math.sqrt(variances([f], rho, 0.0)[0])
+        tracemalloc.start()
+        try:
+            log_phase_product(mu, z, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     @pytest.mark.parametrize("mu", [PhaseMeasure.uniform(), PhaseMeasure.from_atoms(THREE_ATOMS)], ids=["uniform", "atoms"])
     def test_at_s_1_is_the_n_mode_value(self, mu):

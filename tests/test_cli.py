@@ -27,12 +27,12 @@ from cohlim.config import (
     validate_config,
 )
 from cohlim.circle_measure import log_phase_product
-from cohlim.dynamics import sigma_t, uniformization_metric
+from cohlim.dynamics import sigma_t
 from cohlim.functionals import cell_amplitudes, variances
 from cohlim.mode_space import MomentumGrid
 from cohlim.moments import MIN_ORACLE_SAMPLES
 
-from oracles import clt_sample, ks_distance
+from oracles import clt_sample, gamma_fsum, ks_distance, uniformization_gap
 
 GRID = {"d": 1, "R": 4.0, "N": 512}
 DENSITY = {"name": "gaussian", "center": 1.0, "width": 0.70710678}
@@ -700,7 +700,7 @@ class TestCliRuns:
         assert float(rows[-1]["metric"]) < float(rows[0]["metric"])
 
     def test_dynamics_matches_per_t_loop(self, tmp_path):
-        """The one-pass table equals scalar sigma_t/uniformization_metric per t."""
+        """The one-pass table equals single-time sigma_t and the per-t metric oracle."""
         cfg = CONFIGS["dynamics"]
         out = tmp_path / "o"
         assert cli.main(["dynamics", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
@@ -713,7 +713,7 @@ class TestCliRuns:
         for t, row in zip(ts, rows):
             assert float(row["t"]) == t
             s = sigma_t(battery[:1], rho, mu2, eps, [float(t)])[0, 0]
-            metric = uniformization_metric(battery, rho, mu2, eps, float(t))
+            metric = uniformization_gap(battery, rho, mu2, eps, float(t))
             assert float(row["sigma_t"]) == pytest.approx(s, rel=1e-12, abs=1e-15)
             assert float(row["metric"]) == pytest.approx(metric, rel=1e-12, abs=1e-15)
 
@@ -1033,6 +1033,23 @@ class TestCliRuns:
         rows = list(zip(ts.tolist(), gaussian.tolist(), decay.tolist()))
         header = ["t", "envelope_gaussian", "envelope_gamma"]
         assert (out / "decohere.csv").read_bytes() == csv_writer_bytes(tmp_path, header, rows)
+
+    @pytest.mark.parametrize("t_grid", [None, "0:40:0.1"], ids=["config", "long"])
+    @pytest.mark.parametrize("form", ["photon", "quadratic"])
+    def test_decohere_csv_matches_fsum_oracle(self, tmp_path, form, t_grid):
+        cfg = {**CONFIGS["decohere"], "dispersion": {"form": form}}
+        cfg = cfg if t_grid is None else {**cfg, "t_grid": t_grid}
+        out = tmp_path / "o"
+        assert cli.main(["decohere", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        run = cli.Run(cfg, tmp_path / "inputs")
+        g = build_test_function(cfg["form_factor"], run.grid)
+        rate = cli.sigma_mu_sq(g, run.density, 0.0)
+        with open(out / "decohere.csv") as fh:
+            rows = [[float(v) for v in row.values()] for row in csv.DictReader(fh)]
+        assert [row[0] for row in rows] == parse_t_grid(cfg["t_grid"]).tolist()
+        for t, gaussian, decay in rows:  # couplings [0, 1]: dg^2 = 1
+            assert gaussian == pytest.approx(math.exp(-0.5 * t * t * rate), rel=1e-14)
+            assert decay == pytest.approx(math.exp(-0.5 * gamma_fsum(t, g, run.dispersion)), rel=1e-14)
 
     def test_rarefied_csv_matches_per_row_loop(self, tmp_path):
         cfg = {**CONFIGS["rarefied"], "L_values": [1.0, 10.0, 1000.0, 1e5, 1e7]}

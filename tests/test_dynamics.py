@@ -13,9 +13,10 @@ from cohlim.dynamics import (
     uniformization_metric,
 )
 from cohlim.functionals import CoherentModeSet, n_mode_functional, sigma_mu_sq, variances
-from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, inner
+from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction
 
 from conftest import gaussian_setups, make_battery, unit_disk, with_values
+from oracles import inner, uniformization_gap
 
 
 class TestDispersion:
@@ -221,13 +222,15 @@ class TestSigmaTGrid:
         assert np.all(curve == 0.0)
 
     def test_curve_matches_scalar_metric(self):
+        # the grid curve and the scalar metric, each against the per-t oracle
         battery, rho, eps = _grid_case(1, "photon")
         ts = np.linspace(0.0, 20.0, 21)
         unif = variances(battery, rho, 0.0)
         curve = uniformization_curve(battery, unif, sigma_t(battery, rho, -1.0, eps, ts, unif))
-        for t, value in zip(ts, curve):
-            scalar = uniformization_metric(battery, rho, -1.0, eps, float(t))
-            assert value == pytest.approx(scalar, rel=1e-12, abs=1e-15)
+        for t, value in zip(ts.tolist(), curve):
+            gap = uniformization_gap(battery, rho, -1.0, eps, t)
+            assert value == pytest.approx(gap, rel=1e-12, abs=1e-15)
+            assert uniformization_metric(battery, rho, -1.0, eps, t) == pytest.approx(gap, rel=1e-12, abs=1e-15)
 
     def test_curve_rejects_empty_battery(self):
         with pytest.raises(ValueError):
@@ -236,7 +239,7 @@ class TestSigmaTGrid:
 
 def _sorted_levels(eps):
     """The distinct dispersion values of `eps`, ascending."""
-    return dynamics._eps_levels(eps.values)[2]
+    return dynamics.eps_levels(eps.values)[2]
 
 
 def _no_chirp(*args):

@@ -158,9 +158,10 @@ class TestRepExpectations:
 
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "atoms"])
     def test_n_mode_blocks_hold_at_most_max_cells(self, gauss, monkeypatch, uniform):
-        # five modes at s = 1 in blocks of two (mode, angle) rows of 64 angles
-        # or three atoms, in `log_phase_product`: the same value as in one
-        # block, to rounding
+        # five modes at s = 1 in PRODUCT_BLOCK blocks of two (mode, angle) rows
+        # of 64 angles or three atoms, in `log_phase_product`: the same value
+        # as in one block, to rounding; a MAX_CELLS below one mode's angles
+        # refuses it
         mu = PhaseMeasure.uniform() if uniform else PhaseMeasure.from_atoms([(0.1, 0.3), (2.0, 0.5), (4.0, 0.2)])
         modes = CoherentModeSet([0.5, -1.0, 0.0, 1.5, -0.3], [2.0, 1.0, 0.5, 3.0, 1.5], [0.0] * 5)
         whole = rep_expectation_n_mode(gauss, modes, mu).value
@@ -175,7 +176,7 @@ class TestRepExpectations:
 
             return average(mu, recorded, nodes)
 
-        monkeypatch.setattr(circle_measure, "MAX_CELLS", 2 * angles + 1)
+        monkeypatch.setattr(circle_measure, "PRODUCT_BLOCK", 2 * angles + 1)
         monkeypatch.setattr(circle_measure, "circle_average", recording_average)
         assert rep_expectation_n_mode(gauss, modes, mu).value == pytest.approx(whole, abs=1e-15)
         assert shapes == [(1, 2, angles), (1, 2, angles), (1, 1, angles)]

@@ -8,7 +8,9 @@ sigma_mu^2 quadratures (`fock_functional` per function and `variances` of
 the battery) on the `chi` battery and on the `dynamics` one (32 768 cells x
 3 functions), and `sigma_t` at the `dynamics` benchmark size (32 768 cells x
 3 functions x 1001 times) on both of its paths: the photon dispersion takes
-the chirp-z level sum, the quadratic one the direct sum.  The finite-N phase
+the chirp-z level sum, the quadratic one the direct sum.  The dephasing
+integral `open_system.gamma` on a long t-grid (32 768 cells x 4001 times,
+t = 0:40:0.01, a gaussian form factor), photon and quadratic.  The finite-N phase
 product `log_phase_product` at the `clt` size (31 s-points x 512 cells, s up
 to 6 / sigma), under the uniform measure (64 circle nodes) and under three
 atoms.  The output layer:
@@ -49,6 +51,7 @@ from cohlim.functionals import cell_amplitudes, fock_functional, variances
 from cohlim.ito_sampler import chi_gram_factor, sample_chi, sample_chi_gram
 from cohlim.mode_space import battery_gram
 from cohlim.moments import build_q, mc_oracle, wick_moment
+from cohlim.open_system import gamma
 
 pytestmark = pytest.mark.kernel_bench
 
@@ -177,6 +180,15 @@ def test_sigma_t_kernel(benchmark, dynamics_inputs, form):
     ts = parse_t_grid("0:100:0.1")
     table = benchmark.pedantic(sigma_t, args=(battery, rho, -1.0, eps, ts), rounds=3, iterations=1)
     assert table.shape == (len(ts), len(battery))
+
+
+@pytest.mark.parametrize("form", ["photon", "quadratic"])
+def test_gamma_kernel(benchmark, form):
+    grid = build_grid({"d": 1, "R": 8.0, "N": 32768})
+    g = build_test_function({"name": "gaussian"}, grid)
+    ts = parse_t_grid("0:40:0.01")
+    values = benchmark.pedantic(gamma, args=(ts, g, build_dispersion({"form": form}, grid)), rounds=3, iterations=1)
+    assert values.shape == (4001,) and values[0] == 0.0 and np.all(values[1:] > 0.0)
 
 
 @pytest.mark.parametrize("measure", ["uniform", "atoms"])

@@ -20,15 +20,13 @@ from cohlim.mode_space import (
     TestFunction,
     battery_gram,
     finite_volume_coefficients,
-    inner,
     norm_sq_momentum,
     same_grid,
 )
-from cohlim.moments import permanent_moment
 from cohlim.open_system import envelopes, gamma
 
 from conftest import gaussian_setups, unit_disk, with_values
-from oracles import clt_sample
+from oracles import clt_sample, inner, permanent_moment
 
 
 class TestMomentumGrid:
@@ -236,8 +234,8 @@ GRID_TAKING = {
     "phase_averaged_functional": lambda a, b: phase_averaged_functional(a.f, b.rho, 0.3),
     "sigma_t": lambda a, b: sigma_t([a.f], a.rho, 0.3, b.eps, [1.0]),
     "uniformization_metric": lambda a, b: uniformization_metric([a.f], a.rho, 0.3, b.eps, 1.0),
-    "gamma": lambda a, b: gamma(1.0, a.f, b.eps),
-    "envelopes": lambda a, b: envelopes(1.0, a.f, b.eps, [1.0], 0.3),
+    "gamma": lambda a, b: gamma([0.0, 1.0], a.f, b.eps),
+    "envelopes": lambda a, b: envelopes(1.0, a.f, b.eps, [0.0, 1.0], 0.3),
     "sample_chi": lambda a, b: sample_chi([a.f], b.rho, 0.3, 2, np.random.default_rng(0)),
     "battery_gram": lambda a, b: battery_gram([a.f, b.f], a.rho),
     "battery_gram_weight": lambda a, b: battery_gram([a.f], b.rho),

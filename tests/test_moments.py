@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohlim.mode_space import ModeDensity, battery_gram, inner
+from cohlim.mode_space import ModeDensity, battery_gram
 from cohlim.moments import (
     MAX_PAIRING_ORDER,
     QMatrix,
     mc_oracle,
-    permanent,
-    permanent_moment,
     product_moment,
     wick_moment,
 )
@@ -27,6 +25,7 @@ from conftest import (
     whole_chi_table,
     with_values,
 )
+from oracles import inner, permanent, permanent_moment
 
 
 def matching_sum(m, indices):
