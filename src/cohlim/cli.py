@@ -58,7 +58,7 @@ from cohlim.functionals import (
 from cohlim.gns_reps import rep_expectation_averaged, rep_expectation_n_mode
 from cohlim.ito_sampler import random_functional, sample_chi_gram
 from cohlim.mode_space import battery_gram
-from cohlim.moments import MAX_PAIRING_ORDER, MIN_ORACLE_SAMPLES, build_q, mc_oracle, wick_moment
+from cohlim.moments import MAX_PAIRING_ORDER, MIN_ORACLE_SAMPLES, mc_oracle, quasifree_moment
 from cohlim.open_system import envelopes
 
 SCHEMA_VERSION = "1"
@@ -516,7 +516,7 @@ def run_moments(run):
         raise ConfigError("/functions", f"need at least p+q={p+q} functions")
     m = run.samples(10_000, p + q, MIN_ORACLE_SAMPLES)
     gram = battery_gram(run.build(run.entries[: p + q]), run.density)
-    closed = wick_moment(build_q(gram, p, run.mu2))
+    closed = quasifree_moment(gram, p, run.mu2)
     est = mc_oracle(gram, p, run.mu2, m, run.rng())
     z = est.z_score(closed)
     values = {

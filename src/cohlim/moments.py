@@ -3,9 +3,13 @@
 Vacuum expectations of normal-ordered creation/annihilation products are
 Wick/Isserlis pairing sums over the block matrix Q built from the two-point
 data (mu_hat(2), rho), i.e. the hafnian haf(Q), read from the battery Gram that
-also fixes the chi law of the Monte Carlo oracle.  `wick_moment` computes it by
-power traces in O(n^3 2^{n/2}) up to order MAX_PAIRING_ORDER = 24, and the
-oracle (products of sampled chi) is the tie-breaker for any normalization.
+also fixes the chi law of the Monte Carlo oracle.  `quasifree_moment` is the
+closed form: at mu_hat(2) = 0 (the uniform phase law, where the A and B
+blocks of Q vanish) it is 0 unless p = q and otherwise the permanent of
+C = G_gf, by Glynn's formula in O(n^2 2^{n/2}); at any other mu_hat(2)
+`wick_moment` sums haf(Q) by power traces in O(n^3 2^{n/2}).  Both go up to
+order MAX_PAIRING_ORDER = 24, and the oracle (products of sampled chi) is
+the tie-breaker for any normalization.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from cohlim.ito_sampler import chi_gram_blocks
 
 MAX_PAIRING_ORDER = 24  # 2^12 - 1 pair subsets, a few small products each; larger is refused
 MIN_ORACLE_SAMPLES = 1000  # fewest draws mc_oracle accepts for its error bar
+DEVIATION_CHUNK = 4096  # products per pass of the error bar's sum of |x_i - mean|^2
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,42 @@ def wick_moment(Q: QMatrix) -> complex:
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
+def glynn_permanent(c: np.ndarray) -> complex:
+    """perm(C) of a square C by Glynn's formula,
+
+        perm(C) = 2^{1-p} sum_d (prod_k d_k) prod_j sum_i d_i C_ij
+
+    over the 2^{p-1} sign vectors d in {+1, -1}^p with d_1 = +1: all row
+    sums at once in one np.einsum, the signed products summed exactly."""
+    p = len(c)
+    if p == 0:
+        return 1.0 + 0.0j
+    bits = (np.arange(2 ** (p - 1))[:, None] >> np.arange(p - 1)) & 1
+    signs = np.ones((len(bits), p))
+    signs[:, 1:] -= 2.0 * bits
+    terms = np.prod(signs, axis=1) * np.prod(np.einsum("si,ij->sj", signs, c), axis=1)
+    scale = 2.0 ** (1 - p)
+    return complex(scale * math.fsum(terms.real), scale * math.fsum(terms.imag))
+
+
+def quasifree_moment(gram: tuple[np.ndarray, np.ndarray], p: int, mu2: complex) -> complex:
+    """The averaged vacuum expectation of a*(f_1)..a*(f_p) a(g_1)..a(g_q)
+    from the `battery_gram` of f_1..f_p, g_1..g_q.
+
+    At mu_hat(2) exactly 0 the A and B blocks of Q vanish, so haf(Q) is 0
+    unless p = q and otherwise perm(C), C = G_gf (`glynn_permanent`); any
+    other mu_hat(2), however small, gives `wick_moment(build_q(...))`."""
+    if mu2 != 0:
+        return wick_moment(build_q(gram, p, mu2))
+    g = gram[0]
+    n = len(g)
+    if n != 2 * p:
+        return 0j
+    if n > MAX_PAIRING_ORDER:
+        raise ValueError(f"permanent of order {n} refused; cap is {MAX_PAIRING_ORDER}")
+    return glynn_permanent(g[p:, :p])
+
+
 @dataclass(frozen=True)
 class MomentEstimate:
     value: complex
@@ -128,8 +169,10 @@ def product_moment(blocks: Iterable[np.ndarray], p: int, q: int) -> MomentEstima
     `blocks` yields consecutive (draws, battery) blocks of chi draws, each
     with at least p+q columns; a whole table is one block, `[chis]`.  Each
     block is reduced to its row products as it comes, so only one complex
-    product per draw is held, and the products do not depend on how the
-    draws are split into blocks."""
+    product per draw is held (two while they are joined), and the products
+    do not depend on how the draws are split into blocks.  The squared
+    deviations are summed over fixed chunks of DEVIATION_CHUNK products,
+    which do not follow the blocks either."""
     prods = []
     for chis in blocks:
         # out of place: numpy runs an in-place product of one-element arrays
@@ -145,9 +188,11 @@ def product_moment(blocks: Iterable[np.ndarray], p: int, q: int) -> MomentEstima
     prod = np.concatenate(prods)
     del prods
     mean = complex(np.mean(prod))
-    dev = prod - mean
-    var = np.sum(dev.real ** 2 + dev.imag ** 2) / (n_samples * (n_samples - 1))
-    return MomentEstimate(mean, math.sqrt(var))
+    sq = 0.0
+    for lo in range(0, n_samples, DEVIATION_CHUNK):
+        dev = prod[lo : lo + DEVIATION_CHUNK] - mean
+        sq += float(np.sum(dev.real ** 2 + dev.imag ** 2))
+    return MomentEstimate(mean, math.sqrt(sq / (n_samples * (n_samples - 1))))
 
 
 def mc_oracle(

@@ -6,7 +6,8 @@ checks its draws against that law and against the Gaussian limit, by
 `ks_distance` among others.  `gamma_fsum` and `uniformization_gap` are the
 one-time-at-a-time forms of `open_system.gamma` and of the `dynamics` metric.
 `permanent_moment` (Ryser) is the independent mu_hat(2) = 0 check of the
-hafnian `moments.wick_moment`, over the cell sums `inner` that
+hafnian `moments.wick_moment` and of Glynn's permanent in
+`moments.quasifree_moment`, over the cell sums `inner` that
 `mode_space.battery_gram` forms together.
 """
 

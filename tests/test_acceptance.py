@@ -24,8 +24,8 @@ from cohlim.functionals import (
 )
 from cohlim.gns_reps import rep_expectation_averaged
 from cohlim.ito_sampler import random_functional, sample_chi
-from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction
-from cohlim.moments import product_moment, wick_moment
+from cohlim.mode_space import ModeDensity, MomentumGrid, TestFunction, battery_gram
+from cohlim.moments import product_moment, quasifree_moment, wick_moment
 from cohlim.open_system import gamma, gamma_radial
 
 from conftest import built_pairs, ito_pair, make_battery, opposite_pair, q_matrix, with_values
@@ -126,11 +126,11 @@ def test_criterion_5_quasifree_moments():
         assert wick_moment(q_matrix(fs, gs, rho, mu2)) == 0.0
         est = product_moment([sample_chi(fs + gs, rho, mu2, m, np.random.default_rng(seed))], p, q)
         ok = ok and est.z_score(0.0) < 5.0
-    # permanent route at mu_hat(2) = 0
+    # permanent route at mu_hat(2) = 0: the hafnian and Glynn's permanent
     q0 = q_matrix(battery[:2], battery[2:4], rho, 0.0)
-    ok = ok and abs(
-        wick_moment(q0) - permanent_moment(battery[:2], battery[2:4], rho)
-    ) < 1e-10
+    perm = permanent_moment(battery[:2], battery[2:4], rho)
+    ok = ok and abs(wick_moment(q0) - perm) < 1e-10
+    ok = ok and abs(quasifree_moment(battery_gram(battery[:4], rho), 2, 0.0) - perm) < 1e-10
     verdict(5, "quasifree moments", ok)
 
 

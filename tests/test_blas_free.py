@@ -1,5 +1,5 @@
-"""The small products of the battery Gram, the chi sampler and `build_q` stay
-off BLAS.
+"""The small products of the battery Gram, the chi sampler, `build_q` and the
+mu_hat(2) = 0 moment (`quasifree_moment`, `glynn_permanent`) stay off BLAS.
 
 They are at most 2K x 2K (K functions) or 2K x a few thousand, where BLAS
 gains nothing, but OpenBLAS's first threaded call starts its thread pool,
@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GUARDED = {
     "ito_sampler": ("_chi_matrix", "psd_factor", "chi_gram_factor", "chi_gram_blocks", "sample_chi_gram"),
     "mode_space": ("battery_gram",),
-    "moments": ("build_q",),
+    "moments": ("build_q", "glynn_permanent", "quasifree_moment"),
 }
 
 

@@ -17,6 +17,7 @@ from cohlim import cli
 from cohlim import config as cfgmod
 from cohlim.config import (
     ConfigError,
+    build_density,
     build_grid,
     build_measure,
     build_test_function,
@@ -32,7 +33,7 @@ from cohlim.functionals import cell_amplitudes, variances
 from cohlim.mode_space import MomentumGrid
 from cohlim.moments import MIN_ORACLE_SAMPLES
 
-from oracles import clt_sample, gamma_fsum, ks_distance, uniformization_gap
+from oracles import clt_sample, gamma_fsum, ks_distance, permanent_moment, uniformization_gap
 
 GRID = {"d": 1, "R": 4.0, "N": 512}
 DENSITY = {"name": "gaussian", "center": 1.0, "width": 0.70710678}
@@ -667,6 +668,23 @@ class TestCliRuns:
         record = read_result(out)
         assert record["values"]["z_score"] < 5.0
         assert record["rng"] == {"seed": 3, "bit_generator": "PCG64", "sampler": "gram"}
+
+    @pytest.mark.parametrize("pq", ["2,2", "3,1"])
+    def test_moments_at_uniform_phase_is_the_ryser_permanent(self, tmp_path, pq):
+        # mu_hat(2) = 0: perm(<g_i | rho f_j>) when p = q, and exactly 0 otherwise
+        fns = [{"name": "gaussian", "label": f"h{j}", "center": j / 4, "modulation": j / 2} for j in range(4)]
+        cfg = {**CONFIGS["moments"], "mu2": [0.0, 0.0], "pq": pq, "functions": fns}
+        out = tmp_path / "o"
+        assert cli.main(["moments", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        closed = read_result(out)["values"]["closed_form"]
+        grid = build_grid(GRID)
+        battery = [build_test_function(f, grid) for f in fns]
+        p = int(pq[0])
+        expect = permanent_moment(battery[:p], battery[p:], build_density(DENSITY, grid))
+        if p == 2:
+            assert complex(closed["re"], closed["im"]) == pytest.approx(expect, rel=1e-12, abs=0)
+        else:
+            assert expect == 0 and closed == {"re": 0.0, "im": 0.0}
 
     def test_moments_builds_only_the_functions_of_its_order(self, tmp_path, monkeypatch):
         # --pq 1,1 on 16 functions builds the first two, with the values of

@@ -2,7 +2,8 @@
 draws x 4 functions x 4096 cells), the battery Gram (G, T) and the factor of
 the chi law read from it at the `chi` and `moments` sizes (4 and 16
 functions on 4096 cells), `build_q` + `wick_moment` at moment orders 16 and
-24 on a precomputed Gram, the Monte Carlo oracle `mc_oracle` at the
+24 on a precomputed Gram, and `quasifree_moment` on the same Grams at
+mu_hat(2) = 0 (Glynn's permanent) and at 0.3 + 0.2i (the hafnian), the Monte Carlo oracle `mc_oracle` at the
 `moments` benchmark size (16 functions, 4000 draws, p = q = 8), the Fock and
 sigma_mu^2 quadratures (`fock_functional` per function and `variances` of
 the battery) on the `chi` battery and on the `dynamics` one (32 768 cells x
@@ -50,7 +51,7 @@ from cohlim.float_text import repr_chars
 from cohlim.functionals import cell_amplitudes, fock_functional, variances
 from cohlim.ito_sampler import chi_gram_factor, sample_chi, sample_chi_gram
 from cohlim.mode_space import battery_gram
-from cohlim.moments import build_q, mc_oracle, wick_moment
+from cohlim.moments import build_q, mc_oracle, quasifree_moment, wick_moment
 from cohlim.open_system import gamma
 
 pytestmark = pytest.mark.kernel_bench
@@ -146,8 +147,8 @@ def test_chi_gram_factor_kernel(benchmark, n_fns):
     assert r.shape[1] == 2 * n_fns
 
 
-@pytest.mark.parametrize("order", [16, 24])
-def test_wick_moment_kernel(benchmark, order):
+def moment_gram(order):
+    """The Gram of `order` narrow gaussians on 4096 cells."""
     grid = build_grid({"d": 1, "R": 4.0, "N": 4096})
     rho = build_density({"name": "gaussian", "center": 0.0, "width": 2.0}, grid)
     battery = [
@@ -157,12 +158,24 @@ def test_wick_moment_kernel(benchmark, order):
         )
         for i in range(order)
     ]
-    gram = battery_gram(battery, rho)
+    return battery_gram(battery, rho)
+
+
+@pytest.mark.parametrize("order", [16, 24])
+def test_wick_moment_kernel(benchmark, order):
+    gram = moment_gram(order)
 
     def kernel():
         return wick_moment(build_q(gram, order // 2, MU2))
 
     value = benchmark.pedantic(kernel, rounds=3, iterations=1)
+    assert np.isfinite(value)
+
+
+@pytest.mark.parametrize("mu2", [0.0, MU2], ids=["uniform", "mu2"])
+@pytest.mark.parametrize("order", [16, 24])
+def test_quasifree_moment_kernel(benchmark, order, mu2):
+    value = benchmark.pedantic(quasifree_moment, args=(moment_gram(order), order // 2, mu2), rounds=5, iterations=1)
     assert np.isfinite(value)
 
 
